@@ -13,7 +13,10 @@
      e4 dynamization sweep  e5 Figure 2 histograms  e6 Figure 3 per-MCS cost
      e7 phases table        e8 horizon table        v1 validation
      a1 cutoff ablation     a2 relevant-set ablation a3 CCF ablation
-     u1 parameter uncertainty *)
+     u1 parameter uncertainty
+
+   Cutset generation runs on the modular ZDD engine (exact residual mass)
+   unless a row names MOCUS; those are the two engines the library has. *)
 
 module Table = Sdft_util.Table
 module Timer = Sdft_util.Timer
@@ -32,8 +35,8 @@ let model_2 () =
   if !full_scale then Industrial.generate Industrial.model_2
   else scaled_model_2 ()
 
-let bdd_options =
-  { Sdft_analysis.default_options with engine = Sdft_analysis.Bdd_engine }
+let zdd_options =
+  { Sdft_analysis.default_options with engine = Sdft_analysis.Zdd_engine }
 
 (* ------------------------------------------------------------------ *)
 (* E1: the running example (Section II, Examples 1-8). *)
@@ -116,7 +119,7 @@ let e2_bwr () =
 
 (* ------------------------------------------------------------------ *)
 (* E3: industrial model parameters (Section VI-B first table), with the
-   cutset-engine comparison substituting for RiskSpectrum timings. *)
+   ZDD-versus-MOCUS comparison substituting for RiskSpectrum timings. *)
 
 let e3_models () =
   let t =
@@ -139,11 +142,9 @@ let e3_models () =
       ]
   in
   let m1 = model_1 () and m2 = model_2 () in
-  run "model 1" m1 Sdft_analysis.Bdd_engine "BDD/ZDD";
-  run "model 1" m1 Sdft_analysis.Mocus_aggressive "MOCUS (gate bounds)";
-  if not !full_scale then run "model 1" m1 Sdft_analysis.Mocus_sound "MOCUS (sound)";
-  run "model 2" m2 Sdft_analysis.Bdd_engine "BDD/ZDD";
-  run "model 2" m2 Sdft_analysis.Mocus_aggressive "MOCUS (gate bounds)";
+  run "model 1" m1 Sdft_analysis.Zdd_engine "ZDD";
+  if not !full_scale then run "model 1" m1 Sdft_analysis.Mocus_sound "MOCUS";
+  run "model 2" m2 Sdft_analysis.Zdd_engine "ZDD";
   Table.print t;
   print_endline
     "(the sound basics-only MOCUS reproduces the hours-scale generation times\n\
@@ -163,7 +164,7 @@ let e4_sweep_and_histograms ~histograms () =
       ~columns:[ "% dyn. BE"; "% trigg. BE"; "failure freq."; "# MCS"; "dyn. MCS"; "time" ]
   in
   let static_rea, n_static =
-    Sdft_analysis.static_rare_event ~engine:Sdft_analysis.Bdd_engine tree
+    Sdft_analysis.static_rare_event ~engine:Sdft_analysis.Zdd_engine tree
   in
   Table.add_row t
     [ "0"; "0"; Table.cell_sci static_rea; string_of_int n_static; "0"; "-" ];
@@ -181,7 +182,7 @@ let e4_sweep_and_histograms ~histograms () =
         in
         let d = Dynamize.run ~config tree in
         let result, seconds =
-          Timer.time (fun () -> Sdft_analysis.analyze ~options:bdd_options d.Dynamize.sd)
+          Timer.time (fun () -> Sdft_analysis.analyze ~options:zdd_options d.Dynamize.sd)
         in
         Table.add_row t
           [
@@ -295,7 +296,7 @@ let e7_phases () =
           let d = Dynamize.run ~config tree in
           let result, seconds =
             Timer.time (fun () ->
-                Sdft_analysis.analyze ~options:bdd_options d.Dynamize.sd)
+                Sdft_analysis.analyze ~options:zdd_options d.Dynamize.sd)
           in
           Printf.sprintf "%d | %s" result.Sdft_analysis.n_dynamic_cutsets
             (Table.cell_duration seconds))
@@ -327,7 +328,7 @@ let e8_horizon () =
       ~columns:[ "horizon"; "failure freq."; "analysis time"; "cache h/m" ]
   in
   let option_sets =
-    List.map (fun horizon -> { bdd_options with horizon }) [ 24.0; 48.0; 72.0; 96.0 ]
+    List.map (fun horizon -> { zdd_options with horizon }) [ 24.0; 48.0; 72.0; 96.0 ]
   in
   let points, _cache = Sdft_analysis.sweep d.Dynamize.sd option_sets in
   List.iter
@@ -450,7 +451,7 @@ let a1_cutoff () =
     (fun cutoff ->
       let result, seconds =
         Timer.time (fun () ->
-            Sdft_analysis.generate_cutsets ~cutoff Sdft_analysis.Bdd_engine tree)
+            Sdft_analysis.generate_cutsets ~cutoff Sdft_analysis.Zdd_engine tree)
       in
       let relevant =
         List.filter
@@ -741,7 +742,7 @@ let quantify_new ~workspace sd_c ~horizon =
 let cutset_models sd =
   let translation = Sdft_translate.translate sd ~horizon:24.0 in
   let generated =
-    Sdft_analysis.generate_cutsets ~cutoff:1e-15 Sdft_analysis.Bdd_engine
+    Sdft_analysis.generate_cutsets ~cutoff:1e-15 Sdft_analysis.Zdd_engine
       translation.Sdft_translate.static_tree
   in
   let context = Cutset_model.context sd in
@@ -1139,12 +1140,12 @@ let bench_cache ~json_path () =
   in
   let entries = ref [] in
   let case name sd =
-    (* BDD generation: the sweep re-generates cutsets at every point and
+    (* ZDD generation: the sweep re-generates cutsets at every point and
        generation is not what this benchmark measures — only the
        quantification phase is cached and timed. *)
     let horizons = [ 12.0; 24.0; 48.0; 72.0 ] in
     let option_sets =
-      List.map (fun horizon -> { bdd_options with horizon }) horizons
+      List.map (fun horizon -> { zdd_options with horizon }) horizons
     in
     let path = Filename.temp_file "sdft_cache_bench" ".store" in
     Sys.remove path;

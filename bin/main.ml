@@ -193,20 +193,20 @@ let report_disk_cache cache =
       Printf.eprintf "sdft: cache degraded to memory-only: %s\n" e
     | None -> ())
 
+let engine_doc =
+  "Cutset engine, one of "
+  ^ String.concat ", "
+      (List.map (fun (n, _) -> "$(b," ^ n ^ ")") Sdft_analysis.engines)
+  ^ ". $(b,zdd) counts the minimal cutsets by modular ZDD weighted counting \
+     and accounts the residual mass exactly; $(b,auto) picks $(b,zdd) for \
+     static models whose modules are narrow enough and $(b,mocus) for \
+     translated trigger logic or very wide modules."
+
 let engine_arg =
   Arg.(value
-       & opt (enum [ ("mocus", Sdft_analysis.Mocus_sound);
-                     ("mocus-aggressive", Sdft_analysis.Mocus_aggressive);
-                     ("bdd", Sdft_analysis.Bdd_engine);
-                     ("zdd", Sdft_analysis.Zdd_engine);
-                     ("auto", Sdft_analysis.Auto) ])
-           Sdft_analysis.Mocus_sound
-       & info [ "engine" ] ~docv:"ENGINE"
-           ~doc:"Cutset engine: $(b,mocus), $(b,mocus-aggressive), $(b,bdd), \
-                 $(b,zdd) (modular ZDD weighted counting, exact residual-mass \
-                 accounting), or $(b,auto) (picks $(b,zdd) for static models \
-                 whose modules are narrow enough, $(b,mocus) for translated \
-                 trigger logic or very wide modules).")
+       & opt (enum Sdft_analysis.engines)
+           Sdft_analysis.default_options.Sdft_analysis.engine
+       & info [ "engine" ] ~docv:"ENGINE" ~doc:engine_doc)
 
 let domains_arg =
   Arg.(value & opt int 1 & info [ "domains"; "j" ] ~docv:"N" ~doc:"Worker domains for cutset quantification.")
@@ -572,7 +572,7 @@ let mcs_cmd =
         (match generation.Mocus.limit_hit with
         | Some r when generation.Mocus.truncated && generation.Mocus.cutsets = []
           ->
-          (* Unlike MOCUS, an interrupted BDD/ZDD compilation has no sound
+          (* Unlike MOCUS, an interrupted ZDD compilation has no sound
              partial cutset list to print. *)
           Printf.eprintf
             "sdft: %s cutset generation hit the %s; rerun with a larger \
@@ -1330,9 +1330,10 @@ let client_cmd =
          & info [ "cutoff"; "c" ] ~docv:"P" ~doc:"Generation cutoff.")
   in
   let engine =
-    Arg.(value & opt (some string) None
+    let names = List.map (fun (n, _) -> (n, n)) Sdft_analysis.engines in
+    Arg.(value & opt (some (enum names)) None
          & info [ "engine" ] ~docv:"ENGINE"
-             ~doc:"Cutset engine: mocus, mocus-aggressive, bdd, zdd or auto.")
+             ~doc:(engine_doc ^ " Absent: the server's default."))
   in
   let domains =
     Arg.(value & opt (some int) None

@@ -33,7 +33,7 @@ let () =
         [ "% dyn. BE"; "% trigg. BE"; "failure freq."; "MCS"; "dyn. MCS"; "time" ]
   in
   let static_rea, n_static =
-    Sdft_analysis.static_rare_event ~engine:Sdft_analysis.Bdd_engine tree
+    Sdft_analysis.static_rare_event ~engine:Sdft_analysis.Zdd_engine tree
   in
   Sdft_util.Table.add_row table
     [ "0"; "0"; Sdft_util.Table.cell_sci static_rea; string_of_int n_static; "0"; "-" ];
@@ -55,7 +55,7 @@ let () =
       in
       let d = Dynamize.run ~config tree in
       let options =
-        { Sdft_analysis.default_options with engine = Sdft_analysis.Bdd_engine }
+        { Sdft_analysis.default_options with engine = Sdft_analysis.Zdd_engine }
       in
       let result, seconds =
         Sdft_util.Timer.time (fun () ->
@@ -92,7 +92,7 @@ let () =
         (fun horizon ->
           {
             Sdft_analysis.default_options with
-            engine = Sdft_analysis.Bdd_engine;
+            engine = Sdft_analysis.Zdd_engine;
             horizon;
           })
         horizons

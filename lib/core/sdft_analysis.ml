@@ -31,12 +31,11 @@ let default_handles = handles_in Metrics.default
 let handles_of m =
   if m == Metrics.default then default_handles else handles_in m
 
-type engine =
-  | Mocus_sound
-  | Mocus_aggressive
-  | Bdd_engine
-  | Zdd_engine
-  | Auto
+type engine = Mocus_sound | Zdd_engine | Auto
+
+let engines = [ ("mocus", Mocus_sound); ("zdd", Zdd_engine); ("auto", Auto) ]
+
+let engine_name e = fst (List.find (fun (_, e') -> e' = e) engines)
 
 type options = {
   horizon : float;
@@ -58,19 +57,12 @@ let default_options =
     transient_epsilon = 1e-12;
     max_product_states = 1_000_000;
     max_cutset_order = None;
-    engine = Mocus_sound;
+    engine = Auto;
     domains = 1;
     rel_rule = Cutset_model.Paper;
     deadline = None;
     mem_limit_mb = None;
   }
-
-let engine_name = function
-  | Mocus_sound -> "mocus"
-  | Mocus_aggressive -> "mocus-aggressive"
-  | Bdd_engine -> "bdd"
-  | Zdd_engine -> "zdd"
-  | Auto -> "auto"
 
 (* The translation names the AND gates it synthesizes for trigger edges
    "<basic>@trig"; their presence is the structural footprint of dynamic
@@ -94,7 +86,7 @@ let zdd_max_module_width = 128
 
 let resolve_engine engine tree =
   match engine with
-  | Mocus_sound | Mocus_aggressive | Bdd_engine | Zdd_engine -> engine
+  | Mocus_sound | Zdd_engine -> engine
   | Auto ->
     let triggered = ref false in
     for g = 0 to Fault_tree.n_gates tree - 1 do
@@ -119,7 +111,7 @@ let generate_cutsets ?(cutoff = 1e-15) ?(max_order = None)
     ?(guard = Sdft_util.Guard.none) ?(obs = Obs.default) engine tree =
   let empty_on limit =
     (* Unlike MOCUS there is no sound partial cutset list to salvage from
-       an interrupted BDD/ZDD compilation, and no mass bound for what is
+       an interrupted ZDD compilation, and no mass bound for what is
        missing: return an empty truncated (hence vacuous) result. *)
     {
       Mocus.cutsets = [];
@@ -132,32 +124,9 @@ let generate_cutsets ?(cutoff = 1e-15) ?(max_order = None)
   in
   match resolve_engine engine tree with
   | Auto -> assert false (* resolve_engine never returns Auto *)
-  | (Mocus_sound | Mocus_aggressive) as engine ->
-    let options =
-      {
-        Mocus.default_options with
-        cutoff;
-        max_order;
-        gate_bound_pruning = (engine = Mocus_aggressive);
-      }
-    in
+  | Mocus_sound ->
+    let options = { Mocus.default_options with cutoff; max_order } in
     Mocus.run ~options ~guard ~obs tree
-  | Bdd_engine -> (
-    match Minsol.fault_tree_cutsets_above ?max_order ~guard tree ~cutoff with
-    | cutsets ->
-      {
-        Mocus.cutsets;
-        generated = List.length cutsets;
-        pruned_by_cutoff = 0;
-        (* The BDD enumeration drops every cutset below the cutoff without
-           counting it, so no mass bound is available here; the error budget
-           marks BDD-engine intervals with a nonzero cutoff as vacuous. *)
-        pruned_mass = 0.0;
-        truncated = false;
-        limit_hit = None;
-      }
-    | exception Sdft_util.Guard.Limit_hit r -> empty_on r
-    | exception Out_of_memory -> empty_on Sdft_util.Guard.Mem_limit)
   | Zdd_engine -> (
     match Zdd_engine.run ~cutoff ?max_order ~guard ~obs tree with
     | r ->
@@ -537,14 +506,10 @@ let analyze ?(options = default_options) ?cache ?(obs = Obs.default) sd =
         else Float.max acc (info.probability -. info.solver_error))
       0.0 infos
   in
-  let vacuous =
-    (* The ZDD engine is deliberately absent here: its [pruned_mass] is the
-       exact residual of the weighted count, so a nonzero cutoff or order
-       bound still yields a fully accounted interval. *)
-    mocus_result.Mocus.truncated
-    || (engine_used = Bdd_engine
-        && (options.cutoff > 0.0 || options.max_cutset_order <> None))
-  in
+  (* Both engines account for what their cutoff and order bounds drop
+     (MOCUS as an upper bound, the ZDD engine exactly), so only truncated
+     generation leaves mass unaccounted. *)
+  let vacuous = mocus_result.Mocus.truncated in
   let upper =
     if vacuous then Float.max 1.0 total
     else
@@ -825,12 +790,11 @@ let pp_budget ppf r =
     b.pruned_mass
     (match r.engine_used with
     | Zdd_engine -> "  (exact)"
-    | Mocus_sound | Mocus_aggressive -> "  (upper bound)"
-    | Bdd_engine | Auto -> "")
+    | Mocus_sound -> "  (upper bound)"
+    | Auto -> "")
     b.below_cutoff_mass b.solver_error_total b.rare_event_slack
     b.lower b.upper
-    (if b.vacuous then "  VACUOUS (truncated generation or uncounted pruning)"
-     else "")
+    (if b.vacuous then "  VACUOUS (truncated generation)" else "")
 
 type sim_check = {
   sim_lower : float;

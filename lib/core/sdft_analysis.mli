@@ -3,7 +3,7 @@
     Phase 1 translates the SD fault tree into a static one with identical
     minimal cutsets and generates all minimal cutsets above the cutoff with
     MOCUS (the translation's worst-case probabilities make this cutoff
-    conservative). Phase 2 quantifies each cutset: a purely static cutset
+    conservative) or, on untriggered trees, with the modular ZDD engine. Phase 2 quantifies each cutset: a purely static cutset
     contributes its probability product; a cutset with dynamic events gets a
     small model [FT_C] whose product CTMC is solved by transient analysis.
     The rare-event approximation sums all contributions above the cutoff.
@@ -17,23 +17,13 @@ type engine =
   | Mocus_sound
       (** MOCUS with the paper's basics-only cutoff — never loses a cutset
           above the cutoff *)
-  | Mocus_aggressive
-      (** MOCUS that additionally prunes on per-gate probability estimates
-          (commercial-solver behaviour; can drop borderline cutsets on
-          heavily shared DAGs but is far faster on event-tree-shaped
-          models) *)
-  | Bdd_engine
-      (** compile to a BDD, extract the minimal-solutions ZDD, enumerate
-          only cutsets above the cutoff (sound; memory-bound instead of
-          time-bound) *)
   | Zdd_engine
       (** the modular ZDD cutset engine ({!Zdd_engine.run}): per independent
           module, compile to a BDD, extract the minimal-solutions ZDD and
           quantify by recursive weighted counting without materializing the
           cutset list. The mass dropped by the cutoff and order bounds is
           accounted {e exactly} (total weighted count minus emitted mass),
-          so — unlike [Bdd_engine] — the certified interval stays
-          non-vacuous: when nothing else degrades its width is bounded by
+          so the certified interval stays non-vacuous: when nothing else degrades its width is bounded by
           the summed solver epsilons plus the (exact) residual. *)
   | Auto
       (** pick per model from structural statistics (see {!resolve_engine}):
@@ -70,12 +60,14 @@ type options = {
 
 val default_options : options
 (** horizon 24.0, cutoff 1e-15, epsilon 1e-12, one million product states,
-    no order bound, [Mocus_sound], one domain, no deadline or memory
-    ceiling. *)
+    no order bound, [Auto], one domain, no deadline or memory ceiling. *)
+
+val engines : (string * engine) list
+(** Every engine with its spelling on the CLI and the wire: ["mocus"],
+    ["zdd"], ["auto"]. The one place engine names are defined. *)
 
 val engine_name : engine -> string
-(** The CLI spelling: ["mocus"], ["mocus-aggressive"], ["bdd"], ["zdd"],
-    ["auto"]. *)
+(** The spelling of an engine in {!engines}. *)
 
 val resolve_engine : engine -> Fault_tree.t -> engine
 (** Resolve [Auto] against a (translated) static tree; concrete engines
@@ -117,12 +109,11 @@ type cutset_info = {
 
 type error_budget = {
   pruned_mass : float;
-      (** mass discarded during generation. For the MOCUS engines: an upper
+      (** mass discarded during generation. For [Mocus_sound]: an upper
           bound on the union probability of all cutsets refined from
           branches pruned by the cutoff. For [Zdd_engine]: the {e exact}
           rare-event mass of the minimal cutsets dropped by the cutoff and
-          order bounds (total weighted count minus emitted mass). 0 for
-          [Bdd_engine], which cannot count what it drops — see [vacuous]. *)
+          order bounds (total weighted count minus emitted mass). *)
   below_cutoff_mass : float;
       (** mass of quantified cutsets excluded from [total] by the relevance
           filter [p~(C) > cutoff] *)
@@ -144,19 +135,18 @@ type error_budget = {
           budget cannot account for all discarded mass and [upper] degrades
           to [max 1 total]. *)
   vacuous : bool;
-      (** the interval is trivial: cutset generation was truncated by a
-          resource limit, or the BDD engine dropped below-cutoff cutsets
-          without counting their mass. Never set for [Zdd_engine] unless
-          generation was truncated, since its residual accounting is
-          exact. *)
+      (** the interval is trivial: cutset generation was truncated (a
+          resource limit interrupted the ZDD engine, or MOCUS hit its count
+          bound). Both engines account for what their cutoff and order
+          bounds drop, so nothing else makes an interval vacuous. *)
 }
 
 type degradation = {
   generation_limit : Sdft_util.Guard.reason option;
       (** cutset generation was stopped early by a resource limit. For the
-          MOCUS engines the unexplored branch mass was folded into
+          MOCUS the unexplored branch mass was folded into
           [budget.pruned_mass], so the certified interval stays sound {e
-          and} informative; for the BDD engine nothing can be salvaged and
+          and} informative; for the ZDD engine nothing can be salvaged and
           the budget is vacuous. *)
   degraded_cutsets : (Sdft_util.Guard.reason * int) list;
       (** how many cutsets fell back to the worst-case bound, per reason
@@ -189,7 +179,7 @@ type result = {
   mcs_generation_seconds : float;
   quantification_seconds : float;
   generation : Mocus.result;
-      (** cutset-generation statistics (synthesised for the BDD engine) *)
+      (** cutset-generation statistics (synthesised for the ZDD engine) *)
   translation : Sdft_translate.result;
 }
 
@@ -301,9 +291,9 @@ val generate_cutsets :
   ?cutoff:float -> ?max_order:int option -> ?guard:Sdft_util.Guard.t ->
   ?obs:Sdft_util.Obs.t -> engine -> Fault_tree.t -> Mocus.result
 (** Run the chosen cutset engine on a static tree ([Auto] is resolved
-    first). A tripped [guard] never raises: the MOCUS engines return their
-    accounted partial result (see {!Mocus.run}); the BDD and ZDD engines
-    return an empty result with [truncated] and [limit_hit] set. For
+    first). A tripped [guard] never raises: MOCUS returns its accounted
+    partial result (see {!Mocus.run}); the ZDD engine returns an empty
+    result with [truncated] and [limit_hit] set. For
     [Zdd_engine] the returned [pruned_mass] is the exact residual mass and
     [generated]/[pruned_by_cutoff] count {e all} minimal cutsets
     (saturating at [max_int]). *)

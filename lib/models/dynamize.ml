@@ -11,7 +11,6 @@ type config = {
   candidates : int list option;
   chain_groups : int list list option;
   cutoff : float;
-  ranking_engine : Sdft_analysis.engine;
   calibration : calibration;
 }
 
@@ -25,7 +24,6 @@ let default_config =
     candidates = None;
     chain_groups = None;
     cutoff = 1e-15;
-    ranking_engine = Sdft_analysis.Bdd_engine;
     calibration = Mttf;
   }
 
@@ -85,8 +83,8 @@ let run ?(config = default_config) tree =
     invalid_arg "Dynamize.run: dynamic_fraction out of [0,1]";
   let nb = Fault_tree.n_basics tree in
   let cutsets =
-    (Sdft_analysis.generate_cutsets ~cutoff:config.cutoff config.ranking_engine
-       tree)
+    (Sdft_analysis.generate_cutsets ~cutoff:config.cutoff
+       Sdft_analysis.Zdd_engine tree)
       .Mocus.cutsets
   in
   let importance = Importance.compute tree cutsets in

@@ -60,14 +60,6 @@ type request = {
 (* ------------------------------------------------------------------ *)
 (* Parsing. *)
 
-let engine_of_string = function
-  | "mocus" -> Some Sdft_analysis.Mocus_sound
-  | "mocus-aggressive" -> Some Sdft_analysis.Mocus_aggressive
-  | "bdd" -> Some Sdft_analysis.Bdd_engine
-  | "zdd" -> Some Sdft_analysis.Zdd_engine
-  | "auto" -> Some Sdft_analysis.Auto
-  | _ -> None
-
 exception Reject of string
 (* Internal to [parse_request]; converted to a [Bad_request] error. *)
 
@@ -129,13 +121,11 @@ let parse_analyze obj =
     match opt_string params "engine" with
     | None -> Sdft_analysis.default_options.Sdft_analysis.engine
     | Some s -> (
-      match engine_of_string s with
+      match List.assoc_opt s Sdft_analysis.engines with
       | Some e -> e
       | None ->
-        reject
-          "unknown engine %S (expected mocus, mocus-aggressive, bdd, zdd \
-           or auto)"
-          s)
+        reject "unknown engine %S (expected one of %s)" s
+          (String.concat ", " (List.map fst Sdft_analysis.engines)))
   in
   let dflt = Sdft_analysis.default_options in
   {

@@ -644,8 +644,22 @@ let test_analysis_engines_agree () =
     (Sdft_analysis.analyze ~options pumps_sd).Sdft_analysis.total
   in
   let reference = total Sdft_analysis.Mocus_sound in
-  check_close ~eps:1e-12 "aggressive" reference (total Sdft_analysis.Mocus_aggressive);
-  check_close ~eps:1e-12 "bdd" reference (total Sdft_analysis.Bdd_engine)
+  check_close ~eps:1e-12 "zdd" reference (total Sdft_analysis.Zdd_engine);
+  check_close ~eps:1e-12 "auto" reference (total Sdft_analysis.Auto)
+
+let test_analysis_engine_spellings () =
+  Alcotest.(check (list string))
+    "one spelling per engine" [ "mocus"; "zdd"; "auto" ]
+    (List.map fst Sdft_analysis.engines);
+  List.iter
+    (fun (name, engine) ->
+      Alcotest.(check string)
+        "engine_name round-trips" name
+        (Sdft_analysis.engine_name engine))
+    Sdft_analysis.engines;
+  Alcotest.(check string)
+    "default is auto" "auto"
+    (Sdft_analysis.engine_name Sdft_analysis.default_options.engine)
 
 let test_analysis_fv_respects_cutoff () =
   (* With cutoff 1e-4 only {b,d} survives into [total]; the FV sums must
@@ -766,26 +780,6 @@ let test_budget_pruned_mass_from_generation () =
     (b.Sdft_analysis.lower <= exact +. 1e-12
     && exact <= b.Sdft_analysis.upper +. 1e-12)
 
-let test_budget_vacuous_cases () =
-  (* BDD engine with a nonzero cutoff drops cutsets without counting their
-     mass: the interval must degrade to a marked-vacuous [lower, >=1]. *)
-  let options =
-    { Sdft_analysis.default_options with engine = Sdft_analysis.Bdd_engine }
-  in
-  let r = Sdft_analysis.analyze ~options pumps_sd in
-  let b = r.Sdft_analysis.budget in
-  Alcotest.(check bool) "bdd + cutoff is vacuous" true b.Sdft_analysis.vacuous;
-  Alcotest.(check bool) "vacuous upper covers everything" true
-    (b.Sdft_analysis.upper >= 1.0);
-  (* With cutoff 0 and no order bound the BDD enumeration is exhaustive and
-     the certificate is meaningful again. *)
-  let options0 =
-    { options with cutoff = 0.0 }
-  in
-  let r0 = Sdft_analysis.analyze ~options:options0 pumps_sd in
-  Alcotest.(check bool) "exhaustive bdd not vacuous" false
-    r0.Sdft_analysis.budget.Sdft_analysis.vacuous
-
 let test_budget_fallback_excluded_from_lower () =
   (* Starve the state bound so every dynamic cutset falls back to its
      worst-case product: those over-approximations must not anchor the
@@ -902,7 +896,7 @@ let test_cache_industrial_sweep_matches_uncached () =
       (fun horizon ->
         {
           Sdft_analysis.default_options with
-          engine = Sdft_analysis.Bdd_engine;
+          engine = Sdft_analysis.Zdd_engine;
           horizon;
         })
       [ 8.0; 24.0; 72.0 ]
@@ -1289,6 +1283,8 @@ let () =
           Alcotest.test_case "cutoff" `Quick test_analysis_cutoff_excludes;
           Alcotest.test_case "static rare event" `Quick test_analysis_static_rare_event;
           Alcotest.test_case "engines agree" `Quick test_analysis_engines_agree;
+          Alcotest.test_case "engine spellings" `Quick
+            test_analysis_engine_spellings;
           Alcotest.test_case "parallel = sequential" `Quick
             test_analysis_parallel_matches_sequential;
           Alcotest.test_case "parallel(4) identical probabilities" `Quick
@@ -1302,7 +1298,6 @@ let () =
             Alcotest.test_case "budget certifies pumps" `Quick test_budget_certifies_pumps;
             Alcotest.test_case "budget below-cutoff mass" `Quick test_budget_below_cutoff_mass;
             Alcotest.test_case "budget pruned mass" `Quick test_budget_pruned_mass_from_generation;
-            Alcotest.test_case "budget vacuous cases" `Quick test_budget_vacuous_cases;
             Alcotest.test_case "budget fallback lower bound" `Quick test_budget_fallback_excluded_from_lower;
             Alcotest.test_case "trace does not change results" `Quick test_trace_does_not_change_results;
           ]

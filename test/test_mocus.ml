@@ -239,30 +239,6 @@ let prop_mocus_results_are_minimal_cutsets =
       let mcs = Mocus.minimal_cutsets ~options tree in
       List.for_all (Cutset.is_minimal_cutset tree) mcs)
 
-let prop_aggressive_covered_by_sound =
-  (* Aggressive pruning may drop cutsets (and then report a formerly
-     subsumed superset as minimal), but it never invents failure modes: every
-     reported cutset must contain some cutset of the sound run. *)
-  QCheck.Test.make ~name:"aggressive cutsets are covered by sound ones" ~count:100
-    (QCheck.make QCheck.Gen.(0 -- 100000))
-    (fun seed ->
-      let rng = Sdft_util.Rng.create seed in
-      let tree = Random_tree.tree rng ~n_basics:8 ~n_gates:7 in
-      let sound =
-        Mocus.minimal_cutsets
-          ~options:{ Mocus.default_options with cutoff = 1e-4 }
-          tree
-      in
-      let aggressive =
-        Mocus.minimal_cutsets
-          ~options:
-            { Mocus.default_options with cutoff = 1e-4; gate_bound_pruning = true }
-          tree
-      in
-      List.for_all
-        (fun c -> List.exists (fun s -> Int_set.subset s c) sound)
-        aggressive)
-
 (* Importance measures on the running example. *)
 
 let test_importance_pumps () =
@@ -431,7 +407,6 @@ let () =
             prop_mocus_equals_bdd;
             prop_cutoff_keeps_all_above;
             prop_mocus_results_are_minimal_cutsets;
-            prop_aggressive_covered_by_sound;
           ] );
       ( "importance",
         [

@@ -238,6 +238,36 @@ let test_dynamize_preserves_static_rea () =
   if Float.abs (rea_before -. rea_after) > 1e-15 then
     Alcotest.failf "REA changed: %.6e vs %.6e" rea_before rea_after
 
+let test_dynamize_model_1_pinned () =
+  (* Model-1 as the end-to-end benchmark builds it, pinned byte for byte:
+     the importance ranking behind the choice of dynamic events runs on the
+     ZDD engine, and any change to its cutsets would move that choice. *)
+  let tree = Industrial.generate Industrial.small in
+  List.iter
+    (fun (phases, digest) ->
+      let config =
+        {
+          Dynamize.default_config with
+          dynamic_fraction = 0.6;
+          trigger_fraction = 0.06;
+          phases;
+          repair_rate = Some 0.05;
+          chain_groups = Some (Industrial.run_event_groups tree);
+          calibration = Dynamize.Mission_probability;
+        }
+      in
+      let r = Dynamize.run ~config tree in
+      Alcotest.(check int) "dynamic events" 70 r.Dynamize.n_dynamic;
+      Alcotest.(check int) "triggered events" 7 r.Dynamize.n_triggered;
+      Alcotest.(check string)
+        (Printf.sprintf "Erlang-%d model text" phases)
+        digest
+        (Digest.to_hex (Digest.string (Sdft_format.to_string r.Dynamize.sd))))
+    [
+      (4, "99c920400949c78ee3f5f0e2cc549710");
+      (2, "289de82568b8eb94d1cf4b91df45ed7d");
+    ]
+
 (* CCF beta-factor rewriting *)
 
 let redundant_pair_tree p =
@@ -396,6 +426,7 @@ let () =
           Alcotest.test_case "preserves static REA" `Slow test_dynamize_preserves_static_rea;
           Alcotest.test_case "mission-probability calibration" `Slow
             test_dynamize_mission_probability_calibration;
+          Alcotest.test_case "model-1 pinned" `Quick test_dynamize_model_1_pinned;
         ] );
       ( "ccf",
         [

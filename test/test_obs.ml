@@ -472,12 +472,14 @@ let test_progress_sink_adapts () =
 (* Trace aggregation determinism *)
 
 let test_aggregate_deterministic () =
+  (* Rows sort by total time, then by name. Empty spans would tie or not
+     depending on clock jitter, so alpha's spans do measurable work. *)
   let sink = Trace.create ~enabled:true () in
   Trace.with_span ~sink "beta" (fun () -> ());
-  Trace.with_span ~sink "alpha" (fun () -> ());
-  Trace.with_span ~sink "alpha" (fun () -> ());
+  Trace.with_span ~sink "alpha" (fun () -> Unix.sleepf 0.002);
+  Trace.with_span ~sink "alpha" (fun () -> Unix.sleepf 0.002);
   let names = List.map fst (Trace.aggregate_in sink) in
-  Alcotest.(check (list string)) "sorted by name" [ "alpha"; "beta" ] names;
+  Alcotest.(check (list string)) "sorted by total time" [ "alpha"; "beta" ] names;
   let count name =
     match List.assoc_opt name (Trace.aggregate_in sink) with
     | Some (n, _) -> n

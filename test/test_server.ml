@@ -224,12 +224,12 @@ let qcheck_truncated_frames =
 
 let params_of_seed seed =
   let rng = Rng.create seed in
-  let engines = [| "mocus"; "mocus-aggressive"; "bdd"; "zdd"; "auto" |] in
+  let engines = Array.of_list (List.map fst Sdft_analysis.engines) in
   let horizon = 0.5 +. (Rng.float rng *. 100.0) in
   let cutoff = Rng.float rng *. 1e-9 in
   let domains = 1 + Rng.int rng 8 in
   let max_order = 1 + Rng.int rng 5 in
-  let engine = engines.(Rng.int rng 5) in
+  let engine = engines.(Rng.int rng (Array.length engines)) in
   let verbose = Rng.int rng 2 = 1 in
   (horizon, cutoff, domains, max_order, engine, verbose)
 
@@ -310,6 +310,29 @@ let test_codec_rejections () =
   Alcotest.(check string) "error code on the wire" "saturated" (error_code err);
   Alcotest.(check (option (float 1e-9)))
     "retry_after on the wire" (Some 0.25) (retry_after err)
+
+(* Retired engine spellings are rejected like any unknown name, and the
+   message lists exactly the spellings of [Sdft_analysis.engines]. *)
+let test_codec_retired_engines () =
+  let expected = List.map fst Sdft_analysis.engines in
+  List.iter
+    (fun name ->
+      let line =
+        Printf.sprintf {|{"op":"analyze","model":"x","params":{"engine":%S}}|}
+          name
+      in
+      match Protocol.parse_request ~max_bytes:256 line with
+      | Ok _ -> Alcotest.failf "engine %S accepted" name
+      | Error (_, e) ->
+        Alcotest.(check string)
+          (name ^ " code") "bad_request"
+          (Protocol.error_code_name e.Protocol.code);
+        Alcotest.(check string)
+          (name ^ " message lists the table")
+          (Printf.sprintf "unknown engine %S (expected one of %s)" name
+             (String.concat ", " expected))
+          e.Protocol.message)
+    [ "bdd"; "mocus-aggressive" ]
 
 (* ------------------------------------------------------------------ *)
 (* Inline ops and malformed traffic *)
@@ -895,6 +918,8 @@ let () =
         @ [
             Alcotest.test_case "structured rejections" `Quick
               test_codec_rejections;
+            Alcotest.test_case "retired engine spellings rejected" `Quick
+              test_codec_retired_engines;
           ] );
       ( "server",
         [
