@@ -790,7 +790,10 @@ let bench_kernels ~json_path () =
     time_ns ~warmup:50 ~reps:2000 (fun () -> Transient.dtmc_step chain6 q6 pi out)
   in
   record "dtmc_step (729 states)" step_ref step_csr;
-  (* 2. Product-state exploration: packed vs the pre-PR build. *)
+  (* 2. Product-state construction against the pre-CSR build. Rebuilding
+     one model reuses the domain's template (the template-hit path); the
+     fresh-shape row first builds a one-event model, which evicts the
+     template, so every timed call explores. *)
   let build_old =
     time_ns ~warmup:2 ~reps:10 (fun () -> baseline_build sd6 ~max_states:1_000_000)
   in
@@ -798,6 +801,13 @@ let bench_kernels ~json_path () =
     time_ns ~warmup:2 ~reps:20 (fun () -> Sdft_product.build sd6)
   in
   record "product build (erlang-2 x6)" build_old build_packed;
+  let sd1 = erlang_cutset_sd ~n_dyn:1 ~phases:2 in
+  let build_fresh =
+    time_ns ~warmup:2 ~reps:20 (fun () ->
+        ignore (Sdft_product.build sd1);
+        Sdft_product.build sd6)
+  in
+  record "product build, fresh shape (erlang-2 x6)" build_old build_fresh;
   (* 3. End-to-end per-cutset quantification, single domain. *)
   let per_cutset name sd ~reps =
     let models = cutset_submodels sd in

@@ -204,7 +204,14 @@ let analyze ?(options = default_options) ?cache ?(obs = Obs.default) sd =
   let h = handles_of obs.Obs.metrics in
   let sink = obs.Obs.trace in
   Trace.with_span ~sink "analysis.analyze" (fun () ->
-  Fun.protect ~finally:(fun () -> Obs.finish_progress obs) @@ fun () ->
+  (* The product template memo serves this analysis only: emptying it on
+     the way out keeps one request's heap from counting against the next
+     one's memory limit on a long-lived domain. *)
+  Fun.protect
+    ~finally:(fun () ->
+      Sdft_product.release_template ();
+      Obs.finish_progress obs)
+  @@ fun () ->
   Metrics.incr h.m_runs;
   (* One guard for the whole analysis: the deadline spans generation and
      quantification together, so a generation overrun eats the budget of the

@@ -207,7 +207,11 @@ val analyze :
     two phases (with a cost-weighted ETA over the quantification schedule)
     via the shared guard's probe hook. Instrumentation never changes the
     numbers: results are bit-identical whether [obs] is the default, a
-    fresh context, or one with a live progress reporter. *)
+    fresh context, or one with a live progress reporter.
+
+    On return, normal or by exception, the calling domain's product
+    template slot is empty ({!Sdft_product.release_template}), so nothing
+    the analysis built stays in the heap of a long-lived domain. *)
 
 val degraded : result -> bool
 (** Any degradation at all — generation stopped early, or at least one

@@ -229,12 +229,102 @@ let unpack strides key state =
     k := !k - (q * strides.(i))
   done
 
-(* Exploration produces identical state numbering (and hence bit-identical
-   chains) on both paths: initial states are interned in the same order and
-   the successor loops visit (slot, local transition) pairs identically. *)
-let build_packed sem ~max_states ~guard ~fp strides =
+(* The initial distribution in the order [build] has always listed it:
+   masses summed per state id in a hashtable, then folded out. *)
+let init_distribution ids_masses =
+  let mass : (int, float) Hashtbl.t = Hashtbl.create 64 in
+  List.iter
+    (fun (id, m) ->
+      let prev = try Hashtbl.find mass id with Not_found -> 0.0 in
+      Hashtbl.replace mass id (prev +. m))
+    ids_masses;
+  Hashtbl.fold (fun id m acc -> (id, m) :: acc) mass []
+
+(* The component-local transitions numbered slot by slot, state by state,
+   entry by entry: the rate vector a template's plan refers into. *)
+let local_rates components =
+  let rates = Sdft_util.Vec.create () in
+  Array.iter
+    (fun c ->
+      Array.iter (Array.iter (fun (_, r) -> Sdft_util.Vec.push rates r)) c.rows)
+    components;
+  Sdft_util.Vec.to_array rates
+
+(* Everything a packed exploration derives from the model's structure
+   alone. Two models with the same shape key reach the same states in the
+   same order, so they differ only in the rates summed into each chain
+   entry and in the masses of the initial states. Immutable once built. *)
+type template = {
+  t_n_states : int;
+  t_failed : bool array;
+  t_init_keys : int array;
+      (* packed key of the [j]-th state of [sem_initial_states], which is
+         interned first and so gets id [j] *)
+  t_plan : Ctmc.plan;
+}
+
+(* Positional shape key: the tree's gates and top, then every component in
+   slot order with its rates and masses erased but the support of its
+   initial distribution kept. Positional, not canonical, because state
+   numbering follows slot order; the participants' basic indices encode
+   the assumed-failed set. *)
+let shape_key sem =
+  let key = Sdft_util.Vec.create () in
+  let emit = Sdft_util.Vec.push key in
+  let tree = Sdft.tree sem.sd in
+  let emit_bools a = Array.iter (fun b -> emit (Bool.to_int b)) a in
+  emit (Fault_tree.n_basics tree);
+  emit (Fault_tree.n_gates tree);
+  emit (Fault_tree.top tree);
+  for g = 0 to Fault_tree.n_gates tree - 1 do
+    (match Fault_tree.gate_kind tree g with
+    | Fault_tree.And -> emit (-1)
+    | Fault_tree.Or -> emit (-2)
+    | Fault_tree.Atleast k -> emit k);
+    let inputs = Fault_tree.gate_inputs tree g in
+    emit (Array.length inputs);
+    Array.iter
+      (function Fault_tree.B b -> emit b | Fault_tree.G g -> emit (-1 - g))
+      inputs
+  done;
+  Array.iter
+    (fun c ->
+      emit c.basic;
+      emit c.n_local;
+      Array.iter
+        (fun row ->
+          emit (Array.length row);
+          Array.iter (fun (dst, _) -> emit dst) row)
+        c.rows;
+      emit (List.length c.init_local);
+      List.iter (fun (s, _) -> emit s) c.init_local;
+      emit_bools c.failed_local;
+      emit c.trigger_gate;
+      emit_bools c.mode_on;
+      Array.iter emit c.partner)
+    sem.components;
+  Sdft_util.Vec.to_array key
+
+(* Breadth-first exploration of consistent states over two reused scratch
+   vectors: [state] is the decoded source, [next] the successor being
+   closed. Initial states are interned first, in [initial]'s order, and
+   successors in (slot, local transition) order — the same numbering as
+   [build_generic], hence bit-identical chains. *)
+let explore sem ~max_states ~guard ~fp strides initial =
   let components = sem.components in
   let n_components = Array.length components in
+  let row_base =
+    let next = ref 0 in
+    Array.map
+      (fun c ->
+        Array.map
+          (fun row ->
+            let base = !next in
+            next := base + Array.length row;
+            base)
+          c.rows)
+      components
+  in
   let ids : (int, int) Hashtbl.t = Hashtbl.create 64 in
   let keys : int Sdft_util.Vec.t = Sdft_util.Vec.create () in
   let failed_v = Sdft_util.Vec.create () in
@@ -251,19 +341,18 @@ let build_packed sem ~max_states ~guard ~fp strides =
       Queue.add id frontier;
       id
   in
-  let init_mass : (int, float) Hashtbl.t = Hashtbl.create 64 in
-  List.iter
-    (fun (state, m) ->
-      let id = intern (pack strides state) state in
-      let prev = try Hashtbl.find init_mass id with Not_found -> 0.0 in
-      Hashtbl.replace init_mass id (prev +. m))
-    (sem_initial_states sem ~max_states);
-  (* Breadth-first exploration of consistent states over two reused scratch
-     vectors: [state] is the decoded source, [next] the successor being
-     closed. *)
+  let init_keys =
+    Array.of_list
+      (List.map
+         (fun (state, _) ->
+           let key = pack strides state in
+           ignore (intern key state);
+           key)
+         initial)
+  in
   let srcs : int Sdft_util.Vec.t = Sdft_util.Vec.create () in
   let dsts : int Sdft_util.Vec.t = Sdft_util.Vec.create () in
-  let trates : float Sdft_util.Vec.t = Sdft_util.Vec.create () in
+  let refs : int Sdft_util.Vec.t = Sdft_util.Vec.create () in
   let state = Array.make n_components 0 in
   let next = Array.make n_components 0 in
   while not (Queue.is_empty frontier) do
@@ -272,9 +361,10 @@ let build_packed sem ~max_states ~guard ~fp strides =
     let src = Queue.pop frontier in
     unpack strides (Sdft_util.Vec.get keys src) state;
     for slot = 0 to n_components - 1 do
-      let row = components.(slot).rows.(state.(slot)) in
-      Array.iter
-        (fun (dst_local, rate) ->
+      let local = state.(slot) in
+      let base = row_base.(slot).(local) in
+      Array.iteri
+        (fun j (dst_local, _) ->
           Array.blit state 0 next 0 n_components;
           next.(slot) <- dst_local;
           sem_close sem next;
@@ -282,26 +372,81 @@ let build_packed sem ~max_states ~guard ~fp strides =
           if dst <> src then begin
             Sdft_util.Vec.push srcs src;
             Sdft_util.Vec.push dsts dst;
-            Sdft_util.Vec.push trates rate
+            Sdft_util.Vec.push refs (base + j)
           end)
-        row
+        components.(slot).rows.(local)
     done
   done;
   let n_states = Sdft_util.Vec.length keys in
-  let chain =
-    Ctmc.of_arrays ~n_states
-      ~srcs:(Sdft_util.Vec.to_array srcs)
-      ~dsts:(Sdft_util.Vec.to_array dsts)
-      ~rates:(Sdft_util.Vec.to_array trates)
-  in
-  let init = Hashtbl.fold (fun id m acc -> (id, m) :: acc) init_mass [] in
   {
-    chain;
-    init;
-    failed = Sdft_util.Vec.to_array failed_v;
-    participants = Array.map (fun c -> c.basic) components;
-    n_states;
+    t_n_states = n_states;
+    t_failed = Sdft_util.Vec.to_array failed_v;
+    t_init_keys = init_keys;
+    t_plan =
+      Ctmc.plan ~n_states
+        ~srcs:(Sdft_util.Vec.to_array srcs)
+        ~dsts:(Sdft_util.Vec.to_array dsts)
+        ~refs:(Sdft_util.Vec.to_array refs);
   }
+
+(* Does [initial] enumerate the template's initial states, in its order?
+   It does whenever the shape keys agree, unless a product of initial
+   masses underflowed to zero and dropped a state. *)
+let same_initial tpl strides initial =
+  let keys = tpl.t_init_keys in
+  let rec go j = function
+    | [] -> j = Array.length keys
+    | (state, _) :: rest ->
+      j < Array.length keys && pack strides state = keys.(j) && go (j + 1) rest
+  in
+  go 0 initial
+
+(* Fill a template with the model's own rates and initial masses. The
+   labelling is copied because [built.failed] is a bare array the caller
+   owns; the chain's shared arrays sit behind [Ctmc.t]'s interface. *)
+let instantiate sem tpl initial =
+  {
+    chain = Ctmc.instantiate tpl.t_plan (local_rates sem.components);
+    init = init_distribution (List.mapi (fun j (_, m) -> (j, m)) initial);
+    failed = Array.copy tpl.t_failed;
+    participants = Array.map (fun c -> c.basic) sem.components;
+    n_states = tpl.t_n_states;
+  }
+
+(* The last shape explored on this domain and its template. One slot, not
+   a table: consecutive cutset models mostly share a shape, and a table of
+   every shape seen would cost more heap than the explorations it saves. *)
+let last_shape : (int array * template) option Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> None)
+
+let release_template () = Domain.DLS.set last_shape None
+
+(* Packed build: instantiate the domain's last template when the model has
+   its shape, otherwise explore and keep the new template. Returns whether
+   the template was reused. A template larger than [max_states] is not
+   reused, so an oversized model raises from the exploration exactly as
+   before; an exploration that raises leaves the slot empty. *)
+let build_packed sem ~max_states ~guard ~fp strides =
+  let initial = sem_initial_states sem ~max_states in
+  let key = shape_key sem in
+  match Domain.DLS.get last_shape with
+  | Some (last_key, tpl)
+    when tpl.t_n_states <= max_states && last_key = key
+         && same_initial tpl strides initial ->
+    (* The guard and the failpoint fire once per state, as they would in
+       the exploration this replaces. *)
+    for _ = 1 to tpl.t_n_states do
+      Sdft_util.Guard.check guard;
+      Failpoint.hit_in fp "product.explore"
+    done;
+    (instantiate sem tpl initial, true)
+  | _ ->
+    (* Drop the old template first, so the exploration's working set
+       never coexists with it. *)
+    release_template ();
+    let tpl = explore sem ~max_states ~guard ~fp strides initial in
+    Domain.DLS.set last_shape (Some (key, tpl));
+    (instantiate sem tpl initial, false)
 
 (* Generic fallback for oversized radix products: array-keyed interning with
    a state copy per explored transition. *)
@@ -323,13 +468,12 @@ let build_generic sem ~max_states ~guard ~fp =
       Queue.add id frontier;
       id
   in
-  let init_mass : (int, float) Hashtbl.t = Hashtbl.create 64 in
-  List.iter
-    (fun (state, m) ->
-      let id = intern state in
-      let prev = try Hashtbl.find init_mass id with Not_found -> 0.0 in
-      Hashtbl.replace init_mass id (prev +. m))
-    (sem_initial_states sem ~max_states);
+  let init =
+    init_distribution
+      (List.map
+         (fun (state, m) -> (intern state, m))
+         (sem_initial_states sem ~max_states))
+  in
   (* Breadth-first exploration of consistent states. *)
   let transitions = Sdft_util.Vec.create () in
   while not (Queue.is_empty frontier) do
@@ -353,7 +497,6 @@ let build_generic sem ~max_states ~guard ~fp =
   let chain =
     Ctmc.make ~n_states ~transitions:(Sdft_util.Vec.to_list transitions)
   in
-  let init = Hashtbl.fold (fun id m acc -> (id, m) :: acc) init_mass [] in
   {
     chain;
     init;
@@ -369,16 +512,23 @@ let build ?(max_states = 1_000_000) ?assumed_failed ?(generic = false)
   Sdft_util.Trace.with_span ~sink "product.build" (fun () ->
       let t0 = Sdft_util.Timer.start () in
       let sem = semantics ?assumed_failed sd in
-      let built =
-        if generic then build_generic sem ~max_states ~guard ~fp
+      let built, reused =
+        if generic then (build_generic sem ~max_states ~guard ~fp, false)
         else
           match radix_strides sem.components with
           | Some strides -> build_packed sem ~max_states ~guard ~fp strides
-          | None -> build_generic sem ~max_states ~guard ~fp
+          | None -> (build_generic sem ~max_states ~guard ~fp, false)
       in
-      (* Exploration throughput, one observation per build: the latency
-         distribution across cutset products is exactly the per-module
-         heterogeneity the explain view wants to surface. *)
+      (* Both counters are registered on every build, so a dump shows a
+         zero rather than omitting the one that never moved. *)
+      let counter = Metrics.counter_in obs.Obs.metrics in
+      let explorations = counter "product.explorations"
+      and hits = counter "product.template_hits" in
+      Metrics.incr (if reused then hits else explorations);
+      (* Build throughput, one observation per build (an instantiation on
+         a template hit): the latency distribution across cutset products
+         is exactly the per-module heterogeneity the explain view wants to
+         surface. *)
       let dt = Sdft_util.Timer.elapsed_s t0 in
       if dt > 0.0 then
         Metrics.observe
@@ -388,6 +538,7 @@ let build ?(max_states = 1_000_000) ?assumed_failed ?(generic = false)
         (Sdft_util.Trace.Int built.n_states);
       Sdft_util.Trace.add_attr ~sink "transitions"
         (Sdft_util.Trace.Int (Ctmc.n_transitions built.chain));
+      Sdft_util.Trace.add_attr ~sink "template" (Sdft_util.Trace.Bool reused);
       built)
 
 let unreliability ?(epsilon = 1e-12) ?guard ?workspace ?obs built ~horizon =

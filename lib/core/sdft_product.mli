@@ -48,16 +48,46 @@ val build :
     [generic:true] forces the array-keyed fallback path instead (used by
     tests and benchmarks — both paths produce bit-identical results).
 
+    {b Template reuse.} A packed exploration depends only on the model's
+    rate-erased shape: the tree's gates and top, the participants in slot
+    order, and per component its local state count, the destinations of
+    its transitions, the support of its initial distribution, its failed
+    states and its trigger structure. Each packed build leaves a template
+    of that shape (state count, failure labelling, initial states, and a
+    {!Ctmc.plan} whose entries name the component transitions they sum) in
+    a one-slot memo per domain. A later build of the same shape on the same
+    domain does not explore: it instantiates the template with its own
+    rates and initial masses, bit-identical to exploring. The slot holds
+    only the last shape explored, so a shape change costs one exploration
+    and the memo never grows; {!release_template} empties it. An exploration empties the slot before it
+    starts and fills it only when it completes, so one that raises leaves
+    no template. A template with more than [max_states] states is not
+    reused (the model is explored and raises {!Too_many_states}). The
+    generic path neither reads nor fills the slot.
+
     [guard] (default {!Sdft_util.Guard.none}) is checkpointed once per
     explored state; on a trip {!Sdft_util.Guard.Limit_hit} propagates to
     the caller (unlike a MOCUS run there is no sound partial result — a
     half-explored chain would silently under-count failure paths). The
     [product.explore] failpoint site of [obs] (default
-    {!Sdft_util.Obs.default}) fires at the same place; each build also
-    observes its exploration throughput on the context's
-    [product.build_states_per_s] histogram.
+    {!Sdft_util.Obs.default}) fires at the same place. A template hit keeps
+    both contracts: it checks the guard and hits the failpoint once per
+    instantiated state, as the exploration it replaces would.
+
+    Each build counts itself on the context's [product.explorations] or
+    [product.template_hits] counter, tags its [product.build] span with a
+    [template] bool (true on a hit), and observes its throughput on the
+    [product.build_states_per_s] histogram — on a hit, the throughput of
+    the instantiation.
 
     @raise Invalid_argument if [assumed_failed] contains a dynamic event. *)
+
+val release_template : unit -> unit
+(** Empties the calling domain's template slot, so the last template built
+    there stops holding heap. {!Sdft_analysis.analyze} calls it when it
+    returns or raises: no template outlives the analysis (or the server
+    request) that built it, and a later analysis on the same domain starts
+    from an empty slot. *)
 
 val unreliability :
   ?epsilon:float -> ?guard:Sdft_util.Guard.t ->

@@ -26,6 +26,34 @@ val of_arrays :
     validation and duplicate merging, without building the intermediate
     list. The input arrays are not retained. *)
 
+(** {1 Plans: one structure, many rate vectors}
+
+    A {!plan} is a chain with its rates left out: the CSR layout and, for
+    every merged entry, which input rates it sums and in which order.
+    Chains that differ only in their rates share one plan. *)
+
+type plan
+
+val plan :
+  n_states:int -> srcs:int array -> dsts:int array -> refs:int array -> plan
+(** [plan ~n_states ~srcs ~dsts ~refs] lays out the transitions
+    [srcs.(k) -> dsts.(k)], whose rate will be [rates.(refs.(k))] in each
+    {!instantiate}. Duplicate [(src, dst)] pairs merge into one entry, as in
+    {!make}. The input arrays are not retained.
+
+    @raise Invalid_argument on out-of-range states, self-loops or
+    mismatched array lengths. *)
+
+val instantiate : plan -> float array -> t
+(** [instantiate p rates] is the chain of [p] with rate vector [rates]:
+    bit for bit [of_arrays ~srcs ~dsts ~rates:(Array.map (Array.get rates)
+    refs)]. Instances share the plan's [row_ptr] and [cols] arrays; their
+    [row_end], [rates] and exit rates are fresh. [of_arrays] is
+    [instantiate] of a plan whose [refs] are [0 .. n - 1].
+
+    @raise Invalid_argument when a reference falls outside [rates] or a
+    referenced rate is not positive and finite. *)
+
 val n_states : t -> int
 
 val rate : t -> int -> int -> float

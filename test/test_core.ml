@@ -1033,6 +1033,129 @@ let prop_packed_matches_generic =
         && Sdft_product.unreliability packed ~horizon:8.0
            = Sdft_product.unreliability generic ~horizon:8.0)
 
+(* Template reuse: a build whose shape matches the domain's last
+   exploration instantiates that template instead of exploring, and must
+   still equal a fresh generic exploration to the bit. *)
+
+(* The same model with every DBE transition rate and every static
+   probability strictly inside (0, 1) redrawn: same shape, new numbers. *)
+let rerate rng sd =
+  let tree = Sdft.tree sd in
+  let probs =
+    Array.init (Fault_tree.n_basics tree) (fun b ->
+        let p = Fault_tree.prob tree b in
+        if p > 0.0 && p < 1.0 then 0.01 +. (Sdft_util.Rng.float rng *. 0.5)
+        else p)
+  in
+  let redraw d =
+    let n = Dbe.n_states d in
+    let transitions = ref [] in
+    Ctmc.iter_transitions (Dbe.chain d) (fun s t r ->
+        let r = r *. (0.5 +. Sdft_util.Rng.float rng) in
+        transitions := (s, t, r) :: !transitions);
+    let switch =
+      if Dbe.is_triggered_model d then
+        Some
+          ( Array.init n (Dbe.mode_of d),
+            Array.init n (fun s ->
+                if Dbe.mode_of d s = Dbe.On then Dbe.switch_off d s
+                else Dbe.switch_on d s) )
+      else None
+    in
+    Dbe.make ~n_states:n ~init:(Dbe.init d) ~transitions:!transitions
+      ~failed:(List.filter (Dbe.is_failed d) (List.init n Fun.id))
+      ?switch ()
+  in
+  Sdft.of_indexed
+    (Fault_tree.with_probs tree probs)
+    ~dynamic:
+      (List.map
+         (fun b -> (b, redraw (Sdft.dbe sd b)))
+         (Sdft.dynamic_basics sd))
+    ~triggers:(Sdft.trigger_edges sd)
+
+let same_build (a : Sdft_product.built) (b : Sdft_product.built) =
+  let transitions (x : Sdft_product.built) =
+    let acc = ref [] in
+    Ctmc.iter_transitions x.chain (fun s d r ->
+        acc := (s, d, Int64.bits_of_float r) :: !acc);
+    List.rev !acc
+  in
+  a.n_states = b.n_states && a.init = b.init && a.failed = b.failed
+  && a.participants = b.participants
+  && transitions a = transitions b
+  && Int64.equal
+       (Int64.bits_of_float (Sdft_product.unreliability a ~horizon:8.0))
+       (Int64.bits_of_float (Sdft_product.unreliability b ~horizon:8.0))
+
+let counter obs name =
+  Sdft_util.Metrics.counter_value
+    (Sdft_util.Metrics.counter_in obs.Sdft_util.Obs.metrics name)
+
+let prop_template_hit_matches_generic =
+  QCheck.Test.make ~name:"template hit = generic build" ~count:80
+    Gen_sdft.seed_gen
+    (fun seed ->
+      let a = random_sd seed in
+      let b = rerate (Sdft_util.Rng.create (seed + 1)) a in
+      match Sdft_product.build a with
+      | exception Sdft_product.Too_many_states _ -> QCheck.assume_fail ()
+      | _ ->
+        let obs = Sdft_util.Obs.create () in
+        let hit = Sdft_product.build ~obs b in
+        counter obs "product.template_hits" = 1
+        && counter obs "product.explorations" = 0
+        && same_build hit (Sdft_product.build ~generic:true b))
+
+let test_template_needs_same_init_support () =
+  (* p = 0 drops the failed initial state of the static leaf, so the two
+     models reach different states: no shared template, both exact. *)
+  let model p =
+    let b = Fault_tree.Builder.create () in
+    let s = Fault_tree.Builder.basic b ~prob:p "s" in
+    let d = Fault_tree.Builder.basic b "d" in
+    let top = Fault_tree.Builder.gate b "top" Fault_tree.Or [ s; d ] in
+    Sdft.make
+      (Fault_tree.Builder.build b ~top)
+      ~dynamic:[ ("d", Dbe.erlang ~phases:2 ~lambda:0.01 ~mu:0.1 ()) ]
+      ~triggers:[]
+  in
+  let zero = model 0.0 and some = model 0.3 in
+  let obs = Sdft_util.Obs.create () in
+  let built_zero = Sdft_product.build ~obs zero in
+  let built_some = Sdft_product.build ~obs some in
+  Alcotest.(check int) "no template shared" 0
+    (counter obs "product.template_hits");
+  Alcotest.(check int) "both explored" 2 (counter obs "product.explorations");
+  Alcotest.(check bool) "p = 0 exact" true
+    (same_build built_zero (Sdft_product.build ~generic:true zero));
+  Alcotest.(check bool) "p = 0.3 exact" true
+    (same_build built_some (Sdft_product.build ~generic:true some))
+
+let test_template_needs_same_initial_states () =
+  (* Same shape key, but with p = 1e-200 the mass of "both leaves failed"
+     underflows to zero and that initial state is never enumerated: the
+     second build must not reuse the first one's initial states. *)
+  let model p =
+    let b = Fault_tree.Builder.create () in
+    let x = Fault_tree.Builder.basic b ~prob:p "x" in
+    let y = Fault_tree.Builder.basic b ~prob:p "y" in
+    let d = Fault_tree.Builder.basic b "d" in
+    let top = Fault_tree.Builder.gate b "top" Fault_tree.Or [ x; y; d ] in
+    Sdft.make
+      (Fault_tree.Builder.build b ~top)
+      ~dynamic:[ ("d", Dbe.exponential ~lambda:0.01 ()) ]
+      ~triggers:[]
+  in
+  let likely = model 0.1 and tiny = model 1e-200 in
+  let obs = Sdft_util.Obs.create () in
+  ignore (Sdft_product.build ~obs likely);
+  let built = Sdft_product.build ~obs tiny in
+  Alcotest.(check int) "no template shared" 0
+    (counter obs "product.template_hits");
+  Alcotest.(check bool) "exact" true
+    (same_build built (Sdft_product.build ~generic:true tiny))
+
 let prop_analysis_single_mcs_exact =
   (* With a single minimal cutset and the exact relevant sets, the analysis
      equals the exact probability; the paper rule never exceeds it. *)
@@ -1258,7 +1381,7 @@ let () =
           Alcotest.test_case "trigger in MCS" `Quick test_translate_triggered_event_mcs_includes_trigger;
         ] );
       ( "product",
-        (qc [ prop_packed_matches_generic ])
+        (qc [ prop_packed_matches_generic; prop_template_hit_matches_generic ])
         @ [
           Alcotest.test_case "static = enumeration" `Quick test_product_static_tree_matches_exact;
           Alcotest.test_case "trigger sequence = Erlang" `Quick test_product_trigger_sequence_is_erlang;
@@ -1266,6 +1389,10 @@ let () =
           Alcotest.test_case "passive failure not failed" `Quick test_product_passive_failures_do_count;
           Alcotest.test_case "max states guard" `Quick test_product_max_states_guard;
           Alcotest.test_case "pumps golden" `Quick test_product_pumps_value;
+          Alcotest.test_case "template needs same init support" `Quick
+            test_template_needs_same_init_support;
+          Alcotest.test_case "template needs same initial states" `Quick
+            test_template_needs_same_initial_states;
         ] );
       ( "cutset model",
         [

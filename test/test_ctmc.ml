@@ -368,6 +368,81 @@ let prop_restrict_absorbing_pure =
                && Ctmc.exit_rate restricted s = exits_before.(s))
            (Array.init n Fun.id))
 
+(* Plans: one chain structure, many rate vectors. Few states and many
+   edges make duplicate (src, dst) pairs common, and the rates span many
+   magnitudes so a wrong summation order changes the bits. *)
+let plan_gen =
+  QCheck.make
+    QCheck.Gen.(
+      let rate =
+        map
+          (fun (m, e) -> float_of_int m *. (10.0 ** float_of_int (-e)))
+          (pair (1 -- 999) (0 -- 17))
+      in
+      let* n = 2 -- 5 in
+      let* n_rates = 1 -- 8 in
+      let* rates_a = array_size (return n_rates) rate in
+      let* rates_b = array_size (return n_rates) rate in
+      let* edges =
+        list_size (0 -- 30)
+          (triple (0 -- (n - 1)) (0 -- (n - 1)) (0 -- (n_rates - 1)))
+      in
+      return
+        (n, rates_a, rates_b, List.filter (fun (s, d, _) -> s <> d) edges))
+
+let same_bits a b =
+  Array.length a = Array.length b
+  && Array.for_all2
+       (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+       a b
+
+let prop_plan_instantiate =
+  QCheck.Test.make ~name:"instantiate (plan) = of_arrays, bit for bit"
+    ~count:300 plan_gen (fun (n, rates_a, rates_b, edges) ->
+      let edges = Array.of_list edges in
+      let srcs = Array.map (fun (s, _, _) -> s) edges
+      and dsts = Array.map (fun (_, d, _) -> d) edges
+      and refs = Array.map (fun (_, _, r) -> r) edges in
+      let p = Ctmc.plan ~n_states:n ~srcs ~dsts ~refs in
+      (* Independent oracle: each pair's rate is its contributions summed
+         last to first; each exit rate sums the pairs in destination order
+         from 0. *)
+      let oracle rates src dst =
+        let contributions =
+          List.filter_map
+            (fun (s, d, r) -> if s = src && d = dst then Some rates.(r) else None)
+            (Array.to_list edges)
+        in
+        match List.rev contributions with
+        | [] -> 0.0
+        | r :: rest -> List.fold_left ( +. ) r rest
+      in
+      let check rates =
+        let c = Ctmc.instantiate p rates in
+        let d =
+          Ctmc.of_arrays ~n_states:n ~srcs ~dsts
+            ~rates:(Array.map (Array.get rates) refs)
+        in
+        let bits x = Int64.bits_of_float x in
+        Ctmc.row_ptr c = Ctmc.row_ptr d
+        && Ctmc.row_end c = Ctmc.row_end d
+        && Ctmc.cols c = Ctmc.cols d
+        && same_bits (Ctmc.rates c) (Ctmc.rates d)
+        && same_bits (Ctmc.exit_rates c) (Ctmc.exit_rates d)
+        && List.for_all
+             (fun i ->
+               let exit = ref 0.0 in
+               List.for_all
+                 (fun j ->
+                   let r = oracle rates i j in
+                   if r > 0.0 then exit := !exit +. r;
+                   Int64.equal (bits (Ctmc.rate c i j)) (bits r))
+                 (List.init n Fun.id)
+               && Int64.equal (bits (Ctmc.exit_rate c i)) (bits !exit))
+             (List.init n Fun.id)
+      in
+      check rates_a && check rates_b)
+
 let test_merge_order_matches_reference () =
   (* Three parallel edges whose rates do not sum associatively: the merged
      rate must match the historical accumulation order bit-for-bit. *)
@@ -400,7 +475,8 @@ let () =
           Alcotest.test_case "exit rates" `Quick test_exit_and_max_rate;
           Alcotest.test_case "absorbing" `Quick test_restrict_absorbing;
           Alcotest.test_case "embedded dtmc" `Quick test_embedded_dtmc;
-        ] );
+        ]
+        @ qc [ prop_plan_instantiate ] );
       ( "poisson",
         [
           Alcotest.test_case "matches pmf" `Quick test_poisson_matches_pmf;

@@ -548,6 +548,65 @@ let test_metrics_write_file_formats () =
     (In_channel.with_open_bin prom_path In_channel.input_all)
 
 (* ------------------------------------------------------------------ *)
+(* Product template reuse is observable *)
+
+let test_product_template_observed () =
+  (* A fresh domain starts with an empty template slot: the first pumps
+     build explores, the second reuses its template. *)
+  let sd = Pumps.sd_tree () in
+  let obs = Obs.create () in
+  Domain.join
+    (Domain.spawn (fun () ->
+         ignore (Sdft_product.build ~obs sd);
+         ignore (Sdft_product.build ~obs sd)));
+  let snap = Metrics.snapshot_in obs.Obs.metrics in
+  Alcotest.(check int) "one exploration" 1
+    (counter_of snap "product.explorations");
+  Alcotest.(check int) "one template hit" 1
+    (counter_of snap "product.template_hits");
+  let flags =
+    List.filter_map
+      (fun e ->
+        if e.Trace.ev_name = "product.build" then
+          match List.assoc_opt "template" e.Trace.ev_attrs with
+          | Some (Trace.Bool b) -> Some b
+          | _ -> None
+        else None)
+      (Trace.snapshot_in obs.Obs.trace)
+  in
+  Alcotest.(check (list bool)) "template attribute per build span"
+    [ false; true ] flags
+
+let test_template_counters_in_metrics_dump () =
+  (* What [analyze --metrics] writes: both counters are present, and
+     together they count every product build of the analysis. *)
+  let obs = Obs.create () in
+  let r = Sdft_analysis.analyze ~obs (Pumps.sd_tree ()) in
+  let snap = Metrics.snapshot_in obs.Obs.metrics in
+  let builds =
+    List.length
+      (List.filter
+         (fun (c : Sdft_analysis.cutset_info) -> c.product_states > 0)
+         r.Sdft_analysis.cutsets)
+  in
+  Alcotest.(check bool) "both counters registered" true
+    (List.mem_assoc "product.explorations" snap.Metrics.counters
+     && List.mem_assoc "product.template_hits" snap.Metrics.counters);
+  Alcotest.(check int) "explorations + hits = builds" builds
+    (counter_of snap "product.explorations"
+    + counter_of snap "product.template_hits");
+  let json = Metrics.to_json_in obs.Obs.metrics in
+  let mentions name =
+    let n = String.length name in
+    let rec go i =
+      i + n <= String.length json && (String.sub json i n = name || go (i + 1))
+    in
+    go 0
+  in
+  Alcotest.(check bool) "dump names both counters" true
+    (mentions "\"product.explorations\"" && mentions "\"product.template_hits\"")
+
+(* ------------------------------------------------------------------ *)
 
 let qcheck = List.map QCheck_alcotest.to_alcotest
 
@@ -575,6 +634,10 @@ let () =
             test_concurrent_isolation;
           Alcotest.test_case "results bit-identical across contexts" `Quick
             test_bit_identity_across_contexts;
+          Alcotest.test_case "product template observed" `Quick
+            test_product_template_observed;
+          Alcotest.test_case "template counters in the metrics dump" `Quick
+            test_template_counters_in_metrics_dump;
         ] );
       ( "progress",
         [

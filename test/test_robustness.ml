@@ -304,6 +304,108 @@ let test_product_guard_limit () =
       | exception Guard.Limit_hit Guard.Mem_limit -> ()
       | _ -> Alcotest.fail "exploration should hit the injected limit")
 
+(* The same limits when the build reuses a template instead of exploring:
+   pumps was just built, so the next pumps build on this domain is a
+   template hit. *)
+
+let template_hits obs =
+  Sdft_util.Metrics.counter_value
+    (Sdft_util.Metrics.counter_in obs.Sdft_util.Obs.metrics
+       "product.template_hits")
+
+let test_product_guard_limit_on_template_hit () =
+  let sd = Pumps.sd_tree () in
+  ignore (Sdft_product.build sd);
+  with_failpoints "product.explore=mem@nth:2" (fun () ->
+      match Sdft_product.build ~guard:(Guard.create ~deadline:3600.0 ()) sd with
+      | exception Guard.Limit_hit Guard.Mem_limit -> ()
+      | _ -> Alcotest.fail "a template hit should hit the injected limit")
+
+let test_template_hit_probes_every_state () =
+  (* A failpoint that never fires still counts its hits. *)
+  let sd = Pumps.sd_tree () in
+  let obs = Sdft_util.Obs.create () in
+  let fp = obs.Sdft_util.Obs.failpoints in
+  Failpoint.set_in fp "product.explore" ~trigger:(Failpoint.Nth max_int)
+    Failpoint.Raise;
+  let first = Sdft_product.build ~obs sd in
+  let after_first = Failpoint.hit_count_in fp "product.explore" in
+  let hits_before = template_hits obs in
+  let second = Sdft_product.build ~obs sd in
+  Alcotest.(check int) "second build is a hit" 1
+    (template_hits obs - hits_before);
+  Alcotest.(check int) "one probe per state, first build"
+    first.Sdft_product.n_states after_first;
+  Alcotest.(check int) "one probe per instantiated state"
+    second.Sdft_product.n_states
+    (Failpoint.hit_count_in fp "product.explore" - after_first)
+
+let test_template_hit_respects_max_states () =
+  let sd = Pumps.sd_tree () in
+  let built = Sdft_product.build sd in
+  match
+    Sdft_product.build ~max_states:(built.Sdft_product.n_states - 1) sd
+  with
+  | exception Sdft_product.Too_many_states _ -> ()
+  | _ -> Alcotest.fail "max_states below the template's size must raise"
+
+let build_counts sd =
+  let obs = Sdft_util.Obs.create () in
+  ignore (Sdft_product.build ~obs sd);
+  ( Sdft_util.Metrics.counter_value
+      (Sdft_util.Metrics.counter_in obs.Sdft_util.Obs.metrics
+         "product.explorations"),
+    template_hits obs )
+
+let test_raising_exploration_stores_no_template () =
+  (* Pumps fills the slot, then an exploration of another shape raises
+     part-way. Neither pumps' template nor a partial one may survive it:
+     the next pumps build explores, and the one after that hits. *)
+  let pumps = Pumps.sd_tree () and other = Gen_sdft.sd 7 in
+  let n_other = (Sdft_product.build other).Sdft_product.n_states in
+  let after_raise name raise_other =
+    ignore (Sdft_product.build pumps);
+    raise_other ();
+    Alcotest.(check (pair int int)) (name ^ ": pumps explores again") (1, 0)
+      (build_counts pumps);
+    Alcotest.(check (pair int int)) (name ^ ": then hits") (0, 1)
+      (build_counts pumps)
+  in
+  after_raise "too many states" (fun () ->
+      match Sdft_product.build ~max_states:(n_other - 1) other with
+      | exception Sdft_product.Too_many_states _ -> ()
+      | _ -> Alcotest.fail "expected Too_many_states");
+  after_raise "injected fault" (fun () ->
+      with_failpoints "product.explore=raise@nth:2" (fun () ->
+          match Sdft_product.build other with
+          | exception Failpoint.Injected _ -> ()
+          | _ -> Alcotest.fail "expected the injected fault"))
+
+let test_analysis_releases_template () =
+  (* One cutset, so the analysis builds one product: a template it left
+     behind would make a rebuild of that cutset model a hit. *)
+  let sd =
+    Sdft_format.of_string
+      "(dynamic b (ctmc (states 2) (init (0 1)) (transitions (0 1 0.001) \
+       (1 0 0.05)) (failed 1)))\n\
+       (dynamic d (ctmc (states 2) (init (0 1)) (transitions (0 1 0.002) \
+       (1 0 0.04)) (failed 1)))\n\
+       (gate g and b d)\n(top g)\n"
+  in
+  let options =
+    { Sdft_analysis.default_options with mem_limit_mb = Some 4096 }
+  in
+  let r = Sdft_analysis.analyze ~options sd in
+  let model =
+    match r.Sdft_analysis.cutsets with
+    | [ c ] -> Option.get (Cutset_model.build sd c.Sdft_analysis.cutset).model
+    | _ -> Alcotest.fail "expected one cutset"
+  in
+  Alcotest.(check (pair int int)) "no template outlives the analysis" (1, 0)
+    (build_counts model);
+  Alcotest.(check (pair int int)) "a direct build leaves one" (0, 1)
+    (build_counts model)
+
 let test_failpoint_first () =
   Fun.protect ~finally:Failpoint.clear_all (fun () ->
       Failpoint.configure_string "t.first=raise@first:2";
@@ -501,6 +603,16 @@ let () =
           Alcotest.test_case "delay bit-identity" `Quick
             test_delay_failpoints_preserve_results;
           Alcotest.test_case "product limit" `Quick test_product_guard_limit;
+          Alcotest.test_case "product limit on a template hit" `Quick
+            test_product_guard_limit_on_template_hit;
+          Alcotest.test_case "template hit probes every state" `Quick
+            test_template_hit_probes_every_state;
+          Alcotest.test_case "template hit respects max_states" `Quick
+            test_template_hit_respects_max_states;
+          Alcotest.test_case "raising exploration stores no template" `Quick
+            test_raising_exploration_stores_no_template;
+          Alcotest.test_case "analysis releases its template" `Quick
+            test_analysis_releases_template;
         ]
         @ qc [ prop_degraded_interval_sound ] );
       ( "chaos",
