@@ -34,10 +34,10 @@ let file_arg =
   Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE" ~doc:"Model file (SD fault tree text format).")
 
 let horizon_arg =
-  Arg.(value & opt float 24.0 & info [ "horizon"; "t" ] ~docv:"HOURS" ~doc:"Analysis horizon in hours.")
+  Arg.(value & opt float Sdft_analysis.default_options.horizon & info [ "horizon"; "t" ] ~docv:"HOURS" ~doc:"Analysis horizon in hours.")
 
 let cutoff_arg =
-  Arg.(value & opt float 1e-15 & info [ "cutoff"; "c" ] ~docv:"P" ~doc:"Probabilistic cutoff $(i,c*) for cutset generation.")
+  Arg.(value & opt float Sdft_analysis.default_options.cutoff & info [ "cutoff"; "c" ] ~docv:"P" ~doc:"Probabilistic cutoff $(i,c*) for cutset generation.")
 
 (* Observability: every analysis-flavoured subcommand accepts the same
    [--metrics FILE] / [--metrics-format] / [--trace FILE] / [--progress]
@@ -86,27 +86,16 @@ let with_observability obs f =
   in
   let write () =
     Sdft_util.Obs.finish_progress ctx;
-    (match obs.obs_metrics with
-    | None -> ()
-    | Some path -> (
-      try Sdft_util.Metrics.write_file ~format:obs.obs_format path
-      with Sys_error m -> Printf.eprintf "sdft: %s\n" m));
-    match obs.obs_trace with
-    | None -> ()
-    | Some path -> (
-      try Sdft_util.Trace.write_file path
-      with Sys_error m -> Printf.eprintf "sdft: %s\n" m)
+    List.iter
+      (Printf.eprintf "sdft: %s\n")
+      (Sdft_util.Obs.write_dumps ~format:obs.obs_format ?metrics:obs.obs_metrics
+         ?trace:obs.obs_trace ())
   in
   Fun.protect ~finally:write (fun () -> f ctx)
 
 (* Resource governance: analysis-flavoured subcommands accept the same
-   --deadline / --mem-limit-mb / --on-limit triple. *)
-
-type resource = {
-  res_deadline : float option;
-  res_mem_mb : int option;
-  res_fail : bool; (* --on-limit=fail: degraded results exit nonzero *)
-}
+   --deadline / --mem-limit-mb / --on-limit triple; the third says whether
+   a degraded result fails the run. *)
 
 let resource_term =
   let deadline =
@@ -119,36 +108,8 @@ let resource_term =
     Arg.(value & opt (enum [ ("degrade", false); ("fail", true) ]) false
          & info [ "on-limit" ] ~docv:"POLICY" ~doc:"What a degraded result means for the exit status: $(b,degrade) (default) exits 0 with the DEGRADED banner, $(b,fail) exits 1.")
   in
-  Term.(const (fun res_deadline res_mem_mb res_fail ->
-            { res_deadline; res_mem_mb; res_fail })
+  Term.(const (fun deadline mem fail -> (deadline, mem, fail))
         $ deadline $ mem $ on_limit)
-
-(* The guard doubles as the progress heartbeat: a --progress run without
-   limits still gets a (passive) guard whose probe drives the reporter. *)
-let guard_of_resource ctx res =
-  match (res.res_deadline, res.res_mem_mb, Sdft_util.Obs.on_probe ctx) with
-  | None, None, None -> Sdft_util.Guard.none
-  | deadline, mem_limit_mb, on_probe ->
-    Sdft_util.Guard.create ?deadline ?mem_limit_mb ?on_probe ()
-
-(* For subcommands that drive MOCUS directly: report an interrupted
-   generation and apply the --on-limit policy. *)
-let warn_generation_limit res (generation : Mocus.result) =
-  match generation.Mocus.limit_hit with
-  | None -> ()
-  | Some r ->
-    Printf.eprintf
-      "sdft: DEGRADED: cutset generation stopped early (%s); results cover \
-       only the cutsets generated before the limit\n"
-      (Sdft_util.Guard.reason_to_string r);
-    if res.res_fail then raise (Exit_code 1)
-
-let check_on_limit_fail res result =
-  if res.res_fail && Sdft_analysis.degraded result then begin
-    Printf.eprintf "sdft: analysis degraded (%s) and --on-limit=fail is set\n"
-      (Sdft_analysis.degradation_description result);
-    raise (Exit_code 1)
-  end
 
 (* Persistent quantification cache: the analysis-flavoured subcommands
    share one [--cache FILE] option (env: SDFT_CACHE). The store is opened
@@ -205,86 +166,154 @@ let engine_doc =
 let engine_arg =
   Arg.(value
        & opt (enum Sdft_analysis.engines)
-           Sdft_analysis.default_options.Sdft_analysis.engine
+           Sdft_analysis.default_options.engine
        & info [ "engine" ] ~docv:"ENGINE" ~doc:engine_doc)
 
 let domains_arg =
-  Arg.(value & opt int 1 & info [ "domains"; "j" ] ~docv:"N" ~doc:"Worker domains for cutset quantification.")
+  Arg.(value & opt int Sdft_analysis.default_options.domains & info [ "domains"; "j" ] ~docv:"N" ~doc:"Worker domains for cutset quantification.")
+
+(* A session is what every analysis-flavoured subcommand starts from: the
+   loaded model, its shared flags turned into [Sdft_analysis.options],
+   the observability context and the disk cache. [session_term] takes the
+   flags a subcommand has (the rest keep their [default_options] values)
+   and yields the wrapper that sets all of it up around the command
+   body. *)
+
+type session = {
+  sd : Sdft.t;
+  options : Sdft_analysis.options;
+  fail : bool;  (* --on-limit=fail: degraded results exit nonzero *)
+  obs : Sdft_util.Obs.t;
+  cache : Quant_cache.t option;
+  engine_flag : bool;  (* the subcommand has --engine *)
+}
+
+let session_term ?(horizon = true) ?(cutoff = true) ?(engine = false)
+    ?(domains = false) ?(cache = false) ?(resource = true) () =
+  let d = Sdft_analysis.default_options in
+  let flag present arg default = if present then arg else Term.const default in
+  let setup file horizon cutoff engine_choice domains cache_path
+      (deadline, mem_limit_mb, fail) observability body =
+    let options =
+      { d with horizon; cutoff; engine = engine_choice; domains; deadline;
+               mem_limit_mb }
+    in
+    with_observability observability (fun obs ->
+        with_disk_cache cache_path (fun cache ->
+            body
+              {
+                sd = or_die (load_model file);
+                options;
+                fail;
+                obs;
+                cache;
+                engine_flag = engine;
+              }))
+  in
+  Term.(const setup $ file_arg
+        $ flag horizon horizon_arg d.horizon
+        $ flag cutoff cutoff_arg d.cutoff
+        $ flag engine engine_arg d.engine
+        $ flag domains domains_arg d.domains
+        $ flag cache cache_arg None
+        $ flag resource resource_term (None, None, false)
+        $ observability_term)
+
+let check_on_limit_fail s result =
+  if s.fail && Sdft_analysis.degraded result then begin
+    Printf.eprintf "sdft: analysis degraded (%s) and --on-limit=fail is set\n"
+      (Sdft_analysis.degradation_description result);
+    raise (Exit_code 1)
+  end
+
+(* Report a cutset generation cut short by a resource limit. MOCUS keeps a
+   sound partial list (the run goes on, subject to --on-limit); an
+   interrupted ZDD compilation has no partial list to go on with. *)
+let report_generation s (p : Sdft_analysis.phase1) =
+  let g = p.generation in
+  match g.Mocus.limit_hit with
+  | None -> ()
+  | Some r when g.Mocus.truncated ->
+    Printf.eprintf "sdft: %s cutset generation hit the %s; rerun with a larger \
+                    budget%s\n"
+      (Sdft_analysis.engine_name p.engine_used)
+      (Sdft_util.Guard.reason_to_string r)
+      (if s.engine_flag then " or --engine mocus" else "");
+    raise (Exit_code 1)
+  | Some r ->
+    Printf.eprintf
+      "sdft: DEGRADED: cutset generation stopped early (%s); results cover \
+       only the cutsets generated before the limit\n"
+      (Sdft_util.Guard.reason_to_string r);
+    if s.fail then raise (Exit_code 1)
+
+(* Phase 1 for the subcommands that work on the cutset list itself. *)
+let cutsets s =
+  let p = Sdft_analysis.phase1 ~obs:s.obs s.options s.sd in
+  report_generation s p;
+  p
 
 (* analyze *)
 
 let analyze_cmd =
-  let run file horizon cutoff top_n show_histogram show_budget engine domains
-      cache_path save_path diff_path res obs =
-    with_observability obs (fun ctx ->
-        with_disk_cache cache_path (fun disk_cache ->
-        let sd = or_die (load_model file) in
-        let options =
-          {
-            Sdft_analysis.default_options with
-            horizon;
-            cutoff;
-            engine;
-            domains;
-            deadline = res.res_deadline;
-            mem_limit_mb = res.res_mem_mb;
-          }
-        in
-        (* --save/--diff need a cache even without --cache: --save exports
-           its entries into the manifest, --diff seeds them back so only
-           changed-fingerprint cutsets re-solve. *)
-        let cache =
-          match disk_cache with
-          | Some c -> Some c
-          | None ->
-            if save_path <> None || diff_path <> None then
-              Some (Quant_cache.create ())
-            else None
-        in
-        let old_manifest =
-          Option.map (fun p -> or_die (Manifest.load p)) diff_path
-        in
-        (match (old_manifest, cache) with
-        | Some m, Some c ->
-          if Manifest.stamp_matches m then
-            ignore (Quant_cache.seed c m.Manifest.cache_entries)
-          else
-            Printf.eprintf
-              "sdft: note: manifest %s was written by a different solver \
-               build; its cached results are not trusted, every dynamic \
-               cutset re-solves\n"
-              (Option.get diff_path)
-        | _ -> ());
-        let result = Sdft_analysis.analyze ~options ?cache ~obs:ctx sd in
-        Format.printf "%a@." Sdft_analysis.pp_summary result;
-        if show_budget then Format.printf "%a@." Sdft_analysis.pp_budget result;
-        if show_histogram then begin
-          print_endline "dynamic events per minimal cutset:";
-          Sdft_util.Histogram.print_ascii
-            (Sdft_analysis.dynamic_histogram result)
-        end;
-        if top_n > 0 then begin
-          Printf.printf "top %d cutsets:\n" top_n;
-          let tree = Sdft.tree sd in
-          List.iteri
-            (fun i (info : Sdft_analysis.cutset_info) ->
-              if i < top_n then
-                Format.printf "  %.3e  %a  (%d dynamic, %d states)@."
-                  info.probability (Cutset.pp tree) info.cutset info.n_dynamic
-                  info.product_states)
-            result.cutsets
-        end;
-        (match old_manifest with
-        | Some m ->
-          Format.printf "%a@." Manifest.pp_diff (Manifest.diff m sd result)
-        | None -> ());
-        (match save_path with
-        | Some path ->
-          Manifest.save path (Manifest.of_result ?cache sd options result);
-          Printf.printf "manifest saved to %s\n" path
-        | None -> ());
-        (match cache with Some c -> report_disk_cache c | None -> ());
-        check_on_limit_fail res result))
+  let run session top_n show_histogram show_budget save_path diff_path =
+    session @@ fun s ->
+    (* --save/--diff need a cache even without --cache: --save exports
+       its entries into the manifest, --diff seeds them back so only
+       changed-fingerprint cutsets re-solve. *)
+    let cache =
+      match s.cache with
+      | Some c -> Some c
+      | None ->
+        if save_path <> None || diff_path <> None then
+          Some (Quant_cache.create ())
+        else None
+    in
+    let old_manifest =
+      Option.map (fun p -> or_die (Manifest.load p)) diff_path
+    in
+    (match (old_manifest, cache) with
+    | Some m, Some c ->
+      if Manifest.stamp_matches m then
+        ignore (Quant_cache.seed c m.Manifest.cache_entries)
+      else
+        Printf.eprintf
+          "sdft: note: manifest %s was written by a different solver \
+           build; its cached results are not trusted, every dynamic \
+           cutset re-solves\n"
+          (Option.get diff_path)
+    | _ -> ());
+    let result =
+      Sdft_analysis.analyze ~options:s.options ?cache ~obs:s.obs s.sd
+    in
+    Format.printf "%a@." Sdft_analysis.pp_summary result;
+    if show_budget then Format.printf "%a@." Sdft_analysis.pp_budget result;
+    if show_histogram then begin
+      print_endline "dynamic events per minimal cutset:";
+      Sdft_analysis.print_histogram (Sdft_analysis.dynamic_histogram result)
+    end;
+    if top_n > 0 then begin
+      Printf.printf "top %d cutsets:\n" top_n;
+      let tree = Sdft.tree s.sd in
+      List.iteri
+        (fun i (info : Sdft_analysis.cutset_info) ->
+          if i < top_n then
+            Format.printf "  %.3e  %a  (%d dynamic, %d states)@."
+              info.probability (Cutset.pp tree) info.cutset info.n_dynamic
+              info.product_states)
+        result.cutsets
+    end;
+    (match old_manifest with
+    | Some m ->
+      Format.printf "%a@." Manifest.pp_diff (Manifest.diff m s.sd result)
+    | None -> ());
+    (match save_path with
+    | Some path ->
+      Manifest.save path (Manifest.of_result ?cache s.sd s.options result);
+      Printf.printf "manifest saved to %s\n" path
+    | None -> ());
+    (match cache with Some c -> report_disk_cache c | None -> ());
+    check_on_limit_fail s result
   in
   let top_n =
     Arg.(value & opt int 10 & info [ "top" ] ~docv:"N" ~doc:"Print the $(docv) most important cutsets (0 disables).")
@@ -303,105 +332,96 @@ let analyze_cmd =
   in
   Cmd.v
     (Cmd.info "analyze" ~doc:"Run the full SD fault tree analysis (Section V).")
-    Term.(const run $ file_arg $ horizon_arg $ cutoff_arg $ top_n $ histogram $ budget $ engine_arg $ domains_arg $ cache_arg $ save $ diff $ resource_term $ observability_term)
+    Term.(const run
+          $ session_term ~engine:true ~domains:true ~cache:true ()
+          $ top_n $ histogram $ budget $ save $ diff)
 
 (* explain *)
 
 let explain_cmd =
-  let run file horizon cutoff top_n spans_n engine domains cache_path res obs =
-    with_observability obs (fun ctx ->
-        with_disk_cache cache_path (fun disk_cache ->
-        (* Tracing is always on inside [explain]: the top-spans section needs
-           it even when no --trace file was requested. *)
-        Sdft_util.Trace.set_enabled true;
-        let sd = or_die (load_model file) in
-        let options =
-          {
-            Sdft_analysis.default_options with
-            horizon;
-            cutoff;
-            engine;
-            domains;
-            deadline = res.res_deadline;
-            mem_limit_mb = res.res_mem_mb;
-          }
-        in
-        let cache =
-          match disk_cache with
-          | Some c -> c
-          | None -> Quant_cache.create ()
-        in
-        let result = Sdft_analysis.analyze ~options ~cache ~obs:ctx sd in
-        let tree = Sdft.tree sd in
-        Format.printf "%a@.@." Sdft_analysis.pp_summary result;
-        Format.printf "%a@.@." Sdft_analysis.pp_budget result;
-        let report = Sdft_classify.report sd in
-        if report.Sdft_classify.per_trigger_gate <> [] then
-          Format.printf "%a@.@." (Sdft_classify.pp_report sd) report;
-        let shown = min top_n result.Sdft_analysis.n_cutsets in
-        Printf.printf "top %d of %d cutsets (by contribution):\n" shown
-          result.Sdft_analysis.n_cutsets;
-        Printf.printf "%12s %7s %4s %8s %9s %7s %6s %9s  %s\n" "p~(C)"
-          "share" "dyn" "states" "trans" "steps" "cache" "time" "cutset";
-        List.iteri
-          (fun i (info : Sdft_analysis.cutset_info) ->
-            if i < top_n then begin
-              let share =
-                if result.Sdft_analysis.total > 0.0 then
-                  100.0 *. info.probability /. result.Sdft_analysis.total
-                else 0.0
-              in
-              Format.printf "%12.3e %6.2f%% %4d %8d %9d %7d %6s %9s  %a@."
-                info.probability share info.n_dynamic info.product_states
-                info.product_transitions info.solver_steps
-                (* Degraded cutsets show the reason for their worst-case
-                   fallback where exact solves show cache provenance. *)
-                (match info.degraded with
-                 | Some Sdft_util.Guard.Deadline -> "ddl!"
-                 | Some Sdft_util.Guard.Mem_limit -> "mem!"
-                 | Some Sdft_util.Guard.State_limit -> "state!"
-                 | Some Sdft_util.Guard.Worker_crash -> "crash!"
-                 | None ->
-                   if info.used_fallback then "fall!"
-                   else if info.from_cache then "hit"
-                   else if info.product_states > 0 then "miss"
-                   else "-")
-                (Format.asprintf "%a" Sdft_util.Timer.pp_duration
-                   info.solve_seconds)
-                (Cutset.pp tree) info.cutset
-            end)
-          result.Sdft_analysis.cutsets;
-        Printf.printf "\nquantification cache: %d hits / %d misses\n"
-          (Quant_cache.hits cache) (Quant_cache.misses cache);
-        report_disk_cache cache;
-        let spans = Sdft_util.Trace.aggregate () in
-        if spans <> [] then begin
-          Printf.printf "\ntop trace spans (by total time):\n";
-          Printf.printf "%-28s %8s %12s\n" "span" "count" "total";
-          List.iteri
-            (fun i (name, (count, total)) ->
-              if i < spans_n then
-                Format.printf "%-28s %8d %12s@." name count
-                  (Format.asprintf "%a" Sdft_util.Timer.pp_duration total))
-            spans
-        end;
-        let histograms =
-          List.filter
-            (fun (_, h) -> h.Sdft_util.Metrics.count > 0)
-            (Sdft_util.Metrics.snapshot ()).Sdft_util.Metrics.histograms
-        in
-        if histograms <> [] then begin
-          Printf.printf "\nlatency/throughput histograms (bucket quantiles):\n";
-          Printf.printf "%-28s %8s %11s %11s %11s\n" "histogram" "count"
-            "p50" "p90" "p99";
-          List.iter
-            (fun (name, h) ->
-              let q p = Sdft_util.Metrics.hist_quantile h p in
-              Printf.printf "%-28s %8d %11.3e %11.3e %11.3e\n" name
-                h.Sdft_util.Metrics.count (q 0.5) (q 0.9) (q 0.99))
-            histograms
-        end;
-        check_on_limit_fail res result))
+  let run session top_n spans_n =
+    session @@ fun s ->
+    (* Tracing is always on inside [explain]: the top-spans section needs
+       it even when no --trace file was requested. *)
+    Sdft_util.Trace.set_enabled true;
+    let cache =
+      match s.cache with
+      | Some c -> c
+      | None -> Quant_cache.create ()
+    in
+    let result =
+      Sdft_analysis.analyze ~options:s.options ~cache ~obs:s.obs s.sd
+    in
+    let tree = Sdft.tree s.sd in
+    Format.printf "%a@.@." Sdft_analysis.pp_summary result;
+    Format.printf "%a@.@." Sdft_analysis.pp_budget result;
+    let report = Sdft_classify.report s.sd in
+    if report.Sdft_classify.per_trigger_gate <> [] then
+      Format.printf "%a@.@." (Sdft_classify.pp_report s.sd) report;
+    let shown = min top_n result.Sdft_analysis.n_cutsets in
+    Printf.printf "top %d of %d cutsets (by contribution):\n" shown
+      result.Sdft_analysis.n_cutsets;
+    Printf.printf "%12s %7s %4s %8s %9s %7s %6s %9s  %s\n" "p~(C)"
+      "share" "dyn" "states" "trans" "steps" "cache" "time" "cutset";
+    List.iteri
+      (fun i (info : Sdft_analysis.cutset_info) ->
+        if i < top_n then begin
+          let share =
+            if result.Sdft_analysis.total > 0.0 then
+              100.0 *. info.probability /. result.Sdft_analysis.total
+            else 0.0
+          in
+          Format.printf "%12.3e %6.2f%% %4d %8d %9d %7d %6s %9s  %a@."
+            info.probability share info.n_dynamic info.product_states
+            info.product_transitions info.solver_steps
+            (* Degraded cutsets show the reason for their worst-case
+               fallback where exact solves show cache provenance. *)
+            (match info.degraded with
+             | Some Sdft_util.Guard.Deadline -> "ddl!"
+             | Some Sdft_util.Guard.Mem_limit -> "mem!"
+             | Some Sdft_util.Guard.State_limit -> "state!"
+             | Some Sdft_util.Guard.Worker_crash -> "crash!"
+             | None ->
+               if info.used_fallback then "fall!"
+               else if info.from_cache then "hit"
+               else if info.product_states > 0 then "miss"
+               else "-")
+            (Format.asprintf "%a" Sdft_util.Timer.pp_duration
+               info.solve_seconds)
+            (Cutset.pp tree) info.cutset
+        end)
+      result.Sdft_analysis.cutsets;
+    Printf.printf "\nquantification cache: %d hits / %d misses\n"
+      (Quant_cache.hits cache) (Quant_cache.misses cache);
+    report_disk_cache cache;
+    let spans = Sdft_util.Trace.aggregate () in
+    if spans <> [] then begin
+      Printf.printf "\ntop trace spans (by total time):\n";
+      Printf.printf "%-28s %8s %12s\n" "span" "count" "total";
+      List.iteri
+        (fun i (name, (count, total)) ->
+          if i < spans_n then
+            Format.printf "%-28s %8d %12s@." name count
+              (Format.asprintf "%a" Sdft_util.Timer.pp_duration total))
+        spans
+    end;
+    let histograms =
+      List.filter
+        (fun (_, h) -> h.Sdft_util.Metrics.count > 0)
+        (Sdft_util.Metrics.snapshot ()).Sdft_util.Metrics.histograms
+    in
+    if histograms <> [] then begin
+      Printf.printf "\nlatency/throughput histograms (bucket quantiles):\n";
+      Printf.printf "%-28s %8s %11s %11s %11s\n" "histogram" "count"
+        "p50" "p90" "p99";
+      List.iter
+        (fun (name, h) ->
+          let q p = Sdft_util.Metrics.hist_quantile h p in
+          Printf.printf "%-28s %8d %11.3e %11.3e %11.3e\n" name
+            h.Sdft_util.Metrics.count (q 0.5) (q 0.9) (q 0.99))
+        histograms
+    end;
+    check_on_limit_fail s result
   in
   let top_n =
     Arg.(value & opt int 20 & info [ "top" ] ~docv:"N" ~doc:"Rows of the per-cutset provenance table (0 disables).")
@@ -412,7 +432,9 @@ let explain_cmd =
   Cmd.v
     (Cmd.info "explain"
        ~doc:"Account for an analysis result: per-cutset provenance (contribution, chain sizes, solver effort, cache traffic, degradation), the error budget behind the certified interval, and the top trace spans.")
-    Term.(const run $ file_arg $ horizon_arg $ cutoff_arg $ top_n $ spans_n $ engine_arg $ domains_arg $ cache_arg $ resource_term $ observability_term)
+    Term.(const run
+          $ session_term ~engine:true ~domains:true ~cache:true ()
+          $ top_n $ spans_n)
 
 (* sweep *)
 
@@ -448,7 +470,7 @@ let sweep_cmd =
         (fun d -> (pt.Checkpoint.pt_horizon, d))
         pt.Checkpoint.pt_degraded
   in
-  let finish_sweep res items cache =
+  let finish_sweep s items cache =
     Printf.printf "cache: %d hits / %d misses\n" (Quant_cache.hits cache)
       (Quant_cache.misses cache);
     report_disk_cache cache;
@@ -456,70 +478,58 @@ let sweep_cmd =
     List.iter
       (fun (h, d) -> Printf.printf "DEGRADED at horizon %g: %s\n" h d)
       degradations;
-    if res.res_fail && degradations <> [] then begin
+    if s.fail && degradations <> [] then begin
       Printf.eprintf "sdft: sweep degraded and --on-limit=fail is set\n";
       raise (Exit_code 1)
     end
   in
-  let run file horizons cutoff engine domains cache_path ckpt_path resume res
-      obs =
-    with_observability obs (fun ctx ->
-        with_disk_cache cache_path (fun disk_cache ->
-        let sd = or_die (load_model file) in
-        let option_sets =
-          List.map
-            (fun horizon ->
-              {
-                Sdft_analysis.default_options with
-                horizon;
-                cutoff;
-                engine;
-                domains;
-                deadline = res.res_deadline;
-                mem_limit_mb = res.res_mem_mb;
-              })
-            horizons
-        in
-        match ckpt_path with
-        | None ->
-          if resume then
-            or_die (Error "--resume needs --checkpoint FILE");
-          let points, cache =
-            Sdft_analysis.sweep ?cache:disk_cache ~obs:ctx sd option_sets
-          in
+  let run session horizons ckpt_path resume =
+    session @@ fun s ->
+    let option_sets =
+      List.map
+        (fun horizon -> { s.options with Sdft_analysis.horizon })
+        horizons
+    in
+    match ckpt_path with
+    | None ->
+      if resume then
+        or_die (Error "--resume needs --checkpoint FILE");
+      let points, cache =
+        Sdft_analysis.sweep ?cache:s.cache ~obs:s.obs s.sd option_sets
+      in
+      print_header ();
+      List.iter (fun p -> print_item (Sdft_analysis.Sweep_run p)) points;
+      finish_sweep s
+        (List.map (fun p -> Sdft_analysis.Sweep_run p) points)
+        cache
+    | Some path ->
+      let journal =
+        try Checkpoint.open_ path with
+        | Sys_error m | Failure m ->
+          or_die (Error (Printf.sprintf "checkpoint %s: %s" path m))
+        | Unix.Unix_error (e, _, _) ->
+          or_die
+            (Error
+               (Printf.sprintf "checkpoint %s: %s" path
+                  (Unix.error_message e)))
+      in
+      Fun.protect
+        ~finally:(fun () ->
+          try Checkpoint.close journal
+          with Sys_error m ->
+            Printf.eprintf "sdft: checkpoint: %s\n" m)
+        (fun () ->
           print_header ();
-          List.iter (fun p -> print_item (Sdft_analysis.Sweep_run p)) points;
-          finish_sweep res
-            (List.map (fun p -> Sdft_analysis.Sweep_run p) points)
-            cache
-        | Some path ->
-          let journal =
-            try Checkpoint.open_ path with
-            | Sys_error m | Failure m ->
-              or_die (Error (Printf.sprintf "checkpoint %s: %s" path m))
-            | Unix.Unix_error (e, _, _) ->
-              or_die
-                (Error
-                   (Printf.sprintf "checkpoint %s: %s" path
-                      (Unix.error_message e)))
+          let items, cache =
+            Sdft_analysis.sweep_checkpointed ?cache:s.cache ~obs:s.obs
+              ~journal ~resume ~on_point:print_item s.sd option_sets
           in
-          Fun.protect
-            ~finally:(fun () ->
-              try Checkpoint.close journal
-              with Sys_error m ->
-                Printf.eprintf "sdft: checkpoint: %s\n" m)
-            (fun () ->
-              print_header ();
-              let items, cache =
-                Sdft_analysis.sweep_checkpointed ?cache:disk_cache ~obs:ctx
-                  ~journal ~resume ~on_point:print_item sd option_sets
-              in
-              (match Checkpoint.journal_error journal with
-              | Some m ->
-                Printf.eprintf
-                  "sdft: checkpoint degraded (results unaffected): %s\n" m
-              | None -> ());
-              finish_sweep res items cache)))
+          (match Checkpoint.journal_error journal with
+          | Some m ->
+            Printf.eprintf
+              "sdft: checkpoint degraded (results unaffected): %s\n" m
+          | None -> ());
+          finish_sweep s items cache)
   in
   let horizons =
     Arg.(value & opt (list float) [ 8.0; 24.0; 72.0 ]
@@ -548,56 +558,35 @@ let sweep_cmd =
   Cmd.v
     (Cmd.info "sweep"
        ~doc:"Analyze one model over several horizons, sharing the quantification cache across points.")
-    Term.(const run $ file_arg $ horizons $ cutoff_arg $ engine_arg $ domains_arg $ cache_arg $ checkpoint $ resume $ resource_term $ observability_term)
+    Term.(const run
+          $ session_term ~horizon:false ~engine:true ~domains:true ~cache:true ()
+          $ horizons $ checkpoint $ resume)
 
 (* mcs *)
 
 let mcs_cmd =
-  let run file cutoff engine horizon cache_path res obs =
-    with_observability obs (fun ctx ->
-        (* mcs performs no quantification, so the cache sees no traffic; the
-           option is still honoured (uniform interface, and SDFT_CACHE can
-           stay exported across a whole pipeline run: opening repairs a torn
-           tail and validates the stamp). *)
-        with_disk_cache cache_path (fun _disk_cache ->
-        let sd = or_die (load_model file) in
-        let guard = guard_of_resource ctx res in
-        let translation = Sdft_translate.translate sd ~horizon in
-        let tree = translation.Sdft_translate.static_tree in
-        let resolved = Sdft_analysis.resolve_engine engine tree in
-        Sdft_util.Obs.begin_phase ctx "generation" ();
-        let generation =
-          Sdft_analysis.generate_cutsets ~cutoff ~guard ~obs:ctx resolved tree
-        in
-        (match generation.Mocus.limit_hit with
-        | Some r when generation.Mocus.truncated && generation.Mocus.cutsets = []
-          ->
-          (* Unlike MOCUS, an interrupted ZDD compilation has no sound
-             partial cutset list to print. *)
-          Printf.eprintf
-            "sdft: %s cutset generation hit the %s; rerun with a larger \
-             budget or --engine mocus\n"
-            (Sdft_analysis.engine_name resolved)
-            (Sdft_util.Guard.reason_to_string r);
-          raise (Exit_code 1)
-        | _ -> warn_generation_limit res generation);
-        let cutsets = generation.Mocus.cutsets in
-        Printf.printf "%d minimal cutsets (engine: %s)\n" (List.length cutsets)
-          (Sdft_analysis.engine_name resolved);
-        if generation.Mocus.pruned_mass > 0.0 then
-          Printf.printf "mass below cutoff/order bounds: %.3e%s\n"
-            generation.Mocus.pruned_mass
-            (if resolved = Sdft_analysis.Zdd_engine then " (exact)"
-             else " (upper bound)");
-        List.iter
-          (fun c ->
-            Format.printf "%.3e  %a@." (Cutset.probability tree c)
-              (Cutset.pp tree) c)
-          (Cutset.sort_by_probability tree cutsets)))
+  let run session =
+    session @@ fun s ->
+    let p = cutsets s in
+    let tree = p.translation.Sdft_translate.static_tree in
+    let cutsets = p.generation.Mocus.cutsets in
+    let engine = Sdft_analysis.engine_name p.engine_used in
+    Printf.printf "%d minimal cutsets (engine: %s)\n" (List.length cutsets)
+      engine;
+    if p.generation.Mocus.pruned_mass > 0.0 then
+      Printf.printf "mass below cutoff/order bounds: %.3e%s\n"
+        p.generation.Mocus.pruned_mass
+        (if p.engine_used = Sdft_analysis.Zdd_engine then " (exact)"
+         else " (upper bound)");
+    List.iter
+      (fun c ->
+        Format.printf "%.3e  %a@." (Cutset.probability tree c)
+          (Cutset.pp tree) c)
+      (Cutset.sort_by_probability tree cutsets)
   in
   Cmd.v
     (Cmd.info "mcs" ~doc:"Generate minimal cutsets of the translated static tree.")
-    Term.(const run $ file_arg $ cutoff_arg $ engine_arg $ horizon_arg $ cache_arg $ resource_term $ observability_term)
+    Term.(const run $ session_term ~engine:true ())
 
 (* classify *)
 
@@ -614,78 +603,73 @@ let classify_cmd =
 (* simulate *)
 
 let simulate_cmd =
-  let run file horizon trials seed method_ domains batch bias no_forcing
-      rel_error level verify cutoff engine cache_path obs =
-    with_observability obs (fun ctx ->
-        with_disk_cache cache_path (fun disk_cache ->
-        let sd = or_die (load_model file) in
-        let z =
-          match level with
-          | `P90 -> 1.6448536269514722
-          | `P95 -> Rare_event.z95
-          | `P99 -> Rare_event.z99
+  let run session trials seed method_ batch bias no_forcing rel_error level
+      verify =
+    session @@ fun s ->
+    let sd = s.sd and horizon = s.options.horizon in
+    let z =
+      match level with
+      | `P90 -> 1.6448536269514722
+      | `P95 -> Rare_event.z95
+      | `P99 -> Rare_event.z99
+    in
+    let pct = match level with `P90 -> 90 | `P95 -> 95 | `P99 -> 99 in
+    let lo, hi =
+      match method_ with
+      | `Crude ->
+        let stats = Simulator.unreliability ~seed sd ~horizon ~trials in
+        let lo, hi = Simulator.wilson_interval ~z stats in
+        Printf.printf
+          "method: crude Monte-Carlo\n\
+           failures: %d / %d\n\
+           estimate: %.4e (%d%% Wilson CI [%.4e, %.4e])\n"
+          stats.Simulator.failures stats.Simulator.trials
+          stats.Simulator.estimate pct lo hi;
+        (lo, hi)
+      | `Is ->
+        let options =
+          {
+            Rare_event.default_options with
+            trials;
+            seed;
+            domains = s.options.domains;
+            batch;
+            static_bias = bias;
+            forcing = not no_forcing;
+            target_rel_error = rel_error;
+          }
         in
-        let pct = match level with `P90 -> 90 | `P95 -> 95 | `P99 -> 99 in
-        let lo, hi =
-          match method_ with
-          | `Crude ->
-            let stats = Simulator.unreliability ~seed sd ~horizon ~trials in
-            let lo, hi = Simulator.wilson_interval ~z stats in
-            Printf.printf
-              "method: crude Monte-Carlo\n\
-               failures: %d / %d\n\
-               estimate: %.4e (%d%% Wilson CI [%.4e, %.4e])\n"
-              stats.Simulator.failures stats.Simulator.trials
-              stats.Simulator.estimate pct lo hi;
-            (lo, hi)
-          | `Is ->
-            let options =
-              {
-                Rare_event.default_options with
-                trials;
-                seed;
-                domains;
-                batch;
-                static_bias = bias;
-                forcing = not no_forcing;
-                target_rel_error = rel_error;
-              }
-            in
-            let e = Rare_event.run ~options ~obs:ctx sd ~horizon in
-            let lo, hi = Rare_event.confidence ~z e in
-            Printf.printf
-              "method: importance sampling (%s, static bias x%g)\n\
-               trials: %d (hits: %d)\n\
-               estimate: %.4e (%d%% CI [%.4e, %.4e])\n\
-               std error: %.3e (rel %.2e)\n\
-               mean likelihood weight: %.4f\n"
-              (if no_forcing then "no forcing" else "forcing")
-              bias e.Rare_event.trials e.Rare_event.hits
-              e.Rare_event.estimate pct lo hi e.Rare_event.std_error
-              e.Rare_event.rel_error e.Rare_event.mean_weight;
-            (match Rare_event.variance_reduction e with
-            | Some f -> Printf.printf "variance reduction vs crude MC: %.3gx\n" f
-            | None -> ());
-            (lo, hi)
-        in
-        if verify then begin
-          let options =
-            { Sdft_analysis.default_options with horizon; cutoff; engine }
-          in
-          (* The verification side is an ordinary analysis, so a warm
-             persistent cache makes repeated cross-checks nearly free. *)
-          let result =
-            Sdft_analysis.analyze ~options ?cache:disk_cache ~obs:ctx sd
-          in
-          let check = Sdft_analysis.verify_sim result ~sim_ci:(lo, hi) in
-          Printf.printf "analytic rare-event total: %.4e\n"
-            result.Sdft_analysis.total;
-          Format.printf "%a@." Sdft_analysis.pp_sim_check check;
-          (match disk_cache with
-          | Some c -> report_disk_cache c
-          | None -> ());
-          if not check.Sdft_analysis.overlaps then raise (Exit_code 1)
-        end))
+        let e = Rare_event.run ~options ~obs:s.obs sd ~horizon in
+        let lo, hi = Rare_event.confidence ~z e in
+        Printf.printf
+          "method: importance sampling (%s, static bias x%g)\n\
+           trials: %d (hits: %d)\n\
+           estimate: %.4e (%d%% CI [%.4e, %.4e])\n\
+           std error: %.3e (rel %.2e)\n\
+           mean likelihood weight: %.4f\n"
+          (if no_forcing then "no forcing" else "forcing")
+          bias e.Rare_event.trials e.Rare_event.hits
+          e.Rare_event.estimate pct lo hi e.Rare_event.std_error
+          e.Rare_event.rel_error e.Rare_event.mean_weight;
+        (match Rare_event.variance_reduction e with
+        | Some f -> Printf.printf "variance reduction vs crude MC: %.3gx\n" f
+        | None -> ());
+        (lo, hi)
+    in
+    if verify then begin
+      (* The verification side is an ordinary analysis, so a warm
+         persistent cache makes repeated cross-checks nearly free. *)
+      let result =
+        Sdft_analysis.analyze ~options:s.options ?cache:s.cache ~obs:s.obs
+          sd
+      in
+      let check = Sdft_analysis.verify_sim result ~sim_ci:(lo, hi) in
+      Printf.printf "analytic rare-event total: %.4e\n"
+        result.Sdft_analysis.total;
+      Format.printf "%a@." Sdft_analysis.pp_sim_check check;
+      Option.iter report_disk_cache s.cache;
+      if not check.Sdft_analysis.overlaps then raise (Exit_code 1)
+    end
   in
   let trials =
     Arg.(value & opt int 100_000 & info [ "trials"; "n" ] ~docv:"N" ~doc:"Number of Monte-Carlo trials.")
@@ -716,38 +700,41 @@ let simulate_cmd =
   in
   Cmd.v
     (Cmd.info "simulate" ~doc:"Statistical estimate of the failure probability (full SD semantics): rare-event importance sampling or crude Monte-Carlo, optionally cross-checked against the analytic certified interval.")
-    Term.(const run $ file_arg $ horizon_arg $ trials $ seed $ method_ $ domains_arg $ batch $ bias $ no_forcing $ rel_error $ level $ verify $ cutoff_arg $ engine_arg $ cache_arg $ observability_term)
+    Term.(const run
+          $ session_term ~engine:true ~domains:true ~cache:true ~resource:false ()
+          $ trials $ seed $ method_ $ batch $ bias $ no_forcing $ rel_error
+          $ level $ verify)
 
 (* exact *)
 
 let exact_cmd =
-  let run file horizon max_states res obs =
-    with_observability obs (fun ctx ->
-        let sd = or_die (load_model file) in
-        let guard = guard_of_resource ctx res in
-        Sdft_util.Obs.begin_phase ctx "exact" ();
-        match Sdft_product.solve ~max_states ~guard ~obs:ctx sd ~horizon with
-        | p -> Printf.printf "p(FT, %gh) = %.6e\n" horizon p
-        | exception Sdft_product.Too_many_states n ->
-          Printf.eprintf
-            "sdft: product state space exceeds %d states; use 'analyze' or 'simulate'\n"
-            n;
-          raise (Exit_code 1)
-        | exception Sdft_util.Guard.Limit_hit r ->
-          (* Exact semantics cannot degrade — a partial product chain is
-             not a bound on anything. *)
-          Printf.eprintf
-            "sdft: exact analysis hit the %s; use 'analyze' (which degrades \
-             gracefully) or 'simulate'\n"
-            (Sdft_util.Guard.reason_to_string r);
-          raise (Exit_code 1))
+  let run session max_states =
+    session @@ fun s ->
+    let horizon = s.options.horizon in
+    let guard = Sdft_analysis.resource_guard ~obs:s.obs s.options in
+    Sdft_util.Obs.begin_phase s.obs "exact" ();
+    match Sdft_product.solve ~max_states ~guard ~obs:s.obs s.sd ~horizon with
+    | p -> Printf.printf "p(FT, %gh) = %.6e\n" horizon p
+    | exception Sdft_product.Too_many_states n ->
+      Printf.eprintf
+        "sdft: product state space exceeds %d states; use 'analyze' or 'simulate'\n"
+        n;
+      raise (Exit_code 1)
+    | exception Sdft_util.Guard.Limit_hit r ->
+      (* Exact semantics cannot degrade — a partial product chain is
+         not a bound on anything. *)
+      Printf.eprintf
+        "sdft: exact analysis hit the %s; use 'analyze' (which degrades \
+         gracefully) or 'simulate'\n"
+        (Sdft_util.Guard.reason_to_string r);
+      raise (Exit_code 1)
   in
   let max_states =
     Arg.(value & opt int 1_000_000 & info [ "max-states" ] ~docv:"N" ~doc:"State-space safety limit.")
   in
   Cmd.v
     (Cmd.info "exact" ~doc:"Exact failure probability via the full product Markov chain (small models only).")
-    Term.(const run $ file_arg $ horizon_arg $ max_states $ resource_term $ observability_term)
+    Term.(const run $ session_term ~cutoff:false () $ max_states)
 
 (* translate *)
 
@@ -765,56 +752,42 @@ let translate_cmd =
 (* importance *)
 
 let importance_cmd =
-  let run file cutoff horizon top_n res obs =
-    with_observability obs (fun ctx ->
-        let sd = or_die (load_model file) in
-        let translation = Sdft_translate.translate sd ~horizon in
-        let tree = translation.Sdft_translate.static_tree in
-        let options = { Mocus.default_options with cutoff } in
-        Sdft_util.Obs.begin_phase ctx "generation" ();
-        let generation =
-          Mocus.run ~options ~guard:(guard_of_resource ctx res) ~obs:ctx tree
-        in
-        warn_generation_limit res generation;
-        let cutsets = generation.Mocus.cutsets in
-        let imp = Importance.compute tree cutsets in
-        Printf.printf "%-30s %12s %12s %10s %10s\n" "event" "FV" "Birnbaum"
-          "RAW" "RRW";
-        List.iteri
-          (fun i a ->
-            if i < top_n then
-              Printf.printf "%-30s %12.4e %12.4e %10.3f %10.3f\n"
-                (Fault_tree.basic_name tree a)
-                (Importance.fussell_vesely imp a)
-                (Importance.birnbaum imp a) (Importance.raw imp a)
-                (Importance.rrw imp a))
-          (Importance.rank_by_fussell_vesely imp))
+  let run session top_n =
+    session @@ fun s ->
+    let p = cutsets s in
+    let tree = p.translation.Sdft_translate.static_tree in
+    let imp = Importance.compute tree p.generation.Mocus.cutsets in
+    Printf.printf "%-30s %12s %12s %10s %10s\n" "event" "FV" "Birnbaum"
+      "RAW" "RRW";
+    List.iteri
+      (fun i a ->
+        if i < top_n then
+          Printf.printf "%-30s %12.4e %12.4e %10.3f %10.3f\n"
+            (Fault_tree.basic_name tree a)
+            (Importance.fussell_vesely imp a)
+            (Importance.birnbaum imp a) (Importance.raw imp a)
+            (Importance.rrw imp a))
+      (Importance.rank_by_fussell_vesely imp)
   in
   let top_n =
     Arg.(value & opt int 25 & info [ "top" ] ~docv:"N" ~doc:"Show the $(docv) most important events.")
   in
   Cmd.v
     (Cmd.info "importance" ~doc:"Importance measures (Fussell-Vesely, Birnbaum, RAW, RRW).")
-    Term.(const run $ file_arg $ cutoff_arg $ horizon_arg $ top_n $ resource_term $ observability_term)
+    Term.(const run $ session_term () $ top_n)
 
 (* uncertainty *)
 
 let uncertainty_cmd =
-  let run file cutoff horizon samples seed error_factor res obs =
-    with_observability obs (fun ctx ->
-        let sd = or_die (load_model file) in
-        let translation = Sdft_translate.translate sd ~horizon in
-        let tree = translation.Sdft_translate.static_tree in
-        let options = { Mocus.default_options with cutoff } in
-        Sdft_util.Obs.begin_phase ctx "generation" ();
-        let generation =
-          Mocus.run ~options ~guard:(guard_of_resource ctx res) ~obs:ctx tree
-        in
-        warn_generation_limit res generation;
-        let cutsets = generation.Mocus.cutsets in
-        let spec _ = Uncertainty.Lognormal { error_factor } in
-        let stats = Uncertainty.propagate ~samples ~seed tree cutsets ~spec in
-        Format.printf "%a@." Uncertainty.pp_stats stats)
+  let run session samples seed error_factor =
+    session @@ fun s ->
+    let p = cutsets s in
+    let spec _ = Uncertainty.Lognormal { error_factor } in
+    let stats =
+      Uncertainty.propagate ~samples ~seed p.translation.Sdft_translate.static_tree
+        p.generation.Mocus.cutsets ~spec
+    in
+    Format.printf "%a@." Uncertainty.pp_stats stats
   in
   let samples =
     Arg.(value & opt int 2000 & info [ "samples"; "n" ] ~docv:"N" ~doc:"Monte-Carlo parameter samples.")
@@ -825,25 +798,17 @@ let uncertainty_cmd =
   in
   Cmd.v
     (Cmd.info "uncertainty" ~doc:"Propagate lognormal parameter uncertainty over the cutset list.")
-    Term.(const run $ file_arg $ cutoff_arg $ horizon_arg $ samples $ seed $ ef $ resource_term $ observability_term)
+    Term.(const run $ session_term () $ samples $ seed $ ef)
 
 (* sensitivity *)
 
 let sensitivity_cmd =
-  let run file cutoff horizon factor top_n res obs =
-    with_observability obs (fun ctx ->
-        let sd = or_die (load_model file) in
-        let translation = Sdft_translate.translate sd ~horizon in
-        let tree = translation.Sdft_translate.static_tree in
-        let options = { Mocus.default_options with cutoff } in
-        Sdft_util.Obs.begin_phase ctx "generation" ();
-        let generation =
-          Mocus.run ~options ~guard:(guard_of_resource ctx res) ~obs:ctx tree
-        in
-        warn_generation_limit res generation;
-        let cutsets = generation.Mocus.cutsets in
-        let t = Sensitivity.tornado ~factor tree cutsets in
-        Sensitivity.print_ascii tree ~top:top_n t)
+  let run session factor top_n =
+    session @@ fun s ->
+    let p = cutsets s in
+    let tree = p.translation.Sdft_translate.static_tree in
+    let t = Sensitivity.tornado ~factor tree p.generation.Mocus.cutsets in
+    Sensitivity.print_ascii tree ~top:top_n t
   in
   let factor =
     Arg.(value & opt float 10.0 & info [ "factor" ] ~docv:"F" ~doc:"Multiplicative swing applied to each probability.")
@@ -853,7 +818,7 @@ let sensitivity_cmd =
   in
   Cmd.v
     (Cmd.info "sensitivity" ~doc:"One-at-a-time tornado sensitivity over the cutset list.")
-    Term.(const run $ file_arg $ cutoff_arg $ horizon_arg $ factor $ top_n $ resource_term $ observability_term)
+    Term.(const run $ session_term () $ factor $ top_n)
 
 (* convert *)
 
@@ -892,77 +857,57 @@ let convert_cmd =
 (* sequences *)
 
 let sequences_cmd =
-  let run file horizon cutoff top_n res obs =
-    with_observability obs (fun ctx ->
-        let sd = or_die (load_model file) in
-        let translation = Sdft_translate.translate sd ~horizon in
-        let options = { Mocus.default_options with cutoff } in
-        Sdft_util.Obs.begin_phase ctx "generation" ();
-        let generation =
-          Mocus.run ~options ~guard:(guard_of_resource ctx res) ~obs:ctx
-            translation.Sdft_translate.static_tree
-        in
-        warn_generation_limit res generation;
-        let cutsets = generation.Mocus.cutsets in
-        let tree = Sdft.tree sd in
-        List.iteri
-          (fun i c ->
-            if i < top_n then begin
-              let r = Cut_sequences.of_cutset sd c ~horizon in
-              Format.printf "%a (p~ = %.3e):@." (Cutset.pp tree) c
-                r.Cut_sequences.total;
-              List.iter
-                (fun s -> Format.printf "  %a@." (Cut_sequences.pp sd) s)
-                r.Cut_sequences.sequences
-            end)
-          (Cutset.sort_by_probability translation.Sdft_translate.static_tree
-             cutsets))
+  let run session top_n =
+    session @@ fun s ->
+    let p = cutsets s in
+    let tree = Sdft.tree s.sd in
+    List.iteri
+      (fun i c ->
+        if i < top_n then begin
+          let r =
+            Cut_sequences.of_cutset s.sd c ~horizon:s.options.horizon
+          in
+          Format.printf "%a (p~ = %.3e):@." (Cutset.pp tree) c
+            r.Cut_sequences.total;
+          List.iter
+            (fun seq -> Format.printf "  %a@." (Cut_sequences.pp s.sd) seq)
+            r.Cut_sequences.sequences
+        end)
+      (Cutset.sort_by_probability p.translation.Sdft_translate.static_tree
+         p.generation.Mocus.cutsets)
   in
   let top_n =
     Arg.(value & opt int 5 & info [ "top" ] ~docv:"N" ~doc:"Analyse the $(docv) most important cutsets.")
   in
   Cmd.v
     (Cmd.info "sequences" ~doc:"Minimal cut sequences: failure orders of each cutset with their probabilities.")
-    Term.(const run $ file_arg $ horizon_arg $ cutoff_arg $ top_n $ resource_term $ observability_term)
+    Term.(const run $ session_term () $ top_n)
 
 (* availability *)
 
 let availability_cmd =
-  let run file cutoff res obs =
-    with_observability obs (fun ctx ->
-        let sd = or_die (load_model file) in
-        let guard = guard_of_resource ctx res in
-        Sdft_util.Obs.begin_phase ctx "generation" ();
-        match Availability.analyze ~cutoff ~guard ~obs:ctx sd with
-        | Some r ->
-          (* A deadline guard stays tripped after expiry, so probing it here
-             tells us whether generation was cut short. *)
-          (match Sdft_util.Guard.status guard with
-          | Some reason ->
-            Printf.eprintf
-              "sdft: DEGRADED: cutset generation stopped early (%s); the \
-               unavailability sum covers only the cutsets generated before \
-               the limit\n"
-              (Sdft_util.Guard.reason_to_string reason);
-            if res.res_fail then raise (Exit_code 1)
-          | None -> ());
-          Printf.printf
-            "steady-state unavailability (REA over %d cutsets): %.4e\n"
-            r.Availability.n_cutsets r.Availability.unavailability;
-          let tree = Sdft.tree sd in
-          List.iter
-            (fun (b, q) ->
-              Printf.printf "  %-30s q = %.4e\n"
-                (Fault_tree.basic_name tree b) q)
-            r.Availability.per_event
-        | None ->
-          Printf.eprintf
-            "sdft: some dynamic event has no steady state (not repairable)\n";
-          raise (Exit_code 1))
+  let run session =
+    session @@ fun s ->
+    match Availability.analyze ~options:s.options ~obs:s.obs s.sd with
+    | Some r ->
+      report_generation s r.Availability.phase1;
+      Printf.printf
+        "steady-state unavailability (REA over %d cutsets): %.4e\n"
+        r.Availability.n_cutsets r.Availability.unavailability;
+      let tree = Sdft.tree s.sd in
+      List.iter
+        (fun (b, q) ->
+          Printf.printf "  %-30s q = %.4e\n"
+            (Fault_tree.basic_name tree b) q)
+        r.Availability.per_event
+    | None ->
+      Printf.eprintf
+        "sdft: some dynamic event has no steady state (not repairable)\n";
+      raise (Exit_code 1)
   in
   Cmd.v
     (Cmd.info "availability" ~doc:"Long-run unavailability of a repairable SD fault tree.")
-    Term.(const run $ file_arg $ cutoff_arg $ resource_term $ observability_term)
+    Term.(const run $ session_term ~horizon:false ())
 
 (* dot *)
 

@@ -59,13 +59,13 @@ let () =
   let dynamic_only_mean =
     (* mean over cutsets that have at least one dynamic event *)
     let num = ref 0 and acc = ref 0 in
-    List.iter
-      (fun (bucket, count) ->
+    Array.iteri
+      (fun bucket count ->
         if bucket > 0 then begin
           num := !num + count;
           acc := !acc + (bucket * count)
         end)
-      (Sdft_util.Histogram.buckets h);
+      h;
     if !num = 0 then 0.0 else float_of_int !acc /. float_of_int !num
   in
   Format.printf

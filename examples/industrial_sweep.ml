@@ -74,7 +74,7 @@ let () =
         last_dynamized := Some d.Dynamize.sd;
         Format.printf
           "@.dynamic events per minimal cutset at 100%% dynamization:@.";
-        Sdft_util.Histogram.print_ascii (Sdft_analysis.dynamic_histogram result)
+        Sdft_analysis.print_histogram (Sdft_analysis.dynamic_histogram result)
       end)
     [ 10; 20; 30; 40; 50; 100 ];
   Sdft_util.Table.print table;

@@ -63,10 +63,10 @@ type result = {
   unavailability : float;
   per_event : (int * float) list;
   n_cutsets : int;
+  phase1 : Sdft_analysis.phase1;
 }
 
-let analyze ?(cutoff = 1e-15) ?(engine = Sdft_analysis.Mocus_sound) ?guard
-    ?obs sd =
+let analyze ?(options = Sdft_analysis.default_options) ?obs sd =
   let tree = Sdft.tree sd in
   let nb = Fault_tree.n_basics tree in
   let rec per_event b acc =
@@ -83,21 +83,19 @@ let analyze ?(cutoff = 1e-15) ?(engine = Sdft_analysis.Mocus_sound) ?guard
     let q = Array.of_list (List.map snd per_event) in
     (* Generate cutsets on the translated tree (same cutsets as the SD
        model); quantify with steady-state unavailabilities. *)
-    let translation = Sdft_translate.translate ?obs sd ~horizon:24.0 in
-    let generation =
-      Sdft_analysis.generate_cutsets ~cutoff ?guard ?obs engine
-        translation.Sdft_translate.static_tree
-    in
+    let phase1 = Sdft_analysis.phase1 ?obs options sd in
+    let cutsets = phase1.Sdft_analysis.generation.Mocus.cutsets in
     let acc = Sdft_util.Kahan.create () in
     List.iter
       (fun c ->
         let p = Sdft_util.Int_set.fold (fun b m -> m *. q.(b)) c 1.0 in
         Sdft_util.Kahan.add acc p)
-      generation.Mocus.cutsets;
+      cutsets;
     Some
       {
         unavailability = Sdft_util.Kahan.total acc;
         per_event =
           List.filter (fun (b, _) -> Sdft.is_dynamic sd b) per_event;
-        n_cutsets = List.length generation.Mocus.cutsets;
+        n_cutsets = List.length cutsets;
+        phase1;
       }

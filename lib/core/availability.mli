@@ -19,15 +19,15 @@ type result = {
   unavailability : float;  (** rare-event approximation *)
   per_event : (int * float) list;  (** event index, steady-state q *)
   n_cutsets : int;
+  phase1 : Sdft_analysis.phase1;  (** how the cutsets were generated *)
 }
 
 val analyze :
-  ?cutoff:float -> ?engine:Sdft_analysis.engine -> ?guard:Sdft_util.Guard.t ->
-  ?obs:Sdft_util.Obs.t -> Sdft.t -> result option
-(** Minimal cutsets of the translated tree, quantified with steady-state
-    unavailabilities: static events keep their probability (interpreted as
-    an unavailability per demand), dynamic events use
-    {!event_unavailability}. [None] if some dynamic event has no steady
-    state (not repairable). [guard] bounds the cutset generation (see
-    {!Sdft_analysis.generate_cutsets}); an interrupted MOCUS run sums the
-    cutsets found before the limit. *)
+  ?options:Sdft_analysis.options -> ?obs:Sdft_util.Obs.t -> Sdft.t ->
+  result option
+(** The cutsets of {!Sdft_analysis.phase1} under [options] (default
+    {!Sdft_analysis.default_options}, so the engine is [Auto]), quantified
+    with steady-state unavailabilities: static events keep their
+    probability (interpreted as an unavailability per demand), dynamic
+    events use {!event_unavailability}. [None] if some dynamic event has no
+    steady state (not repairable). *)

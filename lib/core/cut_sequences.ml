@@ -117,7 +117,7 @@ let of_cutset ?(epsilon = 1e-12) ?(max_states = 1_000_000) ?rel_rule sd cutset
       let chain =
         Ctmc.make ~n_states ~transitions:(Sdft_util.Vec.to_list transitions)
       in
-      let options = { Transient.default_options with epsilon } in
+      let options = { Transient.epsilon } in
       let dist = Transient.distribution ~options chain ~init ~t:horizon in
       (* Group the absorbed mass by order, translating tracked slots back to
          original basic-event indices. *)

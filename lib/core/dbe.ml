@@ -153,7 +153,7 @@ let initial_on t =
   | Some sw -> List.map (fun (s, p) -> (sw.partner.(s), p)) t.init
 
 let worst_case_failure_probability ?(epsilon = 1e-12) ?obs t ~horizon =
-  let options = { Transient.default_options with epsilon } in
+  let options = { Transient.epsilon } in
   Transient.reach_within ~options ?obs t.chain ~init:(initial_on t)
     ~target:(fun s -> t.failed.(s))
     ~t:horizon

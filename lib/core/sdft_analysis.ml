@@ -125,7 +125,7 @@ let generate_cutsets ?(cutoff = 1e-15) ?(max_order = None)
   match resolve_engine engine tree with
   | Auto -> assert false (* resolve_engine never returns Auto *)
   | Mocus_sound ->
-    let options = { Mocus.default_options with cutoff; max_order } in
+    let options = { Mocus.cutoff; max_order } in
     Mocus.run ~options ~guard ~obs tree
   | Zdd_engine -> (
     match Zdd_engine.run ~cutoff ?max_order ~guard ~obs tree with
@@ -149,6 +149,55 @@ let generate_cutsets ?(cutoff = 1e-15) ?(max_order = None)
       }
     | exception Sdft_util.Guard.Limit_hit r -> empty_on r
     | exception Out_of_memory -> empty_on Sdft_util.Guard.Mem_limit)
+
+(* One guard per analysis: the deadline spans generation and quantification
+   together, so a generation overrun eats the budget of the quantification
+   phase (which then degrades cutset by cutset). A live progress reporter
+   rides the same guard: its probe callback runs at the guard's amortized
+   stride, so an unlimited-but-observed analysis keeps a (passive-limit)
+   guard just for the heartbeat. *)
+let resource_guard ?(obs = Obs.default) options =
+  match (options.deadline, options.mem_limit_mb, Obs.on_probe obs) with
+  | None, None, None -> Sdft_util.Guard.none
+  | deadline, mem_limit_mb, on_probe ->
+    Sdft_util.Guard.create ?deadline ?mem_limit_mb ?on_probe ()
+
+type phase1 = {
+  translation : Sdft_translate.result;
+  engine_used : engine;
+  generation : Mocus.result;
+  generation_seconds : float;
+}
+
+(* [Auto] is resolved against the translated tree (trigger gates only exist
+   post-translation) and the concrete choice is recorded as provenance. *)
+let phase1 ?guard ?(obs = Obs.default) options sd =
+  let guard =
+    match guard with Some g -> g | None -> resource_guard ~obs options
+  in
+  let h = handles_of obs.Obs.metrics in
+  let sink = obs.Obs.trace in
+  Obs.begin_phase obs "generation" ();
+  let (translation, engine_used, generation), generation_seconds =
+    Sdft_util.Timer.time (fun () ->
+        Metrics.time h.m_mcs_span (fun () ->
+            Trace.with_span ~sink "analysis.mcs_generation" (fun () ->
+                let translation =
+                  Sdft_translate.translate ~epsilon:options.transient_epsilon
+                    ~obs sd ~horizon:options.horizon
+                in
+                let engine_used =
+                  resolve_engine options.engine translation.static_tree
+                in
+                Trace.add_attr ~sink "engine"
+                  (Trace.Str (engine_name engine_used));
+                ( translation,
+                  engine_used,
+                  generate_cutsets ~cutoff:options.cutoff
+                    ~max_order:options.max_cutset_order ~guard ~obs
+                    engine_used translation.static_tree ))))
+  in
+  { translation; engine_used; generation; generation_seconds }
 
 type cutset_info = {
   cutset : Cutset.t;
@@ -213,41 +262,9 @@ let analyze ?(options = default_options) ?cache ?(obs = Obs.default) sd =
       Obs.finish_progress obs)
   @@ fun () ->
   Metrics.incr h.m_runs;
-  (* One guard for the whole analysis: the deadline spans generation and
-     quantification together, so a generation overrun eats the budget of the
-     quantification phase (which then degrades cutset by cutset). A live
-     progress reporter rides the same guard: its probe callback runs at the
-     guard's amortized stride, so an unlimited-but-observed analysis keeps a
-     (passive-limit) guard just for the heartbeat. *)
-  let guard =
-    match (options.deadline, options.mem_limit_mb, Obs.on_probe obs) with
-    | None, None, None -> Sdft_util.Guard.none
-    | deadline, mem_limit_mb, on_probe ->
-      Sdft_util.Guard.create ?deadline ?mem_limit_mb ?on_probe ()
-  in
-  Obs.begin_phase obs "generation" ();
-  (* Phase 1: translation and cutset generation. [Auto] is resolved against
-     the translated tree (trigger gates only exist post-translation) and the
-     concrete choice is recorded as provenance on the result and on every
-     cutset record. *)
-  let (translation, engine_used, mocus_result), mcs_generation_seconds =
-    Sdft_util.Timer.time (fun () ->
-        Metrics.time h.m_mcs_span (fun () ->
-            Trace.with_span ~sink "analysis.mcs_generation" (fun () ->
-            let translation =
-              Sdft_translate.translate ~epsilon:options.transient_epsilon ~obs
-                sd ~horizon:options.horizon
-            in
-            let engine_used =
-              resolve_engine options.engine translation.static_tree
-            in
-            Trace.add_attr ~sink "engine"
-              (Trace.Str (engine_name engine_used));
-            ( translation,
-              engine_used,
-              generate_cutsets ~cutoff:options.cutoff
-                ~max_order:options.max_cutset_order ~guard ~obs engine_used
-                translation.static_tree ))))
+  let guard = resource_guard ~obs options in
+  let { translation; engine_used; generation; generation_seconds } =
+    phase1 ~guard ~obs options sd
   in
   (* Phase 2: per-cutset quantification, walking a degradation ladder per
      cutset: exact product-chain quantification when resources allow it,
@@ -451,7 +468,7 @@ let analyze ?(options = default_options) ?cache ?(obs = Obs.default) sd =
     Array.iteri (fun pos r -> restored.(order.(pos)) <- Some r) results;
     List.init n (fun i -> Option.get restored.(i))
   in
-  let all_cutsets = mocus_result.Mocus.cutsets in
+  let all_cutsets = generation.Mocus.cutsets in
   Obs.begin_phase obs "quantification" ~total:(List.length all_cutsets)
     ~cost_total:
       (List.fold_left (fun acc c -> acc +. cost_of c) 0.0 all_cutsets)
@@ -516,16 +533,16 @@ let analyze ?(options = default_options) ?cache ?(obs = Obs.default) sd =
   (* Both engines account for what their cutoff and order bounds drop
      (MOCUS as an upper bound, the ZDD engine exactly), so only truncated
      generation leaves mass unaccounted. *)
-  let vacuous = mocus_result.Mocus.truncated in
+  let vacuous = generation.Mocus.truncated in
   let upper =
     if vacuous then Float.max 1.0 total
     else
-      total +. mocus_result.Mocus.pruned_mass +. below_cutoff_mass
+      total +. generation.Mocus.pruned_mass +. below_cutoff_mass
       +. solver_error_total
   in
   let budget =
     {
-      pruned_mass = mocus_result.Mocus.pruned_mass;
+      pruned_mass = generation.Mocus.pruned_mass;
       below_cutoff_mass;
       solver_error_total;
       rare_event_slack = Float.max 0.0 (total -. lower);
@@ -539,7 +556,7 @@ let analyze ?(options = default_options) ?cache ?(obs = Obs.default) sd =
       List.length (List.filter (fun info -> info.degraded = Some r) infos)
     in
     {
-      generation_limit = mocus_result.Mocus.limit_hit;
+      generation_limit = generation.Mocus.limit_hit;
       degraded_cutsets =
         List.filter_map
           (fun r ->
@@ -567,13 +584,14 @@ let analyze ?(options = default_options) ?cache ?(obs = Obs.default) sd =
     n_fallbacks;
     budget;
     degradation;
-    mcs_generation_seconds;
+    mcs_generation_seconds = generation_seconds;
     quantification_seconds;
-    generation = mocus_result;
+    generation;
     translation;
   })
 
-let static_rare_event ?(cutoff = 1e-15) ?(engine = Mocus_sound) tree =
+let static_rare_event ?(cutoff = 1e-15) ?(engine = default_options.engine)
+    tree =
   let result = generate_cutsets ~cutoff engine tree in
   let relevant =
     List.filter
@@ -583,11 +601,26 @@ let static_rare_event ?(cutoff = 1e-15) ?(engine = Mocus_sound) tree =
   (Cutset.rare_event_approximation tree relevant, List.length relevant)
 
 let dynamic_histogram result =
-  let h = Sdft_util.Histogram.create () in
+  let n =
+    List.fold_left (fun acc info -> max acc (info.n_dynamic + 1)) 0
+      result.cutsets
+  in
+  let counts = Array.make n 0 in
   List.iter
-    (fun info -> Sdft_util.Histogram.observe h info.n_dynamic)
+    (fun info -> counts.(info.n_dynamic) <- counts.(info.n_dynamic) + 1)
     result.cutsets;
-  h
+  counts
+
+let print_histogram ?(label = "") counts =
+  if label <> "" then Printf.printf "%s\n" label;
+  let peak = Array.fold_left max 1 counts in
+  let bar_width = 50 in
+  Array.iteri
+    (fun i c ->
+      Printf.printf "  %3d | %-*s %d\n" i bar_width
+        (String.make (c * bar_width / peak) '#')
+        c)
+    counts
 
 let mean_added_dynamic result =
   let dynamic = List.filter (fun info -> info.n_dynamic > 0) result.cutsets in

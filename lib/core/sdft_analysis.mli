@@ -79,6 +79,26 @@ val resolve_engine : engine -> Fault_tree.t -> engine
     compilation risks dwarfing MOCUS's anytime behaviour; otherwise it
     picks [Zdd_engine]. *)
 
+val resource_guard : ?obs:Sdft_util.Obs.t -> options -> Sdft_util.Guard.t
+(** The one place a guard is built: [options.deadline] and
+    [options.mem_limit_mb] plus the probe hook of [obs], so a live progress
+    reporter keeps a passive guard for its heartbeat. *)
+
+type phase1 = {
+  translation : Sdft_translate.result;
+  engine_used : engine;  (** [options.engine], resolved *)
+  generation : Mocus.result;
+  generation_seconds : float;  (** translation plus generation *)
+}
+
+val phase1 :
+  ?guard:Sdft_util.Guard.t -> ?obs:Sdft_util.Obs.t -> options -> Sdft.t ->
+  phase1
+(** Phase 1 (Section V-B), the front door of every cutset consumer: translate
+    at [options.horizon], resolve [options.engine] against the translated
+    tree and {!generate_cutsets} under [options.cutoff] and
+    [options.max_cutset_order]. [guard] defaults to {!resource_guard}. *)
+
 type cutset_info = {
   cutset : Cutset.t;
   probability : float;  (** [p~(C)] — time-aware when dynamic *)
@@ -135,10 +155,10 @@ type error_budget = {
           budget cannot account for all discarded mass and [upper] degrades
           to [max 1 total]. *)
   vacuous : bool;
-      (** the interval is trivial: cutset generation was truncated (a
-          resource limit interrupted the ZDD engine, or MOCUS hit its count
-          bound). Both engines account for what their cutoff and order
-          bounds drop, so nothing else makes an interval vacuous. *)
+      (** the interval is trivial: a resource limit interrupted the ZDD
+          engine's compilation. Both engines account for what their cutoff
+          and order bounds drop, so nothing else makes an interval
+          vacuous. *)
 }
 
 type degradation = {
@@ -289,7 +309,9 @@ val static_rare_event :
   ?cutoff:float -> ?engine:engine -> Fault_tree.t -> float * int
 (** Baseline "no timing" analysis of a plain static tree: cutset generation
     plus rare-event approximation. Returns the approximation and the number
-    of cutsets above the cutoff. *)
+    of cutsets above the cutoff. [cutoff] defaults to [1e-15] and [engine]
+    to [default_options.engine] ([Auto], which picks [Zdd_engine] on a
+    static tree whose modules are narrow enough). *)
 
 val generate_cutsets :
   ?cutoff:float -> ?max_order:int option -> ?guard:Sdft_util.Guard.t ->
@@ -302,9 +324,15 @@ val generate_cutsets :
     [generated]/[pruned_by_cutoff] count {e all} minimal cutsets
     (saturating at [max_int]). *)
 
-val dynamic_histogram : result -> Sdft_util.Histogram.t
+val dynamic_histogram : result -> int array
 (** Distribution of the number of dynamic basic events per minimal cutset
-    (Figure 2). *)
+    (Figure 2): entry [k] counts the cutsets with [k] dynamic events; the
+    array ends at the largest [k] observed (empty when there are no
+    cutsets). *)
+
+val print_histogram : ?label:string -> int array -> unit
+(** Horizontal ASCII bar chart of {!dynamic_histogram} on stdout, one line
+    per count, after [label] on its own line when non-empty. *)
 
 val mean_added_dynamic : result -> float
 (** Among cutsets with dynamic events: mean number of events added because

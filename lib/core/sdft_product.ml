@@ -542,7 +542,7 @@ let build ?(max_states = 1_000_000) ?assumed_failed ?(generic = false)
       built)
 
 let unreliability ?(epsilon = 1e-12) ?guard ?workspace ?obs built ~horizon =
-  let options = { Transient.default_options with epsilon } in
+  let options = { Transient.epsilon } in
   Transient.reach_within ~options ?guard ?workspace ?obs built.chain
     ~init:built.init
     ~target:(fun s -> built.failed.(s))

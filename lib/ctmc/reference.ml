@@ -130,10 +130,8 @@ let distribution ?(options = Transient.default_options) chain ~init ~t =
       remaining := !remaining -. w;
       if !k < window.Poisson.right then begin
         dtmc_step chain q pi scratch;
-        if
-          options.Transient.steady_state_detection
-          && max_abs_diff pi scratch < options.Transient.epsilon /. 8.0
-        then stationary := true
+        if max_abs_diff pi scratch < options.Transient.epsilon /. 8.0 then
+          stationary := true
         else Array.blit scratch 0 pi 0 n
       end;
       incr k

@@ -23,12 +23,9 @@ let default_handles = handles_in Metrics.default
 let handles_of m =
   if m == Metrics.default then default_handles else handles_in m
 
-type options = {
-  epsilon : float;
-  steady_state_detection : bool;
-}
+type options = { epsilon : float }
 
-let default_options = { epsilon = 1e-12; steady_state_detection = true }
+let default_options = { epsilon = 1e-12 }
 
 (* Scratch vectors reused across solves. The buffers only grow, so after a
    batch of solves they are sized to the largest chain seen; any prefix
@@ -183,10 +180,8 @@ let solve_into ~options ~guard ~obs ws chain ~init ~t =
       remaining := !remaining -. w;
       if !k < window.Poisson.right then begin
         dtmc_step chain q pi scratch;
-        if
-          options.steady_state_detection
-          && max_abs_diff n pi scratch < options.epsilon /. 8.0
-        then stationary := true
+        if max_abs_diff n pi scratch < options.epsilon /. 8.0 then
+          stationary := true
         else Array.blit scratch 0 pi 0 n
       end;
       incr k

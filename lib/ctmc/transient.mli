@@ -5,9 +5,9 @@
     the transient mass of the target states after making them absorbing. *)
 
 type options = {
-  epsilon : float;  (** truncation error bound for the Poisson window *)
-  steady_state_detection : bool;
-      (** stop iterating the DTMC once the vector is numerically stationary *)
+  epsilon : float;
+      (** truncation error bound for the Poisson window; the DTMC iteration
+          also stops once the vector is stationary to within [epsilon / 8] *)
 }
 
 val default_options : options

@@ -37,11 +37,9 @@ let handles_of m =
 type options = {
   cutoff : float;
   max_order : int option;
-  max_cutsets : int option;
 }
 
-let default_options =
-  { cutoff = 1e-15; max_order = None; max_cutsets = None }
+let default_options = { cutoff = 1e-15; max_order = None }
 
 type result = {
   cutsets : Cutset.t list;
@@ -107,7 +105,6 @@ let run_inner ~options ~guard ~obs ~h tree =
   let pruned_mass = Sdft_util.Kahan.create () in
   let deduped = ref 0 in
   let pushes = ref 0 in
-  let truncated = ref false in
   let seen : (Int_set.t * Int_set.t, unit) Hashtbl.t = Hashtbl.create 4096 in
   let stack = Stack.create () in
   let push p =
@@ -123,11 +120,6 @@ let run_inner ~options ~guard ~obs ~h tree =
     match options.max_order with
     | None -> false
     | Some k -> Int_set.cardinal basics > k
-  in
-  let budget_left () =
-    match options.max_cutsets with
-    | None -> true
-    | Some m -> Sdft_util.Vec.length out < m
   in
   (* Expand AND gates first (no branching); among OR gates pick the one
      with the smallest probability estimate, so that improbable basics
@@ -187,7 +179,7 @@ let run_inner ~options ~guard ~obs ~h tree =
     (* The resource checkpoints sit before the pop so that, when a limit
        fires, every partial not yet refined is still on the stack and its
        mass can be folded below — nothing escapes the accounting. *)
-    while (not (Stack.is_empty stack)) && budget_left () do
+    while not (Stack.is_empty stack) do
     Sdft_util.Guard.check guard;
     Failpoint.hit_in fp "mocus.expand";
     let depth = Stack.length stack in
@@ -236,7 +228,6 @@ let run_inner ~options ~guard ~obs ~h tree =
        partial exactly once (the [seen] table dedupes pushes). *)
     Stack.iter (fun p -> Sdft_util.Kahan.add pruned_mass p.prob) stack;
     Stack.clear stack);
-  if not (Stack.is_empty stack) then truncated := true;
   let generated = Sdft_util.Vec.length out in
   let cutsets = Cutset.minimize (Sdft_util.Vec.to_list out) in
   (* Publish the locally accumulated tallies with one atomic add each. *)
@@ -252,7 +243,7 @@ let run_inner ~options ~guard ~obs ~h tree =
       generated;
       pruned_by_cutoff = !pruned;
       pruned_mass = Sdft_util.Kahan.total pruned_mass;
-      truncated = !truncated;
+      truncated = false;
       limit_hit = !limit;
     }
   in

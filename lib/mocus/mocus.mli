@@ -14,13 +14,10 @@ type options = {
           [1e-15]); [0.] disables pruning *)
   max_order : int option;
       (** optionally discard cutsets with more basic events than this *)
-  max_cutsets : int option;
-      (** optional safety valve on the number of generated (pre-minimization)
-          cutsets; generation stops once reached *)
 }
 
 val default_options : options
-(** [cutoff = 1e-15], no order bound, no count bound. *)
+(** [cutoff = 1e-15], no order bound. *)
 
 type result = {
   cutsets : Cutset.t list;  (** minimal cutsets, sorted by (size, lex) *)
@@ -33,7 +30,10 @@ type result = {
           {e any} cutset refining the partial fails). Feeds the error budget
           of {!Sdft_analysis}. Sound because pruning looks only at the
           paper's basics-only product, never at per-gate estimates. *)
-  truncated : bool;  (** true when [max_cutsets] stopped the search *)
+  truncated : bool;
+      (** the cutset list is missing cutsets that no mass accounts for. Its
+          only source is the ZDD engine's interrupted compilation (see
+          {!Sdft_analysis.generate_cutsets}); {!run} never sets it. *)
   limit_hit : Sdft_util.Guard.reason option;
       (** a resource guard (or simulated limit) stopped the expansion early.
           Unlike [truncated], this degradation is {e accounted}: the basics

@@ -78,3 +78,11 @@ let on_probe obs =
       (fun () ->
         (match obs.probe with Some f -> f () | None -> ());
         tick obs)
+
+let write_dumps ?format ?metrics ?trace () =
+  let write path f =
+    match path with
+    | None -> []
+    | Some path -> ( try f path; [] with Sys_error m -> [ m ])
+  in
+  write metrics (Metrics.write_file ?format) @ write trace Trace.write_file

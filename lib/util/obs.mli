@@ -83,5 +83,12 @@ val on_probe : t -> (unit -> unit) option
     a progress reporter or an extra probe ({!with_on_probe}), [None]
     otherwise — so guards stay passive when nothing wants the heartbeat. *)
 
+val write_dumps :
+  ?format:Metrics.format -> ?metrics:string -> ?trace:string -> unit ->
+  string list
+(** The executables' [--metrics FILE] / [--trace FILE] dumps of the default
+    registries ({!Metrics.write_file}, {!Trace.write_file}), each when
+    given. Returns the messages of the writes that failed. *)
+
 val heap_mb : unit -> float
 (** Current major-heap size in MB ([Gc.quick_stat]). *)

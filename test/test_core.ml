@@ -589,9 +589,7 @@ let test_analysis_pumps_summary () =
   Alcotest.(check int) "3 dynamic cutsets" 3 r.Sdft_analysis.n_dynamic_cutsets;
   check_close ~eps:1e-7 "golden total" 3.522e-4 r.Sdft_analysis.total;
   let h = Sdft_analysis.dynamic_histogram r in
-  Alcotest.(check int) "hist 0" 2 (Sdft_util.Histogram.count h 0);
-  Alcotest.(check int) "hist 1" 2 (Sdft_util.Histogram.count h 1);
-  Alcotest.(check int) "hist 2" 1 (Sdft_util.Histogram.count h 2);
+  Alcotest.(check (array int)) "histogram" [| 2; 2; 1 |] h;
   check_close ~eps:1e-12 "no added events" 0.0 (Sdft_analysis.mean_added_dynamic r)
 
 let test_analysis_cutoff_excludes () =
@@ -1301,7 +1299,9 @@ let test_availability_analyze () =
         ]
       ~triggers:[]
   in
-  match Availability.analyze ~cutoff:0.0 sd with
+  match Availability.analyze
+      ~options:{ Sdft_analysis.default_options with cutoff = 0.0 }
+      sd with
   | Some r ->
     let qx = 0.02 /. 0.52 and qy = 0.03 /. 0.43 in
     check_close ~eps:1e-9 "product" (qx *. qy) r.Availability.unavailability;
@@ -1318,7 +1318,9 @@ let test_availability_mixed_static () =
   let sd =
     Sdft.make tree ~dynamic:[ ("x", Dbe.exponential ~lambda:0.01 ~mu:1.0 ()) ] ~triggers:[]
   in
-  match Availability.analyze ~cutoff:0.0 sd with
+  match Availability.analyze
+      ~options:{ Sdft_analysis.default_options with cutoff = 0.0 }
+      sd with
   | Some r ->
     check_close ~eps:1e-9 "sum" (1e-3 +. (0.01 /. 1.01)) r.Availability.unavailability
   | None -> Alcotest.fail "expected result"

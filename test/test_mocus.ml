@@ -89,15 +89,9 @@ let test_cutoff_drops_small_cutsets () =
     (not (List.exists (Int_set.equal (set [ "b"; "d" ])) r.Mocus.cutsets))
 
 let test_max_order () =
-  let options = { Mocus.default_options with max_order = Some 1; cutoff = 0.0 } in
+  let options = { Mocus.max_order = Some 1; cutoff = 0.0 } in
   let r = Mocus.run ~options pumps in
   Alcotest.(check (list iset)) "only {e}" [ set [ "e" ] ] r.Mocus.cutsets
-
-let test_max_cutsets_truncates () =
-  let options = { Mocus.default_options with max_cutsets = Some 2; cutoff = 0.0 } in
-  let r = Mocus.run ~options pumps in
-  Alcotest.(check bool) "truncated flag" true r.Mocus.truncated;
-  Alcotest.(check bool) "at most 2" true (List.length r.Mocus.cutsets <= 2)
 
 let test_zero_cutoff_exhaustive () =
   let options = { Mocus.default_options with cutoff = 0.0 } in
@@ -395,7 +389,6 @@ let () =
         [
           Alcotest.test_case "cutoff" `Quick test_cutoff_drops_small_cutsets;
           Alcotest.test_case "max order" `Quick test_max_order;
-          Alcotest.test_case "max cutsets" `Quick test_max_cutsets_truncates;
           Alcotest.test_case "exhaustive" `Quick test_zero_cutoff_exhaustive;
           Alcotest.test_case "pruned mass exact (disjoint)" `Quick test_pruned_mass_exact_on_disjoint_tree;
           Alcotest.test_case "pruned mass bounds lost REA" `Quick test_pruned_mass_bounds_lost_rea;

@@ -1,5 +1,5 @@
 (* Tests for the utility library: vectors, RNG, compensated sums, sorted
-   integer sets, histograms, tables. *)
+   integer sets, tables. *)
 
 open Sdft_util
 
@@ -237,32 +237,6 @@ let prop_mem =
   QCheck.Test.make ~name:"Int_set.mem agrees with Set.mem" ~count:500
     (QCheck.pair (QCheck.int_bound 30) small_list) (fun (x, l) ->
       Int_set.mem x (Int_set.of_list l) = IS.mem x (IS.of_list l))
-
-(* Histogram *)
-
-let test_histogram_counts () =
-  let h = Histogram.create () in
-  List.iter (Histogram.observe h) [ 0; 1; 1; 2; 2; 2; 5 ];
-  Alcotest.(check int) "count 0" 1 (Histogram.count h 0);
-  Alcotest.(check int) "count 1" 2 (Histogram.count h 1);
-  Alcotest.(check int) "count 2" 3 (Histogram.count h 2);
-  Alcotest.(check int) "count 3" 0 (Histogram.count h 3);
-  Alcotest.(check int) "count 5" 1 (Histogram.count h 5);
-  Alcotest.(check int) "total" 7 (Histogram.total h);
-  Alcotest.(check int) "max bucket" 5 (Histogram.max_bucket h)
-
-let test_histogram_mean () =
-  let h = Histogram.create () in
-  List.iter (Histogram.observe h) [ 1; 2; 3 ];
-  check_float "mean" 2.0 (Histogram.mean h);
-  let empty = Histogram.create () in
-  check_float "empty mean" 0.0 (Histogram.mean empty)
-
-let test_histogram_negative () =
-  let h = Histogram.create () in
-  Alcotest.check_raises "negative bucket"
-    (Invalid_argument "Histogram.observe: negative bucket") (fun () ->
-      Histogram.observe h (-1))
 
 (* Table *)
 
@@ -683,12 +657,6 @@ let () =
           Alcotest.test_case "remove" `Quick test_int_set_remove;
         ]
         @ qc [ prop_union; prop_inter; prop_diff; prop_subset; prop_mem; prop_remove ] );
-      ( "histogram",
-        [
-          Alcotest.test_case "counts" `Quick test_histogram_counts;
-          Alcotest.test_case "mean" `Quick test_histogram_mean;
-          Alcotest.test_case "negative" `Quick test_histogram_negative;
-        ] );
       ( "table",
         [
           Alcotest.test_case "render" `Quick test_table_renders;
