@@ -172,8 +172,9 @@ let e3_models () =
   run "model 2" m2 Sdft_analysis.Zdd_engine "ZDD";
   Table.print t;
   print_endline
-    "(the sound basics-only MOCUS reproduces the hours-scale generation times\n\
-    \ the paper reports for the commercial solver; it is skipped at full scale)"
+    "(the sound basics-only MOCUS is skipped at full scale; at this scale it\n\
+    \ takes seconds, so nothing here reproduces the hours-scale generation\n\
+    \ times the paper reports for the commercial solver)"
 
 (* ------------------------------------------------------------------ *)
 (* E4 + E5: dynamization sweep on model 1 (Section VI-B sweep table) and

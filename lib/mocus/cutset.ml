@@ -16,52 +16,36 @@ let is_minimal_cutset tree c =
        c
 
 let minimize sets =
-  let sets = List.sort_uniq Int_set.compare sets in
-  match sets with
+  match List.sort_uniq Int_set.compare sets with
   | [] -> []
   | first :: _ when Int_set.cardinal first = 0 ->
-    (* The empty set subsumes everything (and the occurrence-index test
-       below cannot see it, having no elements to index). *)
+    (* Subsumes everything, and has no event to be listed under. *)
     [ Int_set.empty ]
-  | _ ->
+  | sets ->
     (* Scan in increasing cardinality; a set is kept unless some already
-       kept (hence no larger) set is a subset. The occurrence index maps a
-       basic event to the kept cutsets containing it, so the subset test
-       only counts hits among cutsets sharing elements with the candidate. *)
-    let max_elt =
-      List.fold_left
-        (fun acc s -> Int_set.fold (fun x m -> max x m) s acc)
-        0 sets
+       kept (hence no larger) set is a subset. Each kept set is listed under
+       its rarest event over the input, which a superset also contains, so a
+       candidate only tests the lists of its own events. *)
+    let max_elt = List.fold_left (fun m s -> Int_set.fold max s m) 0 sets in
+    let frequency = Array.make (max_elt + 1) 0 in
+    List.iter (Int_set.iter (fun b -> frequency.(b) <- frequency.(b) + 1)) sets;
+    let index = Array.make (max_elt + 1) [] in
+    let rarest s =
+      Int_set.fold
+        (fun b r -> if frequency.(b) < frequency.(r) then b else r)
+        s (s :> int array).(0)
     in
-    let occurrences = Array.make (max_elt + 1) [] in
-    let kept = Sdft_util.Vec.create () in
-    let kept_size = Sdft_util.Vec.create () in
-    let hit_count = Hashtbl.create 64 in
-    let subsumed candidate =
-      Hashtbl.reset hit_count;
-      let found = ref false in
-      Int_set.iter
-        (fun b ->
-          if not !found then
-            List.iter
-              (fun id ->
-                let c = (try Hashtbl.find hit_count id with Not_found -> 0) + 1 in
-                Hashtbl.replace hit_count id c;
-                if c = Sdft_util.Vec.get kept_size id then found := true)
-              occurrences.(b))
-        candidate;
-      !found
-    in
-    List.iter
+    List.filter
       (fun s ->
-        if not (subsumed s) then begin
-          let id = Sdft_util.Vec.length kept in
-          Sdft_util.Vec.push kept s;
-          Sdft_util.Vec.push kept_size (Int_set.cardinal s);
-          Int_set.iter (fun b -> occurrences.(b) <- id :: occurrences.(b)) s
-        end)
-      sets;
-    Sdft_util.Vec.to_list kept
+        let subsumes k = Int_set.subset k s in
+        let kept =
+          not (Int_set.exists (fun b -> List.exists subsumes index.(b)) s)
+        in
+        (if kept then
+           let r = rarest s in
+           index.(r) <- s :: index.(r));
+        kept)
+      sets
 
 let rare_event_approximation tree sets =
   Sdft_util.Kahan.sum_list (List.map (probability tree) sets)

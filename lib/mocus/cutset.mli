@@ -23,8 +23,9 @@ val is_minimal_cutset : Fault_tree.t -> t -> bool
 val minimize : t list -> t list
 (** Remove every set that is a (non-strict) superset of another one;
     duplicates collapse to one representative. The result is sorted by
-    cardinality then lexicographically. Runs in roughly
-    O(total size * average occurrence-list length). *)
+    cardinality then lexicographically. After the O(n log n) sort, a set [C]
+    costs one O(|C|) subset test per kept set listed under an event of [C];
+    each kept set is listed under its rarest event only. *)
 
 val rare_event_approximation : Fault_tree.t -> t list -> float
 (** Sum of cutset probabilities — the upper approximation used throughout

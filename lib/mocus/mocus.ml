@@ -10,6 +10,7 @@ module Obs = Sdft_util.Obs
    as before. *)
 type handles = {
   m_run_span : Metrics.span;
+  m_minimize_span : Metrics.span;
   m_runs : Metrics.counter;
   m_generated : Metrics.counter;
   m_pruned : Metrics.counter;
@@ -21,6 +22,7 @@ type handles = {
 let handles_in m =
   {
     m_run_span = Metrics.span_in m "mocus.run";
+    m_minimize_span = Metrics.span_in m "mocus.minimize";
     m_runs = Metrics.counter_in m "mocus.runs";
     m_generated = Metrics.counter_in m "mocus.partials_generated";
     m_pruned = Metrics.counter_in m "mocus.partials_pruned";
@@ -229,7 +231,14 @@ let run_inner ~options ~guard ~obs ~h tree =
     Stack.iter (fun p -> Sdft_util.Kahan.add pruned_mass p.prob) stack;
     Stack.clear stack);
   let generated = Sdft_util.Vec.length out in
-  let cutsets = Cutset.minimize (Sdft_util.Vec.to_list out) in
+  let cutsets =
+    Trace.with_span ~sink "mocus.minimize" @@ fun () ->
+    let minimize () = Cutset.minimize (Sdft_util.Vec.to_list out) in
+    let cutsets = Metrics.time h.m_minimize_span minimize in
+    Trace.add_attr ~sink "candidates" (Trace.Int generated);
+    Trace.add_attr ~sink "kept" (Trace.Int (List.length cutsets));
+    cutsets
+  in
   (* Publish the locally accumulated tallies with one atomic add each. *)
   Metrics.incr h.m_runs;
   Metrics.add h.m_generated !pushes;

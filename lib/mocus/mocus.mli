@@ -54,7 +54,9 @@ val run :
     into [pruned_mass] instead of raising. The [mocus.expand] failpoint site
     of [obs] (default {!Sdft_util.Obs.default}) is checkpointed at the same
     place; metrics and trace spans go to the same context, including the
-    [mocus.peak_stack_depth] high-water gauge. *)
+    [mocus.peak_stack_depth] high-water gauge and the [mocus.minimize] span
+    (a child of [mocus.run], with [candidates] and [kept] attributes), which
+    splits generation time into expansion and minimization. *)
 
 val minimal_cutsets :
   ?options:options ->

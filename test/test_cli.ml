@@ -2,7 +2,7 @@
    compare stdout and the exit status with recorded goldens. Timing lines
    are masked before the comparison. The industrial rows exercise the
    cutset subcommands through the engine [auto] picks (ZDD on that
-   model); on MOCUS each of them would take close to a minute. *)
+   model); on MOCUS each of them would take about 4 s. *)
 
 let sdft_bin = "../bin/main.exe"
 

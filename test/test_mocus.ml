@@ -72,6 +72,50 @@ let test_minimize_empty_set_dominates () =
   let sets = [ Int_set.empty; Int_set.of_list [ 1 ] ] in
   Alcotest.(check (list iset)) "only empty" [ Int_set.empty ] (Cutset.minimize sets)
 
+(* Minimization against its definition, all pairs: a set is kept unless
+   another input set is a proper subset of it, and duplicates collapse. *)
+let naive_minimize sets =
+  let sets = List.sort_uniq Int_set.compare sets in
+  List.filter
+    (fun s ->
+      not
+        (List.exists
+           (fun t -> (not (Int_set.equal t s)) && Int_set.subset t s)
+           sets))
+    sets
+
+let gen_family =
+  let open QCheck.Gen in
+  let sets ~n ~size ~events =
+    list_size n (map Int_set.of_list (list_size size events))
+  in
+  let* loose = sets ~n:(0 -- 20) ~size:(1 -- 5) ~events:(0 -- 11) in
+  let* singles = list_size (0 -- 3) (map Int_set.singleton (0 -- 11)) in
+  (* Incomparable sets sharing event 20, padded by sets over 0..5 alone so
+     that 20 is the rarest event of each, and each is listed under it. *)
+  let* hub = sets ~n:(0 -- 20) ~size:(2 -- 3) ~events:(0 -- 5) in
+  let hub = List.map (Int_set.add 20) hub in
+  let* padding = sets ~n:(0 -- 40) ~size:(3 -- 4) ~events:(0 -- 5) in
+  let* empty = frequency [ (9, return []); (1, return [ Int_set.empty ]) ] in
+  let family = loose @ singles @ hub @ padding @ empty in
+  let* repeated = 0 -- List.length family in
+  shuffle_l (family @ List.filteri (fun i _ -> i < repeated) family)
+
+let prop_minimize_equals_naive =
+  QCheck.Test.make ~name:"minimize = all-pairs oracle, (size, lex) order"
+    ~count:500
+    (QCheck.make
+       ~print:(fun f ->
+         String.concat " " (List.map (Format.asprintf "%a" Int_set.pp) f))
+       gen_family)
+    (fun family ->
+      let got = Cutset.minimize family in
+      let rec increasing = function
+        | a :: (b :: _ as rest) -> Int_set.compare a b < 0 && increasing rest
+        | [ _ ] | [] -> true
+      in
+      increasing got && List.equal Int_set.equal got (naive_minimize family))
+
 let test_sort_by_probability () =
   let mcs = Mocus.minimal_cutsets pumps in
   let sorted = Cutset.sort_by_probability pumps mcs in
@@ -190,6 +234,38 @@ let test_seed_models_mocus_equals_bdd () =
   in
   check_model "pumps" pumps;
   check_model "bwr" (Bwr.static_tree ())
+
+(* The minimization is a child span of the run, in the run's own metrics
+   registry and trace sink, and tracing leaves the result unchanged. *)
+let test_minimize_span () =
+  let module Obs = Sdft_util.Obs in
+  let module Metrics = Sdft_util.Metrics in
+  let module Trace = Sdft_util.Trace in
+  let tree = Bwr.static_tree () in
+  let obs = Obs.create () in
+  let traced = Mocus.run ~obs tree in
+  let untraced =
+    Mocus.run ~obs:(Obs.create ~trace:(Trace.create ~enabled:false ()) ()) tree
+  in
+  Alcotest.(check (list iset)) "same cutsets" untraced.Mocus.cutsets
+    traced.Mocus.cutsets;
+  Alcotest.(check bool) "same pruned mass" true
+    (Int64.equal
+       (Int64.bits_of_float untraced.Mocus.pruned_mass)
+       (Int64.bits_of_float traced.Mocus.pruned_mass));
+  Alcotest.(check int) "metrics span" 1
+    (Metrics.span_count (Metrics.span_in obs.Obs.metrics "mocus.minimize"));
+  let events = Trace.snapshot_in obs.Obs.trace in
+  let find name = List.find (fun e -> e.Trace.ev_name = name) events in
+  let run = find "mocus.run" and minimize = find "mocus.minimize" in
+  Alcotest.(check int) "child span" (run.Trace.ev_depth + 1)
+    minimize.Trace.ev_depth;
+  Alcotest.(check bool) "candidates" true
+    (List.assoc_opt "candidates" minimize.Trace.ev_attrs
+     = Some (Trace.Int traced.Mocus.generated));
+  Alcotest.(check bool) "kept" true
+    (List.assoc_opt "kept" minimize.Trace.ev_attrs
+     = Some (Trace.Int (List.length traced.Mocus.cutsets)))
 
 (* Agreement with the exact BDD engine on random trees — the central
    correctness property of the MOCUS implementation. *)
@@ -393,10 +469,12 @@ let () =
           Alcotest.test_case "pruned mass exact (disjoint)" `Quick test_pruned_mass_exact_on_disjoint_tree;
           Alcotest.test_case "pruned mass bounds lost REA" `Quick test_pruned_mass_bounds_lost_rea;
           Alcotest.test_case "seed models = BDD" `Quick test_seed_models_mocus_equals_bdd;
+          Alcotest.test_case "minimize span" `Quick test_minimize_span;
         ] );
       ( "properties",
         qc
           [
+            prop_minimize_equals_naive;
             prop_mocus_equals_bdd;
             prop_cutoff_keeps_all_above;
             prop_mocus_results_are_minimal_cutsets;

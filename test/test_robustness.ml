@@ -191,6 +191,19 @@ let test_mocus_limit_folds_stack () =
   let r = Mocus.run tree in
   Alcotest.(check bool) "clean" true (r.Mocus.limit_hit = None)
 
+(* The guard stops only the expansion, yet the run must return soon after
+   the deadline: minimizing what was expanded has to be cheap next to
+   expanding it. *)
+let test_mocus_deadline_overshoot () =
+  let tree = Industrial.generate Industrial.small in
+  let t0 = Unix.gettimeofday () in
+  let r = Mocus.run ~guard:(Guard.create ~deadline:1.0 ()) tree in
+  let elapsed = Unix.gettimeofday () -. t0 in
+  Alcotest.(check bool) "deadline hit" true
+    (r.Mocus.limit_hit = Some Guard.Deadline);
+  if elapsed >= 4.0 then
+    Alcotest.failf "a 1 s deadline returned after %.1f s" elapsed
+
 (* Analysis degradation ladder *)
 
 let interval_contains r exact =
@@ -593,6 +606,8 @@ let () =
       ( "degradation",
         [
           Alcotest.test_case "mocus stack fold" `Quick test_mocus_limit_folds_stack;
+          Alcotest.test_case "mocus deadline overshoot" `Quick
+            test_mocus_deadline_overshoot;
           Alcotest.test_case "expired deadline" `Quick test_analyze_expired_deadline;
           Alcotest.test_case "generation limit" `Quick test_analyze_generation_limit;
           Alcotest.test_case "transient oom" `Quick test_analyze_transient_oom;
