@@ -957,9 +957,32 @@ let bench_sim ~json_path ~trials () =
   Table.print t;
   write_json ~what:"sim benchmark results" json_path !entries
 
+(* Median wall time of [f] over repeated runs — at least 3, more (up to
+   25) while the runs so far total under half a second, so that a
+   microsecond row is not one noisy sample — with the last run's result. *)
+let median_time f =
+  let rec go times spent last =
+    let n = List.length times in
+    if n >= 25 || (n >= 3 && spent >= 0.5) then begin
+      let sorted = Array.of_list (List.sort compare times) in
+      let median =
+        if n mod 2 = 1 then sorted.(n / 2)
+        else (sorted.((n / 2) - 1) +. sorted.(n / 2)) /. 2.0
+      in
+      (Option.get last, median)
+    end
+    else
+      let t0 = Timer.start () in
+      let r = f () in
+      let dt = Timer.elapsed_s t0 in
+      go (dt :: times) (spent +. dt) (Some r)
+  in
+  go [] 0.0 None
+
 (* ------------------------------------------------------------------ *)
 (* `zdd` subcommand: race the MOCUS and modular-ZDD cutset engines on
-   static models — generation wall time, emitted families, rare-event
+   static models — generation wall time (median of repeated runs, with
+   the MOCUS/ZDD ratio to two decimals), emitted families, rare-event
    totals, and the discarded-mass accounting (MOCUS's upper bound vs the
    ZDD engine's exact residual). The subsumed-branch case is the
    certification scenario: MOCUS records nonzero pruned mass while the ZDD
@@ -976,14 +999,12 @@ let bench_zdd ~json_path () =
   in
   let entries = ref [] in
   let case name ~cutoff tree =
-    let t0 = Timer.start () in
-    let gm =
-      Sdft_analysis.generate_cutsets ~cutoff Sdft_analysis.Mocus_sound tree
+    let gm, tm =
+      median_time (fun () ->
+          Sdft_analysis.generate_cutsets ~cutoff Sdft_analysis.Mocus_sound
+            tree)
     in
-    let tm = Timer.elapsed_s t0 in
-    let t0 = Timer.start () in
-    let rz = Zdd_engine.run ~cutoff tree in
-    let tz = Timer.elapsed_s t0 in
+    let rz, tz = median_time (fun () -> Zdd_engine.run ~cutoff tree) in
     let total sets = Cutset.rare_event_approximation tree sets in
     let total_m = total gm.Mocus.cutsets in
     let total_z = total rz.Zdd_engine.cutsets in
@@ -996,9 +1017,9 @@ let bench_zdd ~json_path () =
       [
         name;
         Printf.sprintf "%.0e" cutoff;
-        Table.cell_duration tm;
-        Table.cell_duration tz;
-        (if tz > 0.0 then Printf.sprintf "%.0fx" (tm /. tz) else "-");
+        Printf.sprintf "%.4fs" tm;
+        Printf.sprintf "%.4fs" tz;
+        (if tz > 0.0 then Printf.sprintf "%.2fx" (tm /. tz) else "-");
         Printf.sprintf "%d/%d%s"
           (List.length gm.Mocus.cutsets)
           (List.length rz.Zdd_engine.cutsets)
@@ -1010,13 +1031,15 @@ let bench_zdd ~json_path () =
     entries :=
       Printf.sprintf
         "  {\"model\": %S, \"cutoff\": %.6e, \"mocus_seconds\": %.6f, \
-         \"zdd_seconds\": %.6f, \"mocus_cutsets\": %d, \"zdd_cutsets\": %d, \
+         \"zdd_seconds\": %.6f, \"speedup\": %.2f, \
+         \"mocus_cutsets\": %d, \"zdd_cutsets\": %d, \
          \"families_identical\": %b, \"mocus_total\": %.17e, \
          \"zdd_total\": %.17e, \"total_abs_diff\": %.6e, \
          \"mocus_pruned_mass\": %.17e, \"zdd_residual_mass\": %.17e, \
          \"zdd_n_minimal\": %d, \"zdd_n_modules\": %d, \
          \"zdd_max_zdd_nodes\": %d}"
         name cutoff tm tz
+        (if tz > 0.0 then tm /. tz else 0.0)
         (List.length gm.Mocus.cutsets)
         (List.length rz.Zdd_engine.cutsets)
         same_family total_m total_z diff gm.Mocus.pruned_mass

@@ -121,11 +121,13 @@ let cache_arg =
   Arg.(value & opt (some string) None
        & info [ "cache" ] ~docv:"FILE" ~env:(Cmd.Env.info "SDFT_CACHE")
            ~doc:"Persistent cross-run quantification cache: warm-start from \
-                 $(docv) (created if absent) and append fresh solves to it on \
-                 exit. A corrupted tail or a file written by a different \
-                 solver build is ignored (and rewritten); when another \
-                 process holds the writer lock the file is shared \
-                 read-only.")
+                 $(docv) (created if absent) and append fresh solves to it \
+                 (in batches, and on exit). $(b,sweep) also records each \
+                 completed point there, flushed before its row prints, so \
+                 a killed sweep can be finished with $(b,--resume). A \
+                 corrupted tail or a file written by a different solver \
+                 build is ignored (and rewritten); when another process \
+                 holds the writer lock the file is shared read-only.")
 
 let with_disk_cache path_opt f =
   match path_opt with
@@ -444,7 +446,7 @@ let sweep_cmd =
       "cache-hits" "cache-miss"
   in
   (* Rows are flushed as they complete so a killed sweep leaves a readable
-     prefix on the terminal to match the checkpoint journal's state. *)
+     prefix on the terminal to match the point records in its store. *)
   let print_item = function
     | Sdft_analysis.Sweep_run p ->
       Printf.printf "%10g %14.6e %9d %11d %11d\n%!"
@@ -470,7 +472,20 @@ let sweep_cmd =
         (fun d -> (pt.Checkpoint.pt_horizon, d))
         pt.Checkpoint.pt_degraded
   in
-  let finish_sweep s items cache =
+  let run session horizons resume =
+    session @@ fun s ->
+    if resume && s.cache = None then
+      or_die (Error "--resume needs --cache FILE (or SDFT_CACHE)");
+    let option_sets =
+      List.map
+        (fun horizon -> { s.options with Sdft_analysis.horizon })
+        horizons
+    in
+    print_header ();
+    let items, cache =
+      Sdft_analysis.sweep_checkpointed ?cache:s.cache ~obs:s.obs ~resume
+        ~on_point:print_item s.sd option_sets
+    in
     Printf.printf "cache: %d hits / %d misses\n" (Quant_cache.hits cache)
       (Quant_cache.misses cache);
     report_disk_cache cache;
@@ -483,84 +498,27 @@ let sweep_cmd =
       raise (Exit_code 1)
     end
   in
-  let run session horizons ckpt_path resume =
-    session @@ fun s ->
-    let option_sets =
-      List.map
-        (fun horizon -> { s.options with Sdft_analysis.horizon })
-        horizons
-    in
-    match ckpt_path with
-    | None ->
-      if resume then
-        or_die (Error "--resume needs --checkpoint FILE");
-      let points, cache =
-        Sdft_analysis.sweep ?cache:s.cache ~obs:s.obs s.sd option_sets
-      in
-      print_header ();
-      List.iter (fun p -> print_item (Sdft_analysis.Sweep_run p)) points;
-      finish_sweep s
-        (List.map (fun p -> Sdft_analysis.Sweep_run p) points)
-        cache
-    | Some path ->
-      let journal =
-        try Checkpoint.open_ path with
-        | Sys_error m | Failure m ->
-          or_die (Error (Printf.sprintf "checkpoint %s: %s" path m))
-        | Unix.Unix_error (e, _, _) ->
-          or_die
-            (Error
-               (Printf.sprintf "checkpoint %s: %s" path
-                  (Unix.error_message e)))
-      in
-      Fun.protect
-        ~finally:(fun () ->
-          try Checkpoint.close journal
-          with Sys_error m ->
-            Printf.eprintf "sdft: checkpoint: %s\n" m)
-        (fun () ->
-          print_header ();
-          let items, cache =
-            Sdft_analysis.sweep_checkpointed ?cache:s.cache ~obs:s.obs
-              ~journal ~resume ~on_point:print_item s.sd option_sets
-          in
-          (match Checkpoint.journal_error journal with
-          | Some m ->
-            Printf.eprintf
-              "sdft: checkpoint degraded (results unaffected): %s\n" m
-          | None -> ());
-          finish_sweep s items cache)
-  in
   let horizons =
     Arg.(value & opt (list float) [ 8.0; 24.0; 72.0 ]
          & info [ "horizons" ] ~docv:"H1,H2,.." ~doc:"Comma-separated analysis horizons in hours.")
   in
-  let checkpoint =
-    Arg.(value & opt (some string) None
-         & info [ "checkpoint" ] ~docv:"FILE"
-             ~doc:"Append a crash-safe journal record to $(docv) after every \
-                   completed sweep point (and after every fresh \
-                   quantification), so a killed sweep can be finished with \
-                   $(b,--resume) instead of recomputed. The journal uses the \
-                   same CRC-framed store format as $(b,--cache); a torn tail \
-                   from a crash is truncated away on reopen.")
-  in
   let resume =
     Arg.(value & flag
          & info [ "resume" ]
-             ~doc:"Resume from the $(b,--checkpoint) journal: sweep points \
-                   already certified there are printed from the journal \
-                   (marked $(i,checkpointed)) without re-analysis, cached \
-                   quantifications are warm-started, and only unfinished \
-                   points run. The completed output is bit-identical to an \
-                   uninterrupted run.")
+             ~doc:"Resume an interrupted sweep from its $(b,--cache) store: \
+                   points already certified there are printed from the \
+                   store (marked $(i,checkpointed)) without re-analysis, \
+                   cached quantifications hit, and only unfinished points \
+                   run. The completed output is bit-identical to an \
+                   uninterrupted run. Requires $(b,--cache) (or \
+                   $(b,SDFT_CACHE)).")
   in
   Cmd.v
     (Cmd.info "sweep"
        ~doc:"Analyze one model over several horizons, sharing the quantification cache across points.")
     Term.(const run
           $ session_term ~horizon:false ~engine:true ~domains:true ~cache:true ()
-          $ horizons $ checkpoint $ resume)
+          $ horizons $ resume)
 
 (* mcs *)
 

@@ -1,27 +1,7 @@
-(* Crash-safe sweep checkpoint journal, built on the same CRC-framed
-   append-only Store as the quantification cache. Two record kinds share
-   one file, distinguished by a two-byte tag:
-
-     "i|" ^ Quant_cache.encode_record key entry   -- one completed work
-         item (a certified per-cutset quantification), exactly the disk
-         cache's codec, so a resumed sweep warm-starts its cache from the
-         journal and recomputes nothing that was already certified;
-     "p|" ^ point codec below                     -- one fully completed
-         sweep point (the certified interval the CLI printed), so a
-         resumed sweep can skip the point outright and reprint the stored
-         result bit-identically.
-
-   The journal opens with batch 1 — every record is flushed as it is
-   written — so a SIGKILL loses at most the record being framed, and
-   Store's torn-tail truncation guarantees a resume sees exactly the
-   records that were completely written. The header stamp extends the
-   cache's version stamp, so a solver or codec change invalidates old
-   journals instead of resuming from stale certificates. *)
-
-module Store = Sdft_util.Store
-module Failpoint = Sdft_util.Failpoint
-
-let stamp = Quant_cache.version_stamp ^ " ckpt/1"
+(* Completed-sweep-point records. A resumable sweep appends one per
+   finished point to its quantification cache's store (Quant_cache tags
+   them "p|"), so a resumed sweep can skip the point outright and reprint
+   the stored result bit-identically. *)
 
 type point = {
   pt_key : string;
@@ -33,14 +13,6 @@ type point = {
   pt_n_cutsets : int;
   pt_n_dynamic : int;
   pt_degraded : string option;
-}
-
-type t = {
-  store : Store.t;
-  lock : Mutex.t;
-  entries : (string * Quant_cache.entry) list; (* file order *)
-  points : (string, point) Hashtbl.t;
-  mutable error : string option;
 }
 
 (* Point codec: '|'-separated, floats as hex literals (bit-exact
@@ -83,101 +55,3 @@ let decode_point s =
         }
     | _ -> None)
   | _ -> None
-
-let open_ path =
-  let store, records = Store.open_ ~batch:1 ~stamp path in
-  let entries = ref [] in
-  let points = Hashtbl.create 16 in
-  List.iter
-    (fun r ->
-      if String.length r >= 2 then begin
-        let body = String.sub r 2 (String.length r - 2) in
-        match String.sub r 0 2 with
-        | "i|" -> (
-          match Quant_cache.decode_record body with
-          | Some kv -> entries := kv :: !entries
-          | None -> ())
-        | "p|" -> (
-          match decode_point body with
-          | Some p -> Hashtbl.replace points p.pt_key p
-          | None -> ())
-        | _ -> () (* unknown tag: a newer writer; skip, never fail *)
-      end)
-    records;
-  {
-    store;
-    lock = Mutex.create ();
-    entries = List.rev !entries;
-    points;
-    error = None;
-  }
-
-let entries t = t.entries
-
-let find_point t key =
-  Mutex.lock t.lock;
-  let p = Hashtbl.find_opt t.points key in
-  Mutex.unlock t.lock;
-  p
-
-let n_points t =
-  Mutex.lock t.lock;
-  let n = Hashtbl.length t.points in
-  Mutex.unlock t.lock;
-  n
-
-let read_only t = Store.mode t.store = Store.Reader
-
-let journal_error t =
-  Mutex.lock t.lock;
-  let e = t.error in
-  Mutex.unlock t.lock;
-  e
-
-let io_error_message = function
-  | Sys_error m -> Some m
-  | Unix.Unix_error (err, fn, arg) ->
-    Some (Printf.sprintf "%s(%s): %s" fn arg (Unix.error_message err))
-  | Failpoint.Injected site -> Some ("injected failure at " ^ site)
-  | Failure m -> Some m
-  | _ -> None
-
-(* Journal writes must never take the sweep down: a failed append marks
-   the journal broken (surfaced through [journal_error]) and the sweep
-   carries on — a later resume just has more work to redo. The lock makes
-   this safe from the quantification worker domains, which feed item
-   records through the cache's on-store hook. *)
-let record t payload =
-  Mutex.lock t.lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock t.lock)
-    (fun () ->
-      if t.error = None then
-        match
-          Failpoint.hit "checkpoint.record";
-          Store.append t.store payload
-        with
-        | true | false -> ()
-        | exception exn -> (
-          match io_error_message exn with
-          | Some m -> t.error <- Some m
-          | None -> raise exn))
-
-let record_entry t key e = record t ("i|" ^ Quant_cache.encode_record key e)
-
-let record_point t p =
-  record t ("p|" ^ encode_point p);
-  Mutex.lock t.lock;
-  Hashtbl.replace t.points p.pt_key p;
-  Mutex.unlock t.lock
-
-let close t =
-  match Store.close t.store with
-  | () -> ()
-  | exception exn -> (
-    match io_error_message exn with
-    | Some m ->
-      Mutex.lock t.lock;
-      if t.error = None then t.error <- Some m;
-      Mutex.unlock t.lock
-    | None -> raise exn)

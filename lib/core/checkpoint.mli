@@ -1,27 +1,13 @@
-(** Crash-safe checkpoint journal for horizon/parameter sweeps.
+(** Completed-point records of a resumable horizon/parameter sweep.
 
-    A journal is an append-only {!Sdft_util.Store} log (batch 1: every
-    record flushed as written) holding two record kinds:
-
-    - {e items} — one per certified per-cutset quantification, in exactly
-      the disk cache's codec ({!Quant_cache.encode_record}), appended live
-      through {!Quant_cache.set_on_store} as the sweep solves;
-    - {e points} — one per fully completed sweep point, carrying the
-      certified interval and provenance the CLI printed for that row.
-
-    A sweep killed mid-flight (even [SIGKILL]) therefore leaves a journal
-    whose valid prefix is exactly the completed work: on [--resume] the
-    sweep seeds its cache from the item records (so partially finished
-    points recompute only their unfinished cutsets) and skips point-record
-    points outright, reprinting the stored result bit-identically — floats
-    travel as hex literals and round-trip exactly.
-
-    The header stamp extends {!Quant_cache.version_stamp}, so a solver or
-    codec change invalidates old journals rather than resuming from stale
-    certificates. Journal {e writes} never take a sweep down: an IO failure
-    (including the ["checkpoint.record"] {!Sdft_util.Failpoint} site and
-    ["store.append"] underneath it) marks the journal broken, surfaced via
-    {!journal_error}, and the sweep carries on un-checkpointed. *)
+    A sweep run over a disk-backed quantification cache records one point
+    per fully completed sweep point in the cache's own store (see
+    {!Quant_cache.record_point}), next to the per-cutset entries. A sweep
+    killed mid-flight (even [SIGKILL]) therefore leaves a store whose valid
+    prefix holds the completed points: on [--resume] those points are
+    skipped outright and their stored result reprinted bit-identically —
+    floats travel as hex literals and round-trip exactly — while the
+    unfinished ones re-solve only what the cache is missing. *)
 
 type point = {
   pt_key : string;  (** {!Sdft_analysis.point_key} of model + options *)
@@ -37,45 +23,7 @@ type point = {
           degraded, [None] for a clean point *)
 }
 
-type t
-
-val open_ : string -> t
-(** Open or create the journal at a path, loading every valid record.
-    Raises [Unix.Unix_error] / [Sys_error] when the file cannot be opened
-    at all — a sweep explicitly asked to checkpoint should fail loudly
-    rather than run silently unprotected. If another handle owns the
-    writer lock the journal degrades to {!read_only}: records load, new
-    ones are dropped. *)
-
-val entries : t -> (string * Quant_cache.entry) list
-(** Item records in file order — feed to {!Quant_cache.seed}. *)
-
-val find_point : t -> string -> point option
-(** The completed-point record for a point key, if the journal has one. *)
-
-val n_points : t -> int
-
-val record_entry : t -> string -> Quant_cache.entry -> unit
-(** Journal one certified item. Never raises on IO trouble (see
-    {!journal_error}); drops silently on a read-only or broken journal. *)
-
-val record_point : t -> point -> unit
-(** Journal one completed point (and make it visible to {!find_point}).
-    Same failure contract as {!record_entry}. *)
-
-val journal_error : t -> string option
-(** The first IO failure that broke the journal, if any. *)
-
-val read_only : t -> bool
-(** Another handle owns the writer lock; this journal only reads. *)
-
-val close : t -> unit
-(** Flush and close. IO failures land in {!journal_error}. *)
-
-(** {1 Codec internals, exposed for tests} *)
-
-val stamp : string
-
 val encode_point : point -> string
 
 val decode_point : string -> point option
+(** Inverse of {!encode_point}; [None] on any malformed payload. *)

@@ -57,7 +57,19 @@ let of_result ?cache sd (options : Sdft_analysis.options)
           })
         r.Sdft_analysis.cutsets;
     cache_entries =
-      (match cache with None -> [] | Some c -> Quant_cache.export c);
+      (match cache with
+      | None -> []
+      | Some c ->
+        (* Only this run's entries: a shared disk store holds every other
+           model's too. *)
+        let keys = Hashtbl.create 64 in
+        List.iter
+          (fun k -> Hashtbl.replace keys k ())
+          (Sdft_analysis.cache_keys options sd r);
+        List.sort compare
+          (List.filter
+             (fun (k, _) -> Hashtbl.mem keys k)
+             (Quant_cache.export c)));
   }
 
 (* ------------------------------------------------------------------ *)
@@ -72,7 +84,7 @@ let to_json m =
     Json.add_string buf name;
     Buffer.add_string buf ": "
   in
-  Buffer.add_string buf "{\"format\": 1";
+  Buffer.add_string buf "{\"format\": 2";
   field "stamp";
   Json.add_string buf m.stamp;
   field "engine";
@@ -110,17 +122,10 @@ let to_json m =
   field "cache";
   Buffer.add_string buf "[";
   List.iteri
-    (fun i (key, (e : Quant_cache.entry)) ->
-      if i > 0 then Buffer.add_string buf ", ";
-      Buffer.add_string buf "\n  {\"key\": ";
-      Json.add_string buf key;
-      Buffer.add_string buf ", \"prob\": ";
-      Json.add_float buf e.Quant_cache.e_prob;
-      Buffer.add_string buf
-        (Printf.sprintf
-           ", \"states\": %d, \"transitions\": %d, \"steps\": %d}"
-           e.Quant_cache.e_states e.Quant_cache.e_transitions
-           e.Quant_cache.e_steps))
+    (fun i (key, e) ->
+      if i > 0 then Buffer.add_string buf ",";
+      Buffer.add_string buf "\n  ";
+      Json.add_string buf (Quant_cache.encode_record key e))
     m.cache_entries;
   Buffer.add_string buf "]}\n";
   Buffer.contents buf
@@ -147,7 +152,7 @@ let of_json v =
     | None -> Error (Printf.sprintf "manifest: missing integer field %S" name)
   in
   let* format = int "format" in
-  if format <> 1 then
+  if format <> 1 && format <> 2 then
     Error (Printf.sprintf "manifest: unsupported format %d" format)
   else
     let* stamp = str "stamp" in
@@ -185,38 +190,24 @@ let of_json v =
           Ok ({ events; q } :: acc))
         (Ok []) cutset_items
     in
-    let* cache_items =
-      match Option.bind (Json.member "cache" v) Json.to_list with
-      | Some l -> Ok l
-      | None -> Error "manifest: missing array field \"cache\""
-    in
+    (* Format 1 spelled its cache entries as JSON objects; they predate
+       the current solver stamp and could never seed, so they are
+       skipped. *)
     let* cache_entries =
-      List.fold_left
-        (fun acc item ->
-          let* acc = acc in
-          let get name conv =
-            Option.bind (Json.member name item) conv
-          in
-          match
-            ( get "key" Json.to_string,
-              get "prob" Json.to_float,
-              get "states" Json.to_int,
-              get "transitions" Json.to_int,
-              get "steps" Json.to_int )
-          with
-          | Some key, Some e_prob, Some e_states, Some e_transitions,
-            Some e_steps ->
-            Ok
-              ((key,
-                {
-                  Quant_cache.e_prob;
-                  e_states;
-                  e_transitions;
-                  e_steps;
-                })
-               :: acc)
-          | _ -> Error "manifest: malformed cache entry")
-        (Ok []) cache_items
+      if format = 1 then Ok []
+      else
+        match Option.bind (Json.member "cache" v) Json.to_list with
+        | None -> Error "manifest: missing array field \"cache\""
+        | Some items ->
+          List.fold_left
+            (fun acc item ->
+              let* acc = acc in
+              match
+                Option.bind (Json.to_string item) Quant_cache.decode_record
+              with
+              | Some kv -> Ok (kv :: acc)
+              | None -> Error "manifest: malformed cache entry")
+            (Ok []) items
     in
     Ok
       {

@@ -3,8 +3,9 @@
     [analyze --save M.json] captures an analysis run as a JSON manifest:
     the run's parameters, its total and certified interval, every cutset
     with its quantification record (via the bit-exact
-    {!Cutset_model.quantification_to_json} codec), and a snapshot of the
-    quantification-cache entries the run produced. A later
+    {!Cutset_model.quantification_to_json} codec), and the
+    quantification-cache entries the run looked up, each a
+    {!Quant_cache.encode_record} string (manifest format 2). A later
     [analyze --diff M.json] seeds its cache from that snapshot — cutsets
     whose canonical fingerprints are unchanged hit and cost nothing, only
     cutsets affected by the model edit re-solve — and reports which
@@ -13,7 +14,9 @@
     Manifests are stamped with {!Quant_cache.version_stamp}; a manifest
     written by a different solver build still diffs (the probability
     comparison stays meaningful) but its cache entries are not trusted for
-    seeding (see {!stamp_matches}). *)
+    seeding (see {!stamp_matches}). A format-1 manifest (cache entries as
+    JSON objects) still loads and diffs; its cache entries are dropped,
+    since they predate the current stamp anyway. *)
 
 type cutset_record = {
   events : string list;  (** sorted basic-event names of the cutset *)
@@ -32,7 +35,8 @@ type t = {
   upper : float;  (** the certified interval of the saved run *)
   cutsets : cutset_record list;
   cache_entries : (string * Quant_cache.entry) list;
-      (** warm-start payload: the cache snapshot of the saved run *)
+      (** warm-start payload: the cache entries the saved run looked up,
+          sorted by key *)
 }
 
 val of_result :
@@ -42,8 +46,10 @@ val of_result :
   Sdft_analysis.result ->
   t
 (** Capture a run. [cache] (the cache the run used) supplies the
-    warm-start entries; without it the manifest still diffs but cannot
-    warm-start anything. *)
+    warm-start entries — only those of the run's own cutsets
+    ({!Sdft_analysis.cache_keys}), however many other models share the
+    cache; without it the manifest still diffs but cannot warm-start
+    anything. *)
 
 val stamp_matches : t -> bool
 (** The manifest was written by this solver build, so its cache entries

@@ -98,9 +98,9 @@ type t = {
          (the probe's reconcile step), never the other way. Store's own
          mutex covers the raw IO. *)
   mutable disk : disk option;
-  mutable on_store : (string -> entry -> unit) option;
-      (* fired after a fresh solve lands in the table (not for seeded or
-         warm-loaded entries) — the checkpoint journal's feed *)
+  points : (string, Checkpoint.point) Hashtbl.t;
+      (* completed sweep points known to be in the store (loaded at open or
+         appended since), under [lock] *)
 }
 
 let create () =
@@ -113,10 +113,8 @@ let create () =
     disk_miss_count = Atomic.make 0;
     disk_lock = Mutex.create ();
     disk = None;
-    on_store = None;
+    points = Hashtbl.create 8;
   }
-
-let set_on_store t f = t.on_store <- Some f
 
 let hits t = Atomic.get t.hit_count
 
@@ -264,15 +262,34 @@ let decode_record s =
           | _ -> None)
         | _ -> None))
 
+(* A store holds two record kinds: cache entries, and completed sweep
+   points tagged "p|". An entry payload starts with its decimal key
+   length, so the tag never collides with one. *)
+type record = Entry of string * entry | Point of Checkpoint.point
+
+let point_tag = "p|"
+
+let encode = function
+  | Entry (key, e) -> encode_record key e
+  | Point p -> point_tag ^ Checkpoint.encode_point p
+
+let decode r =
+  if String.starts_with ~prefix:point_tag r then
+    let tag = String.length point_tag in
+    Option.map
+      (fun p -> Point p)
+      (Checkpoint.decode_point (String.sub r tag (String.length r - tag)))
+  else Option.map (fun (key, e) -> Entry (key, e)) (decode_record r)
+
 (* ------------------------------------------------------------------ *)
 (* Disk tier. *)
 
 (* The header stamp: the record-codec revision concatenated with the
    build-time digest of the solver sources (Solver_stamp is generated by a
-   dune rule over transient/ctmc/product/cutset-model/cache sources), so
-   both a solver change and a key- or codec-format change invalidate
-   existing stores. *)
-let version_stamp = "qcache/1 " ^ Solver_stamp.stamp
+   dune rule over transient/ctmc/product/cutset-model/cache/point-codec
+   sources), so both a solver change and a key- or codec-format change
+   invalidate existing stores. *)
+let version_stamp = "qcache/2 " ^ Solver_stamp.stamp
 
 let io_error_message = function
   | Sys_error m -> Some m
@@ -291,12 +308,13 @@ let open_disk ?batch ?(breaker_threshold = 3) ?(breaker_cooldown = 4)
     let loaded = ref 0 in
     List.iter
       (fun r ->
-        match decode_record r with
-        | Some (key, e) ->
+        match decode r with
+        | Some (Entry (key, e)) ->
           if not (Hashtbl.mem t.table key) then begin
             Hashtbl.add t.table key (e, Warm);
             incr loaded
           end
+        | Some (Point p) -> Hashtbl.replace t.points p.Checkpoint.pt_key p
         | None -> ())
       records;
     let load_ms = Sdft_util.Timer.elapsed_s t0 *. 1000.0 in
@@ -434,35 +452,52 @@ let note_append_failure d msg =
     if d.failures >= d.threshold then trip d msg
   end
 
-let closed_append d key e =
+(* Only entries are remembered for the probe's backfill: a lost point
+   record just means a resume re-runs that point. *)
+let remember d = function
+  | Entry (key, e) -> d.lost <- (key, e) :: d.lost
+  | Point _ -> ()
+
+(* Returns whether [r] reached the store. A point record is flushed at
+   once (pushing out the entries batched before it too): it certifies a
+   row the caller is about to print, so it must be durable first. *)
+let closed_append d r =
   match d.dk_store with
   | None ->
-    d.lost <- (key, e) :: d.lost;
-    note_append_failure d "store handle lost"
+    remember d r;
+    note_append_failure d "store handle lost";
+    false
   | Some s -> (
-    match Store.append s (encode_record key e) with
+    match
+      let written = Store.append s (encode r) in
+      (match r with Point _ when written -> Store.flush s | _ -> ());
+      written
+    with
     | true ->
       d.failures <- 0;
-      Metrics.incr m_appends
+      Metrics.incr m_appends;
+      true
     | false ->
       (* Reader mode drops appends by design (someone else owns the file);
          a Writer refusing means its fd is gone — that is a failure. *)
       if Store.mode s = Store.Writer then begin
-        d.lost <- (key, e) :: d.lost;
+        remember d r;
         note_append_failure d "store handle closed"
-      end
+      end;
+      false
     | exception exn -> (
       match io_error_message exn with
       | Some m ->
-        d.lost <- (key, e) :: d.lost;
-        note_append_failure d m
+        remember d r;
+        note_append_failure d m;
+        false
       | None -> raise exn))
 
 (* The half-open probe: ensure a live store (reopening the file when the
    old handle was torn down), reconcile file and table, then write the
    pending record and flush so the recovery is durable. Success closes the
    breaker; failure re-opens it with a doubled cooldown. *)
-let probe t d key e =
+let probe t d pending =
   d.probes <- d.probes + 1;
   Trace.instant "cache.breaker_probe";
   match
@@ -478,8 +513,8 @@ let probe t d key e =
         let keys = Hashtbl.create (List.length records + 1) in
         List.iter
           (fun r ->
-            match decode_record r with
-            | Some (k, re) ->
+            match decode r with
+            | Some (Entry (k, re)) ->
               Hashtbl.replace keys k ();
               (* Records flushed by the previous handle that this process
                  has not seen (none today, but cheap insurance) merge in
@@ -488,7 +523,7 @@ let probe t d key e =
               locked t (fun () ->
                   if not (Hashtbl.mem t.table k) then
                     Hashtbl.add t.table k (re, Warm))
-            | None -> ())
+            | Some (Point _) | None -> ())
           records;
         (s, Some keys)
     in
@@ -511,10 +546,12 @@ let probe t d key e =
         if Store.append store (encode_record k entry) then
           Metrics.incr m_appends)
       to_append;
-    if Store.append store (encode_record key e) then Metrics.incr m_appends;
-    Store.flush store
+    let written = Store.append store (encode pending) in
+    if written then Metrics.incr m_appends;
+    Store.flush store;
+    written
   with
-  | () ->
+  | written ->
     d.dk_state <- Closed;
     d.failures <- 0;
     d.episodes <- 0;
@@ -522,36 +559,40 @@ let probe t d key e =
     d.recoveries <- d.recoveries + 1;
     d.disk_error <- None;
     Metrics.incr m_breaker_recoveries;
-    Trace.instant "cache.breaker_recover"
+    Trace.instant "cache.breaker_recover";
+    written
   | exception exn -> (
     match io_error_message exn with
     | Some m ->
-      d.lost <- (key, e) :: d.lost;
+      remember d pending;
       shed_torn_store d;
-      trip d m (* episodes grows: the next cooldown doubles *)
+      trip d m (* episodes grows: the next cooldown doubles *);
+      false
     | None -> raise exn)
 
-(* Append one freshly solved entry; never raises on IO trouble. The
-   [store.append] failpoint (inside Store.append) and real IO errors both
-   land in the breaker. Under [disk_lock] so every check-then-act breaker
-   transition is atomic with respect to concurrent appends from other
-   domains. *)
-let disk_append t key e =
+(* Append one record, returning whether it reached the store; never
+   raises on IO trouble. The [store.append] failpoint (inside
+   Store.append) and real IO errors both land in the breaker. Under
+   [disk_lock] so every check-then-act breaker transition is atomic with
+   respect to concurrent appends from other domains. *)
+let disk_append t r =
   match t.disk with
-  | None -> ()
+  | None -> false
   | Some d ->
     disk_locked t (fun () ->
-        if not d.dk_closed then
+        if d.dk_closed then false
+        else
           match d.dk_state with
-          | Closed -> closed_append d key e
+          | Closed -> closed_append d r
           | Open ->
-            d.lost <- (key, e) :: d.lost;
+            remember d r;
             d.skips_left <- d.skips_left - 1;
             if d.skips_left <= 0 then begin
               d.dk_state <- Half_open;
               Trace.instant "cache.breaker_half_open"
-            end
-          | Half_open -> probe t d key e)
+            end;
+            false
+          | Half_open -> probe t d r)
 
 let flush t =
   match t.disk with
@@ -608,7 +649,7 @@ let seed t entries =
     (fun (key, e) ->
       let fresh = locked t (fun () -> Hashtbl.find_opt t.table key) in
       match fresh with
-      | Some (e', Warm) when e' == e -> disk_append t key e
+      | Some (e', Warm) when e' == e -> ignore (disk_append t (Entry (key, e)))
       | _ -> ())
     entries;
   !added
@@ -624,10 +665,22 @@ let store t key v =
           true
         end)
   in
-  if added then begin
-    disk_append t key v;
-    match t.on_store with Some f -> f key v | None -> ()
-  end
+  if added then ignore (disk_append t (Entry (key, v)))
+
+let find_point t key = locked t (fun () -> Hashtbl.find_opt t.points key)
+
+let record_point t p =
+  let key = p.Checkpoint.pt_key in
+  let known = find_point t key in
+  (* A re-run over the same store finds its certificate already there and
+     leaves the file as it is. *)
+  let stored =
+    match known with
+    | Some q -> Checkpoint.encode_point q = Checkpoint.encode_point p
+    | None -> false
+  in
+  if (not stored) && disk_append t (Point p) then
+    locked t (fun () -> Hashtbl.replace t.points key p)
 
 let quantify t ~epsilon ~max_states ?guard ?workspace ?(engine_tag = "")
     ?(obs = Obs.default) (cm : Cutset_model.t) ~horizon =

@@ -92,7 +92,8 @@ val quantify :
     A cache opened with {!open_disk} is backed by an append-only
     {!Sdft_util.Store} log: entries present in the file are preloaded into
     the table, and every fresh solve is appended (batched; a crash loses at
-    most the last unflushed batch). The store header is stamped with
+    most the last unflushed batch). The same file holds the completed-point
+    records of resumable sweeps (see {!record_point}). The store header is stamped with
     {!version_stamp}, so a solver or codec change silently invalidates old
     files instead of replaying stale certified results. When another
     process (or another handle in this one) already owns the writer lock,
@@ -177,11 +178,26 @@ val disk_stats : t -> disk_stats option
     [cache.load_ms] / [cache.breaker_opens] / [cache.breaker_recoveries],
     and the load and each flush emit {!Sdft_util.Trace} instants. *)
 
-val set_on_store : t -> (string -> entry -> unit) -> unit
-(** Register a callback fired (outside the table lock) each time a {e
-    fresh} solve lands in the table — not for warm-loaded or seeded
-    entries, and at most once per key. The checkpointed sweep uses this to
-    journal every completed work item as it happens. *)
+(** {1 Completed sweep points}
+
+    The store also carries the resume certificates of a resumable sweep
+    ({!Sdft_analysis.sweep_checkpointed}): one {!Checkpoint.point} record
+    per completed point, next to the per-cutset entries and under the same
+    stamp and circuit breaker. Point records are not cache entries: they
+    never count in [entries_loaded] and never hit a lookup. *)
+
+val find_point : t -> string -> Checkpoint.point option
+(** The point record for a {!Sdft_analysis.point_key} that this cache
+    knows to be in its store: loaded at open, or appended since. Always
+    [None] on a memory-only cache. *)
+
+val record_point : t -> Checkpoint.point -> unit
+(** Append a point record and flush the store before returning, so a
+    caller that prints the point afterwards never shows a row a crash
+    could lose. Never raises on IO trouble: a record the breaker drops is
+    simply not certified, and a resume re-runs that point. Skips the
+    append when an identical record for the key is already in the store,
+    and does nothing on a memory-only or read-only cache. *)
 
 (** {1 Warm-start import/export}
 

@@ -664,6 +664,21 @@ let rank_by_fussell_vesely result ~n_basics =
       if c <> 0 then c else compare a b)
     (List.init n_basics Fun.id)
 
+(* Rebuilding the sub-models costs one FT_C construction per cutset; only
+   a manifest save pays it, never the analysis itself. *)
+let cache_keys options sd r =
+  let context = Cutset_model.context sd in
+  List.filter_map
+    (fun info ->
+      if info.used_fallback then None
+      else
+        Quant_cache.key_of ~engine_tag:(engine_name r.engine_used)
+          ~epsilon:options.transient_epsilon
+          ~max_states:options.max_product_states ~horizon:options.horizon
+          (Cutset_model.build ~context ~rel_rule:options.rel_rule sd
+             info.cutset))
+    r.cutsets
+
 type sweep_point = {
   sweep_options : options;
   sweep_result : result;
@@ -749,24 +764,15 @@ let checkpoint_point key opts r =
       (if degraded r then Some (degradation_description r) else None);
   }
 
-let sweep_checkpointed ?cache ?(obs = Obs.default) ~journal ~resume
-    ?on_point sd option_sets =
+let sweep_checkpointed ?cache ?(obs = Obs.default) ~resume ?on_point sd
+    option_sets =
   let cache = match cache with Some c -> c | None -> Quant_cache.create () in
-  (* Warm-start from the journal's item records: points the crash caught
-     mid-flight re-solve only their unfinished cutsets, and finished work
-     replays bit-identically from the cache (cached and fresh values are
-     indistinguishable by the cache's contract). *)
-  if resume then ignore (Quant_cache.seed cache (Checkpoint.entries journal));
-  (* Journal every fresh solve as it lands — the crash-safety feed. *)
-  Quant_cache.set_on_store cache (fun key e ->
-      Checkpoint.record_entry journal key e);
   let plan = List.map (fun o -> (o, point_key sd o)) option_sets in
+  let certified key =
+    if resume then Quant_cache.find_point cache key else None
+  in
   let skipped =
-    if resume then
-      List.length
-        (List.filter (fun (_, k) -> Checkpoint.find_point journal k <> None)
-           plan)
-    else 0
+    List.length (List.filter (fun (_, k) -> certified k <> None) plan)
   in
   let total_run = List.length plan - skipped in
   let n_done = ref 0 in
@@ -774,9 +780,7 @@ let sweep_checkpointed ?cache ?(obs = Obs.default) ~journal ~resume
     List.map
       (fun (opts, key) ->
         let item =
-          match
-            if resume then Checkpoint.find_point journal key else None
-          with
+          match certified key with
           | Some p -> Sweep_skipped p
           | None ->
             (* Re-assert the sweep-level phase between points: the ETA
@@ -788,7 +792,7 @@ let sweep_checkpointed ?cache ?(obs = Obs.default) ~journal ~resume
             and m0 = Quant_cache.misses cache in
             let r = analyze ~options:opts ~cache ~obs sd in
             incr n_done;
-            Checkpoint.record_point journal (checkpoint_point key opts r);
+            Quant_cache.record_point cache (checkpoint_point key opts r);
             Sweep_run
               {
                 sweep_options = opts;

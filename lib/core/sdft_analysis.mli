@@ -241,6 +241,12 @@ val degradation_description : result -> string
 (** One-line human-readable summary of the degradation (the DEGRADED banner
     body); meaningless when [degraded] is false. *)
 
+val cache_keys : options -> Sdft.t -> result -> string list
+(** The quantification-cache keys that [analyze ~options ~cache sd] looked
+    up to produce the result: one per exactly quantified cutset with a
+    dynamic sub-model (fallback and purely static cutsets have none). This
+    is the run's share of a cache that other runs also fill. *)
+
 type sweep_point = {
   sweep_options : options;
   sweep_result : result;
@@ -263,12 +269,13 @@ val sweep :
 
 (** {1 Checkpointed sweeps}
 
-    A sweep run with a {!Checkpoint} journal survives being killed — even
-    with [SIGKILL] — at any instant: every certified per-cutset solve and
-    every completed point is journaled as it happens, and a [--resume] run
-    skips completed points outright, re-solves only the unfinished cutsets
-    of the interrupted point, and produces final results bit-identical to
-    an uninterrupted run. *)
+    A sweep run over a disk-backed cache ({!Quant_cache.open_disk})
+    survives being killed — even with [SIGKILL] — at any instant: every
+    certified per-cutset solve lands in the cache's store as usual, every
+    completed point is recorded there as well, and a [--resume] run skips
+    completed points outright, re-solves only the cutsets of the
+    interrupted point that the store is missing, and produces final
+    results bit-identical to an uninterrupted run. *)
 
 val options_fingerprint : options -> string
 (** Canonical serialization of every result-influencing option (numerics,
@@ -279,31 +286,30 @@ val options_fingerprint : options -> string
 val point_key : Sdft.t -> options -> string
 (** Stable identity of one sweep point: MD5 of the model's canonical
     fingerprint plus {!options_fingerprint}. This is the key under which
-    {!sweep_checkpointed} journals and finds completed points. *)
+    {!sweep_checkpointed} records and finds completed points. *)
 
 type sweep_item =
   | Sweep_run of sweep_point  (** computed (or recomputed) this run *)
   | Sweep_skipped of Checkpoint.point
-      (** certified by the journal; result replayed without recomputing *)
+      (** certified by the store; result replayed without recomputing *)
 
 val sweep_checkpointed :
   ?cache:Quant_cache.t ->
   ?obs:Sdft_util.Obs.t ->
-  journal:Checkpoint.t ->
   resume:bool ->
   ?on_point:(sweep_item -> unit) ->
   Sdft.t ->
   options list ->
   sweep_item list * Quant_cache.t
-(** Like {!sweep}, journaling into [journal]: each fresh solve is recorded
-    through {!Quant_cache.set_on_store}, each completed point as a point
-    record. With [resume], the cache is first seeded from the journal's
-    item records and points already journaled are returned as
-    [Sweep_skipped] without running. [on_point] fires after each item in
-    sweep order — the CLI prints (and flushes) its row there, so progress
-    is visible and a kill between points loses nothing. The observability
-    context's progress phase ["sweep"] prices only the points that actually
-    run, surfacing the checkpoint-skipped count separately. *)
+(** Like {!sweep}, recording each completed point in the cache's store
+    ({!Quant_cache.record_point}; nothing is recorded on a memory-only
+    cache). With [resume], points the store already certifies are returned
+    as [Sweep_skipped] without running. [on_point] fires after each item
+    in sweep order, once its record is flushed — the CLI prints its row
+    there, so progress is visible and a printed row is always resumable.
+    The observability context's progress phase ["sweep"] prices only the
+    points that actually run, surfacing the checkpoint-skipped count
+    separately. *)
 
 val static_rare_event :
   ?cutoff:float -> ?engine:engine -> Fault_tree.t -> float * int

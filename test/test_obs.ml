@@ -368,7 +368,7 @@ let test_progress_rendering () =
 
 (* A resumed sweep reports checkpoint-skipped items separately from live
    work: the count segment stays done/total over the items actually run,
-   with a "(+N checkpointed)" annotation for the journal-certified rest. *)
+   with a "(+N checkpointed)" annotation for the store-certified rest. *)
 let test_progress_skipped_rendering () =
   let lines = ref [] in
   let p =

@@ -434,8 +434,9 @@ let test_failpoint_first () =
       Alcotest.(check int) "hit count" 4 (Failpoint.hit_count "t.first"))
 
 (* ------------------------------------------------------------------ *)
-(* Process-level chaos: kill -9 a checkpointed sweep mid-run, resume it,
-   and demand output bit-identical to an uninterrupted run. *)
+(* Process-level chaos: kill -9 a resumable sweep mid-run, resume it from
+   its cache store, and demand output bit-identical to an uninterrupted
+   run. *)
 
 let sdft_bin = "../bin/main.exe"
 let read_file path = In_channel.with_open_bin path In_channel.input_all
@@ -512,14 +513,14 @@ let test_chaos_sweep_kill9_resume () =
     (* Interrupted pass: every point slowed to >= 0.45 s by a delay
        failpoint (delays never change results), then SIGKILL as soon as
        the first data row appears. A printed row means the point is
-       already journaled: rows are emitted by the [on_point] hook, which
-       runs after [record_point]. *)
-    let ck = path "sweep.ckpt" in
+       already certified in the store: rows are emitted by the [on_point]
+       hook, which runs after [record_point] has flushed its record. *)
+    let store = path "sweep.store" in
     let killed_out = path "killed.out" in
     let pid =
       spawn_cli
         ~extra_env:[ "SDFT_FAILPOINTS=cache.lookup=delay:0.15" ]
-        (sweep @ [ "--checkpoint"; ck ])
+        (sweep @ [ "--cache"; store ])
         ~out:killed_out
     in
     let deadline = Unix.gettimeofday () +. 60.0 in
@@ -540,17 +541,24 @@ let test_chaos_sweep_kill9_resume () =
     poll ();
     Unix.kill pid Sys.sigkill;
     ignore (Unix.waitpid [] pid);
-    (* Resume at full speed: journaled points are replayed, the rest
+    (* Resume at full speed: certified points are replayed, the rest
        recomputed, and the table is bit-identical to the golden run. *)
     let resumed_out = path "resumed.out" in
-    (match run_cli (sweep @ [ "--checkpoint"; ck; "--resume" ]) ~out:resumed_out with
+    (match run_cli (sweep @ [ "--cache"; store; "--resume" ]) ~out:resumed_out with
     | Unix.WEXITED 0 -> ()
     | _ -> Alcotest.fail "resumed sweep failed");
     let resumed_text = read_file resumed_out in
     Alcotest.(check (list string)) "resume bit-identical to uninterrupted run"
       golden (data_rows resumed_text);
-    Alcotest.(check bool) "at least one point served from the journal" true
-      (contains resumed_text "(checkpointed)")
+    Alcotest.(check bool) "at least one point served from the store" true
+      (contains resumed_text "(checkpointed)");
+    (* Journal and cache are one file: a plain re-run finds every solve. *)
+    let rerun_out = path "rerun.out" in
+    (match run_cli (sweep @ [ "--cache"; store ]) ~out:rerun_out with
+    | Unix.WEXITED 0 -> ()
+    | _ -> Alcotest.fail "re-run sweep failed");
+    Alcotest.(check bool) "re-run over the store never misses" true
+      (contains (read_file rerun_out) "/ 0 disk misses")
   end
 
 (* Degradation soundness under randomized fault injection: whatever the

@@ -362,8 +362,7 @@ let test_cache_breaker_stays_open_under_persistent_fault () =
           Alcotest.(check int) "nothing appended" 0 s.Quant_cache.appends;
           Quant_cache.close cache))
 
-(* Checkpoint journal: the sweep-level crash-safety layer on the same
-   store framing. *)
+(* Resumable sweeps: completed-point records in the cache's own store. *)
 
 let sweep_options_at horizons =
   List.map
@@ -421,40 +420,58 @@ let test_checkpoint_point_codec () =
   Alcotest.(check (option Alcotest.reject)) "garbage rejects" None
     (Checkpoint.decode_point "p|not|a|point")
 
+(* A resumable sweep (not resuming) over [horizons] into the store at
+   [path], closed afterwards. Stopping it short of the full horizon set
+   stands in for a crash after the last point it ran. *)
+let sweep_into sd path horizons =
+  let cache = Quant_cache.open_disk path in
+  let items, _ =
+    Sdft_analysis.sweep_checkpointed ~cache ~resume:false sd
+      (sweep_options_at horizons)
+  in
+  Quant_cache.close cache;
+  (items, cache)
+
+let n_certified cache sd =
+  List.length
+    (List.filter
+       (fun o ->
+         Quant_cache.find_point cache (Sdft_analysis.point_key sd o) <> None)
+       (sweep_options_at sweep_horizons))
+
+let check_items_match_golden items golden =
+  List.iter2
+    (fun item (g : Sdft_analysis.sweep_point) ->
+      match item with
+      | Sdft_analysis.Sweep_run p ->
+        Alcotest.(check bool) "run point bit-identical" true
+          (p.Sdft_analysis.sweep_result.Sdft_analysis.total
+          = g.Sdft_analysis.sweep_result.Sdft_analysis.total)
+      | Sdft_analysis.Sweep_skipped p ->
+        check_point_matches_golden "skipped point" p g)
+    items golden
+
 let test_checkpoint_resume_bit_identical () =
   let sd = Pumps.sd_tree () in
   let golden, _ = Sdft_analysis.sweep sd (sweep_options_at sweep_horizons) in
-  with_store (fun jpath ->
-      (* Interrupted run: only the first point completes before the
-         "crash" (we simply stop driving the sweep). *)
-      let j = Checkpoint.open_ jpath in
-      let _ =
-        Sdft_analysis.sweep_checkpointed ~journal:j ~resume:false sd
-          (sweep_options_at [ List.hd sweep_horizons ])
-      in
-      Checkpoint.close j;
-      (* Resume over the full horizon set. *)
-      let j2 = Checkpoint.open_ jpath in
-      Alcotest.(check int) "one certified point in the journal" 1
-        (Checkpoint.n_points j2);
-      Alcotest.(check bool) "warm entries in the journal" true
-        (Checkpoint.entries j2 <> []);
-      let items, cache =
-        Sdft_analysis.sweep_checkpointed ~journal:j2 ~resume:true sd
+  with_store (fun path ->
+      ignore (sweep_into sd path [ List.hd sweep_horizons ]);
+      (* Resume over the full horizon set from the same store. *)
+      let cache = Quant_cache.open_disk path in
+      Alcotest.(check int) "one certified point in the store" 1
+        (n_certified cache sd);
+      Alcotest.(check bool) "warm entries in the store" true
+        ((Option.get (Quant_cache.disk_stats cache)).Quant_cache.entries_loaded
+        > 0);
+      let items, _ =
+        Sdft_analysis.sweep_checkpointed ~cache ~resume:true sd
           (sweep_options_at sweep_horizons)
       in
-      Checkpoint.close j2;
-      (match (items, golden) with
-      | ( [ Sdft_analysis.Sweep_skipped p; Sdft_analysis.Sweep_run b;
-            Sdft_analysis.Sweep_run c ],
-          [ g1; g2; g3 ] ) ->
-        check_point_matches_golden "skipped point" p g1;
-        Alcotest.(check bool) "second point bit-identical" true
-          (b.Sdft_analysis.sweep_result.Sdft_analysis.total
-          = g2.Sdft_analysis.sweep_result.Sdft_analysis.total);
-        Alcotest.(check bool) "third point bit-identical" true
-          (c.Sdft_analysis.sweep_result.Sdft_analysis.total
-          = g3.Sdft_analysis.sweep_result.Sdft_analysis.total)
+      Quant_cache.close cache;
+      (match items with
+      | [ Sdft_analysis.Sweep_skipped _; Sdft_analysis.Sweep_run _;
+          Sdft_analysis.Sweep_run _ ] ->
+        check_items_match_golden items golden
       | _ ->
         Alcotest.failf "expected skip+run+run, got %d items"
           (List.length items));
@@ -465,38 +482,116 @@ let test_checkpoint_resume_bit_identical () =
 let test_checkpoint_torn_tail_reruns_last_point () =
   let sd = Pumps.sd_tree () in
   let golden, _ = Sdft_analysis.sweep sd (sweep_options_at sweep_horizons) in
-  with_store (fun jpath ->
-      let j = Checkpoint.open_ jpath in
-      let _ =
-        Sdft_analysis.sweep_checkpointed ~journal:j ~resume:false sd
-          (sweep_options_at [ List.hd sweep_horizons ])
-      in
-      Checkpoint.close j;
+  with_store (fun path ->
+      ignore (sweep_into sd path [ List.hd sweep_horizons ]);
       (* SIGKILL mid-write: the last frame (the point record) is torn. *)
-      let size = (Unix.stat jpath).Unix.st_size in
-      let fd = Unix.openfile jpath [ Unix.O_WRONLY ] 0o644 in
+      let size = (Unix.stat path).Unix.st_size in
+      let fd = Unix.openfile path [ Unix.O_WRONLY ] 0o644 in
       Unix.ftruncate fd (size - 3);
       Unix.close fd;
-      let j2 = Checkpoint.open_ jpath in
+      let cache = Quant_cache.open_disk path in
       Alcotest.(check int) "torn point certificate discarded" 0
-        (Checkpoint.n_points j2);
+        (n_certified cache sd);
       let items, _ =
-        Sdft_analysis.sweep_checkpointed ~journal:j2 ~resume:true sd
+        Sdft_analysis.sweep_checkpointed ~cache ~resume:true sd
           (sweep_options_at sweep_horizons)
       in
-      Checkpoint.close j2;
+      Quant_cache.close cache;
       (* Every point re-runs (the torn certificate cannot be trusted), but
          the surviving cache entries still make the replay bit-identical. *)
-      List.iter2
-        (fun item (g : Sdft_analysis.sweep_point) ->
-          match item with
-          | Sdft_analysis.Sweep_run p ->
-            Alcotest.(check bool) "re-run point bit-identical" true
-              (p.Sdft_analysis.sweep_result.Sdft_analysis.total
-              = g.Sdft_analysis.sweep_result.Sdft_analysis.total)
+      List.iter
+        (function
+          | Sdft_analysis.Sweep_run _ -> ()
           | Sdft_analysis.Sweep_skipped _ ->
             Alcotest.fail "no point should be trusted after the torn tail")
-        items golden)
+        items;
+      check_items_match_golden items golden)
+
+(* One file for all certified work: a cold resumable sweep appends each
+   fresh solve exactly once plus one record per point, and a re-run over
+   the same store appends nothing at all. *)
+let test_checkpoint_appends_once () =
+  let sd = Pumps.sd_tree () in
+  with_store (fun path ->
+      let items, cache = sweep_into sd path sweep_horizons in
+      let s = Option.get (Quant_cache.disk_stats cache) in
+      Alcotest.(check int) "appends = misses + point records"
+        (Quant_cache.misses cache + List.length items)
+        s.Quant_cache.appends;
+      let _, again = sweep_into sd path sweep_horizons in
+      let s2 = Option.get (Quant_cache.disk_stats again) in
+      Alcotest.(check int) "re-run appends nothing" 0 s2.Quant_cache.appends;
+      Alcotest.(check int) "re-run never misses" 0 s2.Quant_cache.disk_misses)
+
+(* Store failures never fail a resumable sweep: with every append
+   failing, the sweep completes bit-identically and reports the fault;
+   with no point record on disk, a resume re-runs every point. *)
+let test_checkpoint_append_failure () =
+  let sd = Pumps.sd_tree () in
+  let golden, _ = Sdft_analysis.sweep sd (sweep_options_at sweep_horizons) in
+  with_store (fun path ->
+      let items, cache =
+        Failpoint.configure_string "store.append=raise";
+        Fun.protect ~finally:Failpoint.clear_all (fun () ->
+            sweep_into sd path sweep_horizons)
+      in
+      check_items_match_golden items golden;
+      let s = Option.get (Quant_cache.disk_stats cache) in
+      Alcotest.(check bool) "failure reported" true
+        (s.Quant_cache.disk_error <> None);
+      let resumed = Quant_cache.open_disk path in
+      Alcotest.(check int) "nothing certified" 0 (n_certified resumed sd);
+      let items, _ =
+        Sdft_analysis.sweep_checkpointed ~cache:resumed ~resume:true sd
+          (sweep_options_at sweep_horizons)
+      in
+      Quant_cache.close resumed;
+      List.iter
+        (function
+          | Sdft_analysis.Sweep_run _ -> ()
+          | Sdft_analysis.Sweep_skipped _ ->
+            Alcotest.fail "a point no record certifies was skipped")
+        items;
+      check_items_match_golden items golden)
+
+(* Point records are invisible to every other reader of the store: an
+   analysis and a server warm start load the entries, count only them,
+   and hit on every lookup. *)
+let test_checkpoint_store_serves_other_readers () =
+  let sd = Pumps.sd_tree () in
+  with_store (fun path ->
+      let _, swept = sweep_into sd path sweep_horizons in
+      let entries = Quant_cache.misses swept in
+      let options = List.hd (sweep_options_at sweep_horizons) in
+      let baseline = Sdft_analysis.analyze ~options sd in
+      let cache = Quant_cache.open_disk path in
+      let r = Sdft_analysis.analyze ~options ~cache sd in
+      Quant_cache.close cache;
+      let s = Option.get (Quant_cache.disk_stats cache) in
+      Alcotest.(check int) "analyze loads entries only" entries
+        s.Quant_cache.entries_loaded;
+      Alcotest.(check int) "analyze never misses" 0 s.Quant_cache.disk_misses;
+      check_same_result "analyze over a sweep store" r baseline;
+      let cache = Quant_cache.open_disk path in
+      let core = Sdft_server.Server_core.create ~cache () in
+      let response =
+        Sdft_server.Server_core.call core ~client:"t"
+          (Sdft_server.Protocol.analyze_line ~id:"warm"
+             ~horizon:options.Sdft_analysis.horizon
+             ~model:(Sdft_format.to_string sd) ())
+      in
+      Sdft_server.Server_core.shutdown core;
+      Quant_cache.close cache;
+      let s = Option.get (Quant_cache.disk_stats cache) in
+      Alcotest.(check (option bool)) "server answers" (Some true)
+        (match Sdft_util.Json.parse response with
+        | Ok v ->
+          Option.bind (Sdft_util.Json.member "ok" v) Sdft_util.Json.to_bool
+        | Error _ -> None);
+      Alcotest.(check int) "server warm start loads entries only" entries
+        s.Quant_cache.entries_loaded;
+      Alcotest.(check int) "server warm start never misses" 0
+        s.Quant_cache.disk_misses)
 
 (* Warm-start export/seed (the manifest payload path). *)
 
@@ -542,6 +637,8 @@ let test_manifest_round_trip () =
         Alcotest.(check int) "cache entries round-trip"
           (List.length m.Manifest.cache_entries)
           (List.length m'.Manifest.cache_entries);
+        Alcotest.(check bool) "cache entries bit-exact" true
+          (m'.Manifest.cache_entries = m.Manifest.cache_entries);
         List.iter2
           (fun (a : Manifest.cutset_record) (b : Manifest.cutset_record) ->
             Alcotest.(check (list string)) "events" a.Manifest.events b.Manifest.events;
@@ -589,6 +686,79 @@ let test_manifest_diff_detects_change () =
       | Manifest.Appeared _ | Manifest.Disappeared _ ->
         Alcotest.fail "same model: no cutset should appear or disappear")
     d.Manifest.entries
+
+(* A manifest carries the entries of its own run only, however many
+   other models share the cache: after a BWR run into a shared store, a
+   pumps manifest embeds exactly what a memory-only pumps run would. *)
+let test_manifest_shared_store_exports_own_entries () =
+  let options = Sdft_analysis.default_options in
+  let sd = Pumps.sd_tree () in
+  let keys m = List.map fst m.Manifest.cache_entries in
+  let memory = Quant_cache.create () in
+  let alone =
+    Manifest.of_result ~cache:memory sd options
+      (Sdft_analysis.analyze ~options ~cache:memory sd)
+  in
+  Alcotest.(check bool) "memory-only run exports entries" true
+    (alone.Manifest.cache_entries <> []);
+  with_store (fun path ->
+      let shared = Quant_cache.open_disk path in
+      ignore (Sdft_analysis.analyze ~options ~cache:shared
+                (Bwr.build Bwr.default_config));
+      let m =
+        Manifest.of_result ~cache:shared sd options
+          (Sdft_analysis.analyze ~options ~cache:shared sd)
+      in
+      Quant_cache.close shared;
+      Alcotest.(check (list string)) "same entry set as a memory-only run"
+        (keys alone) (keys m))
+
+(* Format-1 manifests (cache entries as JSON objects) still load and
+   diff; their cache array is skipped. *)
+let test_manifest_format1_loads () =
+  let options = Sdft_analysis.default_options in
+  let sd = Pumps.sd_tree () in
+  let cache = Quant_cache.create () in
+  let r = Sdft_analysis.analyze ~options ~cache sd in
+  let m = Manifest.of_result ~cache sd options r in
+  let old_entry (key, e) =
+    Sdft_util.Json.Object
+      [
+        ("key", Sdft_util.Json.String key);
+        ("prob", Sdft_util.Json.Number e.Quant_cache.e_prob);
+        ("states", Sdft_util.Json.Number (float_of_int e.Quant_cache.e_states));
+        ( "transitions",
+          Sdft_util.Json.Number (float_of_int e.Quant_cache.e_transitions) );
+        ("steps", Sdft_util.Json.Number (float_of_int e.Quant_cache.e_steps));
+      ]
+  in
+  let v1 =
+    match Sdft_util.Json.parse (Manifest.to_json m) with
+    | Ok (Sdft_util.Json.Object fields) ->
+      Sdft_util.Json.Object
+        (List.map
+           (fun (name, v) ->
+             match name with
+             | "format" -> (name, Sdft_util.Json.Number 1.0)
+             | "cache" ->
+               ( name,
+                 Sdft_util.Json.Array
+                   (List.map old_entry m.Manifest.cache_entries) )
+             | _ -> (name, v))
+           fields)
+    | _ -> Alcotest.fail "manifest is not a JSON object"
+  in
+  match Manifest.of_json v1 with
+  | Error e -> Alcotest.failf "format-1 manifest rejected: %s" e
+  | Ok m1 ->
+    Alcotest.(check int) "cache array skipped" 0
+      (List.length m1.Manifest.cache_entries);
+    Alcotest.(check int) "cutsets kept"
+      (List.length m.Manifest.cutsets)
+      (List.length m1.Manifest.cutsets);
+    let d = Manifest.diff m1 sd r in
+    Alcotest.(check int) "diffs against the same run: nothing moved" 0
+      (List.length d.Manifest.entries)
 
 (* Record codec round-trip. *)
 
@@ -676,6 +846,12 @@ let () =
             test_checkpoint_resume_bit_identical;
           Alcotest.test_case "torn tail re-runs the last point" `Quick
             test_checkpoint_torn_tail_reruns_last_point;
+          Alcotest.test_case "cold sweep appends each record once" `Quick
+            test_checkpoint_appends_once;
+          Alcotest.test_case "append failure never fails the sweep" `Quick
+            test_checkpoint_append_failure;
+          Alcotest.test_case "point records invisible to other readers"
+            `Quick test_checkpoint_store_serves_other_readers;
         ] );
       ( "warm start",
         [
@@ -686,6 +862,10 @@ let () =
             test_manifest_diff_self_empty;
           Alcotest.test_case "diff detects change" `Quick
             test_manifest_diff_detects_change;
+          Alcotest.test_case "manifest exports only its run's entries"
+            `Quick test_manifest_shared_store_exports_own_entries;
+          Alcotest.test_case "format-1 manifest loads" `Quick
+            test_manifest_format1_loads;
         ] );
       ("codec", qc [ prop_record_codec_round_trip; prop_decode_total ]);
     ]
