@@ -1300,7 +1300,8 @@ let parse_cli args =
 
 let () =
   let c = parse_cli (List.tl (Array.to_list Sys.argv)) in
-  if c.trace <> None then Sdft_util.Trace.set_enabled true;
+  if c.trace <> None then
+    Sdft_util.Trace.set_enabled_in Sdft_util.Trace.default true;
   (match c.mode with
   | "kernels" -> bench_kernels ~json_path:c.json ()
   | "sim" -> bench_sim ~json_path:c.json ~trials:c.trials ()
@@ -1321,7 +1322,8 @@ let () =
       to_run;
     if c.micro && c.selected = [] then run_micro ());
   match
-    Sdft_util.Obs.write_dumps ?metrics:c.metrics ?trace:c.trace ()
+    Sdft_util.Obs.write_dumps Sdft_util.Obs.default ?metrics:c.metrics
+      ?trace:c.trace ()
   with
   | [] ->
     Option.iter (Printf.printf "metrics written to %s\n") c.metrics;

@@ -42,11 +42,11 @@ let cutoff_arg =
 (* Observability: every analysis-flavoured subcommand accepts the same
    [--metrics FILE] / [--metrics-format] / [--trace FILE] / [--progress]
    quartet.  Tracing is enabled before the command body runs (the library's
-   spans are no-ops otherwise) and both dumps are written on the way out,
-   even if the body raises.  The body receives an {!Sdft_util.Obs.t} built
-   on the process-default registries — identical instrumentation routing to
-   the pre-context CLI — optionally carrying a live stderr progress
-   reporter; results are bit-identical either way. *)
+   spans only feed their histograms otherwise) and both dumps are written
+   on the way out, even if the body raises.  The body receives an
+   {!Sdft_util.Obs.t} built on the process-default registries, optionally
+   carrying a live stderr progress reporter; results are bit-identical
+   either way. *)
 
 type observability = {
   obs_metrics : string option;
@@ -57,14 +57,14 @@ type observability = {
 
 let observability_term =
   let metrics =
-    Arg.(value & opt (some string) None & info [ "metrics" ] ~docv:"FILE" ~doc:"Dump internal counters, span timers and histograms to $(docv) on exit (format per $(b,--metrics-format)).")
+    Arg.(value & opt (some string) None & info [ "metrics" ] ~docv:"FILE" ~doc:"Dump internal counters, gauges and histograms (one per trace span name, timing every span) to $(docv) on exit (format per $(b,--metrics-format)).")
   in
   let format =
     Arg.(value
          & opt (enum [ ("json", Sdft_util.Metrics.Json_format);
                        ("prom", Sdft_util.Metrics.Prom_format) ])
              Sdft_util.Metrics.Json_format
-         & info [ "metrics-format" ] ~docv:"FMT" ~doc:"Format of the $(b,--metrics) dump: $(b,json) (default) or $(b,prom) (Prometheus text exposition 0.0.4: counters, gauges, spans as summaries, histograms with cumulative $(i,le) buckets).")
+         & info [ "metrics-format" ] ~docv:"FMT" ~doc:"Format of the $(b,--metrics) dump: $(b,json) (default) or $(b,prom) (Prometheus text exposition 0.0.4: counters, gauges, and histograms — span timings included — with cumulative $(i,le) buckets).")
   in
   let trace =
     Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc:"Record hierarchical trace spans and write them to $(docv) on exit ($(b,.json) selects the Chrome trace-event format, anything else JSONL).")
@@ -77,7 +77,8 @@ let observability_term =
         $ metrics $ format $ trace $ progress)
 
 let with_observability obs f =
-  if obs.obs_trace <> None then Sdft_util.Trace.set_enabled true;
+  if obs.obs_trace <> None then
+    Sdft_util.Trace.set_enabled_in Sdft_util.Trace.default true;
   let ctx =
     if obs.obs_progress then
       Sdft_util.Obs.with_progress Sdft_util.Obs.default
@@ -85,11 +86,11 @@ let with_observability obs f =
     else Sdft_util.Obs.default
   in
   let write () =
-    Sdft_util.Obs.finish_progress ctx;
+    Sdft_util.Obs.finish ctx;
     List.iter
       (Printf.eprintf "sdft: %s\n")
-      (Sdft_util.Obs.write_dumps ~format:obs.obs_format ?metrics:obs.obs_metrics
-         ?trace:obs.obs_trace ())
+      (Sdft_util.Obs.write_dumps ctx ~format:obs.obs_format
+         ?metrics:obs.obs_metrics ?trace:obs.obs_trace ())
   in
   Fun.protect ~finally:write (fun () -> f ctx)
 
@@ -345,7 +346,7 @@ let explain_cmd =
     session @@ fun s ->
     (* Tracing is always on inside [explain]: the top-spans section needs
        it even when no --trace file was requested. *)
-    Sdft_util.Trace.set_enabled true;
+    Sdft_util.Trace.set_enabled_in s.obs.Sdft_util.Obs.trace true;
     let cache =
       match s.cache with
       | Some c -> c
@@ -396,7 +397,7 @@ let explain_cmd =
     Printf.printf "\nquantification cache: %d hits / %d misses\n"
       (Quant_cache.hits cache) (Quant_cache.misses cache);
     report_disk_cache cache;
-    let spans = Sdft_util.Trace.aggregate () in
+    let spans = Sdft_util.Trace.aggregate_in s.obs.Sdft_util.Obs.trace in
     if spans <> [] then begin
       Printf.printf "\ntop trace spans (by total time):\n";
       Printf.printf "%-28s %8s %12s\n" "span" "count" "total";
@@ -407,10 +408,14 @@ let explain_cmd =
               (Format.asprintf "%a" Sdft_util.Timer.pp_duration total))
         spans
     end;
+    (* Span histograms repeat the top-spans rows above; this section keeps
+       to the other latency and throughput distributions. *)
     let histograms =
       List.filter
-        (fun (_, h) -> h.Sdft_util.Metrics.count > 0)
-        (Sdft_util.Metrics.snapshot ()).Sdft_util.Metrics.histograms
+        (fun (name, h) ->
+          h.Sdft_util.Metrics.count > 0 && not (List.mem_assoc name spans))
+        (Sdft_util.Metrics.snapshot_in s.obs.Sdft_util.Obs.metrics)
+          .Sdft_util.Metrics.histograms
     in
     if histograms <> [] then begin
       Printf.printf "\nlatency/throughput histograms (bucket quantiles):\n";

@@ -36,6 +36,7 @@ type handles = {
   m_modules : Metrics.counter;
   m_emitted : Metrics.counter;
   m_peak_nodes : Metrics.gauge;
+  s_run : Obs.span;
 }
 
 let handles_in m =
@@ -44,6 +45,7 @@ let handles_in m =
     m_modules = Metrics.counter_in m "zdd.modules";
     m_emitted = Metrics.counter_in m "zdd.cutsets_emitted";
     m_peak_nodes = Metrics.gauge_max_in m "zdd.peak_nodes";
+    s_run = Obs.span_in m "zdd.run";
   }
 
 let default_handles = handles_in Metrics.default
@@ -359,7 +361,7 @@ let run_inner ?(cutoff = 0.0) ?max_order ?(guard = Guard.none) ~fp tree =
 let run ?cutoff ?max_order ?guard ?(obs = Obs.default) tree =
   let h = handles_of obs.Obs.metrics in
   let sink = obs.Obs.trace in
-  Trace.with_span ~sink "zdd.run" (fun () ->
+  Obs.span obs h.s_run (fun () ->
       let r =
         run_inner ?cutoff ?max_order ?guard ~fp:obs.Obs.failpoints tree
       in

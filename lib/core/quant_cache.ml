@@ -3,10 +3,16 @@ module Trace = Sdft_util.Trace
 module Obs = Sdft_util.Obs
 module Store = Sdft_util.Store
 
-let m_appends = Metrics.counter "cache.appends"
-let m_load_ms = Metrics.gauge "cache.load_ms"
-let m_breaker_opens = Metrics.counter "cache.breaker_opens"
-let m_breaker_recoveries = Metrics.counter "cache.breaker_recoveries"
+(* The disk store is process-level state, shared by every analysis that
+   uses the cache: its instruments and instants go to the process-global
+   registry and sink. *)
+let m_appends = Metrics.counter_in Metrics.default "cache.appends"
+let m_load_ms = Metrics.gauge_in Metrics.default "cache.load_ms"
+let m_breaker_opens = Metrics.counter_in Metrics.default "cache.breaker_opens"
+let m_breaker_recoveries =
+  Metrics.counter_in Metrics.default "cache.breaker_recoveries"
+
+let disk_instant name = Trace.instant ~sink:Trace.default name
 
 (* Per-observability-context instrument handles, resolved once per lookup
    (and through the physical-equality fast path, for free on the default
@@ -319,7 +325,7 @@ let open_disk ?batch ?(breaker_threshold = 3) ?(breaker_cooldown = 4)
       records;
     let load_ms = Sdft_util.Timer.elapsed_s t0 *. 1000.0 in
     Metrics.set m_load_ms load_ms;
-    Trace.instant "cache.disk_load";
+    disk_instant "cache.disk_load";
     let threshold = max 1 breaker_threshold in
     let cooldown = max 1 breaker_cooldown in
     t.disk <-
@@ -423,7 +429,7 @@ let trip d msg =
   d.opens <- d.opens + 1;
   d.disk_error <- Some msg;
   Metrics.incr m_breaker_opens;
-  Trace.instant "cache.breaker_open"
+  disk_instant "cache.breaker_open"
 
 (* Drop a store handle that can no longer append (fd torn down by Store on
    a real IO error, or externally closed), folding its append tally into
@@ -499,7 +505,7 @@ let closed_append d r =
    breaker; failure re-opens it with a doubled cooldown. *)
 let probe t d pending =
   d.probes <- d.probes + 1;
-  Trace.instant "cache.breaker_probe";
+  disk_instant "cache.breaker_probe";
   match
     let store, file_keys =
       match d.dk_store with
@@ -559,7 +565,7 @@ let probe t d pending =
     d.recoveries <- d.recoveries + 1;
     d.disk_error <- None;
     Metrics.incr m_breaker_recoveries;
-    Trace.instant "cache.breaker_recover";
+    disk_instant "cache.breaker_recover";
     written
   | exception exn -> (
     match io_error_message exn with
@@ -589,7 +595,7 @@ let disk_append t r =
             d.skips_left <- d.skips_left - 1;
             if d.skips_left <= 0 then begin
               d.dk_state <- Half_open;
-              Trace.instant "cache.breaker_half_open"
+              disk_instant "cache.breaker_half_open"
             end;
             false
           | Half_open -> probe t d r)
@@ -604,7 +610,7 @@ let flush t =
           | None -> ()
           | Some s -> (
             match Store.flush s with
-            | () -> Trace.instant "cache.disk_flush"
+            | () -> disk_instant "cache.disk_flush"
             | exception exn -> (
               match io_error_message exn with
               | Some m -> note_append_failure d m
@@ -621,7 +627,7 @@ let close t =
           | None -> ()
           | Some s -> (
             match Store.close s with
-            | () -> Trace.instant "cache.disk_flush"
+            | () -> disk_instant "cache.disk_flush"
             | exception exn -> (
               match io_error_message exn with
               | Some m -> d.disk_error <- Some m

@@ -7,8 +7,10 @@ module Obs = Sdft_util.Obs
    Sdft_util.Obs). *)
 type handles = {
   m_runs : Metrics.counter;
-  m_mcs_span : Metrics.span;
-  m_quant_span : Metrics.span;
+  s_analyze : Obs.span;
+  s_mcs : Obs.span;
+  s_quant : Obs.span;
+  s_cutset : Obs.span;
   m_fallbacks : Metrics.counter;
   m_product_states : Metrics.counter;
   m_cutsets : Metrics.counter;
@@ -18,8 +20,10 @@ type handles = {
 let handles_in m =
   {
     m_runs = Metrics.counter_in m "analysis.runs";
-    m_mcs_span = Metrics.span_in m "analysis.mcs_generation";
-    m_quant_span = Metrics.span_in m "analysis.quantification";
+    s_analyze = Obs.span_in m "analysis.analyze";
+    s_mcs = Obs.span_in m "analysis.mcs_generation";
+    s_quant = Obs.span_in m "analysis.quantification";
+    s_cutset = Obs.span_in m "analysis.cutset";
     m_fallbacks = Metrics.counter_in m "analysis.fallbacks";
     m_product_states = Metrics.counter_in m "analysis.product_states";
     m_cutsets = Metrics.counter_in m "analysis.cutsets_quantified";
@@ -179,23 +183,20 @@ let phase1 ?guard ?(obs = Obs.default) options sd =
   let sink = obs.Obs.trace in
   Obs.begin_phase obs "generation" ();
   let (translation, engine_used, generation), generation_seconds =
-    Sdft_util.Timer.time (fun () ->
-        Metrics.time h.m_mcs_span (fun () ->
-            Trace.with_span ~sink "analysis.mcs_generation" (fun () ->
-                let translation =
-                  Sdft_translate.translate ~epsilon:options.transient_epsilon
-                    ~obs sd ~horizon:options.horizon
-                in
-                let engine_used =
-                  resolve_engine options.engine translation.static_tree
-                in
-                Trace.add_attr ~sink "engine"
-                  (Trace.Str (engine_name engine_used));
-                ( translation,
-                  engine_used,
-                  generate_cutsets ~cutoff:options.cutoff
-                    ~max_order:options.max_cutset_order ~guard ~obs
-                    engine_used translation.static_tree ))))
+    Obs.span_timed obs h.s_mcs (fun () ->
+        let translation =
+          Sdft_translate.translate ~epsilon:options.transient_epsilon ~obs sd
+            ~horizon:options.horizon
+        in
+        let engine_used =
+          resolve_engine options.engine translation.static_tree
+        in
+        Trace.add_attr ~sink "engine" (Trace.Str (engine_name engine_used));
+        ( translation,
+          engine_used,
+          generate_cutsets ~cutoff:options.cutoff
+            ~max_order:options.max_cutset_order ~guard ~obs engine_used
+            translation.static_tree ))
   in
   { translation; engine_used; generation; generation_seconds }
 
@@ -252,14 +253,14 @@ let degraded r =
 let analyze ?(options = default_options) ?cache ?(obs = Obs.default) sd =
   let h = handles_of obs.Obs.metrics in
   let sink = obs.Obs.trace in
-  Trace.with_span ~sink "analysis.analyze" (fun () ->
+  Obs.span obs h.s_analyze (fun () ->
   (* The product template memo serves this analysis only: emptying it on
      the way out keeps one request's heap from counting against the next
      one's memory limit on a long-lived domain. *)
   Fun.protect
     ~finally:(fun () ->
       Sdft_product.release_template ();
-      Obs.finish_progress obs)
+      Obs.finish obs)
   @@ fun () ->
   Metrics.incr h.m_runs;
   let guard = resource_guard ~obs options in
@@ -328,7 +329,7 @@ let analyze ?(options = default_options) ?cache ?(obs = Obs.default) sd =
         ~horizon
   in
   let quantify_one_inner (context, workspace) cutset =
-    Trace.with_span ~sink "analysis.cutset" (fun () ->
+    Obs.span obs h.s_cutset (fun () ->
     match Sdft_util.Guard.status guard with
     | Some r ->
       (* The global limit tripped between work items: skip the model build
@@ -474,12 +475,10 @@ let analyze ?(options = default_options) ?cache ?(obs = Obs.default) sd =
       (List.fold_left (fun acc c -> acc +. cost_of c) 0.0 all_cutsets)
     ();
   let infos, quantification_seconds =
-    Sdft_util.Timer.time (fun () ->
-        Metrics.time h.m_quant_span (fun () ->
-            Trace.with_span ~sink "analysis.quantification" (fun () ->
-                if options.domains > 1 then
-                  quantify_parallel options.domains all_cutsets
-                else quantify_sequential all_cutsets)))
+    Obs.span_timed obs h.s_quant (fun () ->
+        if options.domains > 1 then
+          quantify_parallel options.domains all_cutsets
+        else quantify_sequential all_cutsets)
   in
   let relevant =
     List.filter (fun info -> info.probability > options.cutoff) infos

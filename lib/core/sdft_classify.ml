@@ -69,9 +69,12 @@ let has_uniform_triggering sd g =
   | [] -> false
   | first :: rest -> first <> None && List.for_all (fun t -> t = first) rest
 
+(* Callers memoize the class per gate, so resolving the span per call
+   costs one registry lookup per gate, not per cutset. *)
 let classify ?(obs = Sdft_util.Obs.default) sd g =
-  Sdft_util.Trace.with_span ~sink:obs.Sdft_util.Obs.trace "classify.gate"
+  Sdft_util.Obs.span obs
     ~attrs:[ ("gate", Sdft_util.Trace.Int g) ]
+    (Sdft_util.Obs.span_in obs.Sdft_util.Obs.metrics "classify.gate")
     (fun () ->
       if has_static_branching sd g then Static_branching
       else if has_static_joins sd g then

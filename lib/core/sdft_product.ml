@@ -505,41 +505,61 @@ let build_generic sem ~max_states ~guard ~fp =
     n_states;
   }
 
+(* Per-observability-context instrument handles, resolved once per build
+   (physical-equality fast path on the default context). Both counters are
+   registered on every build, so a dump shows a zero rather than omitting
+   the one that never moved. *)
+type handles = {
+  m_explorations : Metrics.counter;
+  m_template_hits : Metrics.counter;
+  m_states_per_s : Metrics.histogram;
+  s_build : Obs.span;
+}
+
+let handles_in m =
+  {
+    m_explorations = Metrics.counter_in m "product.explorations";
+    m_template_hits = Metrics.counter_in m "product.template_hits";
+    m_states_per_s = Metrics.histogram_in m "product.build_states_per_s";
+    s_build = Obs.span_in m "product.build";
+  }
+
+let default_handles = handles_in Metrics.default
+
+let handles_of m =
+  if m == Metrics.default then default_handles else handles_in m
+
 let build ?(max_states = 1_000_000) ?assumed_failed ?(generic = false)
     ?(guard = Sdft_util.Guard.none) ?(obs = Obs.default) sd =
+  let h = handles_of obs.Obs.metrics in
   let sink = obs.Obs.trace in
   let fp = obs.Obs.failpoints in
-  Sdft_util.Trace.with_span ~sink "product.build" (fun () ->
-      let t0 = Sdft_util.Timer.start () in
-      let sem = semantics ?assumed_failed sd in
-      let built, reused =
-        if generic then (build_generic sem ~max_states ~guard ~fp, false)
-        else
-          match radix_strides sem.components with
-          | Some strides -> build_packed sem ~max_states ~guard ~fp strides
-          | None -> (build_generic sem ~max_states ~guard ~fp, false)
-      in
-      (* Both counters are registered on every build, so a dump shows a
-         zero rather than omitting the one that never moved. *)
-      let counter = Metrics.counter_in obs.Obs.metrics in
-      let explorations = counter "product.explorations"
-      and hits = counter "product.template_hits" in
-      Metrics.incr (if reused then hits else explorations);
-      (* Build throughput, one observation per build (an instantiation on
-         a template hit): the latency distribution across cutset products
-         is exactly the per-module heterogeneity the explain view wants to
-         surface. *)
-      let dt = Sdft_util.Timer.elapsed_s t0 in
-      if dt > 0.0 then
-        Metrics.observe
-          (Metrics.histogram_in obs.Obs.metrics "product.build_states_per_s")
-          (float_of_int built.n_states /. dt);
-      Sdft_util.Trace.add_attr ~sink "states"
-        (Sdft_util.Trace.Int built.n_states);
-      Sdft_util.Trace.add_attr ~sink "transitions"
-        (Sdft_util.Trace.Int (Ctmc.n_transitions built.chain));
-      Sdft_util.Trace.add_attr ~sink "template" (Sdft_util.Trace.Bool reused);
-      built)
+  let built, dt =
+    Obs.span_timed obs h.s_build (fun () ->
+        let sem = semantics ?assumed_failed sd in
+        let built, reused =
+          if generic then (build_generic sem ~max_states ~guard ~fp, false)
+          else
+            match radix_strides sem.components with
+            | Some strides -> build_packed sem ~max_states ~guard ~fp strides
+            | None -> (build_generic sem ~max_states ~guard ~fp, false)
+        in
+        Metrics.incr (if reused then h.m_template_hits else h.m_explorations);
+        Sdft_util.Trace.add_attr ~sink "states"
+          (Sdft_util.Trace.Int built.n_states);
+        Sdft_util.Trace.add_attr ~sink "transitions"
+          (Sdft_util.Trace.Int (Ctmc.n_transitions built.chain));
+        Sdft_util.Trace.add_attr ~sink "template"
+          (Sdft_util.Trace.Bool reused);
+        built)
+  in
+  (* Build throughput, one observation per build (an instantiation on a
+     template hit): the latency distribution across cutset products is
+     exactly the per-module heterogeneity the explain view wants to
+     surface. *)
+  if dt > 0.0 then
+    Metrics.observe h.m_states_per_s (float_of_int built.n_states /. dt);
+  built
 
 let unreliability ?(epsilon = 1e-12) ?guard ?workspace ?obs built ~horizon =
   let options = { Transient.epsilon } in

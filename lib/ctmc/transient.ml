@@ -8,6 +8,7 @@ type handles = {
   m_steps : Metrics.counter;
   m_window : Metrics.counter;
   m_steady : Metrics.counter;
+  s_solve : Obs.span;
 }
 
 let handles_in m =
@@ -16,6 +17,7 @@ let handles_in m =
     m_steps = Metrics.counter_in m "transient.uniformization_steps";
     m_window = Metrics.counter_in m "transient.window_width_total";
     m_steady = Metrics.counter_in m "transient.steady_state_exits";
+    s_solve = Obs.span_in m "transient.solve";
   }
 
 let default_handles = handles_in Metrics.default
@@ -131,7 +133,7 @@ let solve_into ~options ~guard ~obs ws chain ~init ~t =
   let sink = obs.Obs.trace in
   let fp = obs.Obs.failpoints in
   let h = ws_handles ws obs.Obs.metrics in
-  Trace.with_span ~sink "transient.solve" (fun () ->
+  Obs.span obs h.s_solve (fun () ->
   if t < 0.0 || not (Float.is_finite t) then
     invalid_arg "Transient.distribution: bad horizon";
   let n = Ctmc.n_states chain in

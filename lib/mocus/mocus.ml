@@ -9,8 +9,8 @@ module Obs = Sdft_util.Obs
    process and reused, so the historical global-metrics path costs the same
    as before. *)
 type handles = {
-  m_run_span : Metrics.span;
-  m_minimize_span : Metrics.span;
+  s_run : Obs.span;
+  s_minimize : Obs.span;
   m_runs : Metrics.counter;
   m_generated : Metrics.counter;
   m_pruned : Metrics.counter;
@@ -21,8 +21,8 @@ type handles = {
 
 let handles_in m =
   {
-    m_run_span = Metrics.span_in m "mocus.run";
-    m_minimize_span = Metrics.span_in m "mocus.minimize";
+    s_run = Obs.span_in m "mocus.run";
+    s_minimize = Obs.span_in m "mocus.minimize";
     m_runs = Metrics.counter_in m "mocus.runs";
     m_generated = Metrics.counter_in m "mocus.partials_generated";
     m_pruned = Metrics.counter_in m "mocus.partials_pruned";
@@ -232,9 +232,8 @@ let run_inner ~options ~guard ~obs ~h tree =
     Stack.clear stack);
   let generated = Sdft_util.Vec.length out in
   let cutsets =
-    Trace.with_span ~sink "mocus.minimize" @@ fun () ->
-    let minimize () = Cutset.minimize (Sdft_util.Vec.to_list out) in
-    let cutsets = Metrics.time h.m_minimize_span minimize in
+    Obs.span obs h.s_minimize @@ fun () ->
+    let cutsets = Cutset.minimize (Sdft_util.Vec.to_list out) in
     Trace.add_attr ~sink "candidates" (Trace.Int generated);
     Trace.add_attr ~sink "kept" (Trace.Int (List.length cutsets));
     cutsets
@@ -265,8 +264,7 @@ let run_inner ~options ~guard ~obs ~h tree =
 let run ?(options = default_options) ?(guard = Sdft_util.Guard.none)
     ?(obs = Obs.default) tree =
   let h = handles_of obs.Obs.metrics in
-  Trace.with_span ~sink:obs.Obs.trace "mocus.run" (fun () ->
-      Metrics.time h.m_run_span (fun () -> run_inner ~options ~guard ~obs ~h tree))
+  Obs.span obs h.s_run (fun () -> run_inner ~options ~guard ~obs ~h tree)
 
 let minimal_cutsets ?options ?guard ?obs tree =
   (run ?options ?guard ?obs tree).cutsets

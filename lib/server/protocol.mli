@@ -89,7 +89,7 @@ type request = {
   client : string option;
       (** quota bucket; defaults to the connection identity *)
   failpoints : string option;
-      (** {!Sdft_util.Failpoint.configure_string} spec armed on this
+      (** {!Sdft_util.Failpoint.configure_string_in} spec armed on this
           request's private registry only *)
   idem : string option;
       (** idempotency key: the server remembers the response line it sent

@@ -266,7 +266,7 @@ let run_analyze t (slot : slot) (job : job) =
          private registry (per-request specs) and the default one
          (operator-wide SDFT_FAILPOINTS). *)
       Failpoint.hit_in obs.Obs.failpoints "server.handle";
-      Failpoint.hit "server.handle";
+      Failpoint.hit_in Failpoint.default "server.handle";
       Sdft_format.of_string p.Protocol.model_text
     with
     | exception Sdft_format.Error m ->

@@ -50,7 +50,7 @@ type handles = {
   m_hits : Metrics.counter;
   m_jumps : Metrics.counter;
   m_forced : Metrics.counter;
-  m_span : Metrics.span;
+  s_run : Sdft_util.Obs.span;
   m_weight : Metrics.histogram;
 }
 
@@ -60,7 +60,7 @@ let handles_in m =
     m_hits = Metrics.counter_in m "sim.hits";
     m_jumps = Metrics.counter_in m "sim.jumps";
     m_forced = Metrics.counter_in m "sim.forced_jumps";
-    m_span = Metrics.span_in m "sim.run";
+    s_run = Sdft_util.Obs.span_in m "sim.run";
     m_weight = Metrics.histogram_in m "sim.trial_weight";
   }
 
@@ -211,11 +211,11 @@ let run ?(options = default_options) ?(obs = Sdft_util.Obs.default) sd
   if options.batch <= 0 then invalid_arg "Rare_event: batch must be positive";
   if options.static_bias_cap <= 0.0 || options.static_bias_cap >= 1.0 then
     invalid_arg "Rare_event: static_bias_cap must lie in (0, 1)";
-  let t0 = Sdft_util.Timer.start () in
   let h = handles_of obs.Sdft_util.Obs.metrics in
   let sink = obs.Sdft_util.Obs.trace in
-  Trace.with_span ~sink "sim.run"
+  Sdft_util.Obs.span obs
     ~attrs:[ ("trials", Trace.Int options.trials); ("seed", Trace.Int options.seed) ]
+    h.s_run
   @@ fun () ->
   let n_batches = (options.trials + options.batch - 1) / options.batch in
   (* Streams are pre-split sequentially from the seed, one per batch, and
@@ -275,7 +275,6 @@ let run ?(options = default_options) ?(obs = Sdft_util.Obs.default) sd
   Metrics.add h.m_hits !hits;
   Metrics.add h.m_jumps !jumps;
   Metrics.add h.m_forced !forced;
-  Metrics.record h.m_span (Sdft_util.Timer.elapsed_s t0);
   Trace.add_attr ~sink "hits" (Trace.Int !hits);
   estimate_of ~trials:!trials_done ~hits:!hits ~sum:(Kahan.total sum)
     ~sum2:(Kahan.total sum2) ~weight:(Kahan.total weight)

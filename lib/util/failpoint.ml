@@ -53,29 +53,21 @@ let set_in t name ?(trigger = Always) action =
       Hashtbl.replace t.table name { action; trigger; hits = Atomic.make 0 };
       Atomic.set t.armed true)
 
-let set name ?trigger action = set_in default name ?trigger action
-
 let clear_in t name =
   locked t (fun () ->
       Hashtbl.remove t.table name;
       if Hashtbl.length t.table = 0 then Atomic.set t.armed false)
-
-let clear name = clear_in default name
 
 let clear_all_in t =
   locked t (fun () ->
       Hashtbl.reset t.table;
       Atomic.set t.armed false)
 
-let clear_all () = clear_all_in default
-
 let hit_count_in t name =
   locked t (fun () ->
       match Hashtbl.find_opt t.table name with
       | Some s -> Atomic.get s.hits
       | None -> 0)
-
-let hit_count name = hit_count_in default name
 
 (* Stateless per-hit decision: mixing the seed with the hit index through
    splitmix64 gives every hit its own draw no matter how hits interleave
@@ -176,19 +168,15 @@ let configure_string_in t s =
       if entry <> "" then parse_entry t entry)
     (String.split_on_char ',' s)
 
-let configure_string s = configure_string_in default s
-
-let load_env () =
-  Atomic.set env_read true;
+let load_env_in t =
+  if t == default then Atomic.set env_read true;
   match Sys.getenv_opt "SDFT_FAILPOINTS" with
-  | Some spec when String.trim spec <> "" -> configure_string_in default spec
+  | Some spec when String.trim spec <> "" -> configure_string_in t spec
   | Some _ | None -> ()
 
 let hit_in t name =
-  if t == default && not (Atomic.get env_read) then load_env ();
+  if t == default && not (Atomic.get env_read) then load_env_in t;
   if Atomic.get t.armed then begin
     let site = locked t (fun () -> Hashtbl.find_opt t.table name) in
     match site with None -> () | Some s -> fire name s
   end
-
-let hit name = hit_in default name

@@ -1,7 +1,7 @@
 (** Deterministic fault-injection sites for robustness testing.
 
-    Library code declares named sites by calling {!hit} (or {!hit_in} with
-    an explicit registry) at interesting points (the toolkit uses
+    Library code declares named sites by calling {!hit_in} at interesting
+    points (the toolkit uses
     [mocus.expand], [product.explore], [transient.step], [cache.lookup] and
     [parallel.worker]). When no failpoint is armed — the production default
     — a hit is two atomic loads. Tests (via the API) or operators (via the
@@ -10,17 +10,18 @@
     analysis be exercised on demand: injected exceptions, simulated
     [Out_of_memory], simulated resource limits, or plain delays.
 
-    Sites live in a {e registry} ({!t}). The process-global {!default}
-    registry backs every call without an explicit registry and is the only
-    one that reads [SDFT_FAILPOINTS]; fresh registries (one per
-    {!Obs.create} context) start empty and are armed exclusively through
-    the API, so an injection armed for one analysis can never fire inside a
-    concurrent one.
+    Sites live in a {e registry} ({!t}), which every call names. The
+    process-global {!default} registry is the one the disk store, the
+    worker pool and the server's request handler hit, and the only one that
+    reads [SDFT_FAILPOINTS] by itself; fresh registries (one per
+    {!Obs.create} context) start empty and are armed through the API, so an
+    injection armed for one analysis can never fire inside a concurrent
+    one.
 
     {2 Specification syntax}
 
     [SDFT_FAILPOINTS] is a comma-separated list of [SITE=SPEC] entries;
-    {!configure_string} accepts the same syntax. A [SPEC] is
+    {!configure_string_in} accepts the same syntax. A [SPEC] is
     [ACTION[@TRIGGER]]:
 
     - actions: [raise] (raise {!Injected}), [oom] (raise [Out_of_memory]),
@@ -67,51 +68,37 @@ val create : unit -> t
     reads [SDFT_FAILPOINTS]. *)
 
 val default : t
-(** The process-global registry behind the registry-less functions. *)
+(** The process-global registry. *)
 
 (** {1 Hitting sites} *)
 
-val hit : string -> unit
-(** Checkpoint a site against {!default}. No-op (two atomic loads) unless
-    the site is armed. The first hit in a process also arms any sites
-    configured through [SDFT_FAILPOINTS]. *)
-
 val hit_in : t -> string -> unit
-(** Checkpoint a site against an explicit registry. Hot loops bind the
-    registry once outside the loop and call this — same cost as {!hit}. *)
+(** Checkpoint a site. No-op (two atomic loads) unless the site is armed.
+    The first hit on {!default} in a process also arms any sites
+    configured through [SDFT_FAILPOINTS]. Hot loops bind the registry once
+    outside the loop. *)
 
 (** {1 Arming} *)
 
-val set : string -> ?trigger:trigger -> action -> unit
+val set_in : t -> string -> ?trigger:trigger -> action -> unit
 (** Arm a site (replacing any previous arming and resetting its hit
     counter). [trigger] defaults to [Always]. *)
 
-val set_in : t -> string -> ?trigger:trigger -> action -> unit
-
-val clear : string -> unit
+val clear_in : t -> string -> unit
 (** Disarm one site. *)
 
-val clear_in : t -> string -> unit
-
-val clear_all : unit -> unit
+val clear_all_in : t -> unit
 (** Disarm every site (including environment-configured ones). *)
 
-val clear_all_in : t -> unit
-
-val hit_count : string -> int
+val hit_count_in : t -> string -> int
 (** Hits recorded at an armed site so far; 0 when not armed. *)
 
-val hit_count_in : t -> string -> int
-
-val configure_string : string -> unit
-(** Parse and arm a comma-separated [SITE=SPEC] list (see above) on
-    {!default}.
+val configure_string_in : t -> string -> unit
+(** Parse and arm a comma-separated [SITE=SPEC] list (see above).
 
     @raise Failure on a malformed specification, naming the entry. *)
 
-val configure_string_in : t -> string -> unit
-
-val load_env : unit -> unit
-(** Arm the sites described by [SDFT_FAILPOINTS], if set, on {!default}.
-    Called implicitly by the first {!hit}; explicit calls re-read the
+val load_env_in : t -> unit
+(** Arm the sites described by [SDFT_FAILPOINTS], if set. The first hit on
+    {!default} calls this implicitly; explicit calls re-read the
     variable. *)

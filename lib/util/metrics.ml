@@ -2,11 +2,6 @@ type counter = int Atomic.t
 
 type gauge = float Atomic.t
 
-type span = {
-  total : float Atomic.t;
-  count : int Atomic.t;
-}
-
 (* Histograms use one fixed, process-wide bucket scheme: log-spaced
    boundaries, four buckets per decade, covering 1e-9 .. ~5.6e8 with one
    overflow bucket. Fixing the boundaries (instead of adapting them to the
@@ -44,7 +39,6 @@ type histogram = {
 type instrument =
   | Counter of counter
   | Gauge of gauge
-  | Span of span
   | Histogram of histogram
 
 type t = {
@@ -72,24 +66,16 @@ let register t key make =
 let counter_in t name =
   match register t ("c:" ^ name) (fun () -> Counter (Atomic.make 0)) with
   | Counter c -> c
-  | Gauge _ | Span _ | Histogram _ -> assert false (* "c:" keys only hold counters *)
+  | Gauge _ | Histogram _ -> assert false (* "c:" keys only hold counters *)
 
 let gauge_in t name =
   match register t ("g:" ^ name) (fun () -> Gauge (Atomic.make 0.0)) with
   | Gauge g -> g
-  | Counter _ | Span _ | Histogram _ -> assert false
+  | Counter _ | Histogram _ -> assert false
 
 (* A gauge_max is an ordinary gauge by representation; the distinction is
    the update discipline ({!set_max}), which callers opt into. *)
 let gauge_max_in = gauge_in
-
-let span_in t name =
-  match
-    register t ("s:" ^ name) (fun () ->
-        Span { total = Atomic.make 0.0; count = Atomic.make 0 })
-  with
-  | Span s -> s
-  | Counter _ | Gauge _ | Histogram _ -> assert false
 
 let histogram_in t name =
   match
@@ -101,17 +87,7 @@ let histogram_in t name =
           })
   with
   | Histogram h -> h
-  | Counter _ | Gauge _ | Span _ -> assert false
-
-let counter name = counter_in default name
-
-let gauge name = gauge_in default name
-
-let gauge_max name = gauge_max_in default name
-
-let span name = span_in default name
-
-let histogram name = histogram_in default name
+  | Counter _ | Gauge _ -> assert false
 
 let incr c = ignore (Atomic.fetch_and_add c 1)
 
@@ -132,14 +108,6 @@ let rec set_max g v =
   let old = Atomic.get g in
   if v > old && not (Atomic.compare_and_set g old v) then set_max g v
 
-let record s seconds =
-  atomic_add_float s.total seconds;
-  ignore (Atomic.fetch_and_add s.count 1)
-
-let time s f =
-  let t0 = Timer.start () in
-  Fun.protect ~finally:(fun () -> record s (Timer.elapsed_s t0)) f
-
 let observe h v =
   ignore (Atomic.fetch_and_add h.h_counts.(bucket_index v) 1);
   atomic_add_float h.h_sum v
@@ -147,10 +115,6 @@ let observe h v =
 let counter_value c = Atomic.get c
 
 let gauge_value g = Atomic.get g
-
-let span_seconds s = Atomic.get s.total
-
-let span_count s = Atomic.get s.count
 
 (* Pure histogram values — the same representation backs live snapshots
    and the property tests for merge laws. *)
@@ -211,7 +175,6 @@ let hist_value h =
 type snapshot = {
   counters : (string * int) list;
   gauges : (string * float) list;
-  spans : (string * (float * int)) list;
   histograms : (string * hist) list;
 }
 
@@ -223,7 +186,6 @@ let snapshot_in t =
   in
   let counters = ref []
   and gauges = ref []
-  and spans = ref []
   and histograms = ref [] in
   List.iter
     (fun (key, i) ->
@@ -231,19 +193,14 @@ let snapshot_in t =
       match i with
       | Counter c -> counters := (name, Atomic.get c) :: !counters
       | Gauge g -> gauges := (name, Atomic.get g) :: !gauges
-      | Span s ->
-        spans := (name, (Atomic.get s.total, Atomic.get s.count)) :: !spans
       | Histogram h -> histograms := (name, hist_value h) :: !histograms)
     instruments;
   let by_name (a, _) (b, _) = String.compare a b in
   {
     counters = List.sort by_name !counters;
     gauges = List.sort by_name !gauges;
-    spans = List.sort by_name !spans;
     histograms = List.sort by_name !histograms;
   }
-
-let snapshot () = snapshot_in default
 
 let reset_in t =
   locked t (fun () ->
@@ -252,21 +209,12 @@ let reset_in t =
           match i with
           | Counter c -> Atomic.set c 0
           | Gauge g -> Atomic.set g 0.0
-          | Span s ->
-            Atomic.set s.total 0.0;
-            Atomic.set s.count 0
           | Histogram h ->
             Array.iter (fun c -> Atomic.set c 0) h.h_counts;
             Atomic.set h.h_sum 0.0)
         t.tbl)
 
-let reset () = reset_in default
-
 (* Hand-rolled JSON: names are code-controlled but escape them anyway. *)
-let add_json_string = Json.add_string
-
-let add_json_float = Json.add_float
-
 let to_json_in t =
   let s = snapshot_in t in
   let buf = Buffer.create 1024 in
@@ -275,7 +223,7 @@ let to_json_in t =
     List.iteri
       (fun i (name, emit) ->
         if i > 0 then Buffer.add_string buf ", ";
-        add_json_string buf name;
+        Json.add_string buf name;
         Buffer.add_string buf ": ";
         emit ())
       fields;
@@ -287,19 +235,7 @@ let to_json_in t =
        (fun (n, v) -> (n, fun () -> Buffer.add_string buf (string_of_int v)))
        s.counters);
   Buffer.add_string buf ", \"gauges\": ";
-  obj (List.map (fun (n, v) -> (n, fun () -> add_json_float buf v)) s.gauges);
-  Buffer.add_string buf ", \"spans\": ";
-  obj
-    (List.map
-       (fun (n, (secs, count)) ->
-         ( n,
-           fun () ->
-             Buffer.add_string buf "{\"seconds\": ";
-             add_json_float buf secs;
-             Buffer.add_string buf ", \"count\": ";
-             Buffer.add_string buf (string_of_int count);
-             Buffer.add_char buf '}' ))
-       s.spans);
+  obj (List.map (fun (n, v) -> (n, fun () -> Json.add_float buf v)) s.gauges);
   Buffer.add_string buf ", \"histograms\": ";
   obj
     (List.map
@@ -308,11 +244,11 @@ let to_json_in t =
            fun () ->
              Printf.ksprintf (Buffer.add_string buf)
                "{\"count\": %d, \"sum\": " h.count;
-             add_json_float buf h.sum;
+             Json.add_float buf h.sum;
              List.iter
                (fun (label, q) ->
                  Printf.ksprintf (Buffer.add_string buf) ", \"%s\": " label;
-                 add_json_float buf (hist_quantile h q))
+                 Json.add_float buf (hist_quantile h q))
                [ ("p50", 0.5); ("p90", 0.9); ("p99", 0.99) ];
              Buffer.add_string buf ", \"buckets\": [";
              let first = ref true in
@@ -323,8 +259,8 @@ let to_json_in t =
                    first := false;
                    let le = bucket_le i in
                    Buffer.add_char buf '[';
-                   if Float.is_finite le then add_json_float buf le
-                   else add_json_string buf "+Inf";
+                   if Float.is_finite le then Json.add_float buf le
+                   else Json.add_string buf "+Inf";
                    Printf.ksprintf (Buffer.add_string buf) ", %d]" c
                  end)
                h.buckets;
@@ -333,12 +269,9 @@ let to_json_in t =
   Buffer.add_char buf '}';
   Buffer.contents buf
 
-let to_json () = to_json_in default
-
 (* Prometheus text exposition (version 0.0.4): one # TYPE line per metric,
-   histogram buckets cumulative with an le label, spans exported as
-   summaries under <name>_seconds. The output is sorted by name within each
-   kind, so it is deterministic for a given snapshot. *)
+   histogram buckets cumulative with an le label. The output is sorted by
+   name within each kind, so it is deterministic for a given snapshot. *)
 
 let prom_name name =
   let mangled =
@@ -374,13 +307,6 @@ let to_prometheus_in t =
       line "%s %s" pn (prom_float v))
     s.gauges;
   List.iter
-    (fun (n, (secs, count)) ->
-      let pn = prom_name (n ^ "_seconds") in
-      line "# TYPE %s summary" pn;
-      line "%s_sum %s" pn (prom_float secs);
-      line "%s_count %d" pn count)
-    s.spans;
-  List.iter
     (fun (n, h) ->
       let pn = prom_name n in
       line "# TYPE %s histogram" pn;
@@ -399,8 +325,6 @@ let to_prometheus_in t =
     s.histograms;
   Buffer.contents buf
 
-let to_prometheus () = to_prometheus_in default
-
 type format =
   | Json_format
   | Prom_format
@@ -412,5 +336,3 @@ let write_file_in ?(format = Json_format) t path =
     | Prom_format -> to_prometheus_in t
   in
   Atomic_io.write_file path contents
-
-let write_file ?format path = write_file_in ?format default path

@@ -1,18 +1,18 @@
-(** Lightweight metrics: named monotonic counters, gauges, span timers and
-    fixed-bucket histograms, grouped in registries, with JSON and
-    Prometheus text serialization.
+(** Lightweight metrics: named monotonic counters, gauges and fixed-bucket
+    histograms, grouped in registries, with JSON and Prometheus text
+    serialization.
 
     A {e registry} ({!t}) holds one process- or analysis-scoped set of
-    instruments. The process-global {!default} registry is shared by the
-    whole process so that library code ([Mocus.run],
-    [Transient.distribution], [Sdft_analysis.analyze]) can publish counters
-    without threading handles through every call, and the harnesses
-    ([bin/main.ml --metrics], [bench/main.ml]) can dump one consolidated
-    snapshot at the end. Code that needs isolation — concurrent analyses in
-    one process — creates its own registry (usually through
-    {!Obs.create}) and resolves instruments with the [_in] variants.
+    instruments, and every registration names its registry: library code
+    resolves its instruments from the registry of the observability
+    context it was handed ({!Obs.t}'s [metrics]), and process-level
+    instruments with no analysis to belong to — the disk store's appends,
+    the cache breaker — name {!default}, the registry the executables dump
+    for [--metrics]. Span timings are histograms too: {!Obs.span} observes
+    each span's duration into the histogram of the same name, whose [sum]
+    and [count] are the span's total seconds and number of intervals.
 
-    All updates are thread-safe under multiple domains: counters, spans and
+    All updates are thread-safe under multiple domains: counters and
     histograms are updated with [Atomic] read-modify-write loops (no
     registry mutex on the hot path); only registration of a {e new} name
     takes a lock. Instruments are cheap enough to update from parallel
@@ -25,10 +25,6 @@ type counter
 type gauge
 (** A float cell: last-write-wins under {!set}, monotone max under
     {!set_max}. *)
-
-type span
-(** An accumulating wall-clock timer: total seconds plus a count of the
-    recorded intervals. *)
 
 type histogram
 (** A lock-free distribution: observations are counted into fixed
@@ -47,8 +43,9 @@ val create : unit -> t
 (** A fresh, empty registry, isolated from every other. *)
 
 val default : t
-(** The process-global registry behind {!counter}, {!gauge}, {!span},
-    {!histogram}, {!snapshot} and friends. *)
+(** The process-global registry: what the executables' [--metrics] flag
+    dumps, and what pipeline entry points use when no context is passed
+    (through {!Obs.default}). *)
 
 (** {1 Registration}
 
@@ -56,32 +53,17 @@ val default : t
     instrument, so instruments can be created at module-initialization time
     or lazily. Names are namespaced by convention, e.g.
     ["mocus.partials_generated"]. A name may be reused across kinds
-    (counters, gauges, spans and histograms live in separate namespaces).
-
-    The suffix-less functions operate on {!default}; the [_in] variants
-    take an explicit registry. *)
-
-val counter : string -> counter
-
-val gauge : string -> gauge
-
-val gauge_max : string -> gauge
-(** Same representation as {!gauge}; registered for updating with
-    {!set_max} (peak-heap, max-queue-depth). The name distinguishes intent
-    at the call site only — a [gauge] and a [gauge_max] with the same name
-    are the same instrument. *)
-
-val span : string -> span
-
-val histogram : string -> histogram
+    (counters, gauges and histograms live in separate namespaces). *)
 
 val counter_in : t -> string -> counter
 
 val gauge_in : t -> string -> gauge
 
 val gauge_max_in : t -> string -> gauge
-
-val span_in : t -> string -> span
+(** Same representation as {!gauge_in}; registered for updating with
+    {!set_max} (peak-heap, max-queue-depth). The name distinguishes intent
+    at the call site only — a [gauge_in] and a [gauge_max_in] with the same
+    name are the same instrument. *)
 
 val histogram_in : t -> string -> histogram
 
@@ -102,13 +84,6 @@ val set_max : gauge -> float -> unit
     lands last). Monotone with respect to the gauge's current value; the
     initial value is [0.], so it is meant for non-negative quantities. *)
 
-val record : span -> float -> unit
-(** [record s seconds] adds one interval of the given length. *)
-
-val time : span -> (unit -> 'a) -> 'a
-(** [time s f] runs [f] and records its wall-clock duration on [s]. The
-    duration is recorded whether [f] returns or raises. *)
-
 val observe : histogram -> float -> unit
 (** Count one observation into its bucket and add it to the sum. Lock-free:
     one atomic increment plus one CAS-add. [NaN] counts as [0.]. *)
@@ -118,12 +93,6 @@ val observe : histogram -> float -> unit
 val counter_value : counter -> int
 
 val gauge_value : gauge -> float
-
-val span_seconds : span -> float
-(** Total recorded seconds. *)
-
-val span_count : span -> int
-(** Number of recorded intervals. *)
 
 (** {1 Histogram values}
 
@@ -170,55 +139,42 @@ val hist_value : histogram -> hist
 type snapshot = {
   counters : (string * int) list;
   gauges : (string * float) list;
-  spans : (string * (float * int)) list;
-      (** name -> (total seconds, interval count) *)
   histograms : (string * hist) list;
 }
 (** All lists are sorted by name. *)
 
-val snapshot : unit -> snapshot
-
 val snapshot_in : t -> snapshot
 
-val reset : unit -> unit
+val reset_in : t -> unit
 (** Zero every registered instrument (the registrations themselves are
     kept, so handles created earlier remain valid). Meant for tests and
     for harnesses that dump several windows from one process. *)
 
-val reset_in : t -> unit
-
 (** {1 Serialization} *)
 
-val to_json : unit -> string
-(** The current snapshot as a JSON object:
-    [{"counters": {..}, "gauges": {..}, "spans": {"name": {"seconds": s,
-    "count": n}, ..}, "histograms": {"name": {"count": n, "sum": s,
-    "p50": .., "p90": .., "p99": .., "buckets": [[le, count], ..]}, ..}}].
-    Histogram buckets list only non-empty buckets, with per-bucket (not
-    cumulative) counts; the overflow boundary is the string ["+Inf"]. *)
-
 val to_json_in : t -> string
+(** The registry's snapshot as a JSON object:
+    [{"counters": {..}, "gauges": {..}, "histograms": {"name": {"count": n,
+    "sum": s, "p50": .., "p90": .., "p99": .., "buckets": [[le, count],
+    ..]}, ..}}]. Histogram buckets list only non-empty buckets, with
+    per-bucket (not cumulative) counts; the overflow boundary is the string
+    ["+Inf"]. *)
 
-val to_prometheus : unit -> string
-(** The current snapshot in Prometheus text exposition format: metric
+val to_prometheus_in : t -> string
+(** The registry's snapshot in Prometheus text exposition format: metric
     names are prefixed with [sdft_] and mangled to [\[a-zA-Z0-9_\]], each
-    preceded by a [# TYPE] line. Counters and gauges map directly; spans
-    become summaries named [<name>_seconds] with [_sum]/[_count];
+    preceded by a [# TYPE] line. Counters and gauges map directly;
     histograms emit every bucket as [<name>_bucket{le="..."}] with
     {e cumulative} counts ending in [le="+Inf"], plus [_sum] and [_count].
     [_sum]/[_count] agree exactly with the JSON export, since both read
     the same snapshot. *)
 
-val to_prometheus_in : t -> string
-
 type format =
   | Json_format
   | Prom_format
 
-val write_file : ?format:format -> string -> unit
-(** Write the current snapshot to the given path — {!to_json} plus a
-    trailing newline by default, {!to_prometheus} with [~format:Prom_format]
-    — via {!Atomic_io.write_file}, so a kill mid-dump never leaves a
-    truncated file. *)
-
 val write_file_in : ?format:format -> t -> string -> unit
+(** Write the registry's snapshot to the given path — {!to_json_in} plus a
+    trailing newline by default, {!to_prometheus_in} with
+    [~format:Prom_format] — via {!Atomic_io.write_file}, so a kill mid-dump
+    never leaves a truncated file. *)

@@ -9,30 +9,27 @@ type t = {
 
 let word_mb = float_of_int (Sys.word_size / 8) /. (1024.0 *. 1024.0)
 
-let peak_heap_gauge m = Metrics.gauge_max_in m "analysis.peak_heap_mb"
-
-let default =
+let make metrics trace failpoints =
   {
-    metrics = Metrics.default;
-    trace = Trace.default;
-    failpoints = Failpoint.default;
+    metrics;
+    trace;
+    failpoints;
     progress = None;
-    peak_heap = peak_heap_gauge Metrics.default;
+    peak_heap = Metrics.gauge_max_in metrics "analysis.peak_heap_mb";
     probe = None;
   }
 
+let default = make Metrics.default Trace.default Failpoint.default
+
 let create ?metrics ?trace ?failpoints ?progress () =
-  let metrics =
-    match metrics with Some m -> m | None -> Metrics.create ()
-  in
+  let given o fresh = match o with Some x -> x | None -> fresh () in
   {
-    metrics;
-    trace = (match trace with Some t -> t | None -> Trace.create ());
-    failpoints =
-      (match failpoints with Some f -> f | None -> Failpoint.create ());
+    (make
+       (given metrics Metrics.create)
+       (given trace (fun () -> Trace.create ()))
+       (given failpoints Failpoint.create))
+    with
     progress;
-    peak_heap = peak_heap_gauge metrics;
-    probe = None;
   }
 
 let with_progress obs progress = { obs with progress = Some progress }
@@ -41,6 +38,28 @@ let with_on_probe obs f = { obs with probe = Some f }
 
 let heap_mb () =
   float_of_int (Gc.quick_stat ()).Gc.heap_words *. word_mb
+
+type span = {
+  span_name : string;
+  span_hist : Metrics.histogram;
+}
+
+let span_in m name = { span_name = name; span_hist = Metrics.histogram_in m name }
+
+let span_timed obs ?attrs s f =
+  let seconds = ref 0.0 in
+  let v =
+    Trace.with_span ~sink:obs.trace ?attrs
+      ~on_close:(fun dur ->
+        Metrics.observe s.span_hist dur;
+        seconds := dur)
+      s.span_name f
+  in
+  (v, !seconds)
+
+let span obs ?attrs s f = fst (span_timed obs ?attrs s f)
+
+let sample_heap obs = Metrics.set_max obs.peak_heap (heap_mb ())
 
 let tick obs =
   match obs.progress with
@@ -54,15 +73,21 @@ let step obs ?cost () =
   match obs.progress with
   | None -> ()
   | Some p ->
-    Metrics.set_max obs.peak_heap (heap_mb ());
+    sample_heap obs;
     Progress.step p ?cost ()
 
+(* The heap is sampled at phase boundaries and at the end whether or not
+   progress is on, so [analysis.peak_heap_mb] does not depend on
+   --progress; per-cutset sampling stays tied to progress, since a
+   Gc.quick_stat per cutset would cost more than the display it feeds. *)
 let begin_phase obs name ?total ?cost_total ?skipped ?n_done () =
+  sample_heap obs;
   match obs.progress with
   | None -> ()
   | Some p -> Progress.begin_phase p name ?total ?cost_total ?skipped ?n_done ()
 
-let finish_progress obs =
+let finish obs =
+  sample_heap obs;
   match obs.progress with None -> () | Some p -> Progress.finish p
 
 (* The probe hook for Guard.create: [None] when nothing wants the
@@ -79,10 +104,11 @@ let on_probe obs =
         (match obs.probe with Some f -> f () | None -> ());
         tick obs)
 
-let write_dumps ?format ?metrics ?trace () =
+let write_dumps obs ?format ?metrics ?trace () =
   let write path f =
     match path with
     | None -> []
     | Some path -> ( try f path; [] with Sys_error m -> [ m ])
   in
-  write metrics (Metrics.write_file ?format) @ write trace Trace.write_file
+  write metrics (Metrics.write_file_in ?format obs.metrics)
+  @ write trace (Trace.write_file_in obs.trace)

@@ -3,14 +3,15 @@
     reporter, created per analysis and threaded through the pipeline as
     [?obs].
 
-    The {e default-context compatibility rule}: every pipeline entry point
-    defaults [?obs] to {!default}, which wraps the process-global
-    [Metrics.default] / [Trace.default] / [Failpoint.default] — so
-    existing call sites, the CLI flags ([--metrics], [--trace],
-    [SDFT_FAILPOINTS]) and the benches behave exactly as before. Code that
-    must be reentrant — concurrent analyses in one process, the future
-    analysis server — calls {!create} per request and gets instruments,
-    spans and failpoints that are fully isolated from every other context.
+    Pipeline entry points default [?obs] to {!default}, the context of the
+    process-global [Metrics.default] / [Trace.default] /
+    [Failpoint.default] — the registries the executables' [--metrics],
+    [--trace] and [SDFT_FAILPOINTS] act on. Below the entry points nothing
+    is implicit: every instrument, span and failpoint names the registry
+    it acts on. Code that must be reentrant — concurrent analyses in one
+    process, the analysis server — calls {!create} per request and gets
+    instruments, spans and failpoints that are fully isolated from every
+    other context.
 
     Observability only observes: for a fixed model and options, analysis
     results are bit-identical whichever context is passed, with progress
@@ -22,8 +23,9 @@ type t = {
   failpoints : Failpoint.t;
   progress : Progress.t option;
   peak_heap : Metrics.gauge;
-      (** the context's ["analysis.peak_heap_mb"] gauge, updated with
-          [set_max] at every {!tick}/{!step} *)
+      (** the context's ["analysis.peak_heap_mb"] gauge, raised with
+          [set_max] at every phase boundary, at {!finish}, and with
+          progress on at every guard probe and {!step} *)
   probe : (unit -> unit) option;
       (** extra liveness callback folded into {!on_probe} — the analysis
           server's worker-watchdog heartbeat (see {!with_on_probe}) *)
@@ -53,16 +55,43 @@ val with_on_probe : t -> (unit -> unit) -> t
     uses this to feed per-worker heartbeats to its watchdog without
     touching the progress machinery. *)
 
-(** {1 Progress driving}
+(** {1 Spans}
 
-    All of these are no-ops when the context has no progress reporter. *)
+    The one way library code times an interval. A span reads the clock
+    once when it opens and once when it closes, observes the duration into
+    the histogram named after the span, and — when the context's trace
+    sink is enabled — records the trace event with that same start and
+    duration. So for every span name, the histogram's [count] is the
+    number of trace events and its [sum] their total [ev_dur], whether or
+    not tracing is on. *)
 
-val tick : t -> unit
-(** Heartbeat: update the peak-heap gauge ([set_max]) and rate-limited
-    display. Wired into guard probes via {!on_probe}. *)
+type span
+(** A span name resolved against one registry: the name and its
+    histogram. Modules resolve their spans once per run, in the same
+    handles record as their counters, so a per-cutset span costs no
+    registry lookup. *)
+
+val span_in : Metrics.t -> string -> span
+(** [span_in m name] registers (or finds) the histogram [name] in [m]. *)
+
+val span :
+  t -> ?attrs:(string * Trace.value) list -> span -> (unit -> 'a) -> 'a
+(** [span obs s f] runs [f] inside span [s], recording on return and on
+    raise. [s] must come from [obs.metrics]; [attrs] go to the trace event
+    (see {!Trace.with_span}). *)
+
+val span_timed :
+  t -> ?attrs:(string * Trace.value) list -> span -> (unit -> 'a) ->
+  'a * float
+(** {!span}, also returning the duration it recorded — for results that
+    report their own phase times. *)
+
+(** {1 Progress and heap} *)
 
 val step : t -> ?cost:float -> unit -> unit
-(** One work item (cutset) finished, with its schedule-cost proxy. *)
+(** One work item (cutset) finished, with its schedule-cost proxy. A no-op
+    without progress: the heap is sampled at phase boundaries instead,
+    not per cutset. *)
 
 val begin_phase :
   t ->
@@ -73,22 +102,26 @@ val begin_phase :
   ?n_done:int ->
   unit ->
   unit
-(** See {!Progress.begin_phase}; [skipped]/[n_done] let a resumed sweep
-    report remaining work instead of the full total. *)
+(** Sample the heap into the peak-heap gauge and, with progress on, start
+    the phase's display (see {!Progress.begin_phase}; [skipped]/[n_done]
+    let a resumed sweep report remaining work instead of the full
+    total). *)
 
-val finish_progress : t -> unit
+val finish : t -> unit
+(** End of an analysis: sample the heap into the peak-heap gauge and close
+    the progress display, if any. *)
 
 val on_probe : t -> (unit -> unit) option
 (** [Some] probe callback for [Guard.create ?on_probe] when the context has
     a progress reporter or an extra probe ({!with_on_probe}), [None]
-    otherwise — so guards stay passive when nothing wants the heartbeat. *)
+    otherwise — so guards stay passive when nothing wants the heartbeat.
+    With progress on, each probe also samples the heap and refreshes the
+    rate-limited display. *)
 
 val write_dumps :
-  ?format:Metrics.format -> ?metrics:string -> ?trace:string -> unit ->
+  t -> ?format:Metrics.format -> ?metrics:string -> ?trace:string -> unit ->
   string list
-(** The executables' [--metrics FILE] / [--trace FILE] dumps of the default
-    registries ({!Metrics.write_file}, {!Trace.write_file}), each when
-    given. Returns the messages of the writes that failed. *)
-
-val heap_mb : unit -> float
-(** Current major-heap size in MB ([Gc.quick_stat]). *)
+(** The executables' [--metrics FILE] / [--trace FILE] dumps of the
+    context's registry and sink ({!Metrics.write_file_in},
+    {!Trace.write_file_in}), each when given. Returns the messages of the
+    writes that failed. *)

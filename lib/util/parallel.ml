@@ -61,7 +61,7 @@ let map_init_result ~domains init f work =
       match
         (* Inside the capture, so an injected worker crash is contained in
            this slot like any other [f] failure. *)
-        Failpoint.hit "parallel.worker";
+        Failpoint.hit_in Failpoint.default "parallel.worker";
         f state x
       with
       | r -> Ok r

@@ -148,7 +148,7 @@ let read_all fd =
   Bytes.sub_string bytes 0 got
 
 let open_ ?(batch = 32) ~stamp path =
-  Failpoint.hit "store.open";
+  Failpoint.hit_in Failpoint.default "store.open";
   let key = registry_key path in
   let as_writer = try_register key in
   if not as_writer then begin
@@ -298,7 +298,7 @@ let locked t f =
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
 
 let append t payload =
-  Failpoint.hit "store.append";
+  Failpoint.hit_in Failpoint.default "store.append";
   locked t (fun () ->
       match t.fd with
       | None -> false

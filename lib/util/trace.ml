@@ -53,27 +53,21 @@ type sink = {
 
 type t = sink
 
-let make_sink enabled =
+(* Fresh sinks are for explicitly-created observability contexts, where
+   creation is the intent to record; the default sink stays disabled until
+   the executable's --trace flag (or explain) flips it on. *)
+let create ?(enabled = true) () =
   {
     enabled_flag = Atomic.make enabled;
     buffers = Atomic.make [];
     next_buffer_id = Atomic.make 0;
   }
 
-(* The default sink keeps the historical global behavior: disabled until
-   the harness flips it on. Fresh sinks are for explicitly-created
-   observability contexts, where creation is the intent to record. *)
-let default = make_sink false
-
-let create ?(enabled = true) () = make_sink enabled
+let default = create ~enabled:false ()
 
 let enabled_in s = Atomic.get s.enabled_flag
 
 let set_enabled_in s b = Atomic.set s.enabled_flag b
-
-let enabled () = enabled_in default
-
-let set_enabled b = set_enabled_in default b
 
 let rec buffer_for s =
   let did = (Domain.self () :> int) in
@@ -117,26 +111,40 @@ let end_span buf os attrs =
       | [] -> []
     in
     buf.stack <- drop buf.stack);
+  let dur = now -. os.os_start in
   Vec.push buf.events
     {
       ev_name = os.os_name;
       ev_kind = Span;
       ev_start = os.os_start;
-      ev_dur = now -. os.os_start;
+      ev_dur = dur;
       ev_depth = os.os_depth;
       ev_domain = buf.buf_id;
       ev_attrs = List.rev_append os.os_attrs (List.rev attrs);
-    }
+    };
+  dur
 
-let with_span ?(sink = default) ?(attrs = []) name f =
-  if not (Atomic.get sink.enabled_flag) then f ()
-  else begin
+(* [on_close] gets the duration the event records, so a caller that also
+   aggregates it (Obs.span's histogram) sees the same number bit for bit.
+   A disabled sink reads the clock only when there is a callback. *)
+let with_span ~sink ?(attrs = []) ?on_close name f =
+  if Atomic.get sink.enabled_flag then begin
     let buf = buffer_for sink in
     let os = begin_span buf name in
-    Fun.protect ~finally:(fun () -> end_span buf os attrs) f
+    Fun.protect
+      ~finally:(fun () ->
+        let dur = end_span buf os attrs in
+        Option.iter (fun k -> k dur) on_close)
+      f
   end
+  else
+    match on_close with
+    | None -> f ()
+    | Some k ->
+      let t0 = Unix.gettimeofday () in
+      Fun.protect ~finally:(fun () -> k (Unix.gettimeofday () -. t0)) f
 
-let add_attr ?(sink = default) name v =
+let add_attr ~sink name v =
   if Atomic.get sink.enabled_flag then begin
     let buf = buffer_for sink in
     match buf.stack with
@@ -144,7 +152,7 @@ let add_attr ?(sink = default) name v =
     | os :: _ -> os.os_attrs <- (name, v) :: os.os_attrs
   end
 
-let instant ?(sink = default) ?(attrs = []) name =
+let instant ~sink ?(attrs = []) name =
   if Atomic.get sink.enabled_flag then begin
     let buf = buffer_for sink in
     Vec.push buf.events
@@ -173,16 +181,12 @@ let snapshot_in s =
         if c <> 0 then c else compare b.ev_depth a.ev_depth)
     all
 
-let snapshot () = snapshot_in default
-
 let reset_in s =
   List.iter
     (fun (_, b) ->
       Vec.clear b.events;
       b.stack <- [])
     (Atomic.get s.buffers)
-
-let reset () = reset_in default
 
 (* Aggregation for terminal reporting ("top spans"). The per-name totals
    are summed in a canonical event order (start time, then duration, then
@@ -223,8 +227,6 @@ let aggregate_in s =
       if c <> 0 then c else String.compare na nb)
     rows
 
-let aggregate () = aggregate_in default
-
 (* Serialization. *)
 
 let add_value buf = function
@@ -264,8 +266,6 @@ let to_jsonl_in s =
     (snapshot_in s);
   Buffer.contents buf
 
-let to_jsonl () = to_jsonl_in default
-
 (* Chrome trace-event JSON (chrome://tracing, Perfetto): complete events
    ("X") with microsecond timestamps rebased to the earliest event, one
    thread lane per domain. Instants become thread-scoped "i" events. *)
@@ -298,13 +298,9 @@ let to_chrome_in s =
   Buffer.add_string buf "\n]\n";
   Buffer.contents buf
 
-let to_chrome () = to_chrome_in default
-
 let write_file_in s path =
   let contents =
     if Filename.check_suffix path ".json" then to_chrome_in s
     else to_jsonl_in s
   in
   Atomic_io.write_file path contents
-
-let write_file path = write_file_in default path

@@ -797,14 +797,15 @@ let test_budget_fallback_excluded_from_lower () =
 let test_trace_does_not_change_results () =
   (* Bit-identical analytic output with tracing on and off — tracing only
      observes. *)
-  Sdft_util.Trace.reset ();
+  let sink = Sdft_util.Trace.default in
+  Sdft_util.Trace.reset_in sink;
   let off = Sdft_analysis.analyze pumps_sd in
-  Sdft_util.Trace.set_enabled true;
+  Sdft_util.Trace.set_enabled_in sink true;
   let on =
     Fun.protect
       ~finally:(fun () ->
-        Sdft_util.Trace.set_enabled false;
-        Sdft_util.Trace.reset ())
+        Sdft_util.Trace.set_enabled_in sink false;
+        Sdft_util.Trace.reset_in sink)
       (fun () -> Sdft_analysis.analyze pumps_sd)
   in
   Alcotest.(check bool) "identical total" true

@@ -254,7 +254,8 @@ let test_minimize_span () =
        (Int64.bits_of_float untraced.Mocus.pruned_mass)
        (Int64.bits_of_float traced.Mocus.pruned_mass));
   Alcotest.(check int) "metrics span" 1
-    (Metrics.span_count (Metrics.span_in obs.Obs.metrics "mocus.minimize"));
+    (Metrics.hist_value (Metrics.histogram_in obs.Obs.metrics "mocus.minimize"))
+      .Metrics.count;
   let events = Trace.snapshot_in obs.Obs.trace in
   let find name = List.find (fun e -> e.Trace.ev_name = name) events in
   let run = find "mocus.run" and minimize = find "mocus.minimize" in

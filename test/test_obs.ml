@@ -105,17 +105,91 @@ let test_prometheus_golden () =
   Metrics.incr c;
   Metrics.incr c;
   Metrics.set (Metrics.gauge_in m "analysis.peak_heap_mb") 12.5;
-  let s = Metrics.span_in m "analysis.analyze" in
-  Metrics.record s 0.25;
-  Metrics.record s 0.5;
+  (* A span's durations land in the histogram of its name. *)
+  let h = Metrics.histogram_in m "analysis.analyze" in
+  Metrics.observe h 0.25;
+  Metrics.observe h 0.5;
   let expected =
     "# TYPE sdft_analysis_runs counter\n\
      sdft_analysis_runs 3\n\
      # TYPE sdft_analysis_peak_heap_mb gauge\n\
      sdft_analysis_peak_heap_mb 12.5\n\
-     # TYPE sdft_analysis_analyze_seconds summary\n\
-     sdft_analysis_analyze_seconds_sum 0.75\n\
-     sdft_analysis_analyze_seconds_count 2\n"
+     # TYPE sdft_analysis_analyze histogram\n\
+     sdft_analysis_analyze_bucket{le=\"1e-09\"} 0\n\
+     sdft_analysis_analyze_bucket{le=\"1.77828e-09\"} 0\n\
+     sdft_analysis_analyze_bucket{le=\"3.16228e-09\"} 0\n\
+     sdft_analysis_analyze_bucket{le=\"5.62341e-09\"} 0\n\
+     sdft_analysis_analyze_bucket{le=\"1e-08\"} 0\n\
+     sdft_analysis_analyze_bucket{le=\"1.77828e-08\"} 0\n\
+     sdft_analysis_analyze_bucket{le=\"3.16228e-08\"} 0\n\
+     sdft_analysis_analyze_bucket{le=\"5.62341e-08\"} 0\n\
+     sdft_analysis_analyze_bucket{le=\"1e-07\"} 0\n\
+     sdft_analysis_analyze_bucket{le=\"1.77828e-07\"} 0\n\
+     sdft_analysis_analyze_bucket{le=\"3.16228e-07\"} 0\n\
+     sdft_analysis_analyze_bucket{le=\"5.62341e-07\"} 0\n\
+     sdft_analysis_analyze_bucket{le=\"1e-06\"} 0\n\
+     sdft_analysis_analyze_bucket{le=\"1.77828e-06\"} 0\n\
+     sdft_analysis_analyze_bucket{le=\"3.16228e-06\"} 0\n\
+     sdft_analysis_analyze_bucket{le=\"5.62341e-06\"} 0\n\
+     sdft_analysis_analyze_bucket{le=\"1e-05\"} 0\n\
+     sdft_analysis_analyze_bucket{le=\"1.77828e-05\"} 0\n\
+     sdft_analysis_analyze_bucket{le=\"3.16228e-05\"} 0\n\
+     sdft_analysis_analyze_bucket{le=\"5.62341e-05\"} 0\n\
+     sdft_analysis_analyze_bucket{le=\"0.0001\"} 0\n\
+     sdft_analysis_analyze_bucket{le=\"0.000177828\"} 0\n\
+     sdft_analysis_analyze_bucket{le=\"0.000316228\"} 0\n\
+     sdft_analysis_analyze_bucket{le=\"0.000562341\"} 0\n\
+     sdft_analysis_analyze_bucket{le=\"0.001\"} 0\n\
+     sdft_analysis_analyze_bucket{le=\"0.00177828\"} 0\n\
+     sdft_analysis_analyze_bucket{le=\"0.00316228\"} 0\n\
+     sdft_analysis_analyze_bucket{le=\"0.00562341\"} 0\n\
+     sdft_analysis_analyze_bucket{le=\"0.01\"} 0\n\
+     sdft_analysis_analyze_bucket{le=\"0.0177828\"} 0\n\
+     sdft_analysis_analyze_bucket{le=\"0.0316228\"} 0\n\
+     sdft_analysis_analyze_bucket{le=\"0.0562341\"} 0\n\
+     sdft_analysis_analyze_bucket{le=\"0.1\"} 0\n\
+     sdft_analysis_analyze_bucket{le=\"0.177828\"} 0\n\
+     sdft_analysis_analyze_bucket{le=\"0.316228\"} 1\n\
+     sdft_analysis_analyze_bucket{le=\"0.562341\"} 2\n\
+     sdft_analysis_analyze_bucket{le=\"1\"} 2\n\
+     sdft_analysis_analyze_bucket{le=\"1.77828\"} 2\n\
+     sdft_analysis_analyze_bucket{le=\"3.16228\"} 2\n\
+     sdft_analysis_analyze_bucket{le=\"5.62341\"} 2\n\
+     sdft_analysis_analyze_bucket{le=\"10\"} 2\n\
+     sdft_analysis_analyze_bucket{le=\"17.7828\"} 2\n\
+     sdft_analysis_analyze_bucket{le=\"31.6228\"} 2\n\
+     sdft_analysis_analyze_bucket{le=\"56.2341\"} 2\n\
+     sdft_analysis_analyze_bucket{le=\"100\"} 2\n\
+     sdft_analysis_analyze_bucket{le=\"177.828\"} 2\n\
+     sdft_analysis_analyze_bucket{le=\"316.228\"} 2\n\
+     sdft_analysis_analyze_bucket{le=\"562.341\"} 2\n\
+     sdft_analysis_analyze_bucket{le=\"1000\"} 2\n\
+     sdft_analysis_analyze_bucket{le=\"1778.28\"} 2\n\
+     sdft_analysis_analyze_bucket{le=\"3162.28\"} 2\n\
+     sdft_analysis_analyze_bucket{le=\"5623.41\"} 2\n\
+     sdft_analysis_analyze_bucket{le=\"10000\"} 2\n\
+     sdft_analysis_analyze_bucket{le=\"17782.8\"} 2\n\
+     sdft_analysis_analyze_bucket{le=\"31622.8\"} 2\n\
+     sdft_analysis_analyze_bucket{le=\"56234.1\"} 2\n\
+     sdft_analysis_analyze_bucket{le=\"100000\"} 2\n\
+     sdft_analysis_analyze_bucket{le=\"177828\"} 2\n\
+     sdft_analysis_analyze_bucket{le=\"316228\"} 2\n\
+     sdft_analysis_analyze_bucket{le=\"562341\"} 2\n\
+     sdft_analysis_analyze_bucket{le=\"1e+06\"} 2\n\
+     sdft_analysis_analyze_bucket{le=\"1.77828e+06\"} 2\n\
+     sdft_analysis_analyze_bucket{le=\"3.16228e+06\"} 2\n\
+     sdft_analysis_analyze_bucket{le=\"5.62341e+06\"} 2\n\
+     sdft_analysis_analyze_bucket{le=\"1e+07\"} 2\n\
+     sdft_analysis_analyze_bucket{le=\"1.77828e+07\"} 2\n\
+     sdft_analysis_analyze_bucket{le=\"3.16228e+07\"} 2\n\
+     sdft_analysis_analyze_bucket{le=\"5.62341e+07\"} 2\n\
+     sdft_analysis_analyze_bucket{le=\"1e+08\"} 2\n\
+     sdft_analysis_analyze_bucket{le=\"1.77828e+08\"} 2\n\
+     sdft_analysis_analyze_bucket{le=\"3.16228e+08\"} 2\n\
+     sdft_analysis_analyze_bucket{le=\"5.62341e+08\"} 2\n\
+     sdft_analysis_analyze_bucket{le=\"+Inf\"} 2\n\
+     sdft_analysis_analyze_sum 0.75\n\
+     sdft_analysis_analyze_count 2\n"
   in
   Alcotest.(check string) "exposition" expected (Metrics.to_prometheus_in m)
 
@@ -232,16 +306,16 @@ let counter_of snap name =
   match List.assoc_opt name snap.Metrics.counters with Some n -> n | None -> 0
 
 let span_count_of snap name =
-  match List.assoc_opt name snap.Metrics.spans with
-  | Some (_, n) -> n
+  match List.assoc_opt name snap.Metrics.histograms with
+  | Some h -> h.Metrics.count
   | None -> 0
 
 let test_concurrent_isolation () =
   (* Quiesce the default registries so any leak is visible. *)
-  Metrics.reset ();
-  Trace.reset ();
-  Failpoint.clear_all ();
-  let default_before = Metrics.snapshot () in
+  Metrics.reset_in Metrics.default;
+  Trace.reset_in Trace.default;
+  Failpoint.clear_all_in Failpoint.default;
+  let default_before = Metrics.snapshot_in Metrics.default in
   let obs_a = Obs.create () and obs_b = Obs.create () in
   (* Arm a hot-path site in A only, with a trigger that never fires: the
      hit counter advances without perturbing the analysis. *)
@@ -277,7 +351,7 @@ let test_concurrent_isolation () =
   Alcotest.(check int) "B's registry silent" 0
     (Failpoint.hit_count_in obs_b.Obs.failpoints "mocus.expand");
   Alcotest.(check int) "default registry silent" 0
-    (Failpoint.hit_count "mocus.expand");
+    (Failpoint.hit_count_in Failpoint.default "mocus.expand");
   (* Traces stayed in their own sinks. *)
   Alcotest.(check bool)
     "A traced its own analyze span" true
@@ -286,16 +360,13 @@ let test_concurrent_isolation () =
     "B traced its own analyze span" true
     (List.mem_assoc "analysis.analyze" (Trace.aggregate_in obs_b.Obs.trace));
   (* And nothing bled into the process-global default context. *)
-  let default_after = Metrics.snapshot () in
+  let default_after = Metrics.snapshot_in Metrics.default in
   let dump s =
     String.concat ", "
       (List.map (fun (n, v) -> Printf.sprintf "%s=%d" n v) s.Metrics.counters
       @ List.map
           (fun (n, v) -> Printf.sprintf "%s=%g" n v)
           s.Metrics.gauges
-      @ List.map
-          (fun (n, (sec, c)) -> Printf.sprintf "%s=%d/%g" n c sec)
-          s.Metrics.spans
       @ List.map
           (fun (n, h) -> Printf.sprintf "%s#%d" n h.Metrics.count)
           s.Metrics.histograms)
@@ -304,14 +375,14 @@ let test_concurrent_isolation () =
     Alcotest.failf "default metrics changed:\nbefore: %s\nafter:  %s"
       (dump default_before) (dump default_after);
   Alcotest.(check (list string)) "default trace untouched" []
-    (List.map fst (Trace.aggregate ()))
+    (List.map fst (Trace.aggregate_in Trace.default))
 
 (* ------------------------------------------------------------------ *)
 (* Observability only observes: results are bit-identical whichever
    context is passed, with progress on or off *)
 
 let test_bit_identity_across_contexts () =
-  Metrics.reset ();
+  Metrics.reset_in Metrics.default;
   let module A = Sdft_analysis in
   let run obs = A.analyze ~obs (Gen_sdft.sd 4242) in
   let baseline = A.analyze (Gen_sdft.sd 4242) in
@@ -607,6 +678,96 @@ let test_template_counters_in_metrics_dump () =
     (mentions "\"product.explorations\"" && mentions "\"product.template_hits\"")
 
 (* ------------------------------------------------------------------ *)
+(* Each span is timed once: a span's histogram and its trace events come
+   from the same two clock reads per interval *)
+
+(* For every span name in the context's trace: the histogram of that name
+   counts its events and sums their durations — bit for bit for the names
+   in [once], which must have exactly one event; within float
+   reassociation for the others. Timing the histogram with clock reads of
+   its own would leave its sum short of the trace's. *)
+let check_spans_timed_once ~label ~expect ~once obs =
+  let events =
+    List.filter
+      (fun e -> e.Trace.ev_kind = Trace.Span)
+      (Trace.snapshot_in obs.Obs.trace)
+  in
+  let hists = (Metrics.snapshot_in obs.Obs.metrics).Metrics.histograms in
+  let names =
+    List.sort_uniq String.compare (List.map (fun e -> e.Trace.ev_name) events)
+  in
+  List.iter
+    (fun name ->
+      if not (List.mem name names) then
+        Alcotest.failf "%s: no %s span recorded" label name)
+    (expect @ once);
+  List.iter
+    (fun name ->
+      let durs =
+        List.filter_map
+          (fun e -> if e.Trace.ev_name = name then Some e.Trace.ev_dur else None)
+          events
+      in
+      let total = List.fold_left ( +. ) 0.0 durs in
+      match List.assoc_opt name hists with
+      | None -> Alcotest.failf "%s: span %s has no histogram" label name
+      | Some h ->
+        Alcotest.(check int)
+          (Printf.sprintf "%s: %s histogram count = trace events" label name)
+          (List.length durs) h.Metrics.count;
+        if List.mem name once then begin
+          Alcotest.(check int)
+            (Printf.sprintf "%s: %s recorded once" label name)
+            1 (List.length durs);
+          if Int64.bits_of_float h.Metrics.sum <> Int64.bits_of_float total then
+            Alcotest.failf "%s: %s histogram sum %h <> ev_dur %h" label name
+              h.Metrics.sum total
+        end
+        else if Float.abs (h.Metrics.sum -. total) > 1e-12 *. total then
+          Alcotest.failf "%s: %s histogram sum %.17g <> trace total %.17g"
+            label name h.Metrics.sum total)
+    names
+
+let analysis_once =
+  [ "analysis.analyze"; "analysis.mcs_generation"; "analysis.quantification" ]
+
+let test_spans_timed_once () =
+  let analyze label ~engine_span sd =
+    let obs = Obs.create () in
+    ignore (Sdft_analysis.analyze ~obs sd);
+    let once =
+      if engine_span = "mocus.run" then "mocus.run" :: analysis_once
+      else analysis_once
+    in
+    check_spans_timed_once ~label ~once obs
+      ~expect:[ engine_span; "analysis.cutset" ]
+  in
+  analyze "pumps" ~engine_span:"mocus.run" (Pumps.sd_tree ());
+  analyze "bwr" ~engine_span:"mocus.run"
+    (Sdft_format.of_file "../models/bwr.sdft");
+  analyze "industrial_small" ~engine_span:"zdd.run"
+    (Sdft_format.of_file "../models/industrial_small.sdft");
+  let obs = Obs.create () in
+  ignore
+    (Rare_event.run ~obs
+       ~options:{ Rare_event.default_options with trials = 2000 }
+       (Pumps.sd_tree ()) ~horizon:24.0);
+  check_spans_timed_once ~label:"simulate" ~expect:[] ~once:[ "sim.run" ] obs
+
+(* OCaml 5's Gc.quick_stat reports the major heap as of the last minor
+   collection, so the model must be big enough to have had one: BWR is,
+   pumps in a fresh process is not. *)
+let test_peak_heap_without_progress () =
+  let obs = Obs.create () in
+  ignore
+    (Sdft_analysis.analyze ~obs (Sdft_format.of_file "../models/bwr.sdft"));
+  let gauges = (Metrics.snapshot_in obs.Obs.metrics).Metrics.gauges in
+  match List.assoc_opt "analysis.peak_heap_mb" gauges with
+  | Some mb when mb > 0.0 -> ()
+  | Some mb -> Alcotest.failf "analysis.peak_heap_mb reads %g" mb
+  | None -> Alcotest.fail "analysis.peak_heap_mb not registered"
+
+(* ------------------------------------------------------------------ *)
 
 let qcheck = List.map QCheck_alcotest.to_alcotest
 
@@ -654,6 +815,13 @@ let () =
         [
           Alcotest.test_case "aggregate is deterministic" `Quick
             test_aggregate_deterministic;
+        ] );
+      ( "spans",
+        [
+          Alcotest.test_case "each span timed once" `Quick
+            test_spans_timed_once;
+          Alcotest.test_case "peak heap without progress" `Quick
+            test_peak_heap_without_progress;
         ] );
       ( "dumps",
         [

@@ -10,9 +10,11 @@
 module Guard = Sdft_util.Guard
 module Failpoint = Sdft_util.Failpoint
 
+let fp = Failpoint.default
+
 let with_failpoints spec f =
-  Failpoint.configure_string spec;
-  Fun.protect ~finally:Failpoint.clear_all f
+  Failpoint.configure_string_in fp spec;
+  Fun.protect ~finally:(fun () -> Failpoint.clear_all_in fp) f
 
 (* Guard *)
 
@@ -82,30 +84,30 @@ let test_guard_invalid_args () =
 (* Failpoint *)
 
 let test_failpoint_nth () =
-  Fun.protect ~finally:Failpoint.clear_all (fun () ->
-      Failpoint.set "t.nth" ~trigger:(Failpoint.Nth 3) Failpoint.Raise;
-      Failpoint.hit "t.nth";
-      Failpoint.hit "t.nth";
-      (match Failpoint.hit "t.nth" with
+  Fun.protect ~finally:(fun () -> Failpoint.clear_all_in fp) (fun () ->
+      Failpoint.set_in fp "t.nth" ~trigger:(Failpoint.Nth 3) Failpoint.Raise;
+      Failpoint.hit_in fp "t.nth";
+      Failpoint.hit_in fp "t.nth";
+      (match Failpoint.hit_in fp "t.nth" with
       | exception Failpoint.Injected "t.nth" -> ()
       | _ -> Alcotest.fail "3rd hit should fire");
-      Failpoint.hit "t.nth";
-      Alcotest.(check int) "hit count" 4 (Failpoint.hit_count "t.nth"))
+      Failpoint.hit_in fp "t.nth";
+      Alcotest.(check int) "hit count" 4 (Failpoint.hit_count_in fp "t.nth"))
 
 let test_failpoint_prob_deterministic () =
   let firing () =
-    Failpoint.set "t.prob"
+    Failpoint.set_in fp "t.prob"
       ~trigger:(Failpoint.Prob (0.5, 42))
       Failpoint.Raise;
     let fired = ref [] in
     for i = 1 to 100 do
-      match Failpoint.hit "t.prob" with
+      match Failpoint.hit_in fp "t.prob" with
       | () -> ()
       | exception Failpoint.Injected _ -> fired := i :: !fired
     done;
     !fired
   in
-  Fun.protect ~finally:Failpoint.clear_all (fun () ->
+  Fun.protect ~finally:(fun () -> Failpoint.clear_all_in fp) (fun () ->
       let a = firing () in
       let b = firing () in
       Alcotest.(check bool) "some fire" true (a <> []);
@@ -113,16 +115,16 @@ let test_failpoint_prob_deterministic () =
       Alcotest.(check (list int)) "deterministic" a b)
 
 let test_failpoint_configure_string () =
-  Fun.protect ~finally:Failpoint.clear_all (fun () ->
-      Failpoint.configure_string "t.cfg=deadline@nth:2";
-      Failpoint.hit "t.cfg";
-      (match Failpoint.hit "t.cfg" with
+  Fun.protect ~finally:(fun () -> Failpoint.clear_all_in fp) (fun () ->
+      Failpoint.configure_string_in fp "t.cfg=deadline@nth:2";
+      Failpoint.hit_in fp "t.cfg";
+      (match Failpoint.hit_in fp "t.cfg" with
       | exception Guard.Limit_hit Guard.Deadline -> ()
       | _ -> Alcotest.fail "2nd hit should raise Limit_hit Deadline"));
-  (match Failpoint.configure_string "nonsense" with
+  (match Failpoint.configure_string_in fp "nonsense" with
   | exception Failure _ -> ()
   | _ -> Alcotest.fail "malformed spec should fail");
-  match Failpoint.configure_string "a.b=explode" with
+  match Failpoint.configure_string_in fp "a.b=explode" with
   | exception Failure _ -> ()
   | _ -> Alcotest.fail "unknown action should fail"
 
@@ -130,11 +132,11 @@ let test_failpoint_env () =
   Fun.protect
     ~finally:(fun () ->
       Unix.putenv "SDFT_FAILPOINTS" "";
-      Failpoint.clear_all ())
+      Failpoint.clear_all_in fp)
     (fun () ->
       Unix.putenv "SDFT_FAILPOINTS" "t.env=oom";
-      Failpoint.load_env ();
-      match Failpoint.hit "t.env" with
+      Failpoint.load_env_in fp;
+      match Failpoint.hit_in fp "t.env" with
       | exception Out_of_memory -> ()
       | _ -> Alcotest.fail "env-armed site should fire")
 
@@ -420,18 +422,18 @@ let test_analysis_releases_template () =
     (build_counts model)
 
 let test_failpoint_first () =
-  Fun.protect ~finally:Failpoint.clear_all (fun () ->
-      Failpoint.configure_string "t.first=raise@first:2";
+  Fun.protect ~finally:(fun () -> Failpoint.clear_all_in fp) (fun () ->
+      Failpoint.configure_string_in fp "t.first=raise@first:2";
       (* A transient fault: fires on hits 1..2, then heals for good. *)
-      (match Failpoint.hit "t.first" with
+      (match Failpoint.hit_in fp "t.first" with
       | exception Failpoint.Injected "t.first" -> ()
       | _ -> Alcotest.fail "1st hit should fire");
-      (match Failpoint.hit "t.first" with
+      (match Failpoint.hit_in fp "t.first" with
       | exception Failpoint.Injected "t.first" -> ()
       | _ -> Alcotest.fail "2nd hit should fire");
-      Failpoint.hit "t.first";
-      Failpoint.hit "t.first";
-      Alcotest.(check int) "hit count" 4 (Failpoint.hit_count "t.first"))
+      Failpoint.hit_in fp "t.first";
+      Failpoint.hit_in fp "t.first";
+      Alcotest.(check int) "hit count" 4 (Failpoint.hit_count_in fp "t.first"))
 
 (* ------------------------------------------------------------------ *)
 (* Process-level chaos: kill -9 a resumable sweep mid-run, resume it from

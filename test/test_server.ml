@@ -416,7 +416,7 @@ let soak_lines () =
    exactly those two names; everything else in the default registry must
    stay byte-identical across the soak. *)
 let filtered_default_snapshot () =
-  let s = Metrics.snapshot () in
+  let s = Metrics.snapshot_in Metrics.default in
   let drop names = List.filter (fun (n, _) -> not (List.mem n names)) in
   {
     s with
@@ -425,9 +425,9 @@ let filtered_default_snapshot () =
   }
 
 let test_soak_concurrent_vs_sequential () =
-  Metrics.reset ();
-  Trace.reset ();
-  Failpoint.clear_all ();
+  Metrics.reset_in Metrics.default;
+  Trace.reset_in Trace.default;
+  Failpoint.clear_all_in Failpoint.default;
   with_temp_dir @@ fun dir ->
   let cache = Quant_cache.open_disk (Filename.concat dir "soak.store") in
   let before = filtered_default_snapshot () in
@@ -482,16 +482,16 @@ let test_soak_concurrent_vs_sequential () =
        disk tier's own cache.appends/cache.load_ms)";
   Alcotest.(check (list string))
     "default trace untouched" []
-    (List.map fst (Trace.aggregate ()));
+    (List.map fst (Trace.aggregate_in Trace.default));
   Alcotest.(check int)
     "default failpoint registry silent: server.handle" 0
-    (Failpoint.hit_count "server.handle");
+    (Failpoint.hit_count_in Failpoint.default "server.handle");
   Alcotest.(check int)
     "default failpoint registry silent: cache.lookup" 0
-    (Failpoint.hit_count "cache.lookup");
+    (Failpoint.hit_count_in Failpoint.default "cache.lookup");
   Alcotest.(check int)
     "default failpoint registry silent: mocus.expand" 0
-    (Failpoint.hit_count "mocus.expand")
+    (Failpoint.hit_count_in Failpoint.default "mocus.expand")
 
 (* ------------------------------------------------------------------ *)
 (* Admission control: saturation and quota reject with retry_after *)
@@ -634,9 +634,9 @@ let test_parallel_worker_crash () =
   let core = Core.create ~config () in
   Fun.protect ~finally:(fun () -> Core.shutdown core) @@ fun () ->
   let model = Lazy.force bwr_text in
-  Failpoint.set "parallel.worker" ~trigger:(Failpoint.Nth 1) Failpoint.Raise;
+  Failpoint.set_in Failpoint.default "parallel.worker" ~trigger:(Failpoint.Nth 1) Failpoint.Raise;
   let faulted =
-    Fun.protect ~finally:(fun () -> Failpoint.clear "parallel.worker")
+    Fun.protect ~finally:(fun () -> Failpoint.clear_in Failpoint.default "parallel.worker")
     @@ fun () ->
     Core.call core ~client:"f"
       (Protocol.analyze_line ~id:"pw" ~domains:2 ~model ())
@@ -671,8 +671,8 @@ let test_store_append_fault_keeps_store_intact () =
   Alcotest.(check bool) "baseline appended records" true (pre > 0);
   (* Phase 2: every disk append fails; the tier degrades to memory-only,
      the request is not harmed, the daemon keeps serving. *)
-  Failpoint.set "store.append" Failpoint.Raise;
-  Fun.protect ~finally:(fun () -> Failpoint.clear "store.append")
+  Failpoint.set_in Failpoint.default "store.append" Failpoint.Raise;
+  Fun.protect ~finally:(fun () -> Failpoint.clear_in Failpoint.default "store.append")
   @@ fun () ->
   Alcotest.(check bool)
     "request during the append fault still ok" true
@@ -720,9 +720,9 @@ let test_clamp_retry_after () =
   in
   let core = Core.create ~config () in
   Fun.protect ~finally:(fun () -> Core.shutdown core) @@ fun () ->
-  Failpoint.set "server.handle" ~trigger:(Failpoint.Nth 1)
+  Failpoint.set_in Failpoint.default "server.handle" ~trigger:(Failpoint.Nth 1)
     (Failpoint.Delay 0.2);
-  Fun.protect ~finally:(fun () -> Failpoint.clear "server.handle")
+  Fun.protect ~finally:(fun () -> Failpoint.clear_in Failpoint.default "server.handle")
   @@ fun () ->
   let slow_reply, slow_wait = waiter () in
   Core.submit core ~client:"a" ~reply:slow_reply

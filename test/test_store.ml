@@ -11,6 +11,8 @@
 module Store = Sdft_util.Store
 module Failpoint = Sdft_util.Failpoint
 
+let fp = Failpoint.default
+
 let temp_store () =
   let path = Filename.temp_file "sdft_test" ".store" in
   Sys.remove path;
@@ -276,8 +278,8 @@ let test_cache_readonly_sharing () =
       check_same_result "read-only sharing" r baseline)
 
 let test_cache_open_failure_degrades () =
-  Failpoint.configure_string "store.open=raise";
-  Fun.protect ~finally:Failpoint.clear_all (fun () ->
+  Failpoint.configure_string_in fp "store.open=raise";
+  Fun.protect ~finally:(fun () -> Failpoint.clear_all_in fp) (fun () ->
       let sd = Pumps.sd_tree () in
       let baseline = Sdft_analysis.analyze sd in
       let cache = Quant_cache.open_disk "/nonexistent/dir/q.store" in
@@ -292,8 +294,8 @@ let test_cache_append_failure_degrades () =
   with_store (fun path ->
       let sd = Pumps.sd_tree () in
       let baseline = Sdft_analysis.analyze sd in
-      Failpoint.configure_string "store.append=raise";
-      Fun.protect ~finally:Failpoint.clear_all (fun () ->
+      Failpoint.configure_string_in fp "store.append=raise";
+      Fun.protect ~finally:(fun () -> Failpoint.clear_all_in fp) (fun () ->
           let cache = Quant_cache.open_disk path in
           let r = Sdft_analysis.analyze ~cache sd in
           Quant_cache.close cache;
@@ -314,8 +316,8 @@ let test_cache_breaker_recovers_in_place () =
   with_store (fun path ->
       let sd = Pumps.sd_tree () in
       let baseline = Sdft_analysis.analyze sd in
-      Failpoint.configure_string "store.append=raise@first:1";
-      Fun.protect ~finally:Failpoint.clear_all (fun () ->
+      Failpoint.configure_string_in fp "store.append=raise@first:1";
+      Fun.protect ~finally:(fun () -> Failpoint.clear_all_in fp) (fun () ->
           let cache =
             Quant_cache.open_disk ~breaker_threshold:1 ~breaker_cooldown:1
               path
@@ -347,8 +349,8 @@ let test_cache_breaker_recovers_in_place () =
 let test_cache_breaker_stays_open_under_persistent_fault () =
   with_store (fun path ->
       let sd = Pumps.sd_tree () in
-      Failpoint.configure_string "store.append=raise";
-      Fun.protect ~finally:Failpoint.clear_all (fun () ->
+      Failpoint.configure_string_in fp "store.append=raise";
+      Fun.protect ~finally:(fun () -> Failpoint.clear_all_in fp) (fun () ->
           let cache =
             Quant_cache.open_disk ~breaker_threshold:1 ~breaker_cooldown:1
               path
@@ -531,8 +533,8 @@ let test_checkpoint_append_failure () =
   let golden, _ = Sdft_analysis.sweep sd (sweep_options_at sweep_horizons) in
   with_store (fun path ->
       let items, cache =
-        Failpoint.configure_string "store.append=raise";
-        Fun.protect ~finally:Failpoint.clear_all (fun () ->
+        Failpoint.configure_string_in fp "store.append=raise";
+        Fun.protect ~finally:(fun () -> Failpoint.clear_all_in fp) (fun () ->
             sweep_into sd path sweep_horizons)
       in
       check_items_match_golden items golden;

@@ -298,49 +298,65 @@ let test_pp_duration_boundaries () =
 (* Metrics *)
 
 let test_metrics_counter () =
-  let c = Metrics.counter "test.counter" in
+  let m = Metrics.create () in
+  let c = Metrics.counter_in m "test.counter" in
   Alcotest.(check int) "fresh" 0 (Metrics.counter_value c);
   Metrics.incr c;
   Metrics.add c 41;
   Alcotest.(check int) "42" 42 (Metrics.counter_value c);
   (* Registration is idempotent: same name, same instrument. *)
-  Metrics.incr (Metrics.counter "test.counter");
+  Metrics.incr (Metrics.counter_in m "test.counter");
   Alcotest.(check int) "shared" 43 (Metrics.counter_value c)
 
+(* A span is timed into the histogram of its name: [sum] is the total
+   seconds, [count] the number of intervals. *)
 let test_metrics_gauge_span () =
-  let g = Metrics.gauge "test.gauge" in
+  let m = Metrics.create () in
+  let g = Metrics.gauge_in m "test.gauge" in
   Metrics.set g 2.5;
   Metrics.set g 1.5;
   check_float "gauge last write" 1.5 (Metrics.gauge_value g);
-  let s = Metrics.span "test.span" in
-  Metrics.record s 0.25;
-  Metrics.record s 0.5;
-  check_float "span total" 0.75 (Metrics.span_seconds s);
-  Alcotest.(check int) "span count" 2 (Metrics.span_count s);
-  let v = Metrics.time s (fun () -> 7) in
+  let h = Metrics.histogram_in m "test.span" in
+  let count () = (Metrics.hist_value h).Metrics.count in
+  Metrics.observe h 0.25;
+  Metrics.observe h 0.5;
+  check_float "span total" 0.75 (Metrics.hist_value h).Metrics.sum;
+  Alcotest.(check int) "span count" 2 (count ());
+  let obs = Obs.create ~metrics:m () in
+  let s = Obs.span_in m "test.span" in
+  let v = Obs.span obs s (fun () -> 7) in
   Alcotest.(check int) "time result" 7 v;
-  Alcotest.(check int) "time recorded" 3 (Metrics.span_count s);
+  Alcotest.(check int) "time recorded" 3 (count ());
   (* The duration is recorded even when the timed function raises. *)
   Alcotest.check_raises "raise passes through" Exit (fun () ->
-      Metrics.time s (fun () -> raise Exit));
-  Alcotest.(check int) "raise recorded" 4 (Metrics.span_count s)
+      Obs.span obs s (fun () -> raise Exit));
+  Alcotest.(check int) "raise recorded" 4 (count ());
+  (* A disabled trace sink still times the span into the histogram. *)
+  let quiet = Obs.create ~metrics:m ~trace:(Trace.create ~enabled:false ()) () in
+  Alcotest.check_raises "raise passes through (trace off)" Exit (fun () ->
+      Obs.span quiet s (fun () -> raise Exit));
+  Alcotest.(check int) "raise recorded (trace off)" 5 (count ());
+  Alcotest.(check int) "trace off records no event" 0
+    (List.length (Trace.snapshot_in quiet.Obs.trace))
 
 let test_metrics_snapshot_json_reset () =
-  Metrics.reset ();
-  let c = Metrics.counter "test.snap_counter" in
+  let m = Metrics.create () in
+  let c = Metrics.counter_in m "test.snap_counter" in
   Metrics.add c 5;
-  let s = Metrics.span "test.snap_span" in
-  Metrics.record s 1.5;
-  let snap = Metrics.snapshot () in
+  let h = Metrics.histogram_in m "test.snap_span" in
+  Metrics.observe h 1.5;
+  let snap = Metrics.snapshot_in m in
   Alcotest.(check (option int))
     "counter in snapshot" (Some 5)
     (List.assoc_opt "test.snap_counter" snap.Metrics.counters);
   Alcotest.(check bool)
     "span in snapshot" true
-    (List.assoc_opt "test.snap_span" snap.Metrics.spans = Some (1.5, 1));
+    (match List.assoc_opt "test.snap_span" snap.Metrics.histograms with
+     | Some v -> v.Metrics.sum = 1.5 && v.Metrics.count = 1
+     | None -> false);
   let names = List.map fst snap.Metrics.counters in
   Alcotest.(check (list string)) "sorted" (List.sort compare names) names;
-  let json = Metrics.to_json () in
+  let json = Metrics.to_json_in m in
   let contains needle =
     let n = String.length needle and h = String.length json in
     let rec loop i = i + n <= h && (String.sub json i n = needle || loop (i + 1)) in
@@ -349,68 +365,74 @@ let test_metrics_snapshot_json_reset () =
   Alcotest.(check bool) "json counters" true (contains "\"counters\"");
   Alcotest.(check bool) "json counter entry" true (contains "\"test.snap_counter\": 5");
   Alcotest.(check bool) "json span fields" true (contains "\"count\": 1");
-  Metrics.reset ();
+  Metrics.reset_in m;
   Alcotest.(check int) "reset zeroes" 0 (Metrics.counter_value c);
-  Alcotest.(check int) "reset keeps handle" 0 (Metrics.span_count s)
+  Alcotest.(check int) "reset keeps handle" 0 (Metrics.hist_value h).Metrics.count;
+  (* A span resolved after the reset lands in the same instrument. *)
+  let obs = Obs.create ~metrics:m () in
+  Obs.span obs (Obs.span_in m "test.snap_span") ignore;
+  Alcotest.(check int) "handle still live" 1 (Metrics.hist_value h).Metrics.count
 
 let test_metrics_concurrent () =
-  let c = Metrics.counter "test.concurrent_counter" in
-  let s = Metrics.span "test.concurrent_span" in
-  let before_c = Metrics.counter_value c in
-  let before_total = Metrics.span_seconds s in
-  let before_n = Metrics.span_count s in
+  let m = Metrics.create () in
+  let obs = Obs.create ~metrics:m () in
+  let c = Metrics.counter_in m "test.concurrent_counter" in
+  let h = Metrics.histogram_in m "test.concurrent_mass" in
+  let s = Obs.span_in m "test.concurrent_span" in
   let per_domain = 10_000 in
   let worker () =
     for _ = 1 to per_domain do
       Metrics.incr c;
-      Metrics.record s 0.001
+      Metrics.observe h 0.001;
+      Obs.span obs s ignore
     done
   in
   let domains = Array.init 3 (fun _ -> Domain.spawn worker) in
   worker ();
   Array.iter Domain.join domains;
-  Alcotest.(check int) "no lost increments" (before_c + (4 * per_domain))
+  let spans = Metrics.hist_value (Metrics.histogram_in m "test.concurrent_span") in
+  Alcotest.(check int) "no lost increments" (4 * per_domain)
     (Metrics.counter_value c);
-  Alcotest.(check int) "no lost records" (before_n + (4 * per_domain))
-    (Metrics.span_count s);
+  Alcotest.(check int) "no lost records" (4 * per_domain)
+    (Metrics.hist_value h).Metrics.count;
   Alcotest.(check bool) "no lost float mass" true
-    (Float.abs (Metrics.span_seconds s -. before_total -. (0.001 *. float_of_int (4 * per_domain)))
-     < 1e-6)
+    (Float.abs
+       ((Metrics.hist_value h).Metrics.sum
+       -. (0.001 *. float_of_int (4 * per_domain)))
+     < 1e-6);
+  Alcotest.(check int) "no lost spans" (4 * per_domain) spans.Metrics.count;
+  Alcotest.(check int) "one trace event per span" (4 * per_domain)
+    (List.length (Trace.snapshot_in obs.Obs.trace))
 
 (* Trace *)
 
-let with_tracing f =
-  Trace.reset ();
-  Trace.set_enabled true;
-  Fun.protect
-    ~finally:(fun () ->
-      Trace.set_enabled false;
-      Trace.reset ())
-    f
+let with_tracing f = f (Trace.create ())
 
 let test_trace_disabled_noop () =
-  Trace.reset ();
-  Alcotest.(check bool) "disabled by default" false (Trace.enabled ());
-  let v = Trace.with_span "t.off" (fun () -> 41 + 1) in
+  let sink = Trace.default in
+  Trace.reset_in sink;
+  Alcotest.(check bool) "disabled by default" false (Trace.enabled_in sink);
+  let v = Trace.with_span ~sink "t.off" (fun () -> 41 + 1) in
   Alcotest.(check int) "value passes through" 42 v;
-  Trace.add_attr "k" (Trace.Int 1);
-  Trace.instant "t.off_instant";
-  Alcotest.(check int) "nothing recorded" 0 (List.length (Trace.snapshot ()))
+  Trace.add_attr ~sink "k" (Trace.Int 1);
+  Trace.instant ~sink "t.off_instant";
+  Alcotest.(check int) "nothing recorded" 0
+    (List.length (Trace.snapshot_in sink))
 
 let test_trace_spans_nesting () =
-  with_tracing (fun () ->
+  with_tracing (fun sink ->
       let v =
-        Trace.with_span "t.outer" (fun () ->
-            Trace.add_attr "n" (Trace.Int 7);
-            Trace.with_span "t.inner" ~attrs:[ ("ok", Trace.Bool true) ]
-              (fun () -> Trace.instant "t.tick");
+        Trace.with_span ~sink "t.outer" (fun () ->
+            Trace.add_attr ~sink "n" (Trace.Int 7);
+            Trace.with_span ~sink "t.inner" ~attrs:[ ("ok", Trace.Bool true) ]
+              (fun () -> Trace.instant ~sink "t.tick");
             3)
       in
       Alcotest.(check int) "result" 3 v;
       (* A span that raises is still recorded. *)
       Alcotest.check_raises "raise passes through" Exit (fun () ->
-          Trace.with_span "t.raises" (fun () -> raise Exit));
-      let events = Trace.snapshot () in
+          Trace.with_span ~sink "t.raises" (fun () -> raise Exit));
+      let events = Trace.snapshot_in sink in
       Alcotest.(check int) "event count" 4 (List.length events);
       let find name =
         List.find (fun e -> e.Trace.ev_name = name) events
@@ -429,22 +451,22 @@ let test_trace_spans_nesting () =
          i.Trace.ev_start >= o.Trace.ev_start
          && i.Trace.ev_start +. i.Trace.ev_dur
             <= o.Trace.ev_start +. o.Trace.ev_dur +. 1e-6);
-      let agg = Trace.aggregate () in
+      let agg = Trace.aggregate_in sink in
       Alcotest.(check (option int)) "aggregate count" (Some 1)
         (Option.map (fun (c, _) -> c) (List.assoc_opt "t.inner" agg)))
 
 let test_trace_multi_domain () =
-  with_tracing (fun () ->
+  with_tracing (fun sink ->
       let per_item = 25 in
       let work = Array.init (4 * per_item) Fun.id in
       let results =
         Parallel.map_init ~domains:4
           (fun () -> ())
           (fun () x ->
-            Trace.with_span "t.work"
+            Trace.with_span ~sink "t.work"
               ~attrs:[ ("item", Trace.Int x) ]
               (fun () ->
-                Trace.instant "t.item";
+                Trace.instant ~sink "t.item";
                 x * 2))
           work
       in
@@ -452,7 +474,7 @@ let test_trace_multi_domain () =
         "results correct" (Array.map (fun x -> x * 2) work) results;
       (* Worker domains are dead by now; their buffers must still be in the
          merged snapshot — one span and one instant per item, no losses. *)
-      let events = Trace.snapshot () in
+      let events = Trace.snapshot_in sink in
       let count name =
         List.length (List.filter (fun e -> e.Trace.ev_name = name) events)
       in
@@ -460,7 +482,7 @@ let test_trace_multi_domain () =
         (count "t.work");
       Alcotest.(check int) "all instants survive the join" (4 * per_item)
         (count "t.item");
-      let agg = Trace.aggregate () in
+      let agg = Trace.aggregate_in sink in
       Alcotest.(check (option int)) "aggregate sees every span"
         (Some (4 * per_item))
         (Option.map (fun (c, _) -> c) (List.assoc_opt "t.work" agg)))
@@ -471,15 +493,15 @@ let contains ~needle hay =
   loop 0
 
 let test_trace_json_escaping () =
-  with_tracing (fun () ->
-      Trace.with_span "t.\"quoted\"\\back"
+  with_tracing (fun sink ->
+      Trace.with_span ~sink "t.\"quoted\"\\back"
         ~attrs:
           [
             ("ctrl", Trace.Str "a\nb\tc\rd\x01e");
             ("inf", Trace.Float infinity);
           ]
         (fun () -> ());
-      let jsonl = Trace.to_jsonl () in
+      let jsonl = Trace.to_jsonl_in sink in
       Alcotest.(check bool) "quote escaped" true
         (contains ~needle:{|t.\"quoted\"\\back|} jsonl);
       Alcotest.(check bool) "newline/tab/cr escaped" true
@@ -488,7 +510,7 @@ let test_trace_json_escaping () =
         (contains ~needle:{|"inf": null|} jsonl);
       Alcotest.(check bool) "no raw control chars" true
         (String.for_all (fun c -> c = '\n' || c >= ' ') jsonl);
-      let chrome = Trace.to_chrome () in
+      let chrome = Trace.to_chrome_in sink in
       Alcotest.(check bool) "chrome is an array" true
         (String.length chrome > 0 && chrome.[0] = '[');
       Alcotest.(check bool) "chrome complete events" true
@@ -497,15 +519,14 @@ let test_trace_json_escaping () =
         (contains ~needle:{|t.\"quoted\"\\back|} chrome))
 
 let test_metrics_json_escaping () =
-  Metrics.reset ();
-  let c = Metrics.counter "test.\"esc\"\nname" in
+  let m = Metrics.create () in
+  let c = Metrics.counter_in m "test.\"esc\"\nname" in
   Metrics.add c 3;
-  let json = Metrics.to_json () in
+  let json = Metrics.to_json_in m in
   Alcotest.(check bool) "metrics name escaped" true
     (contains ~needle:{|test.\"esc\"\nname|} json);
   Alcotest.(check bool) "no raw control chars" true
-    (String.for_all (fun ch -> ch = '\n' || ch >= ' ') json);
-  Metrics.reset ()
+    (String.for_all (fun ch -> ch = '\n' || ch >= ' ') json)
 
 (* Parallel *)
 
