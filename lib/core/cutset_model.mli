@@ -38,10 +38,10 @@ type t = {
           branching (the paper reports this average) *)
   n_added_static : int;
   mutable fp_digest : string option;
-      (** memoized fixed-width digest of the canonical fingerprint of
-          [model], filled in by the first {!Quant_cache} lookup so repeated
-          lookups (sweeps, shared caches) skip the O(sub-model)
-          re-serialization. Written at most once per value, by the domain
+      (** memoized MD5 digest (32 hex characters) of the binary canonical
+          fingerprint of [model] ({!Quant_cache.fingerprint}), filled in by
+          the first {!Quant_cache} lookup so repeated lookups (sweeps,
+          shared caches) skip the O(sub-model) encoding. Written at most once per value, by the domain
           quantifying this cutset; [None] until then and for model-less
           cutsets. *)
 }

@@ -2,6 +2,7 @@ module Metrics = Sdft_util.Metrics
 module Trace = Sdft_util.Trace
 module Obs = Sdft_util.Obs
 module Store = Sdft_util.Store
+module Canon = Sdft_util.Canon
 
 (* The disk store is process-level state, shared by every analysis that
    uses the cache: its instruments and instants go to the process-global
@@ -130,74 +131,113 @@ let locked t f =
   Mutex.lock t.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
 
-(* Deterministic DFS serialization with first-visit indices in place of
-   names. Equal fingerprints imply isomorphic models, hence equal p~; the
-   converse need not hold (a reordered-but-equal model just misses). *)
+(* Deterministic DFS encoding with first-visit indices in place of names.
+   Equal fingerprints imply isomorphic models, hence equal p~; the converse
+   need not hold (a reordered-but-equal model just misses).
+
+   The encoding is binary and self-delimiting (see Canon): every node opens
+   with a tag byte, every list is preceded by its length, ints are varints
+   and floats their raw bits. First visits carry no id — a decoder counts
+   them — and revisits name the id:
+
+     gate    'G' kind n_inputs input*  |  'g' id
+     kind    '&'  |  '|'  |  '>' k
+     basic   'S' prob  |  'D' dbe trigger  |  'b' id
+     trigger 'u'  |  't' gate
+     dbe     n_states  n_init (state mass)*  n_trans (src dst rate)*
+             ('s' flags*  |  'w' (flags partner)* )   one per state
+
+   with flags bit 0 = failed and bit 1 = switched off; the partner is the
+   state's image under on/off. *)
+let encode_dbe buf d =
+  let n = Dbe.n_states d in
+  Canon.add_int buf n;
+  let init = Dbe.init d in
+  Canon.add_int buf (List.length init);
+  List.iter
+    (fun (s, m) ->
+      Canon.add_int buf s;
+      Canon.add_float buf m)
+    init;
+  let chain = Dbe.chain d in
+  Canon.add_int buf (Ctmc.n_transitions chain);
+  Ctmc.iter_transitions chain (fun src dst r ->
+      Canon.add_int buf src;
+      Canon.add_int buf dst;
+      Canon.add_float buf r);
+  let failed s = if Dbe.is_failed d s then 1 else 0 in
+  if Dbe.is_triggered_model d then begin
+    Buffer.add_char buf 'w';
+    for s = 0 to n - 1 do
+      match Dbe.mode_of d s with
+      | Dbe.Off ->
+        Buffer.add_char buf (Char.unsafe_chr (failed s lor 2));
+        Canon.add_int buf (Dbe.switch_on d s)
+      | Dbe.On ->
+        Buffer.add_char buf (Char.unsafe_chr (failed s));
+        Canon.add_int buf (Dbe.switch_off d s)
+    done
+  end
+  else begin
+    Buffer.add_char buf 's';
+    for s = 0 to n - 1 do
+      Buffer.add_char buf (Char.unsafe_chr (failed s))
+    done
+  end
+
 let fingerprint sd =
   let tree = Sdft.tree sd in
   let buf = Buffer.create 512 in
-  let pf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  let emit_dbe d =
-    pf "n=%d;i=" (Dbe.n_states d);
-    List.iter (fun (s, m) -> pf "%d:%h," s m) (Dbe.init d);
-    Buffer.add_string buf ";t=";
-    Ctmc.iter_transitions (Dbe.chain d) (fun src dst r -> pf "%d>%d:%h," src dst r);
-    Buffer.add_string buf ";f=";
-    for s = 0 to Dbe.n_states d - 1 do
-      if Dbe.is_failed d s then pf "%d," s
-    done;
-    if Dbe.is_triggered_model d then begin
-      Buffer.add_string buf ";sw=";
-      for s = 0 to Dbe.n_states d - 1 do
-        match Dbe.mode_of d s with
-        | Dbe.Off -> pf "o%d>%d," s (Dbe.switch_on d s)
-        | Dbe.On -> pf "n%d>%d," s (Dbe.switch_off d s)
-      done
-    end
-  in
-  let basic_ids : (int, int) Hashtbl.t = Hashtbl.create 16 in
-  let gate_ids : (int, int) Hashtbl.t = Hashtbl.create 16 in
+  let basic_ids = Array.make (Fault_tree.n_basics tree) (-1) in
+  let gate_ids = Array.make (Fault_tree.n_gates tree) (-1) in
   let next_basic = ref 0 and next_gate = ref 0 in
   let rec emit_basic b =
-    match Hashtbl.find_opt basic_ids b with
-    | Some id -> pf "b%d" id
-    | None ->
-      let id = !next_basic in
+    let id = basic_ids.(b) in
+    if id >= 0 then begin
+      Buffer.add_char buf 'b';
+      Canon.add_int buf id
+    end
+    else begin
+      basic_ids.(b) <- !next_basic;
       incr next_basic;
-      Hashtbl.add basic_ids b id;
       if Sdft.is_dynamic sd b then begin
-        pf "B%d[D:" id;
-        emit_dbe (Sdft.dbe sd b);
-        (match Sdft.trigger_of sd b with
-        | None -> Buffer.add_string buf ";untrig"
+        Buffer.add_char buf 'D';
+        encode_dbe buf (Sdft.dbe sd b);
+        match Sdft.trigger_of sd b with
+        | None -> Buffer.add_char buf 'u'
         | Some g ->
-          Buffer.add_string buf ";trig=";
-          emit_gate g);
-        Buffer.add_char buf ']'
+          Buffer.add_char buf 't';
+          emit_gate g
       end
-      else pf "B%d[p=%h]" id (Fault_tree.prob tree b)
+      else begin
+        Buffer.add_char buf 'S';
+        Canon.add_float buf (Fault_tree.prob tree b)
+      end
+    end
   and emit_gate g =
-    match Hashtbl.find_opt gate_ids g with
-    | Some id -> pf "g%d" id
-    | None ->
-      let id = !next_gate in
+    let id = gate_ids.(g) in
+    if id >= 0 then begin
+      Buffer.add_char buf 'g';
+      Canon.add_int buf id
+    end
+    else begin
+      gate_ids.(g) <- !next_gate;
       incr next_gate;
-      Hashtbl.add gate_ids g id;
-      let kind =
-        match Fault_tree.gate_kind tree g with
-        | Fault_tree.And -> "&"
-        | Fault_tree.Or -> "|"
-        | Fault_tree.Atleast k -> Printf.sprintf ">=%d" k
-      in
-      pf "G%d(%s" id kind;
+      Buffer.add_char buf 'G';
+      (match Fault_tree.gate_kind tree g with
+      | Fault_tree.And -> Buffer.add_char buf '&'
+      | Fault_tree.Or -> Buffer.add_char buf '|'
+      | Fault_tree.Atleast k ->
+        Buffer.add_char buf '>';
+        Canon.add_int buf k);
+      let inputs = Fault_tree.gate_inputs tree g in
+      Canon.add_int buf (Array.length inputs);
       Array.iter
-        (fun node ->
-          Buffer.add_char buf ',';
-          match node with
+        (function
           | Fault_tree.B b -> emit_basic b
           | Fault_tree.G g' -> emit_gate g')
-        (Fault_tree.gate_inputs tree g);
-      Buffer.add_char buf ')'
+        inputs
+    end
   in
   (* Trigger gates hang off dynamic basics rather than off the top gate, so
      the recursion through [emit_basic] is what reaches them. *)
@@ -208,7 +248,7 @@ let fingerprint sd =
    fixed-width hex digest and memoizing the digest on the Cutset_model
    makes every lookup after the first O(1). Equal digests stand in for
    equal fingerprints: MD5 collisions between 128-bit digests of
-   non-adversarial model serializations are negligible next to the solver's
+   non-adversarial model encodings are negligible next to the solver's
    own epsilon, and the digest also becomes the stable on-disk key. *)
 let digest_of (cm : Cutset_model.t) sd_c =
   match cm.Cutset_model.fp_digest with
@@ -218,9 +258,49 @@ let digest_of (cm : Cutset_model.t) sd_c =
     cm.Cutset_model.fp_digest <- Some d;
     d
 
+(* The numerical half of a key, [|e=<epsilon>|s=<max_states>|t=<horizon>]
+   plus [|eng=<tag>] for a tagged engine. It changes only between analyses,
+   so the last one built is kept and every lookup of the same analysis
+   reuses it; floats are compared by their bits, as the text tells them
+   apart. *)
+type suffix = {
+  sx_epsilon : float;
+  sx_max_states : int;
+  sx_horizon : float;
+  sx_engine_tag : string;
+  sx_text : string;
+}
+
+let last_suffix = Atomic.make None
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let key_suffix ~epsilon ~max_states ~horizon ~engine_tag =
+  match Atomic.get last_suffix with
+  | Some s
+    when same_bits s.sx_epsilon epsilon
+         && s.sx_max_states = max_states
+         && same_bits s.sx_horizon horizon
+         && String.equal s.sx_engine_tag engine_tag ->
+    s.sx_text
+  | _ ->
+    let sx_text =
+      Printf.sprintf "|e=%h|s=%d|t=%h%s" epsilon max_states horizon
+        (if engine_tag = "" then "" else "|eng=" ^ engine_tag)
+    in
+    Atomic.set last_suffix
+      (Some
+         {
+           sx_epsilon = epsilon;
+           sx_max_states = max_states;
+           sx_horizon = horizon;
+           sx_engine_tag = engine_tag;
+           sx_text;
+         });
+    sx_text
+
 let key_of_digest digest ~epsilon ~max_states ~horizon ~engine_tag =
-  Printf.sprintf "%s|e=%h|s=%d|t=%h%s" digest epsilon max_states horizon
-    (if engine_tag = "" then "" else "|eng=" ^ engine_tag)
+  digest ^ key_suffix ~epsilon ~max_states ~horizon ~engine_tag
 
 let key_of ?(engine_tag = "") ~epsilon ~max_states ~horizon
     (cm : Cutset_model.t) =
@@ -295,7 +375,7 @@ let decode r =
    dune rule over transient/ctmc/product/cutset-model/cache/point-codec
    sources), so both a solver change and a key- or codec-format change
    invalidate existing stores. *)
-let version_stamp = "qcache/2 " ^ Solver_stamp.stamp
+let version_stamp = "qcache/3 " ^ Solver_stamp.stamp
 
 let io_error_message = function
   | Sys_error m -> Some m

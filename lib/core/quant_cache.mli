@@ -12,7 +12,7 @@
     factored {e out} of the key, so cutsets that differ only in their static
     events share one entry.
 
-    The fingerprint is a deterministic serialization of the model reached
+    The fingerprint is a deterministic binary encoding of the model reached
     from its top gate: gate kinds and input order, static probabilities,
     full CTMC descriptors of dynamic events (states, transitions, initial
     distribution, failed set, on/off structure) and trigger wiring, with
@@ -23,8 +23,8 @@
     already captured by the fingerprinted structure. In-memory and on disk
     the fingerprint is represented by its 128-bit MD5 digest (hex), memoized
     on the {!Cutset_model.t} so repeated lookups skip the O(sub-model)
-    serialization; colliding digests of distinct non-adversarial model
-    serializations are vastly less likely than solver-epsilon-sized noise.
+    encoding; colliding digests of distinct non-adversarial model encodings
+    are vastly less likely than solver-epsilon-sized noise.
 
     Safe to share across domains: lookups and inserts take a per-cache lock
     (negligible next to a CTMC solve), hit/miss tallies are atomics. *)
@@ -42,8 +42,15 @@ val misses : t -> int
     count as neither. *)
 
 val fingerprint : Sdft.t -> string
-(** Canonical fingerprint of a model (exposed for tests and the cache-key
-    micro-benchmark; lookups use its memoized digest, see {!key_of}). *)
+(** Canonical fingerprint of a model: a binary, self-delimiting token
+    stream ({!Sdft_util.Canon}: tag bytes, length-prefixed lists, varint
+    ints, floats as their raw [Int64.bits_of_float] bytes), written in one
+    DFS from the top gate with first-visit ids for basics and gates. It is
+    injective on what it covers — no two non-isomorphic models share it —
+    and, being self-delimiting, stays injective when followed by other
+    tokens (see {!Sdft_analysis.point_key}). Exposed for tests and the
+    cache-key micro-benchmark; lookups use its memoized digest, see
+    {!key_of}. *)
 
 val key_of :
   ?engine_tag:string ->
@@ -53,9 +60,12 @@ val key_of :
   Cutset_model.t ->
   string option
 (** The exact cache key {!quantify} would use for this cutset — the
-    memoized fingerprint digest plus the numerical parameters — or [None]
-    for model-less (purely static / impossible) cutsets, which bypass the
-    cache. First call on a cutset computes and memoizes the digest. *)
+    memoized fingerprint digest (hex) followed by the numerical parameters
+    as [|e=<epsilon>|s=<max_states>|t=<horizon>] and, for a non-empty tag,
+    [|eng=<engine_tag>] — or [None] for model-less (purely static /
+    impossible) cutsets, which bypass the cache. First call on a cutset computes and memoizes the digest; the
+    parameter suffix is built once and reused while the parameters stay
+    the same, so a lookup after the first costs one string concatenation. *)
 
 val quantify :
   t ->

@@ -1,6 +1,7 @@
 module Metrics = Sdft_util.Metrics
 module Trace = Sdft_util.Trace
 module Obs = Sdft_util.Obs
+module Canon = Sdft_util.Canon
 
 (* Per-observability-context instrument handles, resolved once per analyze
    call (physical-equality fast path on the default context — see
@@ -724,26 +725,33 @@ let degradation_description r =
 (* ------------------------------------------------------------------ *)
 (* Checkpointed sweeps. *)
 
-(* Canonical serialization of everything in [options] that can influence
-   the result bits: numerical parameters, engine, rel-rule and the resource
-   limits (which steer the degradation ladder). [domains] is deliberately
-   excluded — the work partition never changes the result, only the wall
-   time — so a resume may use a different [-j] than the interrupted run. *)
+(* Canonical encoding (Canon tokens, as in Quant_cache.fingerprint) of
+   everything in [options] that can influence the result bits: numerical
+   parameters, engine, rel-rule and the resource limits (which steer the
+   degradation ladder). [domains] is deliberately excluded — the work
+   partition never changes the result, only the wall time — so a resume
+   may use a different [-j] than the interrupted run. *)
 let options_fingerprint o =
-  Printf.sprintf "h=%h;c=%h;e=%h;s=%d;o=%s;eng=%s;rr=%s;d=%s;m=%s"
-    o.horizon o.cutoff o.transient_epsilon o.max_product_states
-    (match o.max_cutset_order with None -> "-" | Some k -> string_of_int k)
-    (engine_name o.engine)
+  let buf = Buffer.create 64 in
+  Canon.add_float buf o.horizon;
+  Canon.add_float buf o.cutoff;
+  Canon.add_float buf o.transient_epsilon;
+  Canon.add_int buf o.max_product_states;
+  Canon.add_option Canon.add_int buf o.max_cutset_order;
+  Canon.add_string buf (engine_name o.engine);
+  Buffer.add_char buf
     (match o.rel_rule with
-    | Cutset_model.Paper -> "paper"
-    | Cutset_model.All_events -> "all")
-    (match o.deadline with None -> "-" | Some d -> Printf.sprintf "%h" d)
-    (match o.mem_limit_mb with None -> "-" | Some m -> string_of_int m)
+    | Cutset_model.Paper -> 'p'
+    | Cutset_model.All_events -> 'a');
+  Canon.add_option Canon.add_float buf o.deadline;
+  Canon.add_option Canon.add_int buf o.mem_limit_mb;
+  Buffer.contents buf
 
+(* The model's fingerprint is self-delimiting, so the concatenation is
+   itself a canonical encoding of the pair. *)
 let point_key sd options =
   Digest.to_hex
-    (Digest.string
-       (Quant_cache.fingerprint sd ^ "\x00" ^ options_fingerprint options))
+    (Digest.string (Quant_cache.fingerprint sd ^ options_fingerprint options))
 
 type sweep_item =
   | Sweep_run of sweep_point

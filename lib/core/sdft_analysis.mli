@@ -278,14 +278,16 @@ val sweep :
     results bit-identical to an uninterrupted run. *)
 
 val options_fingerprint : options -> string
-(** Canonical serialization of every result-influencing option (numerics,
-    engine, rel-rule, resource limits). [domains] is excluded: the work
-    partition never changes result bits, so a resume may use a different
-    parallelism than the interrupted run. *)
+(** Canonical binary encoding ({!Sdft_util.Canon} tokens) of every
+    result-influencing option (numerics, engine, rel-rule, resource
+    limits). [domains] is excluded: the work partition never changes
+    result bits, so a resume may use a different parallelism than the
+    interrupted run. *)
 
 val point_key : Sdft.t -> options -> string
 (** Stable identity of one sweep point: MD5 of the model's canonical
-    fingerprint plus {!options_fingerprint}. This is the key under which
+    fingerprint ({!Quant_cache.fingerprint}, the encoder behind the cutset
+    keys) followed by {!options_fingerprint}. This is the key under which
     {!sweep_checkpointed} records and finds completed points. *)
 
 type sweep_item =

@@ -36,8 +36,20 @@ let with_progress obs progress = { obs with progress = Some progress }
 
 let with_on_probe obs f = { obs with probe = Some f }
 
+(* The runtime samples its heap statistics at minor collections, so a
+   process that has not had one yet reads a heap of 0 words. Only then is
+   one minor collection run (never a major one), after which the sample
+   holds the real heap. *)
 let heap_mb () =
-  float_of_int (Gc.quick_stat ()).Gc.heap_words *. word_mb
+  let words = (Gc.quick_stat ()).Gc.heap_words in
+  let words =
+    if words > 0 then words
+    else begin
+      Gc.minor ();
+      (Gc.quick_stat ()).Gc.heap_words
+    end
+  in
+  float_of_int words *. word_mb
 
 type span = {
   span_name : string;

@@ -65,6 +65,29 @@ let test_golden (cmd, model, code) () =
       (String.trim (read_file (golden ^ ".md5")))
       (Digest.to_hex (Digest.string (mask out)))
 
+(* The peak-heap gauge of a run too small for a minor collection: pumps in
+   a fresh process must still report its heap, not 0. *)
+let test_pumps_heap_gauge () =
+  let metrics = Filename.temp_file "sdft_cli" ".json" in
+  Fun.protect ~finally:(fun () -> Sys.remove metrics) @@ fun () ->
+  let _, status =
+    run_cli [ "analyze"; "../models/pumps.sdft"; "--metrics"; metrics ]
+  in
+  Alcotest.(check bool) "exit 0" true (status = Unix.WEXITED 0);
+  let module Json = Sdft_util.Json in
+  let heap =
+    match Json.parse (read_file metrics) with
+    | Error e -> Alcotest.fail ("metrics dump does not parse: " ^ e)
+    | Ok v ->
+      Option.bind (Json.member "gauges" v) (Json.member "analysis.peak_heap_mb")
+      |> Fun.flip Option.bind Json.to_float
+  in
+  match heap with
+  | None -> Alcotest.fail "no analysis.peak_heap_mb gauge"
+  | Some mb ->
+    if not (mb > 0.0) then
+      Alcotest.failf "analysis.peak_heap_mb reads %g on pumps" mb
+
 let () =
   Alcotest.run "cli"
     [
@@ -73,4 +96,7 @@ let () =
           (fun ((cmd, model, _) as case) ->
             Alcotest.test_case (cmd ^ " " ^ model) `Quick (test_golden case))
           cases );
+      ( "metrics",
+        [ Alcotest.test_case "pumps peak heap > 0" `Quick test_pumps_heap_gauge ]
+      );
     ]

@@ -939,6 +939,292 @@ let test_cache_fingerprint_name_independent () =
                        ("v", Dbe.exponential ~lambda:3e-3 ()) ]
             ~triggers:[]))
 
+(* Fingerprint properties on random SD fault trees. *)
+
+(* Nodes in the order the fingerprint's DFS first visits them: from the top
+   gate, reaching trigger gates through their dynamic events. This is what
+   the encoding covers. *)
+let dfs_order sd =
+  let tree = Sdft.tree sd in
+  let seen_b = Array.make (Fault_tree.n_basics tree) false in
+  let seen_g = Array.make (Fault_tree.n_gates tree) false in
+  let order = ref [] in
+  let rec basic b =
+    if not seen_b.(b) then begin
+      seen_b.(b) <- true;
+      order := Fault_tree.B b :: !order;
+      if Sdft.is_dynamic sd b then Option.iter gate (Sdft.trigger_of sd b)
+    end
+  and gate g =
+    if not seen_g.(g) then begin
+      seen_g.(g) <- true;
+      order := Fault_tree.G g :: !order;
+      Array.iter
+        (function Fault_tree.B b -> basic b | Fault_tree.G g -> gate g)
+        (Fault_tree.gate_inputs tree g)
+    end
+  in
+  gate (Fault_tree.top tree);
+  List.rev !order
+
+(* [sd] with the given parts replaced. With [rng], every basic event is
+   also declared in a seeded order, every gate in a seeded topological
+   order, and all of them named by a seeded permutation. *)
+let rebuild ?rng ?prob ?kind ?dbe ?trigger sd =
+  let tree = Sdft.tree sd in
+  let nb = Fault_tree.n_basics tree and ng = Fault_tree.n_gates tree in
+  let prob = Option.value prob ~default:(Fault_tree.prob tree) in
+  let kind = Option.value kind ~default:(Fault_tree.gate_kind tree) in
+  let dbe = Option.value dbe ~default:(Sdft.dbe sd) in
+  let trigger = Option.value trigger ~default:(Sdft.trigger_of sd) in
+  let shuffle a = Option.iter (fun r -> Sdft_util.Rng.shuffle r a) rng in
+  let basic_order = Array.init nb Fun.id in
+  shuffle basic_order;
+  let names = Array.init (nb + ng) Fun.id in
+  shuffle names;
+  let name i = Printf.sprintf "n%d" names.(i) in
+  let declared = Array.make ng false in
+  let ready g =
+    (not declared.(g))
+    && Array.for_all
+         (function Fault_tree.G g' -> declared.(g') | Fault_tree.B _ -> true)
+         (Fault_tree.gate_inputs tree g)
+  in
+  let gate_order =
+    List.init ng (fun _ ->
+        let ready = Array.of_list (List.filter ready (List.init ng Fun.id)) in
+        shuffle ready;
+        declared.(ready.(0)) <- true;
+        ready.(0))
+  in
+  let b = Fault_tree.Builder.create () in
+  let basics = Array.make nb (Fault_tree.B 0) in
+  Array.iter
+    (fun e -> basics.(e) <- Fault_tree.Builder.basic b ~prob:(prob e) (name e))
+    basic_order;
+  let gates = Array.make ng (Fault_tree.B 0) in
+  List.iter
+    (fun g ->
+      let input = function
+        | Fault_tree.B e -> basics.(e)
+        | Fault_tree.G g' -> gates.(g')
+      in
+      gates.(g) <-
+        Fault_tree.Builder.gate b (name (nb + g)) (kind g)
+          (Array.to_list (Array.map input (Fault_tree.gate_inputs tree g))))
+    gate_order;
+  let tree' = Fault_tree.Builder.build b ~top:gates.(Fault_tree.top tree) in
+  let new_b e = Option.get (Fault_tree.basic_index tree' (name e)) in
+  let new_g g = Option.get (Fault_tree.gate_index tree' (name (nb + g))) in
+  let dynamic = Sdft.dynamic_basics sd in
+  Sdft.of_indexed tree'
+    ~dynamic:(List.map (fun e -> (new_b e, dbe e)) dynamic)
+    ~triggers:
+      (List.filter_map
+         (fun e -> Option.map (fun g -> (new_g g, new_b e)) (trigger e))
+         dynamic)
+
+(* [d] with the given parts replaced; [rate k r] maps the rate of the
+   [k]-th transition. *)
+let dbe_with ?(rate = fun _ r -> r) ?failed ?partner d =
+  let n = Dbe.n_states d in
+  let failed = Option.value failed ~default:(Dbe.is_failed d) in
+  let k = ref 0 and transitions = ref [] in
+  Ctmc.iter_transitions (Dbe.chain d) (fun src dst r ->
+      transitions := (src, dst, rate !k r) :: !transitions;
+      incr k);
+  let switch =
+    if not (Dbe.is_triggered_model d) then None
+    else
+      let image s =
+        match Dbe.mode_of d s with
+        | Dbe.Off -> Dbe.switch_on d s
+        | Dbe.On -> Dbe.switch_off d s
+      in
+      Some
+        ( Array.init n (Dbe.mode_of d),
+          Option.value partner ~default:(Array.init n image) )
+  in
+  Dbe.make ~n_states:n ~init:(Dbe.init d) ~transitions:(List.rev !transitions)
+    ~failed:(List.filter failed (List.init n Fun.id))
+    ?switch ()
+
+let replace x v f y = if y = x then v else f y
+
+(* Each single mutation of a node the DFS reaches, as a pair of models that
+   differ only by it (the model and its mutant, or for [Atleast k] two
+   values of [k]); [None] when no reached node admits the mutation. *)
+let mutations sd =
+  let tree = Sdft.tree sd in
+  let order = dfs_order sd in
+  let basics =
+    List.filter_map (function Fault_tree.B b -> Some b | _ -> None) order
+  in
+  let gates =
+    List.filter_map (function Fault_tree.G g -> Some g | _ -> None) order
+  in
+  let dynamic = List.filter (Sdft.is_dynamic sd) basics in
+  let first l f = List.find_map f l in
+  let mutant m = Some (sd, m) in
+  let with_dbe b d = mutant (rebuild ~dbe:(replace b d (Sdft.dbe sd)) sd) in
+  let kind g k = rebuild ~kind:(replace g k (Fault_tree.gate_kind tree)) sd in
+  let states d = List.init (Dbe.n_states d) Fun.id in
+  [
+    ( "rate",
+      first dynamic (fun b ->
+          with_dbe b
+            (dbe_with (Sdft.dbe sd b) ~rate:(fun k r ->
+                 if k = 0 then Float.succ r else r))) );
+    ( "static probability",
+      first basics (fun b ->
+          if Sdft.is_dynamic sd b then None
+          else
+            let p = Fault_tree.prob tree b in
+            let p' = if p < 1.0 then Float.succ p else Float.pred p in
+            mutant (rebuild ~prob:(replace b p' (Fault_tree.prob tree)) sd)) );
+    ( "failed state",
+      first dynamic (fun b ->
+          let d = Sdft.dbe sd b in
+          match List.filter (Dbe.is_failed d) (states d) with
+          | s :: _ :: _ ->
+            with_dbe b (dbe_with d ~failed:(fun x -> x <> s && Dbe.is_failed d x))
+          | _ ->
+            Option.bind
+              (List.find_opt
+                 (fun s -> (not (Dbe.is_failed d s)) && Dbe.mode_of d s = Dbe.On)
+                 (states d))
+              (fun s ->
+                with_dbe b
+                  (dbe_with d ~failed:(fun x -> x = s || Dbe.is_failed d x)))) );
+    ( "switch partner",
+      first dynamic (fun b ->
+          let d = Sdft.dbe sd b in
+          if not (Dbe.is_triggered_model d) then None
+          else
+            match List.filter (fun s -> Dbe.mode_of d s = Dbe.Off) (states d) with
+            | s1 :: s2 :: _ when Dbe.switch_on d s1 <> Dbe.switch_on d s2 ->
+              let partner =
+                Array.init (Dbe.n_states d) (fun s ->
+                    if s = s1 then Dbe.switch_on d s2
+                    else if s = s2 then Dbe.switch_on d s1
+                    else if Dbe.mode_of d s = Dbe.Off then Dbe.switch_on d s
+                    else Dbe.switch_off d s)
+              in
+              with_dbe b (dbe_with d ~partner)
+            | _ -> None) );
+    ( "atleast k",
+      first gates (fun g ->
+          if Array.length (Fault_tree.gate_inputs tree g) < 2 then None
+          else Some (kind g (Fault_tree.Atleast 1), kind g (Fault_tree.Atleast 2)))
+    );
+    ( "gate kind",
+      first gates (fun g ->
+          mutant
+            (kind g
+               (match Fault_tree.gate_kind tree g with
+               | Fault_tree.And -> Fault_tree.Or
+               | Fault_tree.Or | Fault_tree.Atleast _ -> Fault_tree.And))) );
+    ( "trigger gate",
+      first dynamic (fun b ->
+          match Sdft.trigger_of sd b with
+          | None -> None
+          | Some g ->
+            (* A gate the DFS entered before [b] already has an id when
+               [b]'s trigger is written, so that token must change. *)
+            let rec entered_before = function
+              | Fault_tree.G g' :: rest -> g' :: entered_before rest
+              | Fault_tree.B b' :: rest when b' <> b -> entered_before rest
+              | _ -> []
+            in
+            first (entered_before order) (fun g' ->
+                if g' = g then None
+                else
+                  match
+                    rebuild ~trigger:(replace b (Some g') (Sdft.trigger_of sd)) sd
+                  with
+                  | m -> mutant m
+                  | exception Invalid_argument _ -> None)) );
+  ]
+
+let fingerprint_seeds = List.init 300 Fun.id
+
+let test_fingerprint_renaming_invariant () =
+  List.iter
+    (fun seed ->
+      let sd = Gen_sdft.sd ~n_dynamic:3 ~n_triggers:2 seed in
+      let fp = Quant_cache.fingerprint sd in
+      Alcotest.(check string) "rebuilt unchanged" fp
+        (Quant_cache.fingerprint (rebuild sd));
+      let rng = Sdft_util.Rng.create (seed + 1) in
+      Alcotest.(check string)
+        (Printf.sprintf "seed %d: renamed and reordered" seed)
+        fp
+        (Quant_cache.fingerprint (rebuild ~rng sd)))
+    fingerprint_seeds
+
+(* Every mutation kind must change the fingerprint wherever it applies, and
+   must apply on enough of the seeds to mean something. *)
+let test_fingerprint_mutations () =
+  let applied = Hashtbl.create 8 in
+  List.iter
+    (fun seed ->
+      let sd = Gen_sdft.sd ~n_dynamic:3 ~n_triggers:2 seed in
+      List.iter
+        (fun (name, pair) ->
+          if not (Hashtbl.mem applied name) then Hashtbl.replace applied name 0;
+          match pair with
+          | None -> ()
+          | Some (a, b) ->
+            Hashtbl.replace applied name (Hashtbl.find applied name + 1);
+            if Quant_cache.fingerprint a = Quant_cache.fingerprint b then
+              Alcotest.failf "seed %d: %s leaves the fingerprint unchanged" seed
+                name)
+        (mutations sd))
+    fingerprint_seeds;
+  Hashtbl.iter
+    (fun name n ->
+      if n < 20 then
+        Alcotest.failf "mutation %s applied on only %d of %d seeds" name n
+          (List.length fingerprint_seeds))
+    applied
+
+let test_point_key_inputs () =
+  let sd = Gen_sdft.sd ~n_dynamic:3 ~n_triggers:2 0 in
+  let o = Sdft_analysis.default_options in
+  let variants =
+    [
+      ("base", sd, o);
+      ("horizon", sd, { o with horizon = Float.succ o.horizon });
+      ("cutoff", sd, { o with cutoff = Float.succ o.cutoff });
+      ("epsilon", sd, { o with transient_epsilon = Float.succ o.transient_epsilon });
+      ("max states", sd, { o with max_product_states = o.max_product_states + 1 });
+      ("max order", sd, { o with max_cutset_order = Some 3 });
+      ("max order 4", sd, { o with max_cutset_order = Some 4 });
+      ("rel rule", sd, { o with rel_rule = Cutset_model.All_events });
+      ("deadline", sd, { o with deadline = Some 10.0 });
+      ("mem limit", sd, { o with mem_limit_mb = Some 512 });
+    ]
+    @ List.map
+        (fun (name, engine) -> ("engine " ^ name, sd, { o with engine }))
+        (List.filter (fun (_, e) -> e <> o.engine) Sdft_analysis.engines)
+    @ List.filter_map
+        (fun (name, pair) ->
+          Option.map (fun (_, m) -> ("model " ^ name, m, o)) pair)
+        (List.filter (fun (name, _) -> name <> "atleast k") (mutations sd))
+  in
+  let keys = Hashtbl.create 16 in
+  List.iter
+    (fun (name, sd, o) ->
+      let key = Sdft_analysis.point_key sd o in
+      (match Hashtbl.find_opt keys key with
+      | Some other -> Alcotest.failf "%s and %s share a point key" name other
+      | None -> ());
+      Hashtbl.replace keys key name)
+    variants;
+  Alcotest.(check string) "domains do not change the key"
+    (Sdft_analysis.point_key sd o)
+    (Sdft_analysis.point_key sd { o with domains = 4 })
+
 (* Soundness properties on random SD fault trees (cutoff 0):
 
    - with the exact [All_events] relevant sets, the rare-event sum
@@ -1446,6 +1732,11 @@ let () =
             test_cache_isomorphic_cutsets_share;
           Alcotest.test_case "fingerprint name-independent" `Quick
             test_cache_fingerprint_name_independent;
+          Alcotest.test_case "fingerprint renaming invariant" `Quick
+            test_fingerprint_renaming_invariant;
+          Alcotest.test_case "fingerprint sees every mutation" `Quick
+            test_fingerprint_mutations;
+          Alcotest.test_case "point key inputs" `Quick test_point_key_inputs;
           Alcotest.test_case "industrial sweep matches uncached" `Slow
             test_cache_industrial_sweep_matches_uncached;
         ] );
