@@ -863,40 +863,6 @@ let bench_kernels ~json_path () =
     (Dynamize.run ~config tree).Dynamize.sd
   in
   per_cutset "model-1" m1 ~reps:2;
-  (* 4. Cache-key construction per lookup: the pre-PR cost (the full
-     canonical fingerprint re-serialized on every lookup) against the
-     digest memoized on the cutset model. The memo is warmed first — the
-     steady state is what a sweep pays per lookup. *)
-  let models = cutset_models bwr in
-  let n_models = List.length models in
-  let key_old () =
-    List.iter
-      (fun m ->
-        match m.Cutset_model.model with
-        | Some sd_c ->
-          ignore
-            (Sys.opaque_identity
-               (Printf.sprintf "%s|e=%h|s=%d|t=%h"
-                  (Quant_cache.fingerprint sd_c)
-                  1e-12 1_000_000 24.0))
-        | None -> ())
-      models
-  in
-  let key_new () =
-    List.iter
-      (fun m ->
-        ignore
-          (Sys.opaque_identity
-             (Quant_cache.key_of ~epsilon:1e-12 ~max_states:1_000_000
-                ~horizon:24.0 m)))
-      models
-  in
-  key_new ();
-  let key_old_ns = time_ns ~warmup:5 ~reps:50 key_old in
-  let key_new_ns = time_ns ~warmup:5 ~reps:50 key_new in
-  record "cache key (bwr, per lookup)"
-    (key_old_ns /. float_of_int n_models)
-    (key_new_ns /. float_of_int n_models);
   Table.print t;
   write_json ~what:"kernel benchmark results" ~brackets:("{", "}") json_path
     !entries

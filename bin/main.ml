@@ -33,11 +33,21 @@ let or_die = function
 let file_arg =
   Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE" ~doc:"Model file (SD fault tree text format).")
 
+(* The analysis flags are spelled once: the subcommands that run an
+   analysis and the client that asks a server for one share each
+   [Arg.info]. *)
+let horizon_info =
+  Arg.info [ "horizon"; "t" ] ~docv:"HOURS" ~doc:"Analysis horizon in hours."
+
 let horizon_arg =
-  Arg.(value & opt float Sdft_analysis.default_options.horizon & info [ "horizon"; "t" ] ~docv:"HOURS" ~doc:"Analysis horizon in hours.")
+  Arg.(value & opt float Sdft_analysis.default_options.horizon & horizon_info)
+
+let cutoff_info =
+  Arg.info [ "cutoff"; "c" ] ~docv:"P"
+    ~doc:"Probabilistic cutoff $(i,c*) for cutset generation."
 
 let cutoff_arg =
-  Arg.(value & opt float Sdft_analysis.default_options.cutoff & info [ "cutoff"; "c" ] ~docv:"P" ~doc:"Probabilistic cutoff $(i,c*) for cutset generation.")
+  Arg.(value & opt float Sdft_analysis.default_options.cutoff & cutoff_info)
 
 (* Observability: every analysis-flavoured subcommand accepts the same
    [--metrics FILE] / [--metrics-format] / [--trace FILE] / [--progress]
@@ -166,11 +176,13 @@ let engine_doc =
      static models whose modules are narrow enough and $(b,mocus) for \
      translated trigger logic or very wide modules."
 
+let engine_info = Arg.info [ "engine" ] ~docv:"ENGINE" ~doc:engine_doc
+
 let engine_arg =
   Arg.(value
        & opt (enum Sdft_analysis.engines)
            Sdft_analysis.default_options.engine
-       & info [ "engine" ] ~docv:"ENGINE" ~doc:engine_doc)
+       & engine_info)
 
 let domains_arg =
   Arg.(value & opt int Sdft_analysis.default_options.domains & info [ "domains"; "j" ] ~docv:"N" ~doc:"Worker domains for cutset quantification.")
@@ -1229,19 +1241,13 @@ let client_cmd =
                    shutting_down, worker_lost), with capped exponential \
                    backoff. Default $(b,0): fail fast.")
   in
-  let horizon =
-    Arg.(value & opt (some float) None
-         & info [ "horizon"; "t" ] ~docv:"HOURS" ~doc:"Analysis horizon.")
-  in
-  let cutoff =
-    Arg.(value & opt (some float) None
-         & info [ "cutoff"; "c" ] ~docv:"P" ~doc:"Generation cutoff.")
-  in
+  let horizon = Arg.(value & opt (some float) None & horizon_info) in
+  let cutoff = Arg.(value & opt (some float) None & cutoff_info) in
   let engine =
     let names = List.map (fun (n, _) -> (n, n)) Sdft_analysis.engines in
-    Arg.(value & opt (some (enum names)) None
-         & info [ "engine" ] ~docv:"ENGINE"
-             ~doc:(engine_doc ^ " Absent: the server's default."))
+    Arg.(value
+         & opt (some ~none:"the server's default" (enum names)) None
+         & engine_info)
   in
   let domains =
     Arg.(value & opt (some int) None

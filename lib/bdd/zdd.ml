@@ -98,8 +98,6 @@ let elem m v =
   if v < 0 || v >= m.nv then invalid_arg "Zdd.elem: out of range";
   mk m v bottom top
 
-let node_top_level m n = level m n
-
 let make_node m v low high =
   if v < 0 || v >= m.nv then invalid_arg "Zdd.make_node: variable out of range";
   let lv = m.level_of.(v) in

@@ -41,9 +41,6 @@ val make_node : manager -> int -> node -> node -> node
 
     @raise Invalid_argument when the level constraint is violated. *)
 
-val node_top_level : manager -> node -> int
-(** Level of the root variable; [max_int] for terminals. *)
-
 val node_var : manager -> node -> int
 (** Root variable of an internal node. *)
 

@@ -108,12 +108,41 @@ val quantify :
   horizon:float ->
   quantification
 (** Builds the product chain of [model] (when present), runs the transient
-    analysis and multiplies by [static_multiplier]. [workspace] lets
+    analysis and multiplies by [static_multiplier]. [epsilon] defaults to
+    [1e-12]. [workspace] lets
     back-to-back quantifications reuse the solver's scratch vectors; do not
     share one workspace across domains. [guard] is threaded into the product
     exploration and the transient solve; on a trip
     {!Sdft_util.Guard.Limit_hit} propagates (the analysis layer catches it
     and falls back to the static worst-case bound). *)
+
+type solution = {
+  e_prob : float;  (** unreliability of [model], before the multiplier *)
+  e_states : int;
+  e_transitions : int;
+  e_steps : int;
+}
+(** What one product-chain solve of [model] yields: the part of a
+    {!quantification} that does not depend on the static events of the
+    cutset, and hence what {!Quant_cache} stores. *)
+
+val quantify_with :
+  lookup:(t -> Sdft.t -> (unit -> solution) -> solution * bool) ->
+  ?epsilon:float ->
+  ?max_states:int ->
+  ?guard:Sdft_util.Guard.t ->
+  ?workspace:Transient.workspace ->
+  ?obs:Sdft_util.Obs.t ->
+  t ->
+  horizon:float ->
+  quantification
+(** The one place an [FT_C] is solved. Like {!quantify}, except that for a
+    cutset with a [model] the solve goes through
+    [lookup cutset_model model solve]: [lookup] either returns a known
+    solution ([true]: the result is marked [from_cache]) or calls [solve]
+    ([false]). {!quantify} is [quantify_with] with a [lookup] that always
+    solves; {!Quant_cache.quantify} looks the solution up by fingerprint.
+    Model-less cutsets never reach [lookup]. *)
 
 (** {1 Result serialization}
 

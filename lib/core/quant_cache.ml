@@ -44,7 +44,7 @@ let handles_of m =
    the solve that produced it (chain size, transition count, DTMC steps),
    so cached and uncached results stay indistinguishable downstream except
    for the [from_cache] flag and the wall time. *)
-type entry = {
+type entry = Cutset_model.solution = {
   e_prob : float;
   e_states : int;
   e_transitions : int;
@@ -69,12 +69,8 @@ type breaker_state = Closed | Open | Half_open
 
 type disk = {
   dk_path : string;
-  dk_batch : int option;
   entries_loaded : int;
   load_ms : float;
-  threshold : int; (* consecutive Closed-state failures that trip *)
-  cooldown : int; (* skipped appends before the first re-probe *)
-  cooldown_cap : int;
   mutable dk_store : Store.t option; (* None while torn down *)
   mutable dk_state : breaker_state;
   mutable failures : int; (* consecutive failures while Closed *)
@@ -385,11 +381,17 @@ let io_error_message = function
   | Failure m -> Some m
   | _ -> None
 
-let open_disk ?batch ?(breaker_threshold = 3) ?(breaker_cooldown = 4)
-    ?(breaker_cooldown_cap = 64) path =
+(* The breaker's constants: consecutive Closed-state failures that trip
+   it, skipped appends before the first re-probe, and the cap that
+   doubling cooldown never passes. *)
+let breaker_threshold = 3
+let breaker_cooldown = 4
+let breaker_cooldown_cap = 64
+
+let open_disk path =
   let t = create () in
   let t0 = Sdft_util.Timer.start () in
-  (match Store.open_ ?batch ~stamp:version_stamp path with
+  (match Store.open_ ~stamp:version_stamp path with
   | store, records ->
     let loaded = ref 0 in
     List.iter
@@ -406,18 +408,12 @@ let open_disk ?batch ?(breaker_threshold = 3) ?(breaker_cooldown = 4)
     let load_ms = Sdft_util.Timer.elapsed_s t0 *. 1000.0 in
     Metrics.set m_load_ms load_ms;
     disk_instant "cache.disk_load";
-    let threshold = max 1 breaker_threshold in
-    let cooldown = max 1 breaker_cooldown in
     t.disk <-
       Some
         {
           dk_path = path;
-          dk_batch = batch;
           entries_loaded = !loaded;
           load_ms;
-          threshold;
-          cooldown;
-          cooldown_cap = max cooldown breaker_cooldown_cap;
           dk_store = Some store;
           dk_state = Closed;
           failures = 0;
@@ -495,16 +491,17 @@ let disk_stats t =
 
 (* Breaker transitions below all run under [disk_lock]. *)
 
-let cooldown_for d episodes =
+let cooldown_for episodes =
   let rec go c i =
-    if i >= episodes || c >= d.cooldown_cap then c else go (c * 2) (i + 1)
+    if i >= episodes || c >= breaker_cooldown_cap then c
+    else go (c * 2) (i + 1)
   in
-  min d.cooldown_cap (go d.cooldown 1)
+  min breaker_cooldown_cap (go breaker_cooldown 1)
 
 let trip d msg =
   d.dk_state <- Open;
   d.episodes <- d.episodes + 1;
-  d.skips_left <- cooldown_for d d.episodes;
+  d.skips_left <- cooldown_for d.episodes;
   d.failures <- 0;
   d.opens <- d.opens + 1;
   d.disk_error <- Some msg;
@@ -535,7 +532,7 @@ let note_append_failure d msg =
   end
   else begin
     d.failures <- d.failures + 1;
-    if d.failures >= d.threshold then trip d msg
+    if d.failures >= breaker_threshold then trip d msg
   end
 
 (* Only entries are remembered for the probe's backfill: a lost point
@@ -593,7 +590,7 @@ let probe t d pending =
       | _ ->
         shed_torn_store d;
         let s, records =
-          Store.open_ ?batch:d.dk_batch ~stamp:version_stamp d.dk_path
+          Store.open_ ~stamp:version_stamp d.dk_path
         in
         d.dk_store <- Some s;
         let keys = Hashtbl.create (List.length records + 1) in
@@ -769,12 +766,8 @@ let record_point t p =
     locked t (fun () -> Hashtbl.replace t.points key p)
 
 let quantify t ~epsilon ~max_states ?guard ?workspace ?(engine_tag = "")
-    ?(obs = Obs.default) (cm : Cutset_model.t) ~horizon =
-  match cm.Cutset_model.model with
-  | None ->
-    (* Purely static or impossible: quantification is a multiplication. *)
-    Cutset_model.quantify ~epsilon ~max_states cm ~horizon
-  | Some sd_c ->
+    ?(obs = Obs.default) cm ~horizon =
+  let lookup cm sd_c solve =
     let t0 = Sdft_util.Timer.start () in
     let h = handles_of obs.Obs.metrics in
     let sink = obs.Obs.trace in
@@ -785,7 +778,7 @@ let quantify t ~epsilon ~max_states ?guard ?workspace ?(engine_tag = "")
     in
     let looked_up = find t key in
     Metrics.observe h.m_lookup_s (Sdft_util.Timer.elapsed_s t0);
-    (match looked_up with
+    match looked_up with
     | Some (e, origin) ->
       Atomic.incr t.hit_count;
       Metrics.incr h.m_hits;
@@ -794,16 +787,7 @@ let quantify t ~epsilon ~max_states ?guard ?workspace ?(engine_tag = "")
         Metrics.incr h.m_disk_hits
       end;
       Trace.instant ~sink "quant_cache.hit";
-      {
-        Cutset_model.probability =
-          e.e_prob *. cm.Cutset_model.static_multiplier;
-        product_states = e.e_states;
-        product_transitions = e.e_transitions;
-        solver_steps = e.e_steps;
-        solver_error = epsilon *. cm.Cutset_model.static_multiplier;
-        from_cache = true;
-        seconds = Sdft_util.Timer.elapsed_s t0;
-      }
+      (e, true)
     | None ->
       Atomic.incr t.miss_count;
       Metrics.incr h.m_misses;
@@ -814,29 +798,9 @@ let quantify t ~epsilon ~max_states ?guard ?workspace ?(engine_tag = "")
       Trace.instant ~sink "quant_cache.miss";
       (* Too_many_states and guard interrupts propagate before anything is
          stored, so a limit can never poison the cache with a partial value. *)
-      let ws =
-        match workspace with Some w -> w | None -> Transient.workspace ()
-      in
-      let built = Sdft_product.build ~max_states ?guard ~obs sd_c in
-      let p_dyn =
-        Sdft_product.unreliability ~epsilon ?guard ~workspace:ws ~obs built
-          ~horizon
-      in
-      let transitions = Ctmc.n_transitions built.Sdft_product.chain in
-      let steps = Transient.last_steps ws in
-      store t key
-        {
-          e_prob = p_dyn;
-          e_states = built.n_states;
-          e_transitions = transitions;
-          e_steps = steps;
-        };
-      {
-        Cutset_model.probability = p_dyn *. cm.Cutset_model.static_multiplier;
-        product_states = built.n_states;
-        product_transitions = transitions;
-        solver_steps = steps;
-        solver_error = epsilon *. cm.Cutset_model.static_multiplier;
-        from_cache = false;
-        seconds = Sdft_util.Timer.elapsed_s t0;
-      })
+      let e = solve () in
+      store t key e;
+      (e, false)
+  in
+  Cutset_model.quantify_with ~lookup ~epsilon ~max_states ?guard ?workspace
+    ~obs cm ~horizon

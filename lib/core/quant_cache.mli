@@ -48,9 +48,8 @@ val fingerprint : Sdft.t -> string
     DFS from the top gate with first-visit ids for basics and gates. It is
     injective on what it covers — no two non-isomorphic models share it —
     and, being self-delimiting, stays injective when followed by other
-    tokens (see {!Sdft_analysis.point_key}). Exposed for tests and the
-    cache-key micro-benchmark; lookups use its memoized digest, see
-    {!key_of}. *)
+    tokens (see {!Sdft_analysis.point_key}, its other user). Lookups use
+    its memoized digest, see {!key_of}. *)
 
 val key_of :
   ?engine_tag:string ->
@@ -78,7 +77,9 @@ val quantify :
   Cutset_model.t ->
   horizon:float ->
   Cutset_model.quantification
-(** Drop-in replacement for {!Cutset_model.quantify}. [engine_tag], when
+(** Drop-in replacement for {!Cutset_model.quantify}: the same
+    {!Cutset_model.quantify_with}, looking each solution up in [t] and
+    storing the ones it had to solve. [engine_tag], when
     non-empty, becomes part of the cache key: entries stay attributable to
     the cutset engine whose analysis produced them, so two engines racing
     over one shared cache never alias each other's entries (at the cost of
@@ -112,12 +113,12 @@ val quantify :
 
     IO failures after a successful open — including the [store.append]
     {!Sdft_util.Failpoint} site — never fail the analysis: they feed a
-    {e circuit breaker}. The breaker starts [closed]; [breaker_threshold]
-    consecutive append failures (or a single failure that tore the
+    {e circuit breaker}. The breaker starts [closed]; three consecutive
+    append failures (or a single failure that tore the
     {!Sdft_util.Store} handle down) trip it [open], where appends are
     skipped — but remembered — for a deterministic cooldown counted in
-    skipped appends ([breaker_cooldown], doubling per consecutive open
-    episode up to [breaker_cooldown_cap]). The cooldown's end moves the
+    skipped appends (four, doubling per consecutive open episode up to
+    64). The cooldown's end moves the
     breaker to [half_open]; the next append becomes a {e probe} that
     reopens the file if necessary, backfills every entry the file is
     missing (skipped records, and — after a reopen — anything lost with an
@@ -128,7 +129,7 @@ val quantify :
     failed {!open_disk} itself still degrades to a plain memory-only cache
     (no breaker — there is nothing to recover to). *)
 
-type entry = {
+type entry = Cutset_model.solution = {
   e_prob : float;  (** dynamic probability, before the static multiplier *)
   e_states : int;
   e_transitions : int;
@@ -140,20 +141,12 @@ val version_stamp : string
 (** Store-header stamp: record-codec revision + build-time digest of the
     solver sources (see [tools/gen_stamp]). *)
 
-val open_disk :
-  ?batch:int ->
-  ?breaker_threshold:int ->
-  ?breaker_cooldown:int ->
-  ?breaker_cooldown_cap:int ->
-  string ->
-  t
+val open_disk : string -> t
 (** [open_disk path] returns a cache warm-started from [path] (created
-    empty if absent) that persists fresh solves back to it. [batch] is the
-    append count between flushes (default 32). [breaker_threshold] (default
-    3) is the consecutive-append-failure count that trips the circuit
-    breaker; [breaker_cooldown] (default 4) the skipped-append count before
-    the first half-open probe, doubling per consecutive open episode up to
-    [breaker_cooldown_cap] (default 64). Never raises on IO trouble: the
+    empty if absent) that persists fresh solves back to it, flushing every
+    32 appends. Three consecutive append failures trip the circuit breaker;
+    it skips four appends before the first half-open probe, doubling per
+    consecutive open episode up to 64. Never raises on IO trouble: the
     result is then an ordinary memory-only cache ({!disk_stats} =
     [None]). *)
 

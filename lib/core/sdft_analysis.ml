@@ -389,86 +389,67 @@ let analyze ?(options = default_options) ?cache ?(obs = Obs.default) sd =
     Obs.step obs ~cost:(cost_of cutset) ();
     info
   in
+  (* The schedule: at one domain, input order. At several, the expensive
+     cutsets first, since with an atomic-counter scheduler a big cutset
+     picked up last leaves one domain solving alone while the others idle:
+     more dynamic events means a (multiplicatively) larger product chain,
+     ties broken by static probability as a proxy for the remaining work.
+     One domain has no idle peers to avoid, and input order lets its kept
+     product template re-rate more cutsets instead of exploring their shape
+     anew (a model-1 sweep explores 239 shapes in input order, 286 in cost
+     order). *)
+  let schedule cutsets =
+    let order = Array.init (Array.length cutsets) Fun.id in
+    if options.domains > 1 then begin
+      (* The shared model is read-only once its lazy descendant caches are
+         forced, so workers only need their own per-analysis context and
+         solver workspace. *)
+      let tree = Sdft.tree sd in
+      for g = 0 to Fault_tree.n_gates tree - 1 do
+        ignore (Fault_tree.descendant_basics tree g);
+        ignore (Sdft.dynamic_descendants sd g)
+      done;
+      let n_dyn = Array.map count_dynamic cutsets in
+      let static_p =
+        Array.map
+          (Cutset.probability translation.Sdft_translate.static_tree)
+          cutsets
+      in
+      Array.sort
+        (fun i j ->
+          let c = compare n_dyn.(j) n_dyn.(i) in
+          if c <> 0 then c
+          else
+            let c = compare static_p.(j) static_p.(i) in
+            if c <> 0 then c else compare i j)
+        order
+    end;
+    order
+  in
   (* Last rung of the ladder: any exception neither the guard nor the state
      bound accounts for (a genuine bug, an injected crash) poisons only its
-     own cutset — contained as a worst-case fallback marked [Worker_crash]
-     instead of killing the whole analysis. *)
-  let contain worker cutset =
-    match quantify_one worker cutset with
-    | info -> info
-    | exception exn ->
-      Trace.instant ~sink "analysis.worker_crash";
-      ignore exn;
-      fallback_info ~reason:Sdft_util.Guard.Worker_crash cutset
-  in
-  let quantify_sequential cutsets =
-    let worker = (Cutset_model.context sd, Transient.workspace ()) in
-    List.map (contain worker) cutsets
-  in
-  (* Parallel variant: the shared model is read-only once its lazy
-     descendant caches are forced, so workers only need their own
-     per-analysis context and solver workspace. [Parallel.map_init]
-     distributes work by an atomic counter and re-raises the first worker
-     exception after all domains have joined (a crashed worker must not
-     surface as an [Option.get] failure on its unfilled result slots). *)
-  let quantify_parallel n_domains cutsets =
-    let tree = Sdft.tree sd in
-    for g = 0 to Fault_tree.n_gates tree - 1 do
-      ignore (Fault_tree.descendant_basics tree g);
-      ignore (Sdft.dynamic_descendants sd g)
-    done;
-    let arr = Array.of_list cutsets in
-    let n = Array.length arr in
-    (* Cost-descending schedule: with an atomic-counter scheduler, a big
-       cutset picked up last leaves one domain solving alone while the
-       others idle. Hand out the expensive cutsets first — more dynamic
-       events means a (multiplicatively) larger product chain, ties broken
-       by static probability as a proxy for the remaining work. Results
-       are restored to input order, so the Kahan total sums in exactly the
-       sequential order and stays bit-identical. *)
-    let n_dyn =
-      Array.map
-        (fun c ->
-          Sdft_util.Int_set.fold
-            (fun b acc -> if Sdft.is_dynamic sd b then acc + 1 else acc)
-            c 0)
-        arr
-    in
-    let static_p =
-      Array.map
-        (fun c -> Cutset.probability translation.Sdft_translate.static_tree c)
-        arr
-    in
-    let order = Array.init n Fun.id in
-    Array.sort
-      (fun i j ->
-        let c = compare n_dyn.(j) n_dyn.(i) in
-        if c <> 0 then c
-        else
-          let c = compare static_p.(j) static_p.(i) in
-          if c <> 0 then c else compare i j)
-      order;
-    let scheduled = Array.map (fun i -> arr.(i)) order in
-    (* The crash-containing map turns a worker exception into an [Error]
-       slot; the slot's cutset then takes the worst-case fallback, so one
-       poisoned cutset degrades instead of aborting the sweep. *)
+     own cutset — the crash-containing map turns it into an [Error] slot,
+     and the cutset takes the worst-case fallback marked [Worker_crash]
+     instead of killing the whole analysis. Results are restored to input
+     order, so the Kahan total sums in the same order at any domain count
+     and stays bit-identical. *)
+  let quantify_all cutsets =
+    let cutsets = Array.of_list cutsets in
+    let order = schedule cutsets in
     let results =
-      Sdft_util.Parallel.map_init_result ~domains:n_domains
+      Sdft_util.Parallel.map_init_result ~domains:options.domains
         (fun () -> (Cutset_model.context sd, Transient.workspace ()))
-        quantify_one scheduled
+        quantify_one
+        (Array.map (fun i -> cutsets.(i)) order)
     in
-    let results =
-      Array.mapi
-        (fun pos r ->
-          match r with
-          | Ok info -> info
-          | Error (_exn, _bt) ->
-            fallback_info ~reason:Sdft_util.Guard.Worker_crash scheduled.(pos))
-        results
-    in
-    let restored = Array.make n None in
-    Array.iteri (fun pos r -> restored.(order.(pos)) <- Some r) results;
-    List.init n (fun i -> Option.get restored.(i))
+    let slot = Array.make (Array.length cutsets) 0 in
+    Array.iteri (fun pos i -> slot.(i) <- pos) order;
+    List.init (Array.length cutsets) (fun i ->
+        match results.(slot.(i)) with
+        | Ok info -> info
+        | Error _ ->
+          Trace.instant ~sink "analysis.worker_crash";
+          fallback_info ~reason:Sdft_util.Guard.Worker_crash cutsets.(i))
   in
   let all_cutsets = generation.Mocus.cutsets in
   Obs.begin_phase obs "quantification" ~total:(List.length all_cutsets)
@@ -476,10 +457,7 @@ let analyze ?(options = default_options) ?cache ?(obs = Obs.default) sd =
       (List.fold_left (fun acc c -> acc +. cost_of c) 0.0 all_cutsets)
     ();
   let infos, quantification_seconds =
-    Obs.span_timed obs h.s_quant (fun () ->
-        if options.domains > 1 then
-          quantify_parallel options.domains all_cutsets
-        else quantify_sequential all_cutsets)
+    Obs.span_timed obs h.s_quant (fun () -> quantify_all all_cutsets)
   in
   let relevant =
     List.filter (fun info -> info.probability > options.cutoff) infos
@@ -686,22 +664,21 @@ type sweep_point = {
   cache_misses : int;
 }
 
+(* One sweep point: [analyze] against the shared cache, with the cache
+   traffic it caused. *)
+let sweep_point ?obs cache sd opts =
+  let h0 = Quant_cache.hits cache and m0 = Quant_cache.misses cache in
+  let r = analyze ~options:opts ~cache ?obs sd in
+  {
+    sweep_options = opts;
+    sweep_result = r;
+    cache_hits = Quant_cache.hits cache - h0;
+    cache_misses = Quant_cache.misses cache - m0;
+  }
+
 let sweep ?cache ?obs sd option_sets =
   let cache = match cache with Some c -> c | None -> Quant_cache.create () in
-  let points =
-    List.map
-      (fun opts ->
-        let h0 = Quant_cache.hits cache and m0 = Quant_cache.misses cache in
-        let r = analyze ~options:opts ~cache ?obs sd in
-        {
-          sweep_options = opts;
-          sweep_result = r;
-          cache_hits = Quant_cache.hits cache - h0;
-          cache_misses = Quant_cache.misses cache - m0;
-        })
-      option_sets
-  in
-  (points, cache)
+  (List.map (sweep_point ?obs cache sd) option_sets, cache)
 
 let degradation_description r =
   let d = r.degradation in
@@ -795,18 +772,11 @@ let sweep_checkpointed ?cache ?(obs = Obs.default) ~resume ?on_point sd
                the checkpoint-skipped count surfaced separately. *)
             Obs.begin_phase obs "sweep" ~total:total_run ~skipped
               ~n_done:!n_done ();
-            let h0 = Quant_cache.hits cache
-            and m0 = Quant_cache.misses cache in
-            let r = analyze ~options:opts ~cache ~obs sd in
+            let p = sweep_point ~obs cache sd opts in
             incr n_done;
-            Quant_cache.record_point cache (checkpoint_point key opts r);
-            Sweep_run
-              {
-                sweep_options = opts;
-                sweep_result = r;
-                cache_hits = Quant_cache.hits cache - h0;
-                cache_misses = Quant_cache.misses cache - m0;
-              }
+            Quant_cache.record_point cache
+              (checkpoint_point key opts p.sweep_result);
+            Sweep_run p
         in
         (match on_point with Some f -> f item | None -> ());
         item)

@@ -40,7 +40,10 @@ type options = {
   domains : int;
       (** worker domains for the per-cutset quantification phase — the
           paper's closing remark notes this phase is trivially parallel.
-          [1] (default) keeps everything on the calling domain. *)
+          [1] (default) keeps everything on the calling domain. Every count
+          runs the same crash-containing map: one domain takes the cutsets
+          in input order, several take the dynamically widest first. The
+          result is bit-identical at any count. *)
   rel_rule : Cutset_model.rel_rule;
       (** [Paper] (default) uses the class-reduced relevant sets of Section
           V-C; [All_events] quantifies every cutset with the exact general

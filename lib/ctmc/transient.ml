@@ -69,8 +69,6 @@ let ws_handles ws m =
 
 let last_steps ws = ws.ws_steps
 
-let last_window ws = ws.ws_window
-
 let ws_reserve ws n =
   if Array.length ws.ws_pi < n then begin
     ws.ws_pi <- Array.make n 0.0;

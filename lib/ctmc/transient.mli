@@ -25,11 +25,6 @@ val last_steps : workspace -> int
     through this workspace (0 when the chain had no motion). Provenance for
     per-cutset reporting. *)
 
-val last_window : workspace -> int
-(** Width of the Poisson window of the most recent solve through this
-    workspace (0 when the chain had no motion). The per-call truncation
-    error of that window is bounded by [options.epsilon]. *)
-
 val dtmc_step : Ctmc.t -> float -> float array -> float array -> unit
 (** [dtmc_step chain q pi out] performs one step of the uniformized DTMC
     [P = I + Q/q]: [out := pi * P]. [pi] and [out] must have at least

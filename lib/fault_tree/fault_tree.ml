@@ -304,7 +304,3 @@ let pp_stats ppf s =
   Format.fprintf ppf
     "%d basic events, %d gates (%d AND, %d OR, %d K/N), depth %d" s.n_basic
     s.n_gate s.n_and s.n_or s.n_atleast s.tree_depth
-
-let pp_node t ppf = function
-  | B b -> Format.pp_print_string ppf t.basic_names.(b)
-  | G g -> Format.pp_print_string ppf t.gate_names.(g)

@@ -133,6 +133,3 @@ type stats = {
 val stats : t -> stats
 
 val pp_stats : Format.formatter -> stats -> unit
-
-val pp_node : t -> Format.formatter -> node -> unit
-(** Node rendered by name. *)

@@ -35,8 +35,6 @@ let default_config =
     include_ccf = false;
   }
 
-let static_config = { default_config with dynamic_pumps = false }
-
 (* Failure data (per-demand probabilities and hourly rates). *)
 let run_failure_rate = 2e-4
 

@@ -50,9 +50,6 @@ val default_config : config
 (** 24h mission, dynamic pumps with one phase, no repairs, no triggers, no
     CCF. *)
 
-val static_config : config
-(** The purely static legacy study (the table's "no timing" row). *)
-
 val build : config -> Sdft.t
 
 val static_tree : ?include_ccf:bool -> ?mission_hours:float -> unit -> Fault_tree.t

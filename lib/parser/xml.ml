@@ -246,8 +246,6 @@ let attribute_exn t name =
 let elements t =
   List.filter_map (function Element e -> Some e | Text _ -> None) t.children
 
-let find_all t tag = List.filter (fun e -> e.tag = tag) (elements t)
-
 let find_opt t tag = List.find_opt (fun e -> e.tag = tag) (elements t)
 
 let text t =

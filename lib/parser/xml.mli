@@ -28,9 +28,6 @@ val attribute_exn : t -> string -> string
 val elements : t -> t list
 (** Child elements (text nodes skipped). *)
 
-val find_all : t -> string -> t list
-(** Child elements with the given tag. *)
-
 val find_opt : t -> string -> t option
 
 val text : t -> string

@@ -87,8 +87,6 @@ type t = {
   admission : Mutex.t;
   in_flight : (string, int) Hashtbl.t;
   mutable ewma_request_s : float;
-  mutable shutdown_hook : unit -> unit;
-  mutable hook_fired : bool;
   mutable joined : bool;
   running : int Atomic.t;
   served : int Atomic.t;
@@ -492,17 +490,6 @@ let reject ~id code message retry_after =
   Protocol.error_response ~id
     { Protocol.code = code; message; retry_after }
 
-let fire_shutdown_hook t =
-  let hook =
-    with_admission t (fun () ->
-        if t.hook_fired then None
-        else begin
-          t.hook_fired <- true;
-          Some t.shutdown_hook
-        end)
-  in
-  match hook with None -> () | Some f -> ( try f () with _ -> ())
-
 let submit t ~client ~reply line =
   let reply s = try reply s with _ -> () in
   Metrics.incr t.h.c_requests;
@@ -535,12 +522,9 @@ let submit t ~client ~reply line =
       | Protocol.Health -> reply (health_response t ~id)
       | Protocol.Shutdown ->
         Atomic.set t.stop true;
-        (* Reply before waking the transport's shutdown hook so the
-           requesting client sees its acknowledgement. *)
         reply
           (Protocol.ok_response ~id (fun b ->
-               Buffer.add_string b "\"stopping\":true"));
-        fire_shutdown_hook t
+               Buffer.add_string b "\"stopping\":true"))
       | Protocol.Analyze params ->
         (* Idempotent retry: if this (client, idem) pair already completed
            inside the response window, answer with the verbatim original
@@ -696,8 +680,6 @@ let create ?(config = default_config) ?cache () =
       admission = Mutex.create ();
       in_flight = Hashtbl.create 16;
       ewma_request_s = 0.1;
-      shutdown_hook = (fun () -> ());
-      hook_fired = false;
       joined = false;
       running = Atomic.make 0;
       served = Atomic.make 0;
@@ -727,12 +709,7 @@ let create ?(config = default_config) ?cache () =
 
 let stopping t = Atomic.get t.stop
 
-let set_on_shutdown_request t f =
-  with_admission t (fun () -> t.shutdown_hook <- f)
-
-let request_shutdown t =
-  Atomic.set t.stop true;
-  fire_shutdown_hook t
+let request_shutdown t = Atomic.set t.stop true
 
 let shutdown t =
   Atomic.set t.stop true;

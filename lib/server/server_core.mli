@@ -93,14 +93,9 @@ val stopping : t -> bool
 (** A shutdown has been requested (op or {!shutdown}); new requests are
     answered with [shutting_down]. *)
 
-val set_on_shutdown_request : t -> (unit -> unit) -> unit
-(** Hook invoked at most once, on the first [shutdown] op or
-    {!request_shutdown} — lets a transport break its accept loop. *)
-
 val request_shutdown : t -> unit
-(** Flip into the [stopping] state and fire the shutdown hook, exactly as
-    a [shutdown] op would; safe from a signal handler. Does not drain —
-    follow with {!shutdown}. *)
+(** Flip into the [stopping] state, exactly as a [shutdown] op would; safe
+    from a signal handler. Does not drain — follow with {!shutdown}. *)
 
 val shutdown : t -> unit
 (** Graceful shutdown: refuse new work, drain already-admitted requests,

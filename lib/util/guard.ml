@@ -12,8 +12,6 @@ let reason_to_string = function
   | State_limit -> "state limit"
   | Worker_crash -> "worker crash"
 
-let pp_reason ppf r = Format.pp_print_string ppf (reason_to_string r)
-
 let stride = 4096
 
 type t = {

@@ -26,8 +26,6 @@ val reason_to_string : reason -> string
 (** Short lowercase label: ["deadline"], ["memory limit"], ["state limit"],
     ["worker crash"]. *)
 
-val pp_reason : Format.formatter -> reason -> unit
-
 type t
 
 val create :

@@ -26,11 +26,6 @@ let add_float buf v =
   if Float.is_finite v then Buffer.add_string buf (Printf.sprintf "%.17g" v)
   else Buffer.add_string buf "null"
 
-let string_of s =
-  let buf = Buffer.create (String.length s + 2) in
-  add_string buf s;
-  Buffer.contents buf
-
 (* ------------------------------------------------------------------ *)
 (* Parsing. *)
 

@@ -15,9 +15,6 @@ val add_float : Buffer.t -> float -> unit
 (** Append a finite float with full precision; NaN/infinities become
     [null]. *)
 
-val string_of : string -> string
-(** [string_of s] is the quoted, escaped JSON literal for [s]. *)
-
 (** {1 Parsing} *)
 
 type value =

@@ -265,18 +265,33 @@ let test_analyze_transient_oom () =
       Alcotest.(check bool) "mem fallback counted" true (mem_fallbacks <> []);
       interval_contains r exact)
 
+(* One domain runs the same crash-containing map as several: the crash is
+   contained, counted and traced alike at either count. *)
 let test_analyze_worker_crash_parallel () =
   let sd = Pumps.sd_tree () in
   let exact = Sdft_product.solve sd ~horizon:24.0 in
-  with_failpoints "parallel.worker=raise@nth:1" (fun () ->
-      let options = { Sdft_analysis.default_options with domains = 2 } in
-      let r = Sdft_analysis.analyze ~options sd in
-      let crashes =
-        List.assoc_opt Guard.Worker_crash
-          r.Sdft_analysis.degradation.Sdft_analysis.degraded_cutsets
-      in
-      Alcotest.(check (option int)) "one contained crash" (Some 1) crashes;
-      interval_contains r exact)
+  List.iter
+    (fun domains ->
+      with_failpoints "parallel.worker=raise@nth:1" (fun () ->
+          let label = Printf.sprintf "%d domain(s): " domains in
+          let options = { Sdft_analysis.default_options with domains } in
+          let obs = Sdft_util.Obs.create () in
+          let r = Sdft_analysis.analyze ~options ~obs sd in
+          let crashes =
+            List.assoc_opt Guard.Worker_crash
+              r.Sdft_analysis.degradation.Sdft_analysis.degraded_cutsets
+          in
+          Alcotest.(check (option int))
+            (label ^ "one contained crash") (Some 1) crashes;
+          let instants =
+            List.filter
+              (fun e -> e.Sdft_util.Trace.ev_name = "analysis.worker_crash")
+              (Sdft_util.Trace.snapshot_in obs.Sdft_util.Obs.trace)
+          in
+          Alcotest.(check int)
+            (label ^ "one worker_crash instant") 1 (List.length instants);
+          interval_contains r exact))
+    [ 1; 2 ]
 
 let test_analyze_cache_crash_contained () =
   let sd = Pumps.sd_tree () in

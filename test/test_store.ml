@@ -305,23 +305,31 @@ let test_cache_append_failure_degrades () =
             (stats.disk_error <> None);
           check_same_result "append failure" r baseline))
 
-(* Circuit breaker: an injected append failure trips the breaker; after
+(* Circuit breaker: injected append failures trip the breaker; after
    the deterministic cooldown the half-open probe heals the tier in place
    — same process, no reopen by the caller — and backfills every record
-   that failed or was skipped while the breaker was open. Pumps analysis
-   appends exactly 3 records, so with threshold 1 and cooldown 1 the walk
-   is: append 1 fails (trip), append 2 skipped (cooldown ends), append 3
-   probes and recovers. *)
+   that failed or was skipped while the breaker was open. The BWR study
+   (repairs and every trigger site, as [sdft gen bwr] writes it) appends
+   21 records at 24 h, so at the breaker's threshold 3 and cooldown 4 the
+   walk is: appends 1-3 fail (trip), appends 4-7 skipped (cooldown ends),
+   append 8 probes and recovers, appends 9-21 go through the closed
+   breaker. *)
+let bwr =
+  lazy
+    (Bwr.build
+       {
+         Bwr.default_config with
+         repair_rate = Some 0.1;
+         triggers = Bwr.all_trigger_sites;
+       })
+
 let test_cache_breaker_recovers_in_place () =
   with_store (fun path ->
-      let sd = Pumps.sd_tree () in
+      let sd = Lazy.force bwr in
       let baseline = Sdft_analysis.analyze sd in
-      Failpoint.configure_string_in fp "store.append=raise@first:1";
+      Failpoint.configure_string_in fp "store.append=raise@first:3";
       Fun.protect ~finally:(fun () -> Failpoint.clear_all_in fp) (fun () ->
-          let cache =
-            Quant_cache.open_disk ~breaker_threshold:1 ~breaker_cooldown:1
-              path
-          in
+          let cache = Quant_cache.open_disk path in
           let r = Sdft_analysis.analyze ~cache sd in
           check_same_result "result unharmed by the breaker cycle" r baseline;
           let s = Option.get (Quant_cache.disk_stats cache) in
@@ -333,28 +341,26 @@ let test_cache_breaker_recovers_in_place () =
             s.Quant_cache.breaker_recoveries;
           Alcotest.(check (option string)) "error cleared by the recovery"
             None s.Quant_cache.disk_error;
-          Alcotest.(check int) "failed and skipped appends backfilled" 3
+          Alcotest.(check int) "failed and skipped appends backfilled" 21
             s.Quant_cache.appends;
           Quant_cache.close cache;
           (* Nothing was lost: a warm reopen loads every record, including
-             the two that originally failed or were skipped. *)
+             the seven that originally failed or were skipped. *)
           let warm = Quant_cache.open_disk path in
           let ws = Option.get (Quant_cache.disk_stats warm) in
-          Alcotest.(check int) "every entry reached the disk" 3
+          Alcotest.(check int) "every entry reached the disk" 21
             ws.Quant_cache.entries_loaded;
           Quant_cache.close warm))
 
 (* A persistent fault leaves the breaker open with the failure recorded —
-   the signal [report_disk_cache] and the server surface as degraded. *)
+   the signal [report_disk_cache] and the server surface as degraded. On
+   BWR's 21 appends the walk passes two failed probes (appends 8 and 17). *)
 let test_cache_breaker_stays_open_under_persistent_fault () =
   with_store (fun path ->
-      let sd = Pumps.sd_tree () in
+      let sd = Lazy.force bwr in
       Failpoint.configure_string_in fp "store.append=raise";
       Fun.protect ~finally:(fun () -> Failpoint.clear_all_in fp) (fun () ->
-          let cache =
-            Quant_cache.open_disk ~breaker_threshold:1 ~breaker_cooldown:1
-              path
-          in
+          let cache = Quant_cache.open_disk path in
           ignore (Sdft_analysis.analyze ~cache sd);
           let s = Option.get (Quant_cache.disk_stats cache) in
           Alcotest.(check bool) "breaker not closed" true
