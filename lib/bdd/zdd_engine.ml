@@ -29,29 +29,12 @@ module Metrics = Sdft_util.Metrics
 module Trace = Sdft_util.Trace
 module Obs = Sdft_util.Obs
 
-(* Per-observability-context instrument handles (physical-equality fast
-   path on the default context — see Sdft_util.Obs). *)
-type handles = {
-  m_runs : Metrics.counter;
-  m_modules : Metrics.counter;
-  m_emitted : Metrics.counter;
-  m_peak_nodes : Metrics.gauge;
-  s_run : Obs.span;
-}
-
-let handles_in m =
-  {
-    m_runs = Metrics.counter_in m "zdd.runs";
-    m_modules = Metrics.counter_in m "zdd.modules";
-    m_emitted = Metrics.counter_in m "zdd.cutsets_emitted";
-    m_peak_nodes = Metrics.gauge_max_in m "zdd.peak_nodes";
-    s_run = Obs.span_in m "zdd.run";
-  }
-
-let default_handles = handles_in Metrics.default
-
-let handles_of m =
-  if m == Metrics.default then default_handles else handles_in m
+let g = Metrics.group ()
+let m_runs = Metrics.counter g "zdd.runs"
+let m_modules = Metrics.counter g "zdd.modules"
+let m_emitted = Metrics.counter g "zdd.cutsets_emitted"
+let m_peak_nodes = Metrics.gauge g "zdd.peak_nodes"
+let s_run = Obs.declare_span g "zdd.run"
 
 type module_stats = {
   ms_gate : int;
@@ -359,16 +342,17 @@ let run_inner ?(cutoff = 0.0) ?max_order ?(guard = Guard.none) ~fp tree =
   }
 
 let run ?cutoff ?max_order ?guard ?(obs = Obs.default) tree =
-  let h = handles_of obs.Obs.metrics in
+  let m = obs.Obs.metrics in
   let sink = obs.Obs.trace in
-  Obs.span obs h.s_run (fun () ->
+  Obs.span obs s_run (fun () ->
       let r =
         run_inner ?cutoff ?max_order ?guard ~fp:obs.Obs.failpoints tree
       in
-      Metrics.incr h.m_runs;
-      Metrics.add h.m_modules r.n_modules;
-      Metrics.add h.m_emitted (List.length r.cutsets);
-      Metrics.set_max h.m_peak_nodes (float_of_int r.max_zdd_nodes);
+      Metrics.incr (Metrics.get m m_runs);
+      Metrics.add (Metrics.get m m_modules) r.n_modules;
+      Metrics.add (Metrics.get m m_emitted) (List.length r.cutsets);
+      Metrics.set_max (Metrics.get m m_peak_nodes)
+        (float_of_int r.max_zdd_nodes);
       Trace.add_attr ~sink "modules" (Trace.Int r.n_modules);
       Trace.add_attr ~sink "emitted" (Trace.Int (List.length r.cutsets));
       Trace.add_attr ~sink "max_zdd_nodes" (Trace.Int r.max_zdd_nodes);

@@ -15,30 +15,12 @@ let m_breaker_recoveries =
 
 let disk_instant name = Trace.instant ~sink:Trace.default name
 
-(* Per-observability-context instrument handles, resolved once per lookup
-   (and through the physical-equality fast path, for free on the default
-   context). *)
-type handles = {
-  m_hits : Metrics.counter;
-  m_misses : Metrics.counter;
-  m_disk_hits : Metrics.counter;
-  m_disk_misses : Metrics.counter;
-  m_lookup_s : Metrics.histogram;
-}
-
-let handles_in m =
-  {
-    m_hits = Metrics.counter_in m "quant_cache.hits";
-    m_misses = Metrics.counter_in m "quant_cache.misses";
-    m_disk_hits = Metrics.counter_in m "cache.disk_hits";
-    m_disk_misses = Metrics.counter_in m "cache.disk_misses";
-    m_lookup_s = Metrics.histogram_in m "cache.lookup_s";
-  }
-
-let default_handles = handles_in Metrics.default
-
-let handles_of m =
-  if m == Metrics.default then default_handles else handles_in m
+let g = Metrics.group ()
+let m_hits = Metrics.counter g "quant_cache.hits"
+let m_misses = Metrics.counter g "quant_cache.misses"
+let m_disk_hits = Metrics.counter g "cache.disk_hits"
+let m_disk_misses = Metrics.counter g "cache.disk_misses"
+let m_lookup_s = Metrics.histogram g "cache.lookup_s"
 
 (* What a hit must reproduce: the dynamic probability plus the provenance of
    the solve that produced it (chain size, transition count, DTMC steps),
@@ -769,7 +751,10 @@ let quantify t ~epsilon ~max_states ?guard ?workspace ?(engine_tag = "")
     ?(obs = Obs.default) cm ~horizon =
   let lookup cm sd_c solve =
     let t0 = Sdft_util.Timer.start () in
-    let h = handles_of obs.Obs.metrics in
+    let m = obs.Obs.metrics in
+    (* Resolved before the lookup site, which may raise: the module's
+       instruments are listed from the first lookup on either way. *)
+    let lookup_s = Metrics.get m m_lookup_s in
     let sink = obs.Obs.trace in
     Sdft_util.Failpoint.hit_in obs.Obs.failpoints "cache.lookup";
     let key =
@@ -777,23 +762,23 @@ let quantify t ~epsilon ~max_states ?guard ?workspace ?(engine_tag = "")
         ~engine_tag
     in
     let looked_up = find t key in
-    Metrics.observe h.m_lookup_s (Sdft_util.Timer.elapsed_s t0);
+    Metrics.observe lookup_s (Sdft_util.Timer.elapsed_s t0);
     match looked_up with
     | Some (e, origin) ->
       Atomic.incr t.hit_count;
-      Metrics.incr h.m_hits;
+      Metrics.incr (Metrics.get m m_hits);
       if origin = Warm then begin
         Atomic.incr t.disk_hit_count;
-        Metrics.incr h.m_disk_hits
+        Metrics.incr (Metrics.get m m_disk_hits)
       end;
       Trace.instant ~sink "quant_cache.hit";
       (e, true)
     | None ->
       Atomic.incr t.miss_count;
-      Metrics.incr h.m_misses;
+      Metrics.incr (Metrics.get m m_misses);
       if t.disk <> None then begin
         Atomic.incr t.disk_miss_count;
-        Metrics.incr h.m_disk_misses
+        Metrics.incr (Metrics.get m m_disk_misses)
       end;
       Trace.instant ~sink "quant_cache.miss";
       (* Too_many_states and guard interrupts propagate before anything is

@@ -3,38 +3,16 @@ module Trace = Sdft_util.Trace
 module Obs = Sdft_util.Obs
 module Canon = Sdft_util.Canon
 
-(* Per-observability-context instrument handles, resolved once per analyze
-   call (physical-equality fast path on the default context — see
-   Sdft_util.Obs). *)
-type handles = {
-  m_runs : Metrics.counter;
-  s_analyze : Obs.span;
-  s_mcs : Obs.span;
-  s_quant : Obs.span;
-  s_cutset : Obs.span;
-  m_fallbacks : Metrics.counter;
-  m_product_states : Metrics.counter;
-  m_cutsets : Metrics.counter;
-  m_solve_s : Metrics.histogram;
-}
-
-let handles_in m =
-  {
-    m_runs = Metrics.counter_in m "analysis.runs";
-    s_analyze = Obs.span_in m "analysis.analyze";
-    s_mcs = Obs.span_in m "analysis.mcs_generation";
-    s_quant = Obs.span_in m "analysis.quantification";
-    s_cutset = Obs.span_in m "analysis.cutset";
-    m_fallbacks = Metrics.counter_in m "analysis.fallbacks";
-    m_product_states = Metrics.counter_in m "analysis.product_states";
-    m_cutsets = Metrics.counter_in m "analysis.cutsets_quantified";
-    m_solve_s = Metrics.histogram_in m "analysis.cutset_solve_s";
-  }
-
-let default_handles = handles_in Metrics.default
-
-let handles_of m =
-  if m == Metrics.default then default_handles else handles_in m
+let g = Metrics.group ()
+let m_runs = Metrics.counter g "analysis.runs"
+let s_analyze = Obs.declare_span g "analysis.analyze"
+let s_mcs = Obs.declare_span g "analysis.mcs_generation"
+let s_quant = Obs.declare_span g "analysis.quantification"
+let s_cutset = Obs.declare_span g "analysis.cutset"
+let m_fallbacks = Metrics.counter g "analysis.fallbacks"
+let m_product_states = Metrics.counter g "analysis.product_states"
+let m_cutsets = Metrics.counter g "analysis.cutsets_quantified"
+let m_solve_s = Metrics.histogram g "analysis.cutset_solve_s"
 
 type engine = Mocus_sound | Zdd_engine | Auto
 
@@ -180,11 +158,10 @@ let phase1 ?guard ?(obs = Obs.default) options sd =
   let guard =
     match guard with Some g -> g | None -> resource_guard ~obs options
   in
-  let h = handles_of obs.Obs.metrics in
   let sink = obs.Obs.trace in
   Obs.begin_phase obs "generation" ();
   let (translation, engine_used, generation), generation_seconds =
-    Obs.span_timed obs h.s_mcs (fun () ->
+    Obs.span_timed obs s_mcs (fun () ->
         let translation =
           Sdft_translate.translate ~epsilon:options.transient_epsilon ~obs sd
             ~horizon:options.horizon
@@ -252,9 +229,9 @@ let degraded r =
   r.degradation.generation_limit <> None || r.degradation.degraded_cutsets <> []
 
 let analyze ?(options = default_options) ?cache ?(obs = Obs.default) sd =
-  let h = handles_of obs.Obs.metrics in
+  let m = obs.Obs.metrics in
   let sink = obs.Obs.trace in
-  Obs.span obs h.s_analyze (fun () ->
+  Obs.span obs s_analyze (fun () ->
   (* The product template memo serves this analysis only: emptying it on
      the way out keeps one request's heap from counting against the next
      one's memory limit on a long-lived domain. *)
@@ -263,7 +240,7 @@ let analyze ?(options = default_options) ?cache ?(obs = Obs.default) sd =
       Sdft_product.release_template ();
       Obs.finish obs)
   @@ fun () ->
-  Metrics.incr h.m_runs;
+  Metrics.incr (Metrics.get m m_runs);
   let guard = resource_guard ~obs options in
   let { translation; engine_used; generation; generation_seconds } =
     phase1 ~guard ~obs options sd
@@ -330,7 +307,7 @@ let analyze ?(options = default_options) ?cache ?(obs = Obs.default) sd =
         ~horizon
   in
   let quantify_one_inner (context, workspace) cutset =
-    Obs.span obs h.s_cutset (fun () ->
+    Obs.span obs s_cutset (fun () ->
     match Sdft_util.Guard.status guard with
     | Some r ->
       (* The global limit tripped between work items: skip the model build
@@ -382,9 +359,12 @@ let analyze ?(options = default_options) ?cache ?(obs = Obs.default) sd =
         fallback_info ~model ~reason:Sdft_util.Guard.Mem_limit cutset))
   in
   let quantify_one worker cutset =
+    (* The per-item crash site, on this analysis' own failpoints; raised
+       inside the crash-containing map, so it is contained in its slot. *)
+    Sdft_util.Failpoint.hit_in obs.Obs.failpoints "parallel.worker";
     let info = quantify_one_inner worker cutset in
     if not info.used_fallback then
-      Metrics.observe h.m_solve_s info.solve_seconds;
+      Metrics.observe (Metrics.get m m_solve_s) info.solve_seconds;
     (* Atomic progress state: safe to step from worker domains. *)
     Obs.step obs ~cost:(cost_of cutset) ();
     info
@@ -457,7 +437,7 @@ let analyze ?(options = default_options) ?cache ?(obs = Obs.default) sd =
       (List.fold_left (fun acc c -> acc +. cost_of c) 0.0 all_cutsets)
     ();
   let infos, quantification_seconds =
-    Obs.span_timed obs h.s_quant (fun () -> quantify_all all_cutsets)
+    Obs.span_timed obs s_quant (fun () -> quantify_all all_cutsets)
   in
   let relevant =
     List.filter (fun info -> info.probability > options.cutoff) infos
@@ -475,9 +455,9 @@ let analyze ?(options = default_options) ?cache ?(obs = Obs.default) sd =
   let n_fallbacks =
     List.length (List.filter (fun info -> info.used_fallback) infos)
   in
-  Metrics.add h.m_cutsets (List.length infos);
-  Metrics.add h.m_fallbacks n_fallbacks;
-  Metrics.add h.m_product_states
+  Metrics.add (Metrics.get m m_cutsets) (List.length infos);
+  Metrics.add (Metrics.get m m_fallbacks) n_fallbacks;
+  Metrics.add (Metrics.get m m_product_states)
     (List.fold_left (fun acc info -> acc + info.product_states) 0 infos);
   (* Error budget. Upper bound: the rare-event sum over-approximates the
      union, so adding back every discarded mass — branches pruned during

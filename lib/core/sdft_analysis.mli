@@ -268,7 +268,7 @@ val sweep :
     unless [cache] is given, which lets several sweeps share). Returns the
     per-point results with their cache-traffic deltas, plus the cache for
     reuse or inspection. Aggregate hit/miss totals are also published on the
-    ["quant_cache.hits"/"quant_cache.misses"] metrics counters. *)
+    [quant_cache.hits] and [quant_cache.misses] counters. *)
 
 (** {1 Checkpointed sweeps}
 
@@ -280,18 +280,15 @@ val sweep :
     interrupted point that the store is missing, and produces final
     results bit-identical to an uninterrupted run. *)
 
-val options_fingerprint : options -> string
-(** Canonical binary encoding ({!Sdft_util.Canon} tokens) of every
-    result-influencing option (numerics, engine, rel-rule, resource
-    limits). [domains] is excluded: the work partition never changes
-    result bits, so a resume may use a different parallelism than the
-    interrupted run. *)
-
 val point_key : Sdft.t -> options -> string
 (** Stable identity of one sweep point: MD5 of the model's canonical
     fingerprint ({!Quant_cache.fingerprint}, the encoder behind the cutset
-    keys) followed by {!options_fingerprint}. This is the key under which
-    {!sweep_checkpointed} records and finds completed points. *)
+    keys) followed by a canonical binary encoding ({!Sdft_util.Canon}
+    tokens) of every result-influencing option (numerics, engine, rel-rule,
+    resource limits). [domains] is excluded: the work partition never
+    changes result bits, so a resume may use a different parallelism than
+    the interrupted run. This is the key under which {!sweep_checkpointed}
+    records and finds completed points. *)
 
 type sweep_item =
   | Sweep_run of sweep_point  (** computed (or recomputed) this run *)

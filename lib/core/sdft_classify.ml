@@ -69,12 +69,17 @@ let has_uniform_triggering sd g =
   | [] -> false
   | first :: rest -> first <> None && List.for_all (fun t -> t = first) rest
 
-(* Callers memoize the class per gate, so resolving the span per call
-   costs one registry lookup per gate, not per cutset. *)
+(* Not eager: a registry lists the span once a trigger gate is
+   classified, so a dump for an untriggered model omits it. *)
+let s_classify =
+  Sdft_util.Obs.declare_span
+    (Sdft_util.Metrics.group ~eager:false ())
+    "classify.gate"
+
 let classify ?(obs = Sdft_util.Obs.default) sd g =
   Sdft_util.Obs.span obs
     ~attrs:[ ("gate", Sdft_util.Trace.Int g) ]
-    (Sdft_util.Obs.span_in obs.Sdft_util.Obs.metrics "classify.gate")
+    s_classify
     (fun () ->
       if has_static_branching sd g then Static_branching
       else if has_static_joins sd g then

@@ -20,14 +20,6 @@ type gate_class =
   | Static_joins of { uniform : bool }
   | General
 
-val node_is_dynamic : Sdft.t -> Fault_tree.node -> bool
-(** A basic event is dynamic if marked so; a gate is dynamic if its subtree
-    contains a dynamic basic event. *)
-
-val has_static_branching : Sdft.t -> int -> bool
-
-val has_static_joins : Sdft.t -> int -> bool
-
 val has_uniform_triggering : Sdft.t -> int -> bool
 (** All dynamic basic events under the gate are triggered and share the same
     triggering gate. *)

@@ -1,4 +1,3 @@
-module Int_set = Sdft_util.Int_set
 module Obs = Sdft_util.Obs
 module Metrics = Sdft_util.Metrics
 module Failpoint = Sdft_util.Failpoint
@@ -77,10 +76,7 @@ let component_of_basic sd b =
 
 type semantics = {
   sd : Sdft.t;
-  assumed_failed : Int_set.t;
-  assumed_arr : bool array; (* assumed_failed as a flat lookup *)
-  components : component array;
-  slot_of_basic : int array;
+  components : component array; (* one per basic event, in index order *)
   n_triggered : int;
   gates_buf : bool array;
       (* scratch for gate evaluations; closure passes stop allocating a
@@ -88,35 +84,19 @@ type semantics = {
          domains. *)
 }
 
-let semantics ?(assumed_failed = Int_set.empty) sd =
+let semantics sd =
   let tree = Sdft.tree sd in
-  Int_set.iter
-    (fun b ->
-      if Sdft.is_dynamic sd b then
-        invalid_arg "Sdft_product: assumed_failed must be static")
-    assumed_failed;
-  let participants =
-    Array.of_list
-      (List.filter
-         (fun b -> not (Int_set.mem b assumed_failed))
-         (List.init (Fault_tree.n_basics tree) Fun.id))
+  let components =
+    Array.init (Fault_tree.n_basics tree) (component_of_basic sd)
   in
-  let components = Array.map (component_of_basic sd) participants in
-  let slot_of_basic = Array.make (Fault_tree.n_basics tree) (-1) in
-  Array.iteri (fun slot c -> slot_of_basic.(c.basic) <- slot) components;
   let n_triggered =
     Array.fold_left
       (fun acc c -> if c.trigger_gate >= 0 then acc + 1 else acc)
       0 components
   in
-  let assumed_arr = Array.make (Fault_tree.n_basics tree) false in
-  Int_set.iter (fun b -> assumed_arr.(b) <- true) assumed_failed;
   {
     sd;
-    assumed_failed;
-    assumed_arr;
     components;
-    slot_of_basic;
     n_triggered;
     gates_buf = Array.make (Fault_tree.n_gates tree) false;
   }
@@ -126,15 +106,8 @@ let sem_components sem = sem.components
 (* Evaluates into the semantics' scratch buffer; the returned array is
    overwritten by the next [eval] on the same semantics. *)
 let eval sem state =
-  let assumed = sem.assumed_arr in
-  let slots = sem.slot_of_basic in
   let comps = sem.components in
-  let basic_failed b =
-    assumed.(b)
-    ||
-    let slot = slots.(b) in
-    slot >= 0 && comps.(slot).failed_local.(state.(slot))
-  in
+  let basic_failed b = comps.(b).failed_local.(state.(b)) in
   Fault_tree.eval_gates_into (Sdft.tree sem.sd) ~failed:basic_failed
     sem.gates_buf;
   sem.gates_buf
@@ -266,8 +239,7 @@ type template = {
 (* Positional shape key: the tree's gates and top, then every component in
    slot order with its rates and masses erased but the support of its
    initial distribution kept. Positional, not canonical, because state
-   numbering follows slot order; the participants' basic indices encode
-   the assumed-failed set. *)
+   numbering follows slot order. *)
 let shape_key sem =
   let key = Sdft_util.Vec.create () in
   let emit = Sdft_util.Vec.push key in
@@ -505,38 +477,23 @@ let build_generic sem ~max_states ~guard ~fp =
     n_states;
   }
 
-(* Per-observability-context instrument handles, resolved once per build
-   (physical-equality fast path on the default context). Both counters are
-   registered on every build, so a dump shows a zero rather than omitting
-   the one that never moved. *)
-type handles = {
-  m_explorations : Metrics.counter;
-  m_template_hits : Metrics.counter;
-  m_states_per_s : Metrics.histogram;
-  s_build : Obs.span;
-}
+(* One group: a registry lists both build counters as soon as either
+   moves, so a dump shows a zero rather than omitting the one that never
+   moved. *)
+let g = Metrics.group ()
+let m_explorations = Metrics.counter g "product.explorations"
+let m_template_hits = Metrics.counter g "product.template_hits"
+let m_states_per_s = Metrics.histogram g "product.build_states_per_s"
+let s_build = Obs.declare_span g "product.build"
 
-let handles_in m =
-  {
-    m_explorations = Metrics.counter_in m "product.explorations";
-    m_template_hits = Metrics.counter_in m "product.template_hits";
-    m_states_per_s = Metrics.histogram_in m "product.build_states_per_s";
-    s_build = Obs.span_in m "product.build";
-  }
-
-let default_handles = handles_in Metrics.default
-
-let handles_of m =
-  if m == Metrics.default then default_handles else handles_in m
-
-let build ?(max_states = 1_000_000) ?assumed_failed ?(generic = false)
+let build ?(max_states = 1_000_000) ?(generic = false)
     ?(guard = Sdft_util.Guard.none) ?(obs = Obs.default) sd =
-  let h = handles_of obs.Obs.metrics in
+  let m = obs.Obs.metrics in
   let sink = obs.Obs.trace in
   let fp = obs.Obs.failpoints in
   let built, dt =
-    Obs.span_timed obs h.s_build (fun () ->
-        let sem = semantics ?assumed_failed sd in
+    Obs.span_timed obs s_build (fun () ->
+        let sem = semantics sd in
         let built, reused =
           if generic then (build_generic sem ~max_states ~guard ~fp, false)
           else
@@ -544,7 +501,8 @@ let build ?(max_states = 1_000_000) ?assumed_failed ?(generic = false)
             | Some strides -> build_packed sem ~max_states ~guard ~fp strides
             | None -> (build_generic sem ~max_states ~guard ~fp, false)
         in
-        Metrics.incr (if reused then h.m_template_hits else h.m_explorations);
+        Metrics.incr
+          (Metrics.get m (if reused then m_template_hits else m_explorations));
         Sdft_util.Trace.add_attr ~sink "states"
           (Sdft_util.Trace.Int built.n_states);
         Sdft_util.Trace.add_attr ~sink "transitions"
@@ -558,7 +516,8 @@ let build ?(max_states = 1_000_000) ?assumed_failed ?(generic = false)
      exactly the per-module heterogeneity the explain view wants to
      surface. *)
   if dt > 0.0 then
-    Metrics.observe h.m_states_per_s (float_of_int built.n_states /. dt);
+    Metrics.observe (Metrics.get m m_states_per_s)
+      (float_of_int built.n_states /. dt);
   built
 
 let unreliability ?(epsilon = 1e-12) ?guard ?workspace ?obs built ~horizon =

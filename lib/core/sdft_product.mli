@@ -30,18 +30,14 @@ exception Too_many_states of int
 
 val build :
   ?max_states:int ->
-  ?assumed_failed:Sdft_util.Int_set.t ->
   ?generic:bool ->
   ?guard:Sdft_util.Guard.t ->
   ?obs:Sdft_util.Obs.t ->
   Sdft.t ->
   built
 (** [build sd] explores the reachable consistent product states from the
-    initial distribution. [assumed_failed] names static basic events that
-    are conditioned to be failed — they leave the product and count as
-    failed in every gate evaluation (used by the cutset models, where the
-    static events of the cutset are factored out). [max_states] defaults to
-    1_000_000.
+    initial distribution, with one component per basic event.
+    [max_states] defaults to 1_000_000.
 
     States are packed into single integers (mixed-radix) whenever the radix
     product fits in an OCaml int, which makes exploration allocation-light;
@@ -78,9 +74,7 @@ val build :
     [product.template_hits] counter, tags its [product.build] span with a
     [template] bool (true on a hit), and observes its throughput on the
     [product.build_states_per_s] histogram — on a hit, the throughput of
-    the instantiation.
-
-    @raise Invalid_argument if [assumed_failed] contains a dynamic event. *)
+    the instantiation. *)
 
 val release_template : unit -> unit
 (** Empties the calling domain's template slot, so the last template built
@@ -122,7 +116,7 @@ type component = {
 
 type semantics
 
-val semantics : ?assumed_failed:Sdft_util.Int_set.t -> Sdft.t -> semantics
+val semantics : Sdft.t -> semantics
 
 val sem_components : semantics -> component array
 

@@ -3,27 +3,12 @@ module Trace = Sdft_util.Trace
 module Failpoint = Sdft_util.Failpoint
 module Obs = Sdft_util.Obs
 
-type handles = {
-  m_solves : Metrics.counter;
-  m_steps : Metrics.counter;
-  m_window : Metrics.counter;
-  m_steady : Metrics.counter;
-  s_solve : Obs.span;
-}
-
-let handles_in m =
-  {
-    m_solves = Metrics.counter_in m "transient.solves";
-    m_steps = Metrics.counter_in m "transient.uniformization_steps";
-    m_window = Metrics.counter_in m "transient.window_width_total";
-    m_steady = Metrics.counter_in m "transient.steady_state_exits";
-    s_solve = Obs.span_in m "transient.solve";
-  }
-
-let default_handles = handles_in Metrics.default
-
-let handles_of m =
-  if m == Metrics.default then default_handles else handles_in m
+let g = Metrics.group ()
+let m_solves = Metrics.counter g "transient.solves"
+let m_steps = Metrics.counter g "transient.uniformization_steps"
+let m_window = Metrics.counter g "transient.window_width_total"
+let m_steady = Metrics.counter g "transient.steady_state_exits"
+let s_solve = Obs.declare_span g "transient.solve"
 
 type options = { epsilon : float }
 
@@ -42,11 +27,6 @@ type workspace = {
      much numerical work a result cost. *)
   mutable ws_steps : int;
   mutable ws_window : int;
-  (* Cached instrument handles for the registry of the last solve: a
-     workspace runs many small solves back to back, so resolving names per
-     solve would put a hashtable lookup on the per-cutset path. Keyed by
-     physical equality of the registry. *)
-  mutable ws_handles : (Metrics.t * handles) option;
 }
 
 let workspace () =
@@ -56,16 +36,7 @@ let workspace () =
     ws_result = [||];
     ws_steps = 0;
     ws_window = 0;
-    ws_handles = None;
   }
-
-let ws_handles ws m =
-  match ws.ws_handles with
-  | Some (m', h) when m' == m -> h
-  | _ ->
-    let h = handles_of m in
-    ws.ws_handles <- Some (m, h);
-    h
 
 let last_steps ws = ws.ws_steps
 
@@ -130,8 +101,8 @@ let max_abs_diff n a b =
 let solve_into ~options ~guard ~obs ws chain ~init ~t =
   let sink = obs.Obs.trace in
   let fp = obs.Obs.failpoints in
-  let h = ws_handles ws obs.Obs.metrics in
-  Obs.span obs h.s_solve (fun () ->
+  let m = obs.Obs.metrics in
+  Obs.span obs s_solve (fun () ->
   if t < 0.0 || not (Float.is_finite t) then
     invalid_arg "Transient.distribution: bad horizon";
   let n = Ctmc.n_states chain in
@@ -149,8 +120,9 @@ let solve_into ~options ~guard ~obs ws chain ~init ~t =
   end
   else begin
     let window = Poisson.weights ~epsilon:options.epsilon (q *. t) in
-    Metrics.incr h.m_solves;
-    Metrics.add h.m_window (window.Poisson.right - window.Poisson.left + 1);
+    Metrics.incr (Metrics.get m m_solves);
+    Metrics.add (Metrics.get m m_window)
+      (window.Poisson.right - window.Poisson.left + 1);
     let result = ws.ws_result in
     Array.fill result 0 n 0.0;
     let accumulate weight pi =
@@ -187,8 +159,8 @@ let solve_into ~options ~guard ~obs ws chain ~init ~t =
       incr k
     done;
     (* One atomic add per solve, not per step. *)
-    Metrics.add h.m_steps !k;
-    if !stationary then Metrics.incr h.m_steady;
+    Metrics.add (Metrics.get m m_steps) !k;
+    if !stationary then Metrics.incr (Metrics.get m m_steady);
     if !stationary && !remaining > 0.0 then accumulate !remaining pi;
     ws.ws_steps <- !k;
     ws.ws_window <- window.Poisson.right - window.Poisson.left + 1;

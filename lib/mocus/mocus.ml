@@ -4,37 +4,15 @@ module Trace = Sdft_util.Trace
 module Failpoint = Sdft_util.Failpoint
 module Obs = Sdft_util.Obs
 
-(* Instrument handles, resolved once per run from the observability
-   context's registry. The default context's handles are resolved once per
-   process and reused, so the historical global-metrics path costs the same
-   as before. *)
-type handles = {
-  s_run : Obs.span;
-  s_minimize : Obs.span;
-  m_runs : Metrics.counter;
-  m_generated : Metrics.counter;
-  m_pruned : Metrics.counter;
-  m_deduped : Metrics.counter;
-  m_cutsets : Metrics.counter;
-  m_peak_stack : Metrics.gauge;
-}
-
-let handles_in m =
-  {
-    s_run = Obs.span_in m "mocus.run";
-    s_minimize = Obs.span_in m "mocus.minimize";
-    m_runs = Metrics.counter_in m "mocus.runs";
-    m_generated = Metrics.counter_in m "mocus.partials_generated";
-    m_pruned = Metrics.counter_in m "mocus.partials_pruned";
-    m_deduped = Metrics.counter_in m "mocus.partials_deduped";
-    m_cutsets = Metrics.counter_in m "mocus.cutsets";
-    m_peak_stack = Metrics.gauge_max_in m "mocus.peak_stack_depth";
-  }
-
-let default_handles = handles_in Metrics.default
-
-let handles_of m =
-  if m == Metrics.default then default_handles else handles_in m
+let g = Metrics.group ()
+let s_run = Obs.declare_span g "mocus.run"
+let s_minimize = Obs.declare_span g "mocus.minimize"
+let m_runs = Metrics.counter g "mocus.runs"
+let m_generated = Metrics.counter g "mocus.partials_generated"
+let m_pruned = Metrics.counter g "mocus.partials_pruned"
+let m_deduped = Metrics.counter g "mocus.partials_deduped"
+let m_cutsets = Metrics.counter g "mocus.cutsets"
+let m_peak_stack = Metrics.gauge g "mocus.peak_stack_depth"
 
 type options = {
   cutoff : float;
@@ -97,7 +75,7 @@ let gate_estimates tree =
     (Fault_tree.topological_gates tree);
   est
 
-let run_inner ~options ~guard ~obs ~h tree =
+let run_inner ~options ~guard ~obs tree =
   let fp = obs.Obs.failpoints in
   let sink = obs.Obs.trace in
   let tree = Expand.expand_atleast tree in
@@ -232,19 +210,20 @@ let run_inner ~options ~guard ~obs ~h tree =
     Stack.clear stack);
   let generated = Sdft_util.Vec.length out in
   let cutsets =
-    Obs.span obs h.s_minimize @@ fun () ->
+    Obs.span obs s_minimize @@ fun () ->
     let cutsets = Cutset.minimize (Sdft_util.Vec.to_list out) in
     Trace.add_attr ~sink "candidates" (Trace.Int generated);
     Trace.add_attr ~sink "kept" (Trace.Int (List.length cutsets));
     cutsets
   in
   (* Publish the locally accumulated tallies with one atomic add each. *)
-  Metrics.incr h.m_runs;
-  Metrics.add h.m_generated !pushes;
-  Metrics.add h.m_pruned !pruned;
-  Metrics.add h.m_deduped !deduped;
-  Metrics.add h.m_cutsets (List.length cutsets);
-  Metrics.set_max h.m_peak_stack (float_of_int !max_depth);
+  let m = obs.Obs.metrics in
+  Metrics.incr (Metrics.get m m_runs);
+  Metrics.add (Metrics.get m m_generated) !pushes;
+  Metrics.add (Metrics.get m m_pruned) !pruned;
+  Metrics.add (Metrics.get m m_deduped) !deduped;
+  Metrics.add (Metrics.get m m_cutsets) (List.length cutsets);
+  Metrics.set_max (Metrics.get m m_peak_stack) (float_of_int !max_depth);
   let result =
     {
       cutsets;
@@ -263,8 +242,7 @@ let run_inner ~options ~guard ~obs ~h tree =
 
 let run ?(options = default_options) ?(guard = Sdft_util.Guard.none)
     ?(obs = Obs.default) tree =
-  let h = handles_of obs.Obs.metrics in
-  Obs.span obs h.s_run (fun () -> run_inner ~options ~guard ~obs ~h tree)
+  Obs.span obs s_run (fun () -> run_inner ~options ~guard ~obs tree)
 
 let minimal_cutsets ?options ?guard ?obs tree =
   (run ?options ?guard ?obs tree).cutsets

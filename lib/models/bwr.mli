@@ -54,9 +54,3 @@ val build : config -> Sdft.t
 
 val static_tree : ?include_ccf:bool -> ?mission_hours:float -> unit -> Fault_tree.t
 
-val run_failure_rate : float
-(** Failure-in-operation rate of every pump (2e-4 per hour). *)
-
-val fb_gate : string
-(** Name of the gate whose failure demands FEED&BLEED (the RHR system
-    failure gate). *)

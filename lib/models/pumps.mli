@@ -23,12 +23,3 @@ val failure_rate : float
 val repair_rate : float
 (** 5e-2 per hour. *)
 
-(** Names of the gates/basics for convenience in tests. *)
-
-val gate_pump1 : string
-
-val gate_pump2 : string
-
-val gate_pumps : string
-
-val gate_cooling : string

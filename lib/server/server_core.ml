@@ -61,26 +61,26 @@ type slot = {
   mutable dom : unit Domain.t option; (* None only during construction *)
 }
 
-type handles = {
-  c_requests : Metrics.counter;
-  c_ok : Metrics.counter;
-  c_errors : Metrics.counter;
-  c_rejected_saturated : Metrics.counter;
-  c_rejected_quota : Metrics.counter;
-  c_bad_requests : Metrics.counter;
-  c_crashes : Metrics.counter;
-  c_worker_lost : Metrics.counter;
-  c_idem_hits : Metrics.counter;
-  g_queue_depth : Metrics.gauge;
-  h_request_s : Metrics.histogram;
-}
+(* Every server registry lists these from creation on; the default
+   registry never does. *)
+let g = Metrics.group ~eager:false ()
+let c_requests = Metrics.counter g "server.requests"
+let c_ok = Metrics.counter g "server.ok"
+let c_errors = Metrics.counter g "server.errors"
+let c_rejected_saturated = Metrics.counter g "server.rejected_saturated"
+let c_rejected_quota = Metrics.counter g "server.rejected_quota"
+let c_bad_requests = Metrics.counter g "server.bad_requests"
+let c_crashes = Metrics.counter g "server.crashes"
+let c_worker_lost = Metrics.counter g "server.worker_lost"
+let c_idem_hits = Metrics.counter g "server.idem_hits"
+let g_queue_depth = Metrics.gauge g "server.queue_depth"
+let h_request_s = Metrics.histogram g "server.request_s"
 
 type t = {
   config : config;
   cache : Quant_cache.t;
   queue : job Request_queue.t;
   server_metrics : Metrics.t;
-  h : handles;
   (* Admission state, all under [admission]: per-client in-flight counts
      (queued + running) and the EWMA of request durations that prices
      [retry_after]. *)
@@ -109,20 +109,7 @@ type t = {
   idem_order : string Queue.t;
 }
 
-let handles_of m =
-  {
-    c_requests = Metrics.counter_in m "server.requests";
-    c_ok = Metrics.counter_in m "server.ok";
-    c_errors = Metrics.counter_in m "server.errors";
-    c_rejected_saturated = Metrics.counter_in m "server.rejected_saturated";
-    c_rejected_quota = Metrics.counter_in m "server.rejected_quota";
-    c_bad_requests = Metrics.counter_in m "server.bad_requests";
-    c_crashes = Metrics.counter_in m "server.crashes";
-    c_worker_lost = Metrics.counter_in m "server.worker_lost";
-    c_idem_hits = Metrics.counter_in m "server.idem_hits";
-    g_queue_depth = Metrics.gauge_max_in m "server.queue_depth";
-    h_request_s = Metrics.histogram_in m "server.request_s";
-  }
+let bump t c = Metrics.incr (Metrics.get t.server_metrics c)
 
 let with_admission t f =
   Mutex.lock t.admission;
@@ -237,15 +224,18 @@ let run_analyze t (slot : slot) (job : job) =
   let id = job.req.Protocol.id in
   let p = job.params in
   let obs =
+    (* Nothing reads a request's trace, so its sink records nothing; spans
+       still time into the request's registry. *)
+    let obs = Obs.create ~trace:(Sdft_util.Trace.create ~enabled:false ()) () in
     (* The worker's liveness heartbeat rides the analysis guard's amortized
        probe: a worker making solver progress keeps its slot's [hb] fresh
        without any extra instrumentation in the hot loops. Only armed when
        a watchdog is actually watching. *)
     match t.config.watchdog_timeout with
     | Some _ ->
-      Obs.with_on_probe (Obs.create ()) (fun () ->
+      Obs.with_on_probe obs (fun () ->
           Atomic.set slot.hb (Unix.gettimeofday ()))
-    | None -> Obs.create ()
+    | None -> obs
   in
   let arm_result =
     match job.req.Protocol.failpoints with
@@ -300,8 +290,8 @@ let run_analyze t (slot : slot) (job : job) =
    watchdog on a takeover (which skips the EWMA update: a watchdog timeout
    says nothing about how long healthy requests take). *)
 let finish_accounting t ~ok ~dt ~update_ewma (job : job) =
-  Metrics.observe t.h.h_request_s dt;
-  Metrics.incr (if ok then t.h.c_ok else t.h.c_errors);
+  Metrics.observe (Metrics.get t.server_metrics h_request_s) dt;
+  bump t (if ok then c_ok else c_errors);
   Atomic.incr (if ok then t.ok_count else t.error_count);
   with_admission t (fun () ->
       (match Hashtbl.find_opt t.in_flight job.job_client with
@@ -330,7 +320,7 @@ let worker_loop t slot =
         let ok, response =
           try run_analyze t slot job
           with exn ->
-            Metrics.incr t.h.c_crashes;
+            bump t c_crashes;
             ( false,
               Protocol.error_response ~id:job.req.Protocol.id
                 {
@@ -492,7 +482,7 @@ let reject ~id code message retry_after =
 
 let submit t ~client ~reply line =
   let reply s = try reply s with _ -> () in
-  Metrics.incr t.h.c_requests;
+  bump t c_requests;
   if Atomic.get t.stop then
     reply
       (reject ~id:Json.Null Protocol.Shutting_down
@@ -502,7 +492,7 @@ let submit t ~client ~reply line =
       Protocol.parse_request ~max_bytes:t.config.max_request_bytes line
     with
     | Error (id, err) ->
-      Metrics.incr t.h.c_bad_requests;
+      bump t c_bad_requests;
       reply (Protocol.error_response ~id err)
     | Ok req -> (
       let id = req.Protocol.id in
@@ -535,7 +525,7 @@ let submit t ~client ~reply line =
           | Some idem -> (
             match idem_lookup t (idem_key ~client idem) with
             | Some cached ->
-              Metrics.incr t.h.c_idem_hits;
+              bump t c_idem_hits;
               reply cached;
               true
             | None -> false)
@@ -560,9 +550,11 @@ let submit t ~client ~reply line =
         in
         (match verdict with
         | `Admitted depth ->
-          Metrics.set_max t.h.g_queue_depth (float_of_int depth)
+          Metrics.set_max
+            (Metrics.get t.server_metrics g_queue_depth)
+            (float_of_int depth)
         | `Quota ra ->
-          Metrics.incr t.h.c_rejected_quota;
+          bump t c_rejected_quota;
           reply
             (reject ~id Protocol.Quota_exceeded
                (Printf.sprintf
@@ -570,7 +562,7 @@ let submit t ~client ~reply line =
                   t.config.client_quota)
                (Some ra))
         | `Full ra ->
-          Metrics.incr t.h.c_rejected_saturated;
+          bump t c_rejected_saturated;
           reply
             (reject ~id Protocol.Saturated
                (Printf.sprintf "admission queue full (%d requests)"
@@ -620,7 +612,7 @@ let take_over t slot r =
   if Atomic.compare_and_set r.answered false true then begin
     let job = r.r_job in
     Atomic.set slot.retired true;
-    Metrics.incr t.h.c_worker_lost;
+    bump t c_worker_lost;
     Atomic.incr t.worker_lost_count;
     let ra = with_admission t (fun () -> retry_after_locked t) in
     (try
@@ -670,13 +662,13 @@ let watchdog_loop t timeout =
 let create ?(config = default_config) ?cache () =
   let cache = match cache with Some c -> c | None -> Quant_cache.create () in
   let server_metrics = Metrics.create () in
+  Metrics.register server_metrics g;
   let t =
     {
       config;
       cache;
       queue = Request_queue.create ~capacity:config.queue_capacity;
       server_metrics;
-      h = handles_of server_metrics;
       admission = Mutex.create ();
       in_flight = Hashtbl.create 16;
       ewma_request_s = 0.1;

@@ -8,9 +8,10 @@
     proven here hold for the wire.
 
     {b Isolation.} Every [analyze] request runs under its own
-    {!Sdft_util.Obs.create} context (fresh metrics/trace/failpoint
-    registries) and its own {!Sdft_util.Guard} budget (the request's
-    [deadline]/[mem_limit_mb], falling back to the server defaults), so
+    {!Sdft_util.Obs.create} context (fresh metrics and failpoint
+    registries, and a disabled trace sink) and its own
+    {!Sdft_util.Guard} budget (the request's [deadline]/[mem_limit_mb],
+    falling back to the server defaults), so
     concurrent requests can never contaminate each other's instruments or
     injected faults, and a runaway request degrades itself instead of the
     daemon. A per-request [failpoints] spec arms only that request's

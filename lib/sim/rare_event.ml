@@ -43,31 +43,13 @@ type estimate = {
   mean_weight : float;
 }
 
-(* Per-observability-context instrument handles (physical-equality fast
-   path on the default context — see Sdft_util.Obs). *)
-type handles = {
-  m_trials : Metrics.counter;
-  m_hits : Metrics.counter;
-  m_jumps : Metrics.counter;
-  m_forced : Metrics.counter;
-  s_run : Sdft_util.Obs.span;
-  m_weight : Metrics.histogram;
-}
-
-let handles_in m =
-  {
-    m_trials = Metrics.counter_in m "sim.trials";
-    m_hits = Metrics.counter_in m "sim.hits";
-    m_jumps = Metrics.counter_in m "sim.jumps";
-    m_forced = Metrics.counter_in m "sim.forced_jumps";
-    s_run = Sdft_util.Obs.span_in m "sim.run";
-    m_weight = Metrics.histogram_in m "sim.trial_weight";
-  }
-
-let default_handles = handles_in Metrics.default
-
-let handles_of m =
-  if m == Metrics.default then default_handles else handles_in m
+let g = Metrics.group ()
+let m_trials = Metrics.counter g "sim.trials"
+let m_hits = Metrics.counter g "sim.hits"
+let m_jumps = Metrics.counter g "sim.jumps"
+let m_forced = Metrics.counter g "sim.forced_jumps"
+let s_run = Sdft_util.Obs.declare_span g "sim.run"
+let m_weight = Metrics.histogram g "sim.trial_weight"
 
 (* Per-batch accumulators: plain floats summed with Kahan inside the batch;
    batches are merged in index order so the final totals are bit-identical
@@ -157,7 +139,7 @@ let run_trial world rng ~horizon ~opts ~jumps ~forced =
   in
   step 0.0 0
 
-let run_batch world rng ~horizon ~opts ~h ~size =
+let run_batch world rng ~horizon ~opts ~m ~size =
   let hits = ref 0 in
   let sum = Kahan.create () in
   let sum2 = Kahan.create () in
@@ -171,7 +153,7 @@ let run_batch world rng ~horizon ~opts ~h ~size =
       incr hits;
       (* Likelihood-weight spread of the hitting trials: a heavy upper tail
          here is the classic symptom of an over-aggressive measure change. *)
-      Metrics.observe h.m_weight w;
+      Metrics.observe (Metrics.get m m_weight) w;
       Kahan.add sum w;
       Kahan.add sum2 (w *. w)
     end
@@ -211,11 +193,11 @@ let run ?(options = default_options) ?(obs = Sdft_util.Obs.default) sd
   if options.batch <= 0 then invalid_arg "Rare_event: batch must be positive";
   if options.static_bias_cap <= 0.0 || options.static_bias_cap >= 1.0 then
     invalid_arg "Rare_event: static_bias_cap must lie in (0, 1)";
-  let h = handles_of obs.Sdft_util.Obs.metrics in
+  let m = obs.Sdft_util.Obs.metrics in
   let sink = obs.Sdft_util.Obs.trace in
   Sdft_util.Obs.span obs
     ~attrs:[ ("trials", Trace.Int options.trials); ("seed", Trace.Int options.seed) ]
-    h.s_run
+    s_run
   @@ fun () ->
   let n_batches = (options.trials + options.batch - 1) / options.batch in
   (* Streams are pre-split sequentially from the seed, one per batch, and
@@ -248,7 +230,7 @@ let run ?(options = default_options) ?(obs = Sdft_util.Obs.default) sd
       Parallel.map_init ~domains:options.domains
         (fun () -> Sim_world.make sd)
         (fun world i ->
-          run_batch world rngs.(i) ~horizon ~opts:options ~h ~size:sizes.(i))
+          run_batch world rngs.(i) ~horizon ~opts:options ~m ~size:sizes.(i))
         work
     in
     Array.iteri
@@ -271,10 +253,10 @@ let run ?(options = default_options) ?(obs = Sdft_util.Obs.default) sd
       if e.rel_error <= target then stop := true
     | None -> ()
   done;
-  Metrics.add h.m_trials !trials_done;
-  Metrics.add h.m_hits !hits;
-  Metrics.add h.m_jumps !jumps;
-  Metrics.add h.m_forced !forced;
+  Metrics.add (Metrics.get m m_trials) !trials_done;
+  Metrics.add (Metrics.get m m_hits) !hits;
+  Metrics.add (Metrics.get m m_jumps) !jumps;
+  Metrics.add (Metrics.get m m_forced) !forced;
   Trace.add_attr ~sink "hits" (Trace.Int !hits);
   estimate_of ~trials:!trials_done ~hits:!hits ~sum:(Kahan.total sum)
     ~sum2:(Kahan.total sum2) ~weight:(Kahan.total weight)

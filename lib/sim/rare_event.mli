@@ -79,9 +79,9 @@ val run :
   estimate
 (** Estimate the probability that the top gate fails within the horizon.
     Deterministic per seed, independent of [domains]. Publishes the
-    ["sim.trials"/"sim.hits"/"sim.jumps"/"sim.forced_jumps"] counters, the
-    ["sim.run"] span, and the per-hit likelihood-weight distribution on the
-    ["sim.trial_weight"] histogram of [obs] (default
+    [sim.trials], [sim.hits], [sim.jumps] and [sim.forced_jumps] counters,
+    the [sim.run] span, and the per-hit likelihood-weight distribution on
+    the [sim.trial_weight] histogram of [obs] (default
     {!Sdft_util.Obs.default}) — instrumentation never perturbs the
     estimate.
 

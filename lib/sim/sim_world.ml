@@ -99,8 +99,6 @@ let sd t = t.sd
 
 let components t = t.components
 
-let n_components t = Array.length t.components
-
 let eval world state =
   Fault_tree.eval_gates_into (Sdft.tree world.sd)
     ~failed:(fun b -> world.components.(b).failed.(state.(b)))

@@ -39,8 +39,6 @@ val sd : t -> Sdft.t
 
 val components : t -> component array
 
-val n_components : t -> int
-
 val sample_categorical : Sdft_util.Rng.t -> float array -> int
 (** Index into a weight vector summing to 1 (the last entry absorbs any
     rounding slack). Draws exactly one uniform. *)

@@ -35,7 +35,11 @@ type histogram = {
 }
 
 (* The registry maps kind-prefixed names to instruments; the lock guards
-   registration only — updates go straight to the atomics. *)
+   registration only — updates go straight to the atomics. [slots] holds
+   the registry's instrument for each declared id, by the id's index: it
+   is written under the lock only (and replaced whole when it grows), so
+   a racy read sees either the filled slot or [None], and [None] falls
+   back to the lock. *)
 type instrument =
   | Counter of counter
   | Gauge of gauge
@@ -44,9 +48,11 @@ type instrument =
 type t = {
   tbl : (string, instrument) Hashtbl.t;
   lock : Mutex.t;
+  mutable slots : instrument option array;
 }
 
-let create () = { tbl = Hashtbl.create 64; lock = Mutex.create () }
+let create () =
+  { tbl = Hashtbl.create 64; lock = Mutex.create (); slots = [||] }
 
 let default = create ()
 
@@ -54,40 +60,110 @@ let locked t f =
   Mutex.lock t.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
 
-let register t key make =
-  locked t (fun () ->
-      match Hashtbl.find_opt t.tbl key with
-      | Some i -> i
-      | None ->
-        let i = make () in
-        Hashtbl.add t.tbl key i;
-        i)
+(* Under [t]'s lock. *)
+let find_or_add t key make =
+  match Hashtbl.find_opt t.tbl key with
+  | Some i -> i
+  | None ->
+    let i = make () in
+    Hashtbl.add t.tbl key i;
+    i
 
-let counter_in t name =
-  match register t ("c:" ^ name) (fun () -> Counter (Atomic.make 0)) with
-  | Counter c -> c
-  | Gauge _ | Histogram _ -> assert false (* "c:" keys only hold counters *)
+let new_counter () = Counter (Atomic.make 0)
 
-let gauge_in t name =
-  match register t ("g:" ^ name) (fun () -> Gauge (Atomic.make 0.0)) with
-  | Gauge g -> g
-  | Counter _ | Histogram _ -> assert false
+let new_gauge () = Gauge (Atomic.make 0.0)
 
-(* A gauge_max is an ordinary gauge by representation; the distinction is
-   the update discipline ({!set_max}), which callers opt into. *)
-let gauge_max_in = gauge_in
+let new_histogram () =
+  Histogram
+    {
+      h_counts = Array.init n_buckets (fun _ -> Atomic.make 0);
+      h_sum = Atomic.make 0.0;
+    }
 
-let histogram_in t name =
-  match
-    register t ("h:" ^ name) (fun () ->
-        Histogram
-          {
-            h_counts = Array.init n_buckets (fun _ -> Atomic.make 0);
-            h_sum = Atomic.make 0.0;
-          })
-  with
+(* Each kind's names live under their own key prefix, so a key only ever
+   holds an instrument of its kind. *)
+let as_counter = function Counter c -> c | Gauge _ | Histogram _ -> assert false
+
+let as_gauge = function Gauge g -> g | Counter _ | Histogram _ -> assert false
+
+let as_histogram = function
   | Histogram h -> h
   | Counter _ | Gauge _ -> assert false
+
+let counter_in t name =
+  as_counter (locked t (fun () -> find_or_add t ("c:" ^ name) new_counter))
+
+let gauge_in t name =
+  as_gauge (locked t (fun () -> find_or_add t ("g:" ^ name) new_gauge))
+
+let histogram_in t name =
+  as_histogram
+    (locked t (fun () -> find_or_add t ("h:" ^ name) new_histogram))
+
+(* Declared instruments: a global index per id, and per group the members
+   declared so far. *)
+type decl = {
+  index : int;
+  key : string;
+  make : unit -> instrument;
+}
+
+type group = {
+  mutable members : decl list;
+  eager : bool;
+}
+
+type 'a id = {
+  decl : decl;
+  group : group;
+  id_name : string;
+  cast : instrument -> 'a;
+}
+
+let n_declared = Atomic.make 0
+
+let fill t decls =
+  locked t (fun () ->
+      let n = Atomic.get n_declared in
+      if Array.length t.slots < n then begin
+        let slots = Array.make n None in
+        Array.blit t.slots 0 slots 0 (Array.length t.slots);
+        t.slots <- slots
+      end;
+      List.iter
+        (fun d ->
+          if t.slots.(d.index) = None then
+            t.slots.(d.index) <- Some (find_or_add t d.key d.make))
+        decls)
+
+let register t g = fill t g.members
+
+let group ?(eager = true) () = { members = []; eager }
+
+let declare prefix make cast g name =
+  let decl =
+    { index = Atomic.fetch_and_add n_declared 1; key = prefix ^ name; make }
+  in
+  g.members <- decl :: g.members;
+  if g.eager then fill default [ decl ];
+  { decl; group = g; id_name = name; cast }
+
+let counter g name = declare "c:" new_counter as_counter g name
+
+let gauge g name = declare "g:" new_gauge as_gauge g name
+
+let histogram g name = declare "h:" new_histogram as_histogram g name
+
+let name id = id.id_name
+
+(* [id] is a member of its own group, so one [register] fills its slot. *)
+let rec get t id =
+  let slots = t.slots and i = id.decl.index in
+  match if i < Array.length slots then slots.(i) else None with
+  | Some inst -> id.cast inst
+  | None ->
+    register t id.group;
+    get t id
 
 let incr c = ignore (Atomic.fetch_and_add c 1)
 

@@ -3,21 +3,23 @@
     serialization.
 
     A {e registry} ({!t}) holds one process- or analysis-scoped set of
-    instruments, and every registration names its registry: library code
-    resolves its instruments from the registry of the observability
-    context it was handed ({!Obs.t}'s [metrics]), and process-level
-    instruments with no analysis to belong to — the disk store's appends,
-    the cache breaker — name {!default}, the registry the executables dump
-    for [--metrics]. Span timings are histograms too: {!Obs.span} observes
-    each span's duration into the histogram of the same name, whose [sum]
-    and [count] are the span's total seconds and number of intervals.
+    instruments. Library code declares its instruments once as typed ids
+    (see {!group}) and resolves them against the registry of the
+    observability context it was handed ({!Obs.t}'s [metrics]);
+    process-level instruments with no analysis to belong to — the disk
+    store's appends, the cache breaker — are registered by name in
+    {!default}, the registry the executables dump for [--metrics]. Span
+    timings are histograms too: {!Obs.span} observes each span's duration
+    into the histogram of the same name, whose [sum] and [count] are the
+    span's total seconds and number of intervals.
 
     All updates are thread-safe under multiple domains: counters and
     histograms are updated with [Atomic] read-modify-write loops (no
-    registry mutex on the hot path); only registration of a {e new} name
-    takes a lock. Instruments are cheap enough to update from parallel
-    workers, but code with a very hot inner loop should accumulate locally
-    and publish once per call (see {!add}). *)
+    registry mutex on the hot path); only registration of a {e new} name,
+    or a registry's first resolution of a declared group, takes a lock.
+    Instruments are cheap enough to update from parallel workers, but code
+    with a very hot inner loop should accumulate locally and publish once
+    per call (see {!add}). *)
 
 type counter
 (** A monotonically increasing integer. *)
@@ -47,23 +49,61 @@ val default : t
     dumps, and what pipeline entry points use when no context is passed
     (through {!Obs.default}). *)
 
-(** {1 Registration}
+(** {1 Declared instruments}
+
+    Library code declares each instrument once, at module level, as a
+    typed id in its module's {!group} —
+    [let m_runs = Metrics.counter g "pkg.runs"] — and resolves the id
+    against the registry of the run at hand with {!get}. An id knows its
+    index in every registry: after a registry's first resolution of the
+    group, {!get} is one array read, with no lock and no string. *)
+
+type group
+(** The instruments of one module, registered together: a registry that
+    resolves any member of a group (or is handed it by {!register})
+    registers every member declared so far. *)
+
+val group : ?eager:bool -> unit -> group
+(** A new, empty group. With [eager] (the default), {!default} registers
+    each member as it is declared, at module initialisation, so the
+    process-wide dumps list a linked module's instruments, zeros included,
+    whether or not it ran. With [~eager:false], {!default} registers the
+    group on first use, like any other registry. *)
+
+type 'a id
+(** A declared instrument of kind ['a] ({!counter}, {!gauge} or
+    {!histogram}). *)
+
+val counter : group -> string -> counter id
+
+val gauge : group -> string -> gauge id
+(** A gauge updated with {!set} or with {!set_max} (peak heap, maximum
+    queue depth); the kind does not record which. *)
+
+val histogram : group -> string -> histogram id
+
+val name : 'a id -> string
+
+val get : t -> 'a id -> 'a
+(** [get t id] is [id]'s instrument in [t], registering [id]'s group in [t]
+    on first use. Thread-safe; the first resolution takes [t]'s lock. *)
+
+val register : t -> group -> unit
+(** Register every member of the group in [t] now — for a registry whose
+    instruments must be listed before anything updates them (a server's
+    registry, a context's peak-heap gauge). *)
+
+(** {1 Registration by name}
 
     Registering the same name twice in one registry returns the same
-    instrument, so instruments can be created at module-initialization time
-    or lazily. Names are namespaced by convention, e.g.
-    ["mocus.partials_generated"]. A name may be reused across kinds
+    instrument, and a declared id of that kind and name resolves to it
+    too. Names are namespaced by convention, e.g.
+    [pkg.partials_generated]. A name may be reused across kinds
     (counters, gauges and histograms live in separate namespaces). *)
 
 val counter_in : t -> string -> counter
 
 val gauge_in : t -> string -> gauge
-
-val gauge_max_in : t -> string -> gauge
-(** Same representation as {!gauge_in}; registered for updating with
-    {!set_max} (peak-heap, max-queue-depth). The name distinguishes intent
-    at the call site only — a [gauge_in] and a [gauge_max_in] with the same
-    name are the same instrument. *)
 
 val histogram_in : t -> string -> histogram
 
@@ -147,7 +187,7 @@ val snapshot_in : t -> snapshot
 
 val reset_in : t -> unit
 (** Zero every registered instrument (the registrations themselves are
-    kept, so handles created earlier remain valid). Meant for tests and
+    kept, so instruments resolved earlier remain valid). Meant for tests and
     for harnesses that dump several windows from one process. *)
 
 (** {1 Serialization} *)

@@ -3,21 +3,18 @@ type t = {
   trace : Trace.t;
   failpoints : Failpoint.t;
   progress : Progress.t option;
-  peak_heap : Metrics.gauge;
   probe : (unit -> unit) option;
 }
 
+let g = Metrics.group ()
+let peak_heap = Metrics.gauge g "analysis.peak_heap_mb"
+
 let word_mb = float_of_int (Sys.word_size / 8) /. (1024.0 *. 1024.0)
 
+(* Every context lists its peak-heap gauge from creation on. *)
 let make metrics trace failpoints =
-  {
-    metrics;
-    trace;
-    failpoints;
-    progress = None;
-    peak_heap = Metrics.gauge_max_in metrics "analysis.peak_heap_mb";
-    probe = None;
-  }
+  Metrics.register metrics g;
+  { metrics; trace; failpoints; progress = None; probe = None }
 
 let default = make Metrics.default Trace.default Failpoint.default
 
@@ -51,34 +48,35 @@ let heap_mb () =
   in
   float_of_int words *. word_mb
 
-type span = {
-  span_name : string;
-  span_hist : Metrics.histogram;
-}
+type span = Metrics.histogram Metrics.id
 
-let span_in m name = { span_name = name; span_hist = Metrics.histogram_in m name }
+let declare_span = Metrics.histogram
 
 let span_timed obs ?attrs s f =
+  let hist = Metrics.get obs.metrics s in
   let seconds = ref 0.0 in
   let v =
     Trace.with_span ~sink:obs.trace ?attrs
       ~on_close:(fun dur ->
-        Metrics.observe s.span_hist dur;
+        Metrics.observe hist dur;
         seconds := dur)
-      s.span_name f
+      (Metrics.name s) f
   in
   (v, !seconds)
 
 let span obs ?attrs s f = fst (span_timed obs ?attrs s f)
 
-let sample_heap obs = Metrics.set_max obs.peak_heap (heap_mb ())
+let raise_peak_heap obs heap =
+  Metrics.set_max (Metrics.get obs.metrics peak_heap) heap
+
+let sample_heap obs = raise_peak_heap obs (heap_mb ())
 
 let tick obs =
   match obs.progress with
   | None -> ()
   | Some p ->
     let heap = heap_mb () in
-    Metrics.set_max obs.peak_heap heap;
+    raise_peak_heap obs heap;
     Progress.tick p ~heap_mb:heap
 
 let step obs ?cost () =

@@ -7,11 +7,12 @@
     process-global [Metrics.default] / [Trace.default] /
     [Failpoint.default] — the registries the executables' [--metrics],
     [--trace] and [SDFT_FAILPOINTS] act on. Below the entry points nothing
-    is implicit: every instrument, span and failpoint names the registry
-    it acts on. Code that must be reentrant — concurrent analyses in one
-    process, the analysis server — calls {!create} per request and gets
-    instruments, spans and failpoints that are fully isolated from every
-    other context.
+    is implicit: instruments and spans are declared once per module and
+    resolved against the context's registry ({!Metrics.get}), and every
+    failpoint hit names its registry. Code that must be reentrant —
+    concurrent analyses in one process, the analysis server — calls
+    {!create} per request and gets instruments, spans and failpoints that
+    are fully isolated from every other context.
 
     Observability only observes: for a fixed model and options, analysis
     results are bit-identical whichever context is passed, with progress
@@ -22,10 +23,6 @@ type t = {
   trace : Trace.t;
   failpoints : Failpoint.t;
   progress : Progress.t option;
-  peak_heap : Metrics.gauge;
-      (** the context's ["analysis.peak_heap_mb"] gauge, raised with
-          [set_max] at every phase boundary, at {!finish}, and with
-          progress on at every guard probe and {!step} *)
   probe : (unit -> unit) option;
       (** extra liveness callback folded into {!on_probe} — the analysis
           server's worker-watchdog heartbeat (see {!with_on_probe}) *)
@@ -43,7 +40,10 @@ val create :
   t
 (** A fresh, fully isolated context. Omitted components are created fresh
     (the trace sink enabled); pass a component explicitly to share or
-    preconfigure it. No progress reporter unless one is given. *)
+    preconfigure it. No progress reporter unless one is given. Every
+    context's registry lists this module's peak-heap gauge from creation
+    on; it is raised with [set_max] at every phase boundary, at
+    {!finish}, and with progress on at every guard probe and {!step}. *)
 
 val with_progress : t -> Progress.t -> t
 (** The same context with a progress reporter attached — how the CLI adds
@@ -66,19 +66,20 @@ val with_on_probe : t -> (unit -> unit) -> t
     not tracing is on. *)
 
 type span
-(** A span name resolved against one registry: the name and its
-    histogram. Modules resolve their spans once per run, in the same
-    handles record as their counters, so a per-cutset span costs no
-    registry lookup. *)
+(** A span, declared once at module level like any other instrument:
+    [let s_solve = Obs.declare_span g "pkg.solve"]. Its histogram is
+    observed only by {!span}, so its count is its number of trace
+    events. *)
 
-val span_in : Metrics.t -> string -> span
-(** [span_in m name] registers (or finds) the histogram [name] in [m]. *)
+val declare_span : Metrics.group -> string -> span
+(** [declare_span g name] declares the histogram [name] in [g]. *)
 
 val span :
   t -> ?attrs:(string * Trace.value) list -> span -> (unit -> 'a) -> 'a
 (** [span obs s f] runs [f] inside span [s], recording on return and on
-    raise. [s] must come from [obs.metrics]; [attrs] go to the trace event
-    (see {!Trace.with_span}). *)
+    raise into [s]'s histogram in [obs.metrics] (resolved with
+    {!Metrics.get}); [attrs] go to the trace event (see
+    {!Trace.with_span}). *)
 
 val span_timed :
   t -> ?attrs:(string * Trace.value) list -> span -> (unit -> 'a) ->

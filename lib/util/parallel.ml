@@ -58,12 +58,7 @@ let map ~domains f work = map_init ~domains ignore (fun () x -> f x) work
 let map_init_result ~domains init f work =
   map_init ~domains init
     (fun state x ->
-      match
-        (* Inside the capture, so an injected worker crash is contained in
-           this slot like any other [f] failure. *)
-        Failpoint.hit_in Failpoint.default "parallel.worker";
-        f state x
-      with
+      match f state x with
       | r -> Ok r
       | exception exn -> Error (exn, Printexc.get_raw_backtrace ()))
     work

@@ -34,6 +34,4 @@ val map_init_result :
     one item yields [Error (exn, backtrace)] in that item's slot instead of
     aborting the whole map, so one poisoned work item degrades rather than
     killing the batch. Scheduling and output order are those of
-    {!map_init}; an [init] failure is still fatal and re-raised. Each item
-    also checkpoints the [parallel.worker] {!Failpoint} site before
-    running. *)
+    {!map_init}; an [init] failure is still fatal and re-raised. *)

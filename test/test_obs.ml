@@ -278,7 +278,7 @@ let test_prometheus_histogram_buckets () =
 
 let test_gauge_max_parallel () =
   let m = Metrics.create () in
-  let g = Metrics.gauge_max_in m "peak" in
+  let g = Metrics.gauge_in m "peak" in
   let per_domain = 2000 in
   let domains =
     List.init 4 (fun d ->
@@ -298,6 +298,48 @@ let test_gauge_max_parallel () =
   in
   Alcotest.(check (float 0.0)) "max survives the race" expected
     (Metrics.gauge_value g)
+
+(* ------------------------------------------------------------------ *)
+(* Declared instruments: group registration *)
+
+let listed m kind name =
+  let s = Metrics.snapshot_in m in
+  match kind with
+  | `Counter -> List.mem_assoc name s.Metrics.counters
+  | `Gauge -> List.mem_assoc name s.Metrics.gauges
+  | `Histogram -> List.mem_assoc name s.Metrics.histograms
+
+let test_declared_groups () =
+  let eager = Metrics.group () in
+  let a = Metrics.counter eager "test.declared_a" in
+  let _b = Metrics.histogram eager "test.declared_b" in
+  let lazy_g = Metrics.group ~eager:false () in
+  let l = Metrics.gauge lazy_g "test.declared_lazy" in
+  let check_listed label expected m kind name =
+    Alcotest.(check bool) label expected (listed m kind name)
+  in
+  check_listed "default lists an eager member at declaration" true
+    Metrics.default `Histogram "test.declared_b";
+  check_listed "default does not list a lazy member before use" false
+    Metrics.default `Gauge "test.declared_lazy";
+  let m = Metrics.create () in
+  check_listed "a fresh registry lists nothing" false m `Histogram
+    "test.declared_b";
+  Metrics.incr (Metrics.get m a);
+  check_listed "first use registers the whole group" true m `Histogram
+    "test.declared_b";
+  Alcotest.(check int) "the name resolves to the same counter" 1
+    (Metrics.counter_value (Metrics.counter_in m "test.declared_a"));
+  Alcotest.(check bool) "resolution is stable" true
+    (Metrics.get m a == Metrics.get m a);
+  Metrics.register m lazy_g;
+  check_listed "register lists a group before use" true m `Gauge
+    "test.declared_lazy";
+  Metrics.set (Metrics.get Metrics.default l) 1.0;
+  check_listed "default lists a lazy group once used" true Metrics.default
+    `Gauge "test.declared_lazy";
+  Alcotest.(check string) "an id carries its name" "test.declared_a"
+    (Metrics.name a)
 
 (* ------------------------------------------------------------------ *)
 (* Scoped contexts: two concurrent analyses share nothing *)
@@ -789,6 +831,8 @@ let () =
         ] );
       ( "contexts",
         [
+          Alcotest.test_case "declared groups register together" `Quick
+            test_declared_groups;
           Alcotest.test_case "gauge_max under contention" `Quick
             test_gauge_max_parallel;
           Alcotest.test_case "two concurrent analyses are isolated" `Quick

@@ -159,22 +159,23 @@ let test_map_init_result_contains () =
         r)
     [ 1; 4 ]
 
-let test_map_init_result_failpoint () =
-  with_failpoints "parallel.worker=raise@nth:1" (fun () ->
-      let work = Array.init 8 Fun.id in
-      let r =
-        Sdft_util.Parallel.map_init_result ~domains:2
-          (fun () -> ())
-          (fun () x -> x + 1)
-          work
-      in
-      let errors =
-        Array.to_list r
-        |> List.filter (function Error _ -> true | Ok _ -> false)
-      in
+(* The per-item crash site belongs to the analysis: a spec armed on a
+   private context fires there, at either domain count, and the default
+   registry is not consulted. *)
+let test_worker_failpoint_on_context () =
+  List.iter
+    (fun domains ->
+      let failpoints = Failpoint.create () in
+      Failpoint.configure_string_in failpoints "parallel.worker=raise@nth:1";
+      let obs = Sdft_util.Obs.create ~failpoints () in
+      let options = { Sdft_analysis.default_options with domains } in
+      let r = Sdft_analysis.analyze ~options ~obs (Pumps.sd_tree ()) in
       (* nth:1 fires on exactly the first hit of the site, wherever the
-         scheduler sent it; it must be contained in that one slot. *)
-      Alcotest.(check int) "one contained crash" 1 (List.length errors))
+         scheduler sent it; it must be contained in that one cutset. *)
+      Alcotest.(check int)
+        (Printf.sprintf "%d domain(s): one contained crash" domains)
+        1 r.Sdft_analysis.n_fallbacks)
+    [ 1; 2 ]
 
 (* MOCUS degradation *)
 
@@ -275,7 +276,7 @@ let test_analyze_worker_crash_parallel () =
       with_failpoints "parallel.worker=raise@nth:1" (fun () ->
           let label = Printf.sprintf "%d domain(s): " domains in
           let options = { Sdft_analysis.default_options with domains } in
-          let obs = Sdft_util.Obs.create () in
+          let obs = Sdft_util.Obs.create ~failpoints:fp () in
           let r = Sdft_analysis.analyze ~options ~obs sd in
           let crashes =
             List.assoc_opt Guard.Worker_crash
@@ -626,7 +627,8 @@ let () =
       ( "parallel",
         [
           Alcotest.test_case "containment" `Quick test_map_init_result_contains;
-          Alcotest.test_case "worker failpoint" `Quick test_map_init_result_failpoint;
+          Alcotest.test_case "worker failpoint" `Quick
+            test_worker_failpoint_on_context;
         ] );
       ( "degradation",
         [

@@ -634,17 +634,20 @@ let test_parallel_worker_crash () =
   let core = Core.create ~config () in
   Fun.protect ~finally:(fun () -> Core.shutdown core) @@ fun () ->
   let model = Lazy.force bwr_text in
-  Failpoint.set_in Failpoint.default "parallel.worker" ~trigger:(Failpoint.Nth 1) Failpoint.Raise;
+  (* Armed on the request's own failpoints: the worker site must fire on
+     the analysis' context, like every other library site. *)
   let faulted =
-    Fun.protect ~finally:(fun () -> Failpoint.clear_in Failpoint.default "parallel.worker")
-    @@ fun () ->
     Core.call core ~client:"f"
-      (Protocol.analyze_line ~id:"pw" ~domains:2 ~model ())
+      (Protocol.analyze_line ~id:"pw" ~domains:2
+         ~failpoints:"parallel.worker=raise@nth:1" ~model ())
   in
-  (* The crashed domain poisons only its own cutsets (worst-case
-     fallbacks); the request itself still answers. *)
+  (* The crashed item is contained as a worst-case fallback; the request
+     itself still answers. *)
   Alcotest.(check bool) "request survives a crashed solver domain" true
     (response_ok faulted);
+  (match result_int faulted "n_fallbacks" with
+  | Some n when n > 0 -> ()
+  | _ -> Alcotest.failf "expected a worker-crash fallback: %s" faulted);
   Alcotest.(check bool)
     "daemon serves after the domain crash" true
     (response_ok

@@ -323,7 +323,8 @@ let test_metrics_gauge_span () =
   check_float "span total" 0.75 (Metrics.hist_value h).Metrics.sum;
   Alcotest.(check int) "span count" 2 (count ());
   let obs = Obs.create ~metrics:m () in
-  let s = Obs.span_in m "test.span" in
+  (* A declared span resolves to the histogram registered by name. *)
+  let s = Obs.declare_span (Metrics.group ~eager:false ()) "test.span" in
   let v = Obs.span obs s (fun () -> 7) in
   Alcotest.(check int) "time result" 7 v;
   Alcotest.(check int) "time recorded" 3 (count ());
@@ -370,7 +371,9 @@ let test_metrics_snapshot_json_reset () =
   Alcotest.(check int) "reset keeps handle" 0 (Metrics.hist_value h).Metrics.count;
   (* A span resolved after the reset lands in the same instrument. *)
   let obs = Obs.create ~metrics:m () in
-  Obs.span obs (Obs.span_in m "test.snap_span") ignore;
+  Obs.span obs
+    (Obs.declare_span (Metrics.group ~eager:false ()) "test.snap_span")
+    ignore;
   Alcotest.(check int) "handle still live" 1 (Metrics.hist_value h).Metrics.count
 
 let test_metrics_concurrent () =
@@ -378,7 +381,10 @@ let test_metrics_concurrent () =
   let obs = Obs.create ~metrics:m () in
   let c = Metrics.counter_in m "test.concurrent_counter" in
   let h = Metrics.histogram_in m "test.concurrent_mass" in
-  let s = Obs.span_in m "test.concurrent_span" in
+  (* First resolved concurrently, by every domain at once. *)
+  let s =
+    Obs.declare_span (Metrics.group ~eager:false ()) "test.concurrent_span"
+  in
   let per_domain = 10_000 in
   let worker () =
     for _ = 1 to per_domain do
