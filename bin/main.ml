@@ -172,9 +172,9 @@ let engine_doc =
   ^ String.concat ", "
       (List.map (fun (n, _) -> "$(b," ^ n ^ ")") Sdft_analysis.engines)
   ^ ". $(b,zdd) counts the minimal cutsets by modular ZDD weighted counting \
-     and accounts the residual mass exactly; $(b,auto) picks $(b,zdd) for \
-     static models whose modules are narrow enough and $(b,mocus) for \
-     translated trigger logic or very wide modules."
+     and accounts the residual mass exactly; $(b,auto) picks $(b,zdd), \
+     or $(b,mocus) when a module of the translated tree is too wide for \
+     BDD compilation."
 
 let engine_info = Arg.info [ "engine" ] ~docv:"ENGINE" ~doc:engine_doc
 

@@ -327,16 +327,21 @@ let run_inner ?(cutoff = 0.0) ?max_order ?(guard = Guard.none) ~fp tree =
       end);
   let cutsets = List.sort Int_set.compare !out in
   let emitted_mass = Sdft_util.Kahan.total emitted in
+  let saturated = top_info.mi_count = max_int in
   {
     cutsets;
     total_mass = top_info.mi_w;
     emitted_mass;
     (* Exact by construction — the weighted count covers every minimal
-       cutset, the emitted sum covers the materialized ones; the clamp only
+       cutset, the emitted sum covers the materialized ones. When every
+       minimal cutset was emitted nothing was dropped, and the difference
+       of the two sums is rounding, not mass; otherwise the clamp only
        absorbs last-ulp float noise. *)
-    residual_mass = Float.max 0.0 (top_info.mi_w -. emitted_mass);
+    residual_mass =
+      (if (not saturated) && top_info.mi_count = List.length cutsets then 0.0
+       else Float.max 0.0 (top_info.mi_w -. emitted_mass));
     n_minimal = top_info.mi_count;
-    n_minimal_saturated = top_info.mi_count = max_int;
+    n_minimal_saturated = saturated;
     n_modules = List.length mods;
     max_zdd_nodes = !max_zdd_nodes;
   }

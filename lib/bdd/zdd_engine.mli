@@ -49,7 +49,8 @@ type result = {
   residual_mass : float;
       (** [total_mass - emitted_mass]: the exact mass of the cutsets
           dropped by the cutoff and order bounds (clamped at 0 against
-          float noise) *)
+          float noise); exactly [0.0] when every minimal cutset was
+          emitted *)
   n_minimal : int;
       (** saturating count of all minimal cutsets ([max_int] = "at least") *)
   n_minimal_saturated : bool;

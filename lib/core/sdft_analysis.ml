@@ -47,13 +47,6 @@ let default_options =
     mem_limit_mb = None;
   }
 
-(* The translation names the AND gates it synthesizes for trigger edges
-   "<basic>@trig"; their presence is the structural footprint of dynamic
-   triggering logic in an otherwise static tree. *)
-let translated_trigger_gate name =
-  let n = String.length name in
-  n >= 5 && String.sub name (n - 5) 5 = "@trig"
-
 (* Auto-selection threshold on a module's effective variable width. BDD
    sizes are exponential in the worst case in the number of variables of one
    module (nested modules collapse to single pseudo-variables, so only the
@@ -64,23 +57,17 @@ let translated_trigger_gate name =
    default. The bound is deliberately generous — realistic tree-shaped
    structure functions compile fine at this width (the industrial benchmark
    tops out at 86), and a pathological case still degrades soundly through
-   the resource guard rather than hanging. *)
+   the resource guard rather than hanging. Past it the gap is wide: on
+   random trees of 200 basics and 150 gates (widest module 260-263) MOCUS
+   generates the same cutsets in about 1 ms where ZDD needs 0.3-9 s. This
+   is [Auto]'s only rule. *)
 let zdd_max_module_width = 128
 
 let resolve_engine engine tree =
   match engine with
   | Mocus_sound | Zdd_engine -> engine
   | Auto ->
-    let triggered = ref false in
-    for g = 0 to Fault_tree.n_gates tree - 1 do
-      if translated_trigger_gate (Fault_tree.gate_name tree g) then
-        triggered := true
-    done;
-    (* Triggered sub-models need the translation-aware MOCUS pipeline: the
-       ZDD path would treat the @trig conjunctions as ordinary static logic
-       and lose the conservative-cutoff reasoning built around them. *)
-    if !triggered then Mocus_sound
-    else if
+    if
       List.exists
         (fun s ->
           s.Zdd_engine.ms_basics + s.Zdd_engine.ms_inner_modules
@@ -152,8 +139,9 @@ type phase1 = {
   generation_seconds : float;
 }
 
-(* [Auto] is resolved against the translated tree (trigger gates only exist
-   post-translation) and the concrete choice is recorded as provenance. *)
+(* [Auto] is resolved against the translated tree, whose modules include
+   the trigger conjunctions, and the concrete choice is recorded as
+   provenance. *)
 let phase1 ?guard ?(obs = Obs.default) options sd =
   let guard =
     match guard with Some g -> g | None -> resource_guard ~obs options
@@ -191,7 +179,6 @@ type cutset_info = {
   solve_seconds : float;
   used_fallback : bool;
   degraded : Sdft_util.Guard.reason option;
-  engine : engine;
 }
 
 type error_budget = {
@@ -286,7 +273,6 @@ let analyze ?(options = default_options) ?cache ?(obs = Obs.default) sd =
       solve_seconds = 0.0;
       used_fallback = true;
       degraded = Some reason;
-      engine = engine_used;
     }
   in
   (* ETA cost proxy for the progress schedule: the product chain grows
@@ -346,7 +332,6 @@ let analyze ?(options = default_options) ?cache ?(obs = Obs.default) sd =
           solve_seconds = q.Cutset_model.seconds;
           used_fallback = false;
           degraded = None;
-          engine = engine_used;
         }
       | exception Sdft_product.Too_many_states _ ->
         Trace.add_attr ~sink "fallback" (Trace.Bool true);

@@ -1,11 +1,14 @@
 (** The two-phase analysis of SD fault trees (Section V).
 
     Phase 1 translates the SD fault tree into a static one with identical
-    minimal cutsets and generates all minimal cutsets above the cutoff with
-    MOCUS (the translation's worst-case probabilities make this cutoff
-    conservative) or, on untriggered trees, with the modular ZDD engine. Phase 2 quantifies each cutset: a purely static cutset
-    contributes its probability product; a cutset with dynamic events gets a
-    small model [FT_C] whose product CTMC is solved by transient analysis.
+    minimal cutsets and generates all minimal cutsets above the cutoff (the
+    translation's worst-case probabilities make this cutoff conservative).
+    The translated tree is plain static logic, so any sound generator
+    serves: the modular ZDD engine by default, MOCUS when a module is too
+    wide to compile or when asked for. Phase 2 quantifies each cutset: a
+    purely static cutset contributes its probability product; a cutset with
+    dynamic events gets a small model [FT_C] whose product CTMC is solved by
+    transient analysis.
     The rare-event approximation sums all contributions above the cutoff.
 
     The per-cutset statistics collected here (number of dynamic events in
@@ -26,9 +29,9 @@ type engine =
           so the certified interval stays non-vacuous: when nothing else degrades its width is bounded by
           the summed solver epsilons plus the (exact) residual. *)
   | Auto
-      (** pick per model from structural statistics (see {!resolve_engine}):
-          translated trigger logic or very wide modules fall back to
-          [Mocus_sound]; everything else gets [Zdd_engine] *)
+      (** pick per model by one rule (see {!resolve_engine}): a module too
+          wide for BDD compilation falls back to [Mocus_sound]; everything
+          else, triggered or not, gets [Zdd_engine] *)
 
 type options = {
   horizon : float;  (** analysis horizon [t], e.g. 24 hours *)
@@ -74,13 +77,12 @@ val engine_name : engine -> string
 
 val resolve_engine : engine -> Fault_tree.t -> engine
 (** Resolve [Auto] against a (translated) static tree; concrete engines
-    return themselves. [Auto] falls back to [Mocus_sound] when the tree
-    contains translated trigger gates (["<basic>@trig"] — sub-models the
-    ZDD path cannot express soundly) or when some independent module's
-    effective width (basic events + nested-module pseudo-variables, with
-    atleast gates weighted in) exceeds an internal bound beyond which BDD
-    compilation risks dwarfing MOCUS's anytime behaviour; otherwise it
-    picks [Zdd_engine]. *)
+    return themselves. [Auto] has one rule: it falls back to [Mocus_sound]
+    when some independent module's effective width (basic events +
+    nested-module pseudo-variables, with atleast gates weighted in) exceeds
+    an internal bound beyond which BDD compilation risks dwarfing MOCUS's
+    anytime behaviour; otherwise it picks [Zdd_engine]. The trigger
+    conjunctions of a translated tree are ordinary static gates here. *)
 
 val resource_guard : ?obs:Sdft_util.Obs.t -> options -> Sdft_util.Guard.t
 (** The one place a guard is built: [options.deadline] and
@@ -125,9 +127,6 @@ type cutset_info = {
           resource guard tripped, [Worker_crash] when the quantification of
           this cutset raised and was contained. [None] for an exact solve.
           Always set when [used_fallback]. *)
-  engine : engine;
-      (** provenance: the (resolved) engine whose generation phase produced
-          this cutset — always concrete, never [Auto] *)
 }
 
 type error_budget = {
@@ -318,8 +317,8 @@ val static_rare_event :
 (** Baseline "no timing" analysis of a plain static tree: cutset generation
     plus rare-event approximation. Returns the approximation and the number
     of cutsets above the cutoff. [cutoff] defaults to [1e-15] and [engine]
-    to [default_options.engine] ([Auto], which picks [Zdd_engine] on a
-    static tree whose modules are narrow enough). *)
+    to [default_options.engine] ([Auto], which picks [Zdd_engine] unless
+    a module is too wide; see {!resolve_engine}). *)
 
 val generate_cutsets :
   ?cutoff:float -> ?max_order:int option -> ?guard:Sdft_util.Guard.t ->

@@ -195,12 +195,6 @@ let exit_rate c i =
 
 let max_exit_rate c = Array.fold_left max 0.0 c.exit
 
-let iter_row c i f =
-  if i < 0 || i >= c.n then invalid_arg "Ctmc.iter_row: state out of range";
-  for k = c.row_ptr.(i) to c.row_end.(i) - 1 do
-    f c.cols.(k) c.rates.(k)
-  done
-
 let outgoing c i =
   if i < 0 || i >= c.n then invalid_arg "Ctmc.outgoing: state out of range";
   let lo = c.row_ptr.(i) in

@@ -89,10 +89,6 @@ val rates : t -> float array
 val exit_rates : t -> float array
 (** Per-state exit rates; length [n_states]. Shared; do not mutate. *)
 
-val iter_row : t -> int -> (int -> float -> unit) -> unit
-(** [iter_row c i f] calls [f dst rate] for every outgoing transition of
-    [i], in increasing destination order, without allocating. *)
-
 val outgoing : t -> int -> (int * float) array
 (** Outgoing transitions of a state as [(dst, rate)] pairs. Compatibility
     view: unlike the CSR accessors it allocates a fresh array per call. *)

@@ -72,10 +72,6 @@ let lognormal t ~median ~error_factor =
   let sigma = log error_factor /. 1.645 in
   median *. exp (sigma *. normal t)
 
-let choose t a =
-  if Array.length a = 0 then invalid_arg "Rng.choose: empty array";
-  a.(int t (Array.length a))
-
 let shuffle t a =
   for i = Array.length a - 1 downto 1 do
     let j = int t (i + 1) in

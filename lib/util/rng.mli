@@ -48,8 +48,5 @@ val lognormal : t -> median:float -> error_factor:float -> float
     95th percentile to the median). Requires [median > 0] and
     [error_factor >= 1]. *)
 
-val choose : t -> 'a array -> 'a
-(** Uniform element of a non-empty array. *)
-
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher-Yates shuffle. *)

@@ -363,7 +363,10 @@ let test_concurrent_isolation () =
      hit counter advances without perturbing the analysis. *)
   Failpoint.set_in obs_a.Obs.failpoints "mocus.expand"
     ~trigger:(Failpoint.Nth max_int) Failpoint.Raise;
-  let run obs seed = Sdft_analysis.analyze ~obs (Gen_sdft.sd seed) in
+  let options =
+    { Sdft_analysis.default_options with engine = Sdft_analysis.Mocus_sound }
+  in
+  let run obs seed = Sdft_analysis.analyze ~options ~obs (Gen_sdft.sd seed) in
   let da = Domain.spawn (fun () -> run obs_a 41) in
   let db = Domain.spawn (fun () -> run obs_b 42) in
   let ra = Domain.join da and rb = Domain.join db in
@@ -774,9 +777,10 @@ let analysis_once =
   [ "analysis.analyze"; "analysis.mcs_generation"; "analysis.quantification" ]
 
 let test_spans_timed_once () =
-  let analyze label ~engine_span sd =
+  let analyze label ?(engine = Sdft_analysis.Auto) ~engine_span sd =
     let obs = Obs.create () in
-    ignore (Sdft_analysis.analyze ~obs sd);
+    let options = { Sdft_analysis.default_options with engine } in
+    ignore (Sdft_analysis.analyze ~options ~obs sd);
     let once =
       if engine_span = "mocus.run" then "mocus.run" :: analysis_once
       else analysis_once
@@ -784,8 +788,9 @@ let test_spans_timed_once () =
     check_spans_timed_once ~label ~once obs
       ~expect:[ engine_span; "analysis.cutset" ]
   in
-  analyze "pumps" ~engine_span:"mocus.run" (Pumps.sd_tree ());
-  analyze "bwr" ~engine_span:"mocus.run"
+  let engine = Sdft_analysis.Mocus_sound in
+  analyze "pumps" ~engine ~engine_span:"mocus.run" (Pumps.sd_tree ());
+  analyze "bwr" ~engine ~engine_span:"mocus.run"
     (Sdft_format.of_file "../models/bwr.sdft");
   analyze "industrial_small" ~engine_span:"zdd.run"
     (Sdft_format.of_file "../models/industrial_small.sdft");

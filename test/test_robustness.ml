@@ -215,12 +215,15 @@ let interval_contains r exact =
   if not (lower <= exact +. 1e-9 && exact <= upper +. 1e-9) then
     Alcotest.failf "interval [%g, %g] misses exact %g" lower upper exact
 
+(* The generation-limit tests exercise MOCUS's partial-result ladder, which
+   [auto] does not pick on these models. *)
+let mocus_options =
+  { Sdft_analysis.default_options with engine = Sdft_analysis.Mocus_sound }
+
 let test_analyze_expired_deadline () =
   let sd = Pumps.sd_tree () in
   let exact = Sdft_product.solve sd ~horizon:24.0 in
-  let options =
-    { Sdft_analysis.default_options with deadline = Some 0.0 }
-  in
+  let options = { mocus_options with deadline = Some 0.0 } in
   let r = Sdft_analysis.analyze ~options sd in
   Alcotest.(check bool) "degraded" true (Sdft_analysis.degraded r);
   let deadline_fallbacks =
@@ -244,7 +247,7 @@ let test_analyze_generation_limit () =
   let sd = Pumps.sd_tree () in
   let exact = Sdft_product.solve sd ~horizon:24.0 in
   with_failpoints "mocus.expand=deadline@nth:3" (fun () ->
-      let r = Sdft_analysis.analyze sd in
+      let r = Sdft_analysis.analyze ~options:mocus_options sd in
       Alcotest.(check bool) "generation limit" true
         (r.Sdft_analysis.degradation.Sdft_analysis.generation_limit
         = Some Guard.Deadline);
@@ -309,11 +312,11 @@ let test_analyze_cache_crash_contained () =
 
 let test_delay_failpoints_preserve_results () =
   let sd = Pumps.sd_tree () in
-  let baseline = Sdft_analysis.analyze sd in
+  let baseline = Sdft_analysis.analyze ~options:mocus_options sd in
   with_failpoints
     "mocus.expand=delay:0.0002@nth:3,transient.step=delay:0.0001@nth:2"
     (fun () ->
-      let r = Sdft_analysis.analyze sd in
+      let r = Sdft_analysis.analyze ~options:mocus_options sd in
       (* Delays perturb timing only: every numerical output is bit-identical
          to the undisturbed run. *)
       Alcotest.(check bool) "total" true
@@ -582,7 +585,8 @@ let test_chaos_sweep_kill9_resume () =
 (* Degradation soundness under randomized fault injection: whatever the
    failpoints do to the pipeline, the analysis must terminate and its
    certified interval must still contain the exact product-semantics
-   probability. *)
+   probability. Each model runs under both engines, so the MOCUS deadline
+   site fires too. *)
 let prop_degraded_interval_sound =
   QCheck.Test.make ~name:"degraded certified interval contains exact value"
     ~count:30 Gen_sdft.seed_gen (fun seed ->
@@ -594,14 +598,17 @@ let prop_degraded_interval_sound =
           seed
           (20 + (seed mod 50))
       in
-      with_failpoints spec (fun () ->
-          let options =
-            { Sdft_analysis.default_options with horizon = 3.0 }
-          in
-          let r = Sdft_analysis.analyze ~options sd in
-          let lower = r.Sdft_analysis.budget.Sdft_analysis.lower in
-          let upper = r.Sdft_analysis.budget.Sdft_analysis.upper in
-          lower <= exact +. 1e-9 && exact <= upper +. 1e-9))
+      List.for_all
+        (fun engine ->
+          with_failpoints spec (fun () ->
+              let options =
+                { Sdft_analysis.default_options with horizon = 3.0; engine }
+              in
+              let r = Sdft_analysis.analyze ~options sd in
+              let lower = r.Sdft_analysis.budget.Sdft_analysis.lower in
+              let upper = r.Sdft_analysis.budget.Sdft_analysis.upper in
+              lower <= exact +. 1e-9 && exact <= upper +. 1e-9))
+        [ Sdft_analysis.Mocus_sound; Sdft_analysis.Zdd_engine ])
 
 let () =
   let qc = List.map QCheck_alcotest.to_alcotest in

@@ -114,6 +114,32 @@ let prop_analyze_equivalence =
       && z.Sdft_analysis.budget.Sdft_analysis.upper
          <= m.Sdft_analysis.budget.Sdft_analysis.upper +. 1e-15)
 
+(* The same race on triggered trees (test_core's shape at horizon 8): the
+   translated tree is plain static logic, so both engines must find the
+   same family and the same total to the bit, and the ZDD engine's exact
+   residual can only tighten the interval. *)
+let prop_analyze_equivalence_triggered =
+  QCheck.Test.make ~name:"analyze: zdd engine = mocus engine (triggered)"
+    ~count:100 Gen_sdft.seed_gen (fun seed ->
+      let sd = Gen_sdft.sd seed in
+      let run engine =
+        Sdft_analysis.analyze
+          ~options:{ Sdft_analysis.default_options with engine; horizon = 8.0 }
+          sd
+      in
+      let family r =
+        List.sort Int_set.compare
+          (List.map (fun i -> i.Sdft_analysis.cutset) r.Sdft_analysis.cutsets)
+      in
+      let m = run Sdft_analysis.Mocus_sound in
+      let z = run Sdft_analysis.Zdd_engine in
+      List.equal Int_set.equal (family m) (family z)
+      && Int64.equal
+           (Int64.bits_of_float m.Sdft_analysis.total)
+           (Int64.bits_of_float z.Sdft_analysis.total)
+      && z.Sdft_analysis.budget.Sdft_analysis.upper
+         <= m.Sdft_analysis.budget.Sdft_analysis.upper)
+
 (* The acceptance scenario: a model where MOCUS records nonzero pruned
    mass (partials below the cutoff that refine only into non-minimal
    cutsets) while the ZDD engine emits every minimal cutset and accounts
@@ -218,17 +244,61 @@ let test_auto_resolution () =
   Alcotest.(check bool) "static resolves to zdd" true
     (Sdft_analysis.resolve_engine Sdft_analysis.Auto static_tree
     = Sdft_analysis.Zdd_engine);
-  (* Translated triggered model: the @trig gates send auto to MOCUS. *)
+  (* The translated triggered model is plain static logic: its @trig
+     conjunctions are ordinary gates, so auto picks the ZDD engine too. *)
   let sd = Pumps.sd_tree () in
   let translation = Sdft_translate.translate sd ~horizon:24.0 in
-  Alcotest.(check bool) "triggered resolves to mocus" true
+  Alcotest.(check bool) "triggered resolves to zdd" true
     (Sdft_analysis.resolve_engine Sdft_analysis.Auto
        translation.Sdft_translate.static_tree
+    = Sdft_analysis.Zdd_engine);
+  (* The one rule: a module wider than the BDD bound (this tree's widest
+     has 263 variables) goes to MOCUS. *)
+  let wide =
+    Random_tree.tree ~max_prob:0.01 (Sdft_util.Rng.create 0) ~n_basics:200
+      ~n_gates:150
+  in
+  Alcotest.(check bool) "wide module resolves to mocus" true
+    (Sdft_analysis.resolve_engine Sdft_analysis.Auto wide
     = Sdft_analysis.Mocus_sound);
   (* Concrete engines resolve to themselves. *)
   Alcotest.(check bool) "mocus fixed" true
     (Sdft_analysis.resolve_engine Sdft_analysis.Mocus_sound static_tree
     = Sdft_analysis.Mocus_sound)
+
+(* On these translated trees every minimal cutset is above the cutoff and
+   emitted, yet the weighted count and the emitted sum round differently
+   (by 2^-57 to 2^-54): nothing was dropped, so the residual is exactly 0
+   and the analysis reports no pruned mass. *)
+let test_residual_zero_when_all_emitted () =
+  List.iter
+    (fun seed ->
+      let sd = Gen_sdft.sd seed in
+      let tree =
+        (Sdft_translate.translate sd ~horizon:8.0).Sdft_translate.static_tree
+      in
+      let r = Zdd_engine.run ~cutoff:1e-15 tree in
+      Alcotest.(check int)
+        (Printf.sprintf "seed %d: every minimal cutset emitted" seed)
+        r.Zdd_engine.n_minimal
+        (List.length r.Zdd_engine.cutsets);
+      if r.Zdd_engine.residual_mass <> 0.0 then
+        Alcotest.failf "seed %d: residual %h reported for nothing dropped" seed
+          r.Zdd_engine.residual_mass;
+      let a =
+        Sdft_analysis.analyze
+          ~options:
+            {
+              Sdft_analysis.default_options with
+              horizon = 8.0;
+              engine = Sdft_analysis.Zdd_engine;
+            }
+          sd
+      in
+      if a.Sdft_analysis.budget.Sdft_analysis.pruned_mass <> 0.0 then
+        Alcotest.failf "seed %d: analysis pruned mass %h" seed
+          a.Sdft_analysis.budget.Sdft_analysis.pruned_mass)
+    [ 17; 32; 34; 45; 59 ]
 
 let () =
   let qc = List.map QCheck_alcotest.to_alcotest in
@@ -253,6 +323,9 @@ let () =
           Alcotest.test_case "module stats" `Quick test_module_stats;
           Alcotest.test_case "auto engine resolution" `Quick
             test_auto_resolution;
+          Alcotest.test_case "zero residual when every cutset is emitted"
+            `Quick test_residual_zero_when_all_emitted;
         ]
-        @ qc [ prop_analyze_equivalence ] );
+        @ qc [ prop_analyze_equivalence; prop_analyze_equivalence_triggered ]
+      );
     ]
