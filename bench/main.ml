@@ -599,7 +599,8 @@ let u1_uncertainty () =
 (* ------------------------------------------------------------------ *)
 (* Kernel benchmarks: the flat-kernel quantification path against the
    retained pre-CSR implementation (Reference). Three layers:
-     - dtmc_step: one uniformization step on a product chain;
+     - dtmc_step: one uniformization step on a product chain, and
+       reach_within: the whole per-cutset solve on it;
      - product build: packed mixed-radix exploration vs the array-keyed
        generic path;
      - end-to-end per-cutset quantification (product build + transient
@@ -797,6 +798,21 @@ let bench_kernels ~json_path () =
     time_ns ~warmup:50 ~reps:2000 (fun () -> Transient.dtmc_step chain6 q6 pi out)
   in
   record "dtmc_step (729 states)" step_ref step_csr;
+  (* The per-cutset solve on the same chain, failed states absorbing: the
+     reference loop runs every pass over all states; Transient accumulates
+     only the failed states and bounds its passes by the states reached. *)
+  let init6 = built6.Sdft_product.init in
+  let target s = built6.Sdft_product.failed.(s) in
+  let ws6 = Transient.workspace () in
+  let reach_of_ref () = Reference.reach_within ref6 ~init:init6 ~target ~t:24.0 in
+  let reach_of_csr () =
+    Transient.reach_within ~workspace:ws6 chain6 ~init:init6 ~target ~t:24.0
+  in
+  if Float.abs (reach_of_ref () -. reach_of_csr ()) > 1e-12 then
+    failwith "reach_within: Transient disagrees with Reference";
+  let reach_ref = time_ns ~warmup:5 ~reps:200 reach_of_ref in
+  let reach_csr = time_ns ~warmup:5 ~reps:200 reach_of_csr in
+  record "reach_within (729-state product)" reach_ref reach_csr;
   (* 2. Product-state construction against the pre-CSR build. Rebuilding
      one model reuses the domain's template (the template-hit path); the
      fresh-shape row first builds a one-event model, which evicts the

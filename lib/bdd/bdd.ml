@@ -42,6 +42,11 @@ let manager ?var_order ?(guard = Sdft_util.Guard.none) ~n_vars () =
   in
   let level_of = Array.make n_vars 0 in
   Array.iteri (fun level v -> level_of.(v) <- level) var_of;
+  (* Tables start at a few entries per variable, up to the sizes that suit
+     the widest modules, and grow as they fill: a module of a handful of
+     events (most of a small tree's) would otherwise spend more time
+     allocating and clearing empty tables than compiling. *)
+  let initial_size largest = min largest (8 * n_vars) in
   {
     nv = n_vars;
     level_of;
@@ -49,10 +54,10 @@ let manager ?var_order ?(guard = Sdft_util.Guard.none) ~n_vars () =
     vars = Sdft_util.Vec.create ();
     lows = Sdft_util.Vec.create ();
     highs = Sdft_util.Vec.create ();
-    unique = Hashtbl.create 1024;
-    and_cache = Hashtbl.create 1024;
-    or_cache = Hashtbl.create 1024;
-    not_cache = Hashtbl.create 64;
+    unique = Hashtbl.create (initial_size 1024);
+    and_cache = Hashtbl.create (initial_size 1024);
+    or_cache = Hashtbl.create (initial_size 1024);
+    not_cache = Hashtbl.create (initial_size 64);
     guard;
   }
 

@@ -247,48 +247,46 @@ type solution = {
   e_steps : int;
 }
 
-let quantify_with ~lookup ?(epsilon = 1e-12) ?max_states ?guard ?workspace
-    ?obs t ~horizon =
+(* Materialize a workspace even when the caller has none so that the
+   solver's step count can be read back for provenance. *)
+let solve ?(epsilon = 1e-12) ?max_states ?guard ?workspace ?obs sd_c ~horizon =
+  let ws = match workspace with Some w -> w | None -> Transient.workspace () in
+  let built = Sdft_product.build ?max_states ?guard ?obs sd_c in
+  let p =
+    Sdft_product.unreliability ~epsilon ?guard ~workspace:ws ?obs built
+      ~horizon
+  in
+  {
+    e_prob = p;
+    e_states = built.n_states;
+    e_transitions = Ctmc.n_transitions built.Sdft_product.chain;
+    e_steps = Transient.last_steps ws;
+  }
+
+let of_solution ~epsilon ~static_multiplier ~from_cache ~seconds s =
+  {
+    probability = s.e_prob *. static_multiplier;
+    product_states = s.e_states;
+    product_transitions = s.e_transitions;
+    solver_steps = s.e_steps;
+    (* The transient solve carries a truncation error of at most [epsilon];
+       the static multiplier scales it down with the probability. *)
+    solver_error = epsilon *. static_multiplier;
+    from_cache;
+    seconds;
+  }
+
+let quantify ?(epsilon = 1e-12) ?max_states ?guard ?workspace ?obs t ~horizon
+    =
   let t0 = Sdft_util.Timer.start () in
   if t.impossible then no_solve ~probability:0.0 t0
   else
     match t.model with
     | None -> no_solve ~probability:t.static_multiplier t0
     | Some sd_c ->
-      let solve () =
-        (* Materialize a workspace even when the caller has none so that
-           the solver's step count can be read back for provenance. *)
-        let ws =
-          match workspace with Some w -> w | None -> Transient.workspace ()
-        in
-        let built = Sdft_product.build ?max_states ?guard ?obs sd_c in
-        let p =
-          Sdft_product.unreliability ~epsilon ?guard ~workspace:ws ?obs built
-            ~horizon
-        in
-        {
-          e_prob = p;
-          e_states = built.n_states;
-          e_transitions = Ctmc.n_transitions built.Sdft_product.chain;
-          e_steps = Transient.last_steps ws;
-        }
-      in
-      let s, from_cache = lookup t sd_c solve in
-      {
-        probability = s.e_prob *. t.static_multiplier;
-        product_states = s.e_states;
-        product_transitions = s.e_transitions;
-        solver_steps = s.e_steps;
-        (* The transient solve carries a truncation error of at most
-           [epsilon]; the static multiplier scales it down with the
-           probability. *)
-        solver_error = epsilon *. t.static_multiplier;
-        from_cache;
-        seconds = Sdft_util.Timer.elapsed_s t0;
-      }
-
-let quantify =
-  quantify_with ~lookup:(fun _ _ solve -> (solve (), false))
+      let s = solve ~epsilon ?max_states ?guard ?workspace ?obs sd_c ~horizon in
+      of_solution ~epsilon ~static_multiplier:t.static_multiplier
+        ~from_cache:false ~seconds:(Sdft_util.Timer.elapsed_s t0) s
 
 (* JSON codec for quantification records — the per-cutset payload of a
    saved result manifest. Floats go through Json.add_float (17 significant

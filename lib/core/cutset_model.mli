@@ -126,23 +126,31 @@ type solution = {
     {!quantification} that does not depend on the static events of the
     cutset, and hence what {!Quant_cache} stores. *)
 
-val quantify_with :
-  lookup:(t -> Sdft.t -> (unit -> solution) -> solution * bool) ->
+val solve :
   ?epsilon:float ->
   ?max_states:int ->
   ?guard:Sdft_util.Guard.t ->
   ?workspace:Transient.workspace ->
   ?obs:Sdft_util.Obs.t ->
-  t ->
+  Sdft.t ->
   horizon:float ->
+  solution
+(** The one place an [FT_C] is solved: build the product chain of a
+    cutset's [model] ({!Sdft_product.build}) and solve it by
+    uniformization. Options as in {!quantify}; [Sdft_product.Too_many_states]
+    and {!Sdft_util.Guard.Limit_hit} propagate. *)
+
+val of_solution :
+  epsilon:float ->
+  static_multiplier:float ->
+  from_cache:bool ->
+  seconds:float ->
+  solution ->
   quantification
-(** The one place an [FT_C] is solved. Like {!quantify}, except that for a
-    cutset with a [model] the solve goes through
-    [lookup cutset_model model solve]: [lookup] either returns a known
-    solution ([true]: the result is marked [from_cache]) or calls [solve]
-    ([false]). {!quantify} is [quantify_with] with a [lookup] that always
-    solves; {!Quant_cache.quantify} looks the solution up by fingerprint.
-    Model-less cutsets never reach [lookup]. *)
+(** A cutset's quantification from a solution of its [model], found in a
+    cache or freshly solved: the probability and the solver error scale by
+    the cutset's [static_multiplier]. {!quantify} is {!solve} followed by
+    this. *)
 
 (** {1 Result serialization}
 

@@ -747,15 +747,25 @@ let record_point t p =
   if (not stored) && disk_append t (Point p) then
     locked t (fun () -> Hashtbl.replace t.points key p)
 
-let quantify t ~epsilon ~max_states ?guard ?workspace ?(engine_tag = "")
-    ?(obs = Obs.default) cm ~horizon =
-  let lookup cm sd_c solve =
+let count_hit t ~obs origin =
+  let m = obs.Obs.metrics in
+  Atomic.incr t.hit_count;
+  Metrics.incr (Metrics.get m m_hits);
+  if origin = Warm then begin
+    Atomic.incr t.disk_hit_count;
+    Metrics.incr (Metrics.get m m_disk_hits)
+  end;
+  Trace.instant ~sink:obs.Obs.trace "quant_cache.hit"
+
+let lookup t ~epsilon ~max_states ?(engine_tag = "") ?(obs = Obs.default) cm
+    ~horizon =
+  match cm.Cutset_model.model with
+  | None -> None
+  | Some sd_c ->
     let t0 = Sdft_util.Timer.start () in
-    let m = obs.Obs.metrics in
     (* Resolved before the lookup site, which may raise: the module's
        instruments are listed from the first lookup on either way. *)
-    let lookup_s = Metrics.get m m_lookup_s in
-    let sink = obs.Obs.trace in
+    let lookup_s = Metrics.get obs.Obs.metrics m_lookup_s in
     Sdft_util.Failpoint.hit_in obs.Obs.failpoints "cache.lookup";
     let key =
       key_of_digest (digest_of cm sd_c) ~epsilon ~max_states ~horizon
@@ -763,29 +773,30 @@ let quantify t ~epsilon ~max_states ?guard ?workspace ?(engine_tag = "")
     in
     let looked_up = find t key in
     Metrics.observe lookup_s (Sdft_util.Timer.elapsed_s t0);
-    match looked_up with
-    | Some (e, origin) ->
-      Atomic.incr t.hit_count;
-      Metrics.incr (Metrics.get m m_hits);
-      if origin = Warm then begin
-        Atomic.incr t.disk_hit_count;
-        Metrics.incr (Metrics.get m m_disk_hits)
-      end;
-      Trace.instant ~sink "quant_cache.hit";
-      (e, true)
-    | None ->
-      Atomic.incr t.miss_count;
-      Metrics.incr (Metrics.get m m_misses);
-      if t.disk <> None then begin
-        Atomic.incr t.disk_miss_count;
-        Metrics.incr (Metrics.get m m_disk_misses)
-      end;
-      Trace.instant ~sink "quant_cache.miss";
-      (* Too_many_states and guard interrupts propagate before anything is
-         stored, so a limit can never poison the cache with a partial value. *)
-      let e = solve () in
-      store t key e;
-      (e, false)
-  in
-  Cutset_model.quantify_with ~lookup ~epsilon ~max_states ?guard ?workspace
-    ~obs cm ~horizon
+    Some
+      ( key,
+        match looked_up with
+        | Some (e, origin) ->
+          count_hit t ~obs origin;
+          Some e
+        | None -> None )
+
+let answer t ?(obs = Obs.default) key solve =
+  match find t key with
+  | Some (e, origin) ->
+    count_hit t ~obs origin;
+    (e, true)
+  | None ->
+    let m = obs.Obs.metrics in
+    Atomic.incr t.miss_count;
+    Metrics.incr (Metrics.get m m_misses);
+    if t.disk <> None then begin
+      Atomic.incr t.disk_miss_count;
+      Metrics.incr (Metrics.get m m_disk_misses)
+    end;
+    Trace.instant ~sink:obs.Obs.trace "quant_cache.miss";
+    (* Too_many_states and guard interrupts propagate before anything is
+       stored, so a limit can never poison the cache with a partial value. *)
+    let e = solve () in
+    store t key e;
+    (e, false)

@@ -58,7 +58,7 @@ val key_of :
   horizon:float ->
   Cutset_model.t ->
   string option
-(** The exact cache key {!quantify} would use for this cutset — the
+(** The exact cache key {!lookup} uses for this cutset — the
     memoized fingerprint digest (hex) followed by the numerical parameters
     as [|e=<epsilon>|s=<max_states>|t=<horizon>] and, for a non-empty tag,
     [|eng=<engine_tag>] — or [None] for model-less (purely static /
@@ -66,37 +66,43 @@ val key_of :
     parameter suffix is built once and reused while the parameters stay
     the same, so a lookup after the first costs one string concatenation. *)
 
-val quantify :
+val lookup :
   t ->
   epsilon:float ->
   max_states:int ->
-  ?guard:Sdft_util.Guard.t ->
-  ?workspace:Transient.workspace ->
   ?engine_tag:string ->
   ?obs:Sdft_util.Obs.t ->
   Cutset_model.t ->
   horizon:float ->
-  Cutset_model.quantification
-(** Drop-in replacement for {!Cutset_model.quantify}: the same
-    {!Cutset_model.quantify_with}, looking each solution up in [t] and
-    storing the ones it had to solve. [engine_tag], when
-    non-empty, becomes part of the cache key: entries stay attributable to
-    the cutset engine whose analysis produced them, so two engines racing
-    over one shared cache never alias each other's entries (at the cost of
-    one extra solve per shared sub-model in such races). On a hit,
-    [from_cache] is set and the provenance fields ([product_states],
-    [product_transitions], [solver_steps]) report the originally solved
-    chain; hits and misses are also published as {!Sdft_util.Trace} instant
-    events when tracing is enabled.
-    [Sdft_product.Too_many_states] — like {!Sdft_util.Guard.Limit_hit} from
-    [guard] — propagates uncached, so retrying with a larger bound is never
-    poisoned by a previous failure. [obs] (default {!Sdft_util.Obs.default})
-    supplies the observability context: its [cache.lookup]
-    {!Sdft_util.Failpoint} site fires before each cacheable lookup, each
-    lookup's latency lands on its [cache.lookup_s] histogram, and the
-    hit/miss counters and trace instants go to its registries. [workspace]
-    is per-caller solver scratch (see {!Cutset_model.quantify}); the cache
-    itself stays shareable across domains. *)
+  (string * Cutset_model.solution option) option
+(** The cache's lookup site. [None] for a model-less (purely static or
+    impossible) cutset, which bypasses the cache. Otherwise the cutset's
+    {!key_of} key and, on a hit, the stored solution (a {!Cutset_model.of_solution}
+    away from the cutset's quantification). A hit counts itself; a miss
+    counts nothing yet, because the caller may answer several cutsets of
+    one key with a single solve: {!answer} counts it. [engine_tag], when
+    non-empty, becomes part of the key: entries stay attributable to the
+    cutset engine whose analysis produced them, so two engines racing over
+    one shared cache never alias each other's entries. [obs] (default
+    {!Sdft_util.Obs.default}) supplies the observability context: its
+    [cache.lookup] {!Sdft_util.Failpoint} site fires before the key is
+    computed, the lookup's latency lands on its [cache.lookup_s] histogram,
+    and the hit counters and trace instant go to its registries. *)
+
+val answer :
+  t ->
+  ?obs:Sdft_util.Obs.t ->
+  string ->
+  (unit -> Cutset_model.solution) ->
+  Cutset_model.solution * bool
+(** [answer t key solve] answers a key that {!lookup} missed: [true] with
+    the stored solution when some solve has filled it since (a hit),
+    otherwise [false] with [solve ()], counted as a miss and stored. Hits
+    and misses are published on the [quant_cache.hits] and
+    [quant_cache.misses] counters and as {!Sdft_util.Trace} instants.
+    [Sdft_product.Too_many_states] — like {!Sdft_util.Guard.Limit_hit} —
+    propagates from [solve] uncached, so retrying with a larger bound is
+    never poisoned by a previous failure. *)
 
 (** {1 Disk tier}
 

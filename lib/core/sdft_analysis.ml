@@ -215,6 +215,11 @@ type result = {
 let degraded r =
   r.degradation.generation_limit <> None || r.degradation.degraded_cutsets <> []
 
+(* A cache key that cutsets of one analysis missed on, solved once by
+   [rep]: the first of them in input order. Without a cache each pending
+   cutset has a key of its own, [""]. *)
+type missed_key = { key : string; mutable rep : int }
+
 let analyze ?(options = default_options) ?cache ?(obs = Obs.default) sd =
   let m = obs.Obs.metrics in
   let sink = obs.Obs.trace in
@@ -247,13 +252,11 @@ let analyze ?(options = default_options) ?cache ?(obs = Obs.default) sd =
       (fun b acc -> if Sdft.is_dynamic sd b then acc + 1 else acc)
       cutset 0
   in
-  let fallback_info ?model ~reason cutset =
+  let fallback_info ?dynamic ~reason cutset =
     let n_dynamic, n_added_dynamic =
-      match model with
-      | Some m ->
-        (m.Cutset_model.n_dynamic_in_cutset, m.Cutset_model.n_added_dynamic)
-      | None -> (count_dynamic cutset, 0)
+      match dynamic with Some d -> d | None -> (count_dynamic cutset, 0)
     in
+    Trace.add_attr ~sink "fallback" (Trace.Bool true);
     {
       cutset;
       probability = worst_case_product cutset;
@@ -275,96 +278,255 @@ let analyze ?(options = default_options) ?cache ?(obs = Obs.default) sd =
       degraded = Some reason;
     }
   in
+  let exact_info cutset ~dynamic:(n_dynamic, n_added_dynamic) q =
+    Trace.add_attr ~sink "probability" (Trace.Float q.Cutset_model.probability);
+    Trace.add_attr ~sink "states" (Trace.Int q.Cutset_model.product_states);
+    if q.Cutset_model.from_cache then
+      Trace.add_attr ~sink "cached" (Trace.Bool true);
+    {
+      cutset;
+      probability = q.Cutset_model.probability;
+      n_dynamic;
+      n_added_dynamic;
+      product_states = q.Cutset_model.product_states;
+      product_transitions = q.Cutset_model.product_transitions;
+      solver_steps = q.Cutset_model.solver_steps;
+      solver_error = q.Cutset_model.solver_error;
+      from_cache = q.Cutset_model.from_cache;
+      solve_seconds = q.Cutset_model.seconds;
+      used_fallback = false;
+      degraded = None;
+    }
+  in
   (* ETA cost proxy for the progress schedule: the product chain grows
      multiplicatively with the dynamic width of the cutset, so weight each
      work item exponentially (capped) rather than uniformly. *)
   let cost_of cutset =
     float_of_int (1 lsl min (count_dynamic cutset) 20)
   in
-  let quantify_model ~workspace model ~horizon =
-    match cache with
-    | Some c ->
-      Quant_cache.quantify c ~epsilon:options.transient_epsilon
-        ~max_states:options.max_product_states ~guard ~workspace
-        ~engine_tag:(engine_name engine_used) ~obs model ~horizon
-    | None ->
-      Cutset_model.quantify ~epsilon:options.transient_epsilon
-        ~max_states:options.max_product_states ~guard ~workspace ~obs model
-        ~horizon
+  let epsilon = options.transient_epsilon in
+  (* Product-shape ids of this analysis, shared by its workers. *)
+  let shape_ids : (int array, int) Hashtbl.t = Hashtbl.create 16 in
+  let shape_lock = Mutex.create () in
+  let shape_id sd_c =
+    let key = Sdft_product.shape sd_c in
+    Mutex.protect shape_lock (fun () ->
+        match Hashtbl.find_opt shape_ids key with
+        | Some id -> id
+        | None ->
+          let id = Hashtbl.length shape_ids in
+          Hashtbl.add shape_ids key id;
+          id)
   in
-  let quantify_one_inner (context, workspace) cutset =
-    Obs.span obs s_cutset (fun () ->
-    match Sdft_util.Guard.status guard with
-    | Some r ->
-      (* The global limit tripped between work items: skip the model build
-         and the solve outright so the remaining cutsets drain fast. *)
-      Trace.add_attr ~sink "fallback" (Trace.Bool true);
-      fallback_info ~reason:r cutset
-    | None ->
-      (* Model construction answers to the same guard as the solve: its
-         trigger-set BDD compilations can blow up on their own, and a limit
-         tripping there is a resource degradation, not a worker crash. *)
-      match
-        Cutset_model.build ~context ~rel_rule:options.rel_rule ~guard ~obs sd
-          cutset
-      with
-      | exception Sdft_util.Guard.Limit_hit r ->
-        Trace.add_attr ~sink "fallback" (Trace.Bool true);
-        fallback_info ~reason:r cutset
-      | model ->
-      (match quantify_model ~workspace model ~horizon:options.horizon with
-      | q ->
-        Trace.add_attr ~sink "probability"
-          (Trace.Float q.Cutset_model.probability);
-        Trace.add_attr ~sink "states" (Trace.Int q.Cutset_model.product_states);
-        if q.Cutset_model.from_cache then
-          Trace.add_attr ~sink "cached" (Trace.Bool true);
-        {
-          cutset;
-          probability = q.Cutset_model.probability;
-          n_dynamic = model.Cutset_model.n_dynamic_in_cutset;
-          n_added_dynamic = model.Cutset_model.n_added_dynamic;
-          product_states = q.Cutset_model.product_states;
-          product_transitions = q.Cutset_model.product_transitions;
-          solver_steps = q.Cutset_model.solver_steps;
-          solver_error = q.Cutset_model.solver_error;
-          from_cache = q.Cutset_model.from_cache;
-          solve_seconds = q.Cutset_model.seconds;
-          used_fallback = false;
-          degraded = None;
-        }
-      | exception Sdft_product.Too_many_states _ ->
-        Trace.add_attr ~sink "fallback" (Trace.Bool true);
-        fallback_info ~model ~reason:Sdft_util.Guard.State_limit cutset
-      | exception Sdft_util.Guard.Limit_hit r ->
-        Trace.add_attr ~sink "fallback" (Trace.Bool true);
-        fallback_info ~model ~reason:r cutset
-      | exception Out_of_memory ->
-        Trace.add_attr ~sink "fallback" (Trace.Bool true);
-        fallback_info ~model ~reason:Sdft_util.Guard.Mem_limit cutset))
+  let cutsets = Array.of_list generation.Mocus.cutsets in
+  let n = Array.length cutsets in
+  (* A cutset's answer, once final. *)
+  let infos = Array.make n None in
+  (* What the resolve pass leaves of a cutset it cannot answer without a
+     product chain, enough to solve it without its FT_C: its missed key,
+     product shape ([-1] when not pending), static multiplier and dynamic
+     event counts. Flat arrays, not a record per cutset: thousands of
+     small blocks outliving the pass would fragment the heap. *)
+  let no_key = { key = ""; rep = -1 } in
+  let missed = Array.make n no_key in
+  let shape = Array.make n (-1) in
+  let multiplier = Array.create_float n in
+  let n_dyn = Array.make n 0 and n_added = Array.make n 0 in
+  let missed_keys = Hashtbl.create 64 and missed_lock = Mutex.create () in
+  let miss key i =
+    Mutex.protect missed_lock (fun () ->
+        match Hashtbl.find_opt missed_keys key with
+        | Some k ->
+          k.rep <- min k.rep i;
+          k
+        | None ->
+          let k = { key; rep = i } in
+          Hashtbl.add missed_keys key k;
+          k)
   in
-  let quantify_one worker cutset =
+  let settle i info =
+    (* Time the answer and step the progress (atomic state, safe from
+       worker domains). *)
+    if not info.used_fallback then
+      Metrics.observe (Metrics.get m m_solve_s) info.solve_seconds;
+    Obs.step obs ~cost:(cost_of info.cutset) ();
+    infos.(i) <- Some info
+  in
+  (* Resolve pass: build each FT_C and answer what needs no product chain —
+     static and impossible cutsets, cache hits, a tripped guard. The rest
+     leave their cache key (none without a cache) and product shape; their
+     FT_C is dropped, so the pass holds no models. *)
+  let resolve (context, _) i =
+    let cutset = cutsets.(i) in
     (* The per-item crash site, on this analysis' own failpoints; raised
        inside the crash-containing map, so it is contained in its slot. *)
     Sdft_util.Failpoint.hit_in obs.Obs.failpoints "parallel.worker";
-    let info = quantify_one_inner worker cutset in
-    if not info.used_fallback then
-      Metrics.observe (Metrics.get m m_solve_s) info.solve_seconds;
-    (* Atomic progress state: safe to step from worker domains. *)
-    Obs.step obs ~cost:(cost_of cutset) ();
-    info
+    Obs.span obs s_cutset (fun () ->
+        match Sdft_util.Guard.status guard with
+        | Some r ->
+          (* The global limit tripped between work items: skip the model
+             build and the solve outright so the remaining cutsets drain
+             fast. *)
+          settle i (fallback_info ~reason:r cutset)
+        | None -> (
+          (* Model construction answers to the same guard as the solve: its
+             trigger-set BDD compilations can blow up on their own, and a
+             limit tripping there is a resource degradation, not a worker
+             crash. *)
+          match
+            Cutset_model.build ~context ~rel_rule:options.rel_rule ~guard ~obs
+              sd cutset
+          with
+          | exception Sdft_util.Guard.Limit_hit r ->
+            settle i (fallback_info ~reason:r cutset)
+          | model -> (
+            let dynamic =
+              ( model.Cutset_model.n_dynamic_in_cutset,
+                model.Cutset_model.n_added_dynamic )
+            in
+            let static_multiplier = model.Cutset_model.static_multiplier in
+            let t0 = Sdft_util.Timer.start () in
+            let looked_up =
+              Option.bind cache (fun c ->
+                  Quant_cache.lookup c ~epsilon
+                    ~max_states:options.max_product_states
+                    ~engine_tag:(engine_name engine_used) ~obs model
+                    ~horizon:options.horizon)
+            in
+            match (model.Cutset_model.model, looked_up) with
+            | None, _ ->
+              settle i
+                (exact_info cutset ~dynamic
+                   (Cutset_model.quantify ~epsilon model
+                      ~horizon:options.horizon))
+            | Some _, Some (_, Some e) ->
+              settle i
+                (exact_info cutset ~dynamic
+                   (Cutset_model.of_solution ~epsilon ~static_multiplier
+                      ~from_cache:true
+                      ~seconds:(Sdft_util.Timer.elapsed_s t0) e))
+            | Some sd_c, _ ->
+              let id = shape_id sd_c in
+              missed.(i) <-
+                (match looked_up with
+                | Some (key, _) -> miss key i
+                | None -> { key = ""; rep = i });
+              multiplier.(i) <- static_multiplier;
+              n_dyn.(i) <- fst dynamic;
+              n_added.(i) <- snd dynamic;
+              shape.(i) <- id)))
   in
-  (* The schedule: at one domain, input order. At several, the expensive
-     cutsets first, since with an atomic-counter scheduler a big cutset
-     picked up last leaves one domain solving alone while the others idle:
-     more dynamic events means a (multiplicatively) larger product chain,
-     ties broken by static probability as a proxy for the remaining work.
-     One domain has no idle peers to avoid, and input order lets its kept
-     product template re-rate more cutsets instead of exploring their shape
-     anew (a model-1 sweep explores 239 shapes in input order, 286 in cost
-     order). *)
-  let schedule cutsets =
-    let order = Array.init (Array.length cutsets) Fun.id in
+  (* Solve pass: one product chain per pending cutset, its FT_C rebuilt.
+     Through a cache the solve answers the cutset's key, so a key some
+     earlier cutset solved is a hit, and one whose solve failed is tried
+     again. *)
+  let solve (context, workspace) i =
+    let cutset = cutsets.(i) in
+    let key = missed.(i).key and dynamic = (n_dyn.(i), n_added.(i)) in
+    missed.(i) <- no_key;
+    settle i
+    @@ Obs.span obs s_cutset (fun () ->
+           match Sdft_util.Guard.status guard with
+           | Some r -> fallback_info ~dynamic ~reason:r cutset
+           | None -> (
+             let t0 = Sdft_util.Timer.start () in
+             let solve_model () =
+               let model =
+                 Cutset_model.build ~context ~rel_rule:options.rel_rule ~guard
+                   ~obs sd cutset
+               in
+               Cutset_model.solve ~epsilon
+                 ~max_states:options.max_product_states ~guard ~workspace ~obs
+                 (Option.get model.Cutset_model.model)
+                 ~horizon:options.horizon
+             in
+             match
+               match cache with
+               | Some c when key <> "" ->
+                 Quant_cache.answer c ~obs key solve_model
+               | _ -> (solve_model (), false)
+             with
+             | e, from_cache ->
+               exact_info cutset ~dynamic
+                 (Cutset_model.of_solution ~epsilon
+                    ~static_multiplier:multiplier.(i) ~from_cache
+                    ~seconds:(Sdft_util.Timer.elapsed_s t0) e)
+             | exception Sdft_product.Too_many_states _ ->
+               fallback_info ~dynamic
+                 ~reason:Sdft_util.Guard.State_limit cutset
+             | exception Sdft_util.Guard.Limit_hit r ->
+               fallback_info ~dynamic ~reason:r cutset
+             | exception Out_of_memory ->
+               fallback_info ~dynamic
+                 ~reason:Sdft_util.Guard.Mem_limit cutset))
+  in
+  (* Both passes run the same crash-containing map. Last rung of the
+     ladder: any exception neither the guard nor the state bound accounts
+     for (a genuine bug, an injected crash) poisons only its own cutset —
+     the map turns it into an [Error] slot, and the cutset takes the
+     worst-case fallback marked [Worker_crash] instead of killing the whole
+     analysis. Each domain of a pass takes a worker state (an FT_C context
+     and a solver workspace) that an earlier pass left, so the passes share
+     their memoized trigger sets and sized buffers. *)
+  let workers = ref [] and workers_lock = Mutex.create () in
+  let run ~domains f order =
+    let free = ref !workers in
+    let take () =
+      Mutex.protect workers_lock (fun () ->
+          match !free with
+          | w :: rest ->
+            free := rest;
+            w
+          | [] ->
+            let w = (Cutset_model.context sd, Transient.workspace ()) in
+            workers := w :: !workers;
+            w)
+    in
+    Array.iteri
+      (fun pos r ->
+        if Result.is_error r then begin
+          let i = order.(pos) in
+          Trace.instant ~sink "analysis.worker_crash";
+          settle i
+            (fallback_info ~reason:Sdft_util.Guard.Worker_crash cutsets.(i))
+        end)
+      (Sdft_util.Parallel.map_init_result ~domains take f order)
+  in
+  (* The solve schedule. Each key is solved once, by its first pending
+     cutset in input order, and the product builds run grouped by shape, so
+     the domain's kept template re-rates a whole group after one
+     exploration. At one domain the groups come in order of first
+     appearance. At several, in cost order: with an atomic-counter
+     scheduler a big chain picked up last leaves one domain solving alone
+     while the others idle, and more dynamic events mean a
+     (multiplicatively) larger chain. A domain leaves a group only once the
+     group is taken, so each domain explores each shape at most once. The
+     cutsets that share a solved key come last, in input order, each a
+     cache hit. *)
+  let schedule () =
+    let firsts = Sdft_util.Vec.create () and rest = Sdft_util.Vec.create () in
+    for i = 0 to n - 1 do
+      if shape.(i) >= 0 then
+        Sdft_util.Vec.push (if missed.(i).rep = i then firsts else rest) i
+    done;
+    let firsts = Sdft_util.Vec.to_array firsts in
+    if options.domains > 1 then begin
+      let width i = n_dyn.(i) + n_added.(i) in
+      Array.stable_sort (fun i j -> compare (width j) (width i)) firsts
+    end;
+    let rank = Hashtbl.create 16 in
+    Array.iter
+      (fun i ->
+        if not (Hashtbl.mem rank shape.(i)) then
+          Hashtbl.add rank shape.(i) (Hashtbl.length rank))
+      firsts;
+    let rank_of i = Hashtbl.find rank shape.(i) in
+    Array.stable_sort (fun i j -> compare (rank_of i) (rank_of j)) firsts;
+    (firsts, Sdft_util.Vec.to_array rest)
+  in
+  (* Answers land by cutset index, so the Kahan total sums in input order
+     at any domain count and stays bit-identical. *)
+  let quantify_all () =
     if options.domains > 1 then begin
       (* The shared model is read-only once its lazy descendant caches are
          forced, so workers only need their own per-analysis context and
@@ -373,56 +535,20 @@ let analyze ?(options = default_options) ?cache ?(obs = Obs.default) sd =
       for g = 0 to Fault_tree.n_gates tree - 1 do
         ignore (Fault_tree.descendant_basics tree g);
         ignore (Sdft.dynamic_descendants sd g)
-      done;
-      let n_dyn = Array.map count_dynamic cutsets in
-      let static_p =
-        Array.map
-          (Cutset.probability translation.Sdft_translate.static_tree)
-          cutsets
-      in
-      Array.sort
-        (fun i j ->
-          let c = compare n_dyn.(j) n_dyn.(i) in
-          if c <> 0 then c
-          else
-            let c = compare static_p.(j) static_p.(i) in
-            if c <> 0 then c else compare i j)
-        order
+      done
     end;
-    order
+    run ~domains:options.domains resolve (Array.init n Fun.id);
+    Hashtbl.reset missed_keys;
+    let firsts, rest = schedule () in
+    run ~domains:options.domains solve firsts;
+    run ~domains:1 solve rest;
+    List.init n (fun i -> Option.get infos.(i))
   in
-  (* Last rung of the ladder: any exception neither the guard nor the state
-     bound accounts for (a genuine bug, an injected crash) poisons only its
-     own cutset — the crash-containing map turns it into an [Error] slot,
-     and the cutset takes the worst-case fallback marked [Worker_crash]
-     instead of killing the whole analysis. Results are restored to input
-     order, so the Kahan total sums in the same order at any domain count
-     and stays bit-identical. *)
-  let quantify_all cutsets =
-    let cutsets = Array.of_list cutsets in
-    let order = schedule cutsets in
-    let results =
-      Sdft_util.Parallel.map_init_result ~domains:options.domains
-        (fun () -> (Cutset_model.context sd, Transient.workspace ()))
-        quantify_one
-        (Array.map (fun i -> cutsets.(i)) order)
-    in
-    let slot = Array.make (Array.length cutsets) 0 in
-    Array.iteri (fun pos i -> slot.(i) <- pos) order;
-    List.init (Array.length cutsets) (fun i ->
-        match results.(slot.(i)) with
-        | Ok info -> info
-        | Error _ ->
-          Trace.instant ~sink "analysis.worker_crash";
-          fallback_info ~reason:Sdft_util.Guard.Worker_crash cutsets.(i))
-  in
-  let all_cutsets = generation.Mocus.cutsets in
-  Obs.begin_phase obs "quantification" ~total:(List.length all_cutsets)
-    ~cost_total:
-      (List.fold_left (fun acc c -> acc +. cost_of c) 0.0 all_cutsets)
+  Obs.begin_phase obs "quantification" ~total:n
+    ~cost_total:(Array.fold_left (fun acc c -> acc +. cost_of c) 0.0 cutsets)
     ();
   let infos, quantification_seconds =
-    Obs.span_timed obs s_quant (fun () -> quantify_all all_cutsets)
+    Obs.span_timed obs s_quant quantify_all
   in
   let relevant =
     List.filter (fun info -> info.probability > options.cutoff) infos

@@ -44,9 +44,18 @@ type options = {
       (** worker domains for the per-cutset quantification phase — the
           paper's closing remark notes this phase is trivially parallel.
           [1] (default) keeps everything on the calling domain. Every count
-          runs the same crash-containing map: one domain takes the cutsets
-          in input order, several take the dynamically widest first. The
-          result is bit-identical at any count. *)
+          runs the same two passes of a crash-containing map. The first
+          builds each cutset's [FT_C] and answers static cutsets and cache
+          hits. The second solves one product chain per missed cache key
+          (its first cutset in input order), grouped by product shape so
+          that a domain explores each shape once and re-rates its template
+          for the rest of the group (see {!Sdft_product.build}): one
+          domain takes the groups in order of first appearance, several in
+          cost order, widest first. The other cutsets of each key are then
+          answered from the cache in input order. The result, every
+          per-cutset record and the cache's lookups, hits and misses are
+          the same at any count; a count [d] explores at most [d] times as
+          many shapes as one domain. *)
   rel_rule : Cutset_model.rel_rule;
       (** [Paper] (default) uses the class-reduced relevant sets of Section
           V-C; [All_events] quantifies every cutset with the exact general

@@ -277,6 +277,8 @@ let shape_key sem =
     sem.components;
   Sdft_util.Vec.to_array key
 
+let shape sd = shape_key (semantics sd)
+
 (* Breadth-first exploration of consistent states over two reused scratch
    vectors: [state] is the decoded source, [next] the successor being
    closed. Initial states are interned first, in [initial]'s order, and

@@ -55,7 +55,9 @@ val build :
     domain does not explore: it instantiates the template with its own
     rates and initial masses, bit-identical to exploring. The slot holds
     only the last shape explored, so a shape change costs one exploration
-    and the memo never grows; {!release_template} empties it. An exploration empties the slot before it
+    and the memo never grows; {!release_template} empties it. Callers
+    with many models get the most from it by building them grouped by
+    {!shape}, as {!Sdft_analysis.analyze} does. An exploration empties the slot before it
     starts and fills it only when it completes, so one that raises leaves
     no template. A template with more than [max_states] states is not
     reused (the model is explored and raises {!Too_many_states}). The
@@ -75,6 +77,15 @@ val build :
     [template] bool (true on a hit), and observes its throughput on the
     [product.build_states_per_s] histogram — on a hit, the throughput of
     the instantiation. *)
+
+val shape : Sdft.t -> int array
+(** The positional, rate-erased shape key that decides template reuse in
+    {!build}, computed without exploring. Models with equal shapes reach
+    the same states in the same order, so when they are built one after
+    the other on one domain, the second is a template hit (unless an
+    initial mass underflows to zero and drops an initial state, or the
+    template is larger than [max_states]). {!Sdft_analysis.analyze}
+    groups its product builds by this key. *)
 
 val release_template : unit -> unit
 (** Empties the calling domain's template slot, so the last template built

@@ -123,28 +123,27 @@ let plan ~n_states ~srcs ~dsts ~refs:in_refs =
     refs;
   }
 
+(* One pass per row: each entry sums its references in plan order, and the
+   row's exit rate sums its entries in column order, exactly as separate
+   entry and exit passes would. Rates are positive, so starting a sum at
+   [0.0] adds nothing to its first term. *)
 let instantiate p in_rates =
-  let rate_of q =
-    let rate = in_rates.(p.refs.(q)) in
-    validate_rate rate;
-    rate
-  in
-  let rates =
-    Array.init (Array.length p.p_cols) (fun k ->
-        let lo = p.ref_ptr.(k) in
-        let acc = ref (rate_of lo) in
-        for q = lo + 1 to p.ref_ptr.(k + 1) - 1 do
-          acc := !acc +. rate_of q
-        done;
-        !acc)
-  in
-  let exit = Array.make p.p_n 0.0 in
+  let refs = p.refs and ref_ptr = p.ref_ptr and row_ptr = p.p_row_ptr in
+  let rates = Array.create_float (Array.length p.p_cols) in
+  let exit = Array.create_float p.p_n in
   for i = 0 to p.p_n - 1 do
-    let acc = ref 0.0 in
-    for k = p.p_row_ptr.(i) to p.p_row_ptr.(i + 1) - 1 do
-      acc := !acc +. rates.(k)
+    let row_acc = ref 0.0 in
+    for k = row_ptr.(i) to row_ptr.(i + 1) - 1 do
+      let acc = ref 0.0 in
+      for q = ref_ptr.(k) to ref_ptr.(k + 1) - 1 do
+        let rate = in_rates.(refs.(q)) in
+        validate_rate rate;
+        acc := !acc +. rate
+      done;
+      rates.(k) <- !acc;
+      row_acc := !row_acc +. !acc
     done;
-    exit.(i) <- !acc
+    exit.(i) <- !row_acc
   done;
   {
     n = p.p_n;

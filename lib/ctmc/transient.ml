@@ -21,7 +21,9 @@ let default_options = { epsilon = 1e-12 }
 type workspace = {
   mutable ws_pi : float array;
   mutable ws_scratch : float array;
-  mutable ws_result : float array;
+  mutable ws_acc : float array; (* one entry per accumulated state *)
+  mutable ws_targets : int array; (* the accumulated states, ascending *)
+  mutable ws_stay : float array; (* per state, 1 - exit / q *)
   (* Provenance of the most recent solve through this workspace, for
      callers (per-cutset quantification, the explain view) that report how
      much numerical work a result cost. *)
@@ -33,7 +35,9 @@ let workspace () =
   {
     ws_pi = [||];
     ws_scratch = [||];
-    ws_result = [||];
+    ws_acc = [||];
+    ws_targets = [||];
+    ws_stay = [||];
     ws_steps = 0;
     ws_window = 0;
   }
@@ -42,9 +46,11 @@ let last_steps ws = ws.ws_steps
 
 let ws_reserve ws n =
   if Array.length ws.ws_pi < n then begin
-    ws.ws_pi <- Array.make n 0.0;
-    ws.ws_scratch <- Array.make n 0.0;
-    ws.ws_result <- Array.make n 0.0
+    ws.ws_pi <- Array.create_float n;
+    ws.ws_scratch <- Array.create_float n;
+    ws.ws_acc <- Array.create_float n;
+    ws.ws_targets <- Array.make n 0;
+    ws.ws_stay <- Array.create_float n
   end
 
 let check_init n init =
@@ -87,18 +93,23 @@ let dtmc_step chain q pi out =
     end
   done
 
-let max_abs_diff n a b =
-  let d = ref 0.0 in
-  for i = 0 to n - 1 do
-    let diff = Float.abs (a.(i) -. b.(i)) in
-    if diff > !d then d := diff
-  done;
-  !d
+(* Core solve: accumulates the transient mass of the states
+   [ws.ws_targets.(0 .. n_targets - 1)] (ascending) into
+   [ws.ws_acc.(0 .. n_targets - 1)].
 
-(* Core solve writing into [ws.ws_result] (first [n] entries); returns
-   [false] when no motion happened and the result is just the initial
-   distribution in [ws.ws_pi]. *)
-let solve_into ~options ~guard ~obs ws chain ~init ~t =
+   Only a prefix of the states can hold mass: [hi] bounds the states [pi]
+   is valid on (its mass lies below [hi]), and [reach] bounds where one
+   step from them can go, extended row by row as [hi] grows, so each row
+   is scanned once per solve. Every pass — the fill of the next vector,
+   the step, the stationarity test and the accumulation — stops at the
+   bound. Product chains number their states breadth-first from the
+   initial ones, so the bound tracks the reachable set; any numbering is
+   correct, only slower. Beyond the bound both vectors are zero, so every
+   value computed below it is the one a full pass computes, bit for bit:
+   the step's sums run in the same source order, and the maximum of the
+   stationarity test only ever skips zero differences. The two vectors
+   swap roles each step instead of being copied. *)
+let solve_into ~options ~guard ~obs ws chain ~init ~t ~n_targets ~absorb =
   let sink = obs.Obs.trace in
   let fp = obs.Obs.failpoints in
   let m = obs.Obs.metrics in
@@ -107,35 +118,64 @@ let solve_into ~options ~guard ~obs ws chain ~init ~t =
     invalid_arg "Transient.distribution: bad horizon";
   let n = Ctmc.n_states chain in
   check_init n init;
-  ws_reserve ws n;
-  let pi = ws.ws_pi in
-  Array.fill pi 0 n 0.0;
-  List.iter (fun (s, m) -> pi.(s) <- pi.(s) +. m) init;
-  let q = Ctmc.max_exit_rate chain in
+  let targets = ws.ws_targets and acc = ws.ws_acc in
+  let cur = ref ws.ws_pi and next = ref ws.ws_scratch in
+  let hi = ref (List.fold_left (fun h (s, _) -> max h (s + 1)) 0 init) in
+  Array.fill !cur 0 !hi 0.0;
+  List.iter (fun (s, m) -> !cur.(s) <- !cur.(s) +. m) init;
+  Array.fill acc 0 n_targets 0.0;
+  let exits = Ctmc.exit_rates chain in
+  (* With [absorb], the accumulated states are absorbing: rows without
+     transitions and exit rate zero. Sweeps over ascending states find
+     them with a cursor: [absorbing j] is the [j]-th, or [n] past the
+     last. *)
+  let absorbing j = if absorb && j < n_targets then targets.(j) else n in
+  let q =
+    let q = ref 0.0 and j = ref 0 in
+    for s = 0 to n - 1 do
+      if s = absorbing !j then incr j else q := Float.max !q exits.(s)
+    done;
+    !q
+  in
   Trace.add_attr ~sink "states" (Trace.Int n);
   if t = 0.0 || q = 0.0 then begin
+    let pi = !cur and j = ref 0 in
+    while !j < n_targets && targets.(!j) < !hi do
+      acc.(!j) <- pi.(targets.(!j));
+      incr j
+    done;
     ws.ws_steps <- 0;
-    ws.ws_window <- 0;
-    false
+    ws.ws_window <- 0
   end
   else begin
     let window = Poisson.weights ~epsilon:options.epsilon (q *. t) in
     Metrics.incr (Metrics.get m m_solves);
     Metrics.add (Metrics.get m m_window)
       (window.Poisson.right - window.Poisson.left + 1);
-    let result = ws.ws_result in
-    Array.fill result 0 n 0.0;
-    let accumulate weight pi =
-      if weight > 0.0 then
-        for i = 0 to n - 1 do
-          result.(i) <- result.(i) +. (weight *. pi.(i))
+    (* Into the accumulator of every accumulated state below [hi]. *)
+    let accumulate weight =
+      if weight > 0.0 then begin
+        let pi = !cur and j = ref 0 in
+        while !j < n_targets && targets.(!j) < !hi do
+          acc.(!j) <- acc.(!j) +. (weight *. pi.(targets.(!j)));
+          incr j
         done
+      end
     in
-    let scratch = ws.ws_scratch in
     let weight_of k =
       if k < window.Poisson.left || k > window.Poisson.right then 0.0
       else window.Poisson.weights.(k - window.Poisson.left)
     in
+    let row_ptr = Ctmc.row_ptr chain in
+    let row_end = Ctmc.row_end chain in
+    let cols = Ctmc.cols chain in
+    let rates = Ctmc.rates chain in
+    (* The probability of staying put, divided out once per solve. *)
+    let stay = ws.ws_stay in
+    for s = 0 to n - 1 do
+      stay.(s) <- 1.0 -. (exits.(s) /. q)
+    done;
+    let scanned = ref 0 and scanned_j = ref 0 and reach = ref !hi in
     let k = ref 0 in
     let remaining = ref 1.0 in
     let stationary = ref false in
@@ -148,48 +188,101 @@ let solve_into ~options ~guard ~obs ws chain ~init ~t =
       | None -> ());
       Failpoint.hit_in fp "transient.step";
       let w = weight_of !k in
-      accumulate w pi;
+      accumulate w;
       remaining := !remaining -. w;
       if !k < window.Poisson.right then begin
-        dtmc_step chain q pi scratch;
-        if max_abs_diff n pi scratch < options.epsilon /. 8.0 then
-          stationary := true
-        else Array.blit scratch 0 pi 0 n
+        for src = !scanned to !hi - 1 do
+          if src = absorbing !scanned_j then incr scanned_j
+          else
+            for e = row_ptr.(src) to row_end.(src) - 1 do
+              if cols.(e) >= !reach then reach := cols.(e) + 1
+            done
+        done;
+        scanned := !hi;
+        let h = !hi and r = !reach in
+        let pi = !cur and out = !next in
+        Array.fill pi h (r - h) 0.0;
+        Array.fill out 0 r 0.0;
+        let j = ref 0 in
+        let next_absorbing = ref (absorbing 0) in
+        for src = 0 to h - 1 do
+          let mass = Array.unsafe_get pi src in
+          if src = !next_absorbing then begin
+            incr j;
+            next_absorbing := absorbing !j;
+            (* [mass *. (1.0 -. (0.0 /. q))] is [mass]. *)
+            Array.unsafe_set out src (Array.unsafe_get out src +. mass)
+          end
+          else if mass > 0.0 then begin
+            Array.unsafe_set out src
+              (Array.unsafe_get out src +. (mass *. Array.unsafe_get stay src));
+            for e = Array.unsafe_get row_ptr src
+                to Array.unsafe_get row_end src - 1 do
+              let dst = Array.unsafe_get cols e in
+              Array.unsafe_set out dst
+                (Array.unsafe_get out dst
+                +. (mass *. Array.unsafe_get rates e /. q))
+            done
+          end
+        done;
+        let d = ref 0.0 in
+        for i = 0 to r - 1 do
+          let diff =
+            Float.abs (Array.unsafe_get pi i -. Array.unsafe_get out i)
+          in
+          if diff > !d then d := diff
+        done;
+        hi := r;
+        if !d < options.epsilon /. 8.0 then stationary := true
+        else begin
+          cur := out;
+          next := pi
+        end
       end;
       incr k
     done;
     (* One atomic add per solve, not per step. *)
     Metrics.add (Metrics.get m m_steps) !k;
     if !stationary then Metrics.incr (Metrics.get m m_steady);
-    if !stationary && !remaining > 0.0 then accumulate !remaining pi;
+    if !stationary && !remaining > 0.0 then accumulate !remaining;
     ws.ws_steps <- !k;
     ws.ws_window <- window.Poisson.right - window.Poisson.left + 1;
     Trace.add_attr ~sink "steps" (Trace.Int !k);
     Trace.add_attr ~sink "window" (Trace.Int ws.ws_window);
-    if !stationary then Trace.add_attr ~sink "stationary" (Trace.Bool true);
-    true
+    if !stationary then Trace.add_attr ~sink "stationary" (Trace.Bool true)
   end)
 
 let distribution ?(options = default_options) ?guard ?workspace:ws
     ?(obs = Obs.default) chain ~init ~t =
   let ws = match ws with Some w -> w | None -> workspace () in
   let n = Ctmc.n_states chain in
-  if solve_into ~options ~guard ~obs ws chain ~init ~t then
-    Array.sub ws.ws_result 0 n
-  else Array.sub ws.ws_pi 0 n
+  ws_reserve ws n;
+  for s = 0 to n - 1 do
+    ws.ws_targets.(s) <- s
+  done;
+  solve_into ~options ~guard ~obs ws chain ~init ~t ~n_targets:n ~absorb:false;
+  Array.sub ws.ws_acc 0 n
 
+(* Only the target states are accumulated; the Kahan sum still visits all
+   of them in state order, unreached ones as zeros, as a sum over the full
+   distribution does. *)
 let reach_within ?(options = default_options) ?guard ?workspace:ws
     ?(obs = Obs.default) chain ~init ~target ~t =
   let ws = match ws with Some w -> w | None -> workspace () in
-  let absorbed = Ctmc.restrict_absorbing chain target in
-  let n = Ctmc.n_states absorbed in
-  let dist =
-    if solve_into ~options ~guard ~obs ws absorbed ~init ~t then ws.ws_result
-    else ws.ws_pi
-  in
-  let acc = Sdft_util.Kahan.create () in
+  let n = Ctmc.n_states chain in
+  ws_reserve ws n;
+  let n_targets = ref 0 in
   for s = 0 to n - 1 do
-    if target s then Sdft_util.Kahan.add acc dist.(s)
+    if target s then begin
+      ws.ws_targets.(!n_targets) <- s;
+      incr n_targets
+    end
+  done;
+  solve_into ~options ~guard ~obs ws chain ~init ~t ~n_targets:!n_targets
+    ~absorb:true;
+  let acc = Sdft_util.Kahan.create () in
+  for j = 0 to !n_targets - 1 do
+    Sdft_util.Kahan.add acc ws.ws_acc.(j)
   done;
   (* Clamp tiny numerical overshoot. *)
   Float.min 1.0 (Sdft_util.Kahan.total acc)

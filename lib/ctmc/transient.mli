@@ -13,9 +13,12 @@ type options = {
 val default_options : options
 
 type workspace
-(** Reusable scratch vectors ([pi]/[scratch]/[result]) for back-to-back
-    solves. A workspace grows to the largest chain it has seen and is then
-    reused without further allocation. Not safe to share across domains:
+(** Reusable scratch vectors (two iteration vectors that swap roles each
+    step, the states to accumulate and their accumulators, and each
+    state's probability of staying put) for
+    back-to-back solves. A workspace grows to the largest chain it has
+    seen and is then reused without further allocation; a solve reads
+    nothing an earlier one left in it. Not safe to share across domains:
     give every worker its own. *)
 
 val workspace : unit -> workspace
@@ -28,9 +31,10 @@ val last_steps : workspace -> int
 val dtmc_step : Ctmc.t -> float -> float array -> float array -> unit
 (** [dtmc_step chain q pi out] performs one step of the uniformized DTMC
     [P = I + Q/q]: [out := pi * P]. [pi] and [out] must have at least
-    [n_states] entries (only that prefix is read and written). Exposed for
-    the kernel benchmarks; analysis code should use {!distribution} or
-    {!reach_within}. *)
+    [n_states] entries (only that prefix is read and written), and every
+    state is visited. Exposed for the kernel benchmarks; analysis code
+    should use {!distribution} or {!reach_within}, whose steps visit only
+    the states reached. *)
 
 val distribution :
   ?options:options ->
@@ -68,8 +72,21 @@ val reach_within :
   float
 (** [reach_within chain ~init ~target ~t] is
     [Pr(exists t' <= t. X(t') in target)]: target states are made absorbing
-    and their transient mass at [t] is summed. With [workspace] the solve
-    performs no per-call vector allocation. *)
+    and their transient mass at [t] is summed. [target] is called once per
+    state.
+
+    The solve accumulates only the target states, absorbs them inside the
+    iteration (no {!Ctmc.restrict_absorbing} view is built) and bounds
+    every pass by the prefix of states that can hold mass so far: the
+    initial states and what the steps since have reached, tracked by the
+    largest state id. Chains numbered breadth-first from their initial
+    states (every {!Sdft_product} chain) keep the prefix to the reachable
+    set; any numbering gives the same result, bit for bit, as passes over
+    all states, and as {!distribution} summed over the targets of the
+    absorbed chain. With [workspace] the solve performs no per-call
+    allocation.
+
+    Options, guard, failpoint and metrics as in {!distribution}. *)
 
 val expected_time_to_absorption :
   Ctmc.t -> init:(int * float) list -> float option

@@ -914,6 +914,43 @@ let test_cache_industrial_sweep_matches_uncached () =
         uncached.Sdft_analysis.cutsets p.sweep_result.Sdft_analysis.cutsets)
     points option_sets
 
+(* Phase 2 solves each missed key once, by its first cutset in input order,
+   so the cache traffic and every result bit are those of one domain at any
+   domain count. Concurrent workers used to miss on isomorphic sub-models
+   side by side (86-98 misses at two domains in three runs). *)
+let test_cache_sweep_traffic_any_domains () =
+  let sd = Sdft_format.of_file "../models/bwr.sdft" in
+  let sweep domains =
+    let cache = Quant_cache.create () in
+    let points, _ =
+      Sdft_analysis.sweep ~cache sd
+        (List.map
+           (fun horizon -> { Sdft_analysis.default_options with horizon; domains })
+           [ 12.0; 24.0; 48.0; 72.0 ])
+    in
+    let bits x = Int64.bits_of_float x in
+    ( List.map
+        (fun (p : Sdft_analysis.sweep_point) ->
+          let r = p.sweep_result in
+          ( bits r.Sdft_analysis.total,
+            bits r.budget.Sdft_analysis.lower,
+            bits r.budget.Sdft_analysis.upper ))
+        points,
+      Quant_cache.misses cache,
+      Quant_cache.hits cache )
+  in
+  let intervals, misses, hits = sweep 1 in
+  Alcotest.(check int) "one domain: 84 misses" 84 misses;
+  List.iter
+    (fun domains ->
+      let label = Printf.sprintf "%d domains: " domains in
+      let intervals', misses', hits' = sweep domains in
+      Alcotest.(check bool) (label ^ "bit-identical intervals") true
+        (intervals = intervals');
+      Alcotest.(check int) (label ^ "84 misses") 84 misses';
+      Alcotest.(check int) (label ^ "same hits") hits hits')
+    [ 2; 4 ]
+
 let test_cache_fingerprint_name_independent () =
   let model names =
     let b = Fault_tree.Builder.create () in
@@ -1441,6 +1478,72 @@ let test_template_needs_same_initial_states () =
   Alcotest.(check bool) "exact" true
     (same_build built (Sdft_product.build ~generic:true tiny))
 
+(* Model-1 as the end-to-end benchmark builds it: the Industrial small
+   preset with 60% of its events Erlang-2 dynamic and repairable, 6%
+   triggered along the run-event chains. *)
+let model_1_erlang_2 () =
+  let tree = Industrial.generate Industrial.small in
+  let config =
+    {
+      Dynamize.default_config with
+      dynamic_fraction = 0.6;
+      trigger_fraction = 0.06;
+      phases = 2;
+      repair_rate = Some 0.05;
+      chain_groups = Some (Industrial.run_event_groups tree);
+      calibration = Dynamize.Mission_probability;
+    }
+  in
+  (Dynamize.run ~config tree).Dynamize.sd
+
+(* Phase 2 groups its product builds by shape, so each domain explores each
+   shape of the cache misses once and re-rates the template for the rest
+   of the group. In input order the same run explored 35 times. *)
+let test_analysis_one_exploration_per_shape () =
+  let sd = model_1_erlang_2 () in
+  let options = { Sdft_analysis.default_options with horizon = 12.0 } in
+  let shapes =
+    let p1 = Sdft_analysis.phase1 options sd in
+    let context = Cutset_model.context sd in
+    let keys = Hashtbl.create 512 and shapes = Hashtbl.create 16 in
+    List.iter
+      (fun cutset ->
+        let m = Cutset_model.build ~context sd cutset in
+        match
+          Quant_cache.key_of
+            ~engine_tag:(Sdft_analysis.engine_name p1.Sdft_analysis.engine_used)
+            ~epsilon:options.transient_epsilon
+            ~max_states:options.max_product_states ~horizon:options.horizon m
+        with
+        | Some key when not (Hashtbl.mem keys key) ->
+          Hashtbl.add keys key ();
+          Hashtbl.replace shapes
+            (Sdft_product.shape (Option.get m.Cutset_model.model))
+            ()
+        | _ -> ())
+      p1.Sdft_analysis.generation.Mocus.cutsets;
+    Hashtbl.length shapes
+  in
+  let run domains =
+    let obs = Sdft_util.Obs.create () in
+    let r =
+      Sdft_analysis.analyze ~options:{ options with domains }
+        ~cache:(Quant_cache.create ()) ~obs sd
+    in
+    (counter obs "product.explorations", Printf.sprintf "%h" r.Sdft_analysis.total)
+  in
+  let explorations, total = run 1 in
+  Alcotest.(check int) "one domain: one exploration per shape" shapes
+    explorations;
+  Alcotest.(check string) "total as before" "0x1.054d510a0e06p-30" total;
+  let explorations, total = run 2 in
+  Alcotest.(check bool)
+    (Printf.sprintf "two domains: %d explorations, at most %d" explorations
+       (2 * shapes))
+    true
+    (explorations <= 2 * shapes);
+  Alcotest.(check string) "two domains: same total" "0x1.054d510a0e06p-30" total
+
 let prop_analysis_single_mcs_exact =
   (* With a single minimal cutset and the exact relevant sets, the analysis
      equals the exact probability; the paper rule never exceeds it. *)
@@ -1709,6 +1812,8 @@ let () =
             test_analysis_parallel_reordered_schedule_identical;
           Alcotest.test_case "dynamic importance" `Quick test_analysis_dynamic_importance;
           Alcotest.test_case "FV respects cutoff" `Quick test_analysis_fv_respects_cutoff;
+          Alcotest.test_case "one exploration per shape" `Quick
+            test_analysis_one_exploration_per_shape;
         ]
         @ [
             Alcotest.test_case "budget certifies pumps" `Quick test_budget_certifies_pumps;
@@ -1730,6 +1835,8 @@ let () =
             test_cache_sweep_second_pass_hits;
           Alcotest.test_case "isomorphic cutsets share" `Quick
             test_cache_isomorphic_cutsets_share;
+          Alcotest.test_case "same traffic at any domain count" `Quick
+            test_cache_sweep_traffic_any_domains;
           Alcotest.test_case "fingerprint name-independent" `Quick
             test_cache_fingerprint_name_independent;
           Alcotest.test_case "fingerprint renaming invariant" `Quick

@@ -443,6 +443,170 @@ let prop_plan_instantiate =
       in
       check rates_a && check rates_b)
 
+(* The uniformization loop as it stood before the bounded kernel, kept as
+   the oracle the kernel must match bit for bit: every pass runs over all
+   states of the chain (targets made absorbing with restrict_absorbing),
+   every state is accumulated, and the step's result is copied back. *)
+let oracle_solve ~epsilon chain ~init ~t =
+  let n = Ctmc.n_states chain in
+  let pi = Array.make n 0.0 in
+  List.iter (fun (s, m) -> pi.(s) <- pi.(s) +. m) init;
+  let q = Ctmc.max_exit_rate chain in
+  if t = 0.0 || q = 0.0 then (pi, 0)
+  else begin
+    let window = Poisson.weights ~epsilon (q *. t) in
+    let result = Array.make n 0.0 and scratch = Array.make n 0.0 in
+    let accumulate weight pi =
+      if weight > 0.0 then
+        for i = 0 to n - 1 do
+          result.(i) <- result.(i) +. (weight *. pi.(i))
+        done
+    in
+    let weight_of k =
+      if k < window.Poisson.left || k > window.Poisson.right then 0.0
+      else window.Poisson.weights.(k - window.Poisson.left)
+    in
+    let row_ptr = Ctmc.row_ptr chain and row_end = Ctmc.row_end chain in
+    let cols = Ctmc.cols chain and rates = Ctmc.rates chain in
+    let exits = Ctmc.exit_rates chain in
+    let step () =
+      Array.fill scratch 0 n 0.0;
+      for src = 0 to n - 1 do
+        let mass = pi.(src) in
+        if mass > 0.0 then begin
+          scratch.(src) <- scratch.(src) +. (mass *. (1.0 -. (exits.(src) /. q)));
+          for k = row_ptr.(src) to row_end.(src) - 1 do
+            scratch.(cols.(k)) <- scratch.(cols.(k)) +. (mass *. rates.(k) /. q)
+          done
+        end
+      done
+    in
+    let k = ref 0 and remaining = ref 1.0 and stationary = ref false in
+    while !k <= window.Poisson.right && not !stationary do
+      let w = weight_of !k in
+      accumulate w pi;
+      remaining := !remaining -. w;
+      if !k < window.Poisson.right then begin
+        step ();
+        let d = ref 0.0 in
+        for i = 0 to n - 1 do
+          let diff = Float.abs (pi.(i) -. scratch.(i)) in
+          if diff > !d then d := diff
+        done;
+        if !d < epsilon /. 8.0 then stationary := true
+        else Array.blit scratch 0 pi 0 n
+      end;
+      incr k
+    done;
+    if !stationary && !remaining > 0.0 then accumulate !remaining pi;
+    (result, !k)
+  end
+
+let oracle_reach_within ~epsilon chain ~init ~target ~t =
+  let absorbed = Ctmc.restrict_absorbing chain target in
+  let dist, steps = oracle_solve ~epsilon absorbed ~init ~t in
+  let acc = Sdft_util.Kahan.create () in
+  Array.iteri (fun s p -> if target s then Sdft_util.Kahan.add acc p) dist;
+  (Float.min 1.0 (Sdft_util.Kahan.total acc), steps)
+
+(* Random chains in one of two numberings: breadth-first from the initial
+   states, as product chains are numbered (the bounded passes then skip
+   the unreached suffix), or a random shuffle (the bound grows with the
+   largest id reached). Rates span four magnitudes, targets and the
+   initial support are random, and the horizons run from zero to long
+   enough for the iteration to stop on stationarity. *)
+let kernel_case_gen =
+  QCheck.make
+    ~print:(fun (n, transitions, init, targets, t) ->
+      Printf.sprintf "n=%d t=%g init=[%s] targets=[%s] transitions=[%s]" n t
+        (String.concat "; "
+           (List.map (fun (s, m) -> Printf.sprintf "%d:%h" s m) init))
+        (String.concat "; "
+           (List.filter_map
+              (fun s -> if targets.(s) then Some (string_of_int s) else None)
+              (List.init n Fun.id)))
+        (String.concat "; "
+           (List.map
+              (fun (a, b, r) -> Printf.sprintf "%d->%d@%h" a b r)
+              transitions)))
+    QCheck.Gen.(
+      let* n = 1 -- 24 in
+      let* edges =
+        list_size (0 -- (3 * n))
+          (triple (0 -- (n - 1)) (0 -- (n - 1))
+             (map
+                (fun (m, e) -> float_of_int m *. (10.0 ** float_of_int (-e)))
+                (pair (1 -- 99) (0 -- 3))))
+      in
+      let* support = list_size (1 -- 3) (pair (0 -- (n - 1)) (1 -- 100)) in
+      let* scale = oneofl [ 1.0; 0.5 ] in
+      let* targets = array_size (return n) (map (fun x -> x < 2) (0 -- 9)) in
+      let* breadth_first = bool in
+      let* shuffle = map Array.of_list (shuffle_l (List.init n Fun.id)) in
+      let* t = oneofl [ 0.0; 0.3; 2.0; 25.0; 400.0 ] in
+      let edges = List.filter (fun (a, b, _) -> a <> b) edges in
+      let total = List.fold_left (fun acc (_, w) -> acc + w) 0 support in
+      let init =
+        List.map
+          (fun (s, w) -> (s, scale *. float_of_int w /. float_of_int total))
+          support
+      in
+      (* [perm.(s)] is the new number of state [s]. *)
+      let perm =
+        if not breadth_first then shuffle
+        else begin
+          let perm = Array.make n (-1) and next = ref 0 in
+          let queue = Queue.create () in
+          let visit s =
+            if perm.(s) < 0 then begin
+              perm.(s) <- !next;
+              incr next;
+              Queue.add s queue
+            end
+          in
+          List.iter (fun (s, _) -> visit s) init;
+          while not (Queue.is_empty queue) do
+            let s = Queue.pop queue in
+            List.iter (fun (a, b, _) -> if a = s then visit b) edges
+          done;
+          for s = 0 to n - 1 do
+            if perm.(s) < 0 then visit s
+          done;
+          perm
+        end
+      in
+      let renamed = Array.make n false in
+      Array.iteri (fun s b -> renamed.(perm.(s)) <- b) targets;
+      return
+        ( n,
+          List.map (fun (a, b, r) -> (perm.(a), perm.(b), r)) edges,
+          List.map (fun (s, m) -> (perm.(s), m)) init,
+          renamed,
+          t ))
+
+let prop_kernel_matches_oracle =
+  (* One workspace for every case and both entry points, so each solve
+     starts over buffers a larger chain left dirty. *)
+  let ws = Transient.workspace () in
+  let epsilon = Transient.default_options.Transient.epsilon in
+  QCheck.Test.make ~name:"bounded kernel = full-width loop, bit for bit"
+    ~count:400 kernel_case_gen (fun (n, transitions, init, targets, t) ->
+      let chain = Ctmc.make ~n_states:n ~transitions in
+      let target s = targets.(s) in
+      let bits x = Int64.bits_of_float x in
+      let reach = Transient.reach_within ~workspace:ws chain ~init ~target ~t in
+      let reach_steps = Transient.last_steps ws in
+      let oracle_reach, oracle_reach_steps =
+        oracle_reach_within ~epsilon chain ~init ~target ~t
+      in
+      let dist = Transient.distribution ~workspace:ws chain ~init ~t in
+      let dist_steps = Transient.last_steps ws in
+      let oracle_dist, oracle_dist_steps = oracle_solve ~epsilon chain ~init ~t in
+      Int64.equal (bits reach) (bits oracle_reach)
+      && reach_steps = oracle_reach_steps
+      && same_bits dist oracle_dist
+      && dist_steps = oracle_dist_steps)
+
 let test_merge_order_matches_reference () =
   (* Three parallel edges whose rates do not sum associatively: the merged
      rate must match the historical accumulation order bit-for-bit. *)
@@ -504,6 +668,7 @@ let () =
               prop_reach_monotone_in_t;
               prop_csr_matches_reference;
               prop_restrict_absorbing_pure;
+              prop_kernel_matches_oracle;
             ] );
       ( "steady state",
         [
