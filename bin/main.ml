@@ -185,7 +185,15 @@ let engine_arg =
        & engine_info)
 
 let domains_arg =
-  Arg.(value & opt int Sdft_analysis.default_options.domains & info [ "domains"; "j" ] ~docv:"N" ~doc:"Worker domains for cutset quantification.")
+  Arg.(
+    value
+    & opt int Sdft_analysis.default_options.domains
+    & info [ "domains"; "j" ] ~docv:"N"
+        ~absent:"the machine's recommended domain count"
+        ~doc:
+          "Worker domains for cutset quantification: the pass that solves \
+           product chains runs on $(docv) domains, never more than it has \
+           chains to solve. Results are the same at any $(docv).")
 
 (* A session is what every analysis-flavoured subcommand starts from: the
    loaded model, its shared flags turned into [Sdft_analysis.options],

@@ -248,10 +248,11 @@ type solution = {
 }
 
 (* Materialize a workspace even when the caller has none so that the
-   solver's step count can be read back for provenance. *)
+   solver's step count can be read back for provenance. The chain lives in
+   the workspace and never leaves this function. *)
 let solve ?(epsilon = 1e-12) ?max_states ?guard ?workspace ?obs sd_c ~horizon =
   let ws = match workspace with Some w -> w | None -> Transient.workspace () in
-  let built = Sdft_product.build ?max_states ?guard ?obs sd_c in
+  let built = Sdft_product.build ?max_states ?guard ~workspace:ws ?obs sd_c in
   let p =
     Sdft_product.unreliability ~epsilon ?guard ~workspace:ws ?obs built
       ~horizon

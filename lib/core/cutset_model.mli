@@ -137,8 +137,11 @@ val solve :
   solution
 (** The one place an [FT_C] is solved: build the product chain of a
     cutset's [model] ({!Sdft_product.build}) and solve it by
-    uniformization. Options as in {!quantify}; [Sdft_product.Too_many_states]
-    and {!Sdft_util.Guard.Limit_hit} propagate. *)
+    uniformization. The chain is built into [workspace] (a fresh one when
+    none is given) and does not outlive the call, so back-to-back solves
+    through one workspace allocate nothing proportional to their chains.
+    Options as in {!quantify}; [Sdft_product.Too_many_states] and
+    {!Sdft_util.Guard.Limit_hit} propagate. *)
 
 val of_solution :
   epsilon:float ->

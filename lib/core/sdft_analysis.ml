@@ -41,7 +41,7 @@ let default_options =
     max_product_states = 1_000_000;
     max_cutset_order = None;
     engine = Auto;
-    domains = 1;
+    domains = Domain.recommended_domain_count ();
     rel_rule = Cutset_model.Paper;
     deadline = None;
     mem_limit_mb = None;
@@ -218,7 +218,7 @@ let degraded r =
 (* A cache key that cutsets of one analysis missed on, solved once by
    [rep]: the first of them in input order. Without a cache each pending
    cutset has a key of its own, [""]. *)
-type missed_key = { key : string; mutable rep : int }
+type missed_key = { key : string; rep : int }
 
 let analyze ?(options = default_options) ?cache ?(obs = Obs.default) sd =
   let m = obs.Obs.metrics in
@@ -305,18 +305,16 @@ let analyze ?(options = default_options) ?cache ?(obs = Obs.default) sd =
     float_of_int (1 lsl min (count_dynamic cutset) 20)
   in
   let epsilon = options.transient_epsilon in
-  (* Product-shape ids of this analysis, shared by its workers. *)
+  (* Product-shape ids of this analysis, numbered by the resolve pass. *)
   let shape_ids : (int array, int) Hashtbl.t = Hashtbl.create 16 in
-  let shape_lock = Mutex.create () in
   let shape_id sd_c =
     let key = Sdft_product.shape sd_c in
-    Mutex.protect shape_lock (fun () ->
-        match Hashtbl.find_opt shape_ids key with
-        | Some id -> id
-        | None ->
-          let id = Hashtbl.length shape_ids in
-          Hashtbl.add shape_ids key id;
-          id)
+    match Hashtbl.find_opt shape_ids key with
+    | Some id -> id
+    | None ->
+      let id = Hashtbl.length shape_ids in
+      Hashtbl.add shape_ids key id;
+      id
   in
   let cutsets = Array.of_list generation.Mocus.cutsets in
   let n = Array.length cutsets in
@@ -332,17 +330,16 @@ let analyze ?(options = default_options) ?cache ?(obs = Obs.default) sd =
   let shape = Array.make n (-1) in
   let multiplier = Array.create_float n in
   let n_dyn = Array.make n 0 and n_added = Array.make n 0 in
-  let missed_keys = Hashtbl.create 64 and missed_lock = Mutex.create () in
+  (* The resolve pass meets the cutsets in input order, so a key's first
+     miss is its representative. *)
+  let missed_keys = Hashtbl.create 64 in
   let miss key i =
-    Mutex.protect missed_lock (fun () ->
-        match Hashtbl.find_opt missed_keys key with
-        | Some k ->
-          k.rep <- min k.rep i;
-          k
-        | None ->
-          let k = { key; rep = i } in
-          Hashtbl.add missed_keys key k;
-          k)
+    match Hashtbl.find_opt missed_keys key with
+    | Some k -> k
+    | None ->
+      let k = { key; rep = i } in
+      Hashtbl.add missed_keys key k;
+      k
   in
   let settle i info =
     (* Time the answer and step the progress (atomic state, safe from
@@ -355,7 +352,9 @@ let analyze ?(options = default_options) ?cache ?(obs = Obs.default) sd =
   (* Resolve pass: build each FT_C and answer what needs no product chain —
      static and impossible cutsets, cache hits, a tripped guard. The rest
      leave their cache key (none without a cache) and product shape; their
-     FT_C is dropped, so the pass holds no models. *)
+     FT_C is dropped, so the pass holds no models. It runs on the calling
+     domain, in input order, at any domain count: a wide pass measured no
+     faster, and every domain it spawns adds its own heap to the peak. *)
   let resolve (context, _) i =
     let cutset = cutsets.(i) in
     (* The per-item crash site, on this analysis' own failpoints; raised
@@ -466,8 +465,9 @@ let analyze ?(options = default_options) ?cache ?(obs = Obs.default) sd =
      the map turns it into an [Error] slot, and the cutset takes the
      worst-case fallback marked [Worker_crash] instead of killing the whole
      analysis. Each domain of a pass takes a worker state (an FT_C context
-     and a solver workspace) that an earlier pass left, so the passes share
-     their memoized trigger sets and sized buffers. *)
+     and a solver workspace, which also holds the product chain being
+     solved) that an earlier pass left, so the passes share their memoized
+     trigger sets and sized buffers. *)
   let workers = ref [] and workers_lock = Mutex.create () in
   let run ~domains f order =
     let free = ref !workers in
@@ -525,9 +525,14 @@ let analyze ?(options = default_options) ?cache ?(obs = Obs.default) sd =
     (firsts, Sdft_util.Vec.to_array rest)
   in
   (* Answers land by cutset index, so the Kahan total sums in input order
-     at any domain count and stays bit-identical. *)
+     at any domain count and stays bit-identical. Only the solve pass runs
+     on [options.domains] domains; a pass never starts more domains than it
+     has cutsets, so a sweep point without misses starts none. *)
   let quantify_all () =
-    if options.domains > 1 then begin
+    run ~domains:1 resolve (Array.init n Fun.id);
+    Hashtbl.reset missed_keys;
+    let firsts, rest = schedule () in
+    if options.domains > 1 && Array.length firsts > 1 then begin
       (* The shared model is read-only once its lazy descendant caches are
          forced, so workers only need their own per-analysis context and
          solver workspace. *)
@@ -537,9 +542,6 @@ let analyze ?(options = default_options) ?cache ?(obs = Obs.default) sd =
         ignore (Sdft.dynamic_descendants sd g)
       done
     end;
-    run ~domains:options.domains resolve (Array.init n Fun.id);
-    Hashtbl.reset missed_keys;
-    let firsts, rest = schedule () in
     run ~domains:options.domains solve firsts;
     run ~domains:1 solve rest;
     List.init n (fun i -> Option.get infos.(i))

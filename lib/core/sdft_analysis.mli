@@ -43,16 +43,21 @@ type options = {
   domains : int;
       (** worker domains for the per-cutset quantification phase — the
           paper's closing remark notes this phase is trivially parallel.
-          [1] (default) keeps everything on the calling domain. Every count
+          The default is the machine's [Domain.recommended_domain_count
+          ()]; [1] keeps everything on the calling domain. Every count
           runs the same two passes of a crash-containing map. The first
           builds each cutset's [FT_C] and answers static cutsets and cache
-          hits. The second solves one product chain per missed cache key
-          (its first cutset in input order), grouped by product shape so
-          that a domain explores each shape once and re-rates its template
-          for the rest of the group (see {!Sdft_product.build}): one
-          domain takes the groups in order of first appearance, several in
-          cost order, widest first. The other cutsets of each key are then
-          answered from the cache in input order. The result, every
+          hits; it runs on the calling domain, in input order, at any
+          count. The second solves one product chain per missed cache key
+          (its first cutset in input order) on [domains] domains, never
+          more than it has keys, grouped by product shape so that a domain
+          explores each shape once and re-rates its template for the rest
+          of the group (see {!Sdft_product.build}): one domain takes the
+          groups in order of first appearance, several in cost order,
+          widest first. Each domain solves its chains in its own
+          workspace, so a solve allocates nothing proportional to its
+          chain. The other cutsets of each key are then answered from the
+          cache in input order, on the calling domain. The result, every
           per-cutset record and the cache's lookups, hits and misses are
           the same at any count; a count [d] explores at most [d] times as
           many shapes as one domain. *)

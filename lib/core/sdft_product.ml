@@ -283,7 +283,9 @@ let shape sd = shape_key (semantics sd)
    vectors: [state] is the decoded source, [next] the successor being
    closed. Initial states are interned first, in [initial]'s order, and
    successors in (slot, local transition) order — the same numbering as
-   [build_generic], hence bit-identical chains. *)
+   [build_generic], hence bit-identical chains. The frontier pops states
+   in id order, so the transitions come out grouped by source and go to
+   [Ctmc.plan_rows] as rows, with no source array and no regrouping. *)
 let explore sem ~max_states ~guard ~fp strides initial =
   let components = sem.components in
   let n_components = Array.length components in
@@ -324,7 +326,7 @@ let explore sem ~max_states ~guard ~fp strides initial =
            key)
          initial)
   in
-  let srcs : int Sdft_util.Vec.t = Sdft_util.Vec.create () in
+  let row_ptr : int Sdft_util.Vec.t = Sdft_util.Vec.create () in
   let dsts : int Sdft_util.Vec.t = Sdft_util.Vec.create () in
   let refs : int Sdft_util.Vec.t = Sdft_util.Vec.create () in
   let state = Array.make n_components 0 in
@@ -333,6 +335,7 @@ let explore sem ~max_states ~guard ~fp strides initial =
     Sdft_util.Guard.check guard;
     Failpoint.hit_in fp "product.explore";
     let src = Queue.pop frontier in
+    Sdft_util.Vec.push row_ptr (Sdft_util.Vec.length dsts);
     unpack strides (Sdft_util.Vec.get keys src) state;
     for slot = 0 to n_components - 1 do
       let local = state.(slot) in
@@ -344,22 +347,21 @@ let explore sem ~max_states ~guard ~fp strides initial =
           sem_close sem next;
           let dst = intern (pack strides next) next in
           if dst <> src then begin
-            Sdft_util.Vec.push srcs src;
             Sdft_util.Vec.push dsts dst;
             Sdft_util.Vec.push refs (base + j)
           end)
         components.(slot).rows.(local)
     done
   done;
-  let n_states = Sdft_util.Vec.length keys in
+  Sdft_util.Vec.push row_ptr (Sdft_util.Vec.length dsts);
   {
-    t_n_states = n_states;
+    t_n_states = Sdft_util.Vec.length keys;
     t_failed = Sdft_util.Vec.to_array failed_v;
     t_init_keys = init_keys;
     t_plan =
-      Ctmc.plan ~n_states
-        ~srcs:(Sdft_util.Vec.to_array srcs)
-        ~dsts:(Sdft_util.Vec.to_array dsts)
+      Ctmc.plan_rows
+        ~row_ptr:(Sdft_util.Vec.to_array row_ptr)
+        ~cols:(Sdft_util.Vec.to_array dsts)
         ~refs:(Sdft_util.Vec.to_array refs);
   }
 
@@ -375,14 +377,18 @@ let same_initial tpl strides initial =
   in
   go 0 initial
 
-(* Fill a template with the model's own rates and initial masses. The
-   labelling is copied because [built.failed] is a bare array the caller
-   owns; the chain's shared arrays sit behind [Ctmc.t]'s interface. *)
-let instantiate sem tpl initial =
+(* Fill a template with the model's own rates and initial masses: fresh
+   rate and exit vectors, or the workspace's. The labelling is the
+   template's own. *)
+let instantiate ?workspace sem tpl initial =
+  let rates = local_rates sem.components in
   {
-    chain = Ctmc.instantiate tpl.t_plan (local_rates sem.components);
+    chain =
+      (match workspace with
+      | Some ws -> Transient.instantiate ws tpl.t_plan rates
+      | None -> Ctmc.instantiate tpl.t_plan rates);
     init = init_distribution (List.mapi (fun j (_, m) -> (j, m)) initial);
-    failed = Array.copy tpl.t_failed;
+    failed = tpl.t_failed;
     participants = Array.map (fun c -> c.basic) sem.components;
     n_states = tpl.t_n_states;
   }
@@ -400,7 +406,7 @@ let release_template () = Domain.DLS.set last_shape None
    the template was reused. A template larger than [max_states] is not
    reused, so an oversized model raises from the exploration exactly as
    before; an exploration that raises leaves the slot empty. *)
-let build_packed sem ~max_states ~guard ~fp strides =
+let build_packed ?workspace sem ~max_states ~guard ~fp strides =
   let initial = sem_initial_states sem ~max_states in
   let key = shape_key sem in
   match Domain.DLS.get last_shape with
@@ -413,14 +419,14 @@ let build_packed sem ~max_states ~guard ~fp strides =
       Sdft_util.Guard.check guard;
       Failpoint.hit_in fp "product.explore"
     done;
-    (instantiate sem tpl initial, true)
+    (instantiate ?workspace sem tpl initial, true)
   | _ ->
     (* Drop the old template first, so the exploration's working set
        never coexists with it. *)
     release_template ();
     let tpl = explore sem ~max_states ~guard ~fp strides initial in
     Domain.DLS.set last_shape (Some (key, tpl));
-    (instantiate sem tpl initial, false)
+    (instantiate ?workspace sem tpl initial, false)
 
 (* Generic fallback for oversized radix products: array-keyed interning with
    a state copy per explored transition. *)
@@ -489,7 +495,7 @@ let m_states_per_s = Metrics.histogram g "product.build_states_per_s"
 let s_build = Obs.declare_span g "product.build"
 
 let build ?(max_states = 1_000_000) ?(generic = false)
-    ?(guard = Sdft_util.Guard.none) ?(obs = Obs.default) sd =
+    ?(guard = Sdft_util.Guard.none) ?workspace ?(obs = Obs.default) sd =
   let m = obs.Obs.metrics in
   let sink = obs.Obs.trace in
   let fp = obs.Obs.failpoints in
@@ -500,7 +506,8 @@ let build ?(max_states = 1_000_000) ?(generic = false)
           if generic then (build_generic sem ~max_states ~guard ~fp, false)
           else
             match radix_strides sem.components with
-            | Some strides -> build_packed sem ~max_states ~guard ~fp strides
+            | Some strides ->
+              build_packed ?workspace sem ~max_states ~guard ~fp strides
             | None -> (build_generic sem ~max_states ~guard ~fp, false)
         in
         Metrics.incr

@@ -20,7 +20,9 @@
 type built = {
   chain : Ctmc.t;
   init : (int * float) list;
-  failed : bool array;  (** per product state: does it fail the top gate? *)
+  failed : bool array;
+      (** per product state: does it fail the top gate? Shared with the
+          template a packed build keeps: do not mutate. *)
   participants : int array;  (** basic-event indices, in component order *)
   n_states : int;
 }
@@ -32,6 +34,7 @@ val build :
   ?max_states:int ->
   ?generic:bool ->
   ?guard:Sdft_util.Guard.t ->
+  ?workspace:Transient.workspace ->
   ?obs:Sdft_util.Obs.t ->
   Sdft.t ->
   built
@@ -62,6 +65,14 @@ val build :
     no template. A template with more than [max_states] states is not
     reused (the model is explored and raises {!Too_many_states}). The
     generic path neither reads nor fills the slot.
+
+    {b Instances in a workspace.} Without [workspace] every packed chain
+    has rate and exit vectors of its own. With it they are [workspace]'s
+    ({!Transient.instantiate}), so a build allocates nothing proportional
+    to its chain once the workspace has grown to it: the chain then lives
+    until the next build through [workspace], and is meant to be solved
+    through it at once, as {!Cutset_model.solve} does. The generic path
+    ignores [workspace].
 
     [guard] (default {!Sdft_util.Guard.none}) is checkpointed once per
     explored state; on a trip {!Sdft_util.Guard.Limit_hit} propagates to

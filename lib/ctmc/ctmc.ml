@@ -1,15 +1,14 @@
 (* Flat CSR representation: row [i] owns the index range
-   [row_ptr.(i) .. row_end.(i) - 1] of [cols]/[rates]. For freshly built
-   chains [row_end.(i) = row_ptr.(i + 1)]; [restrict_absorbing] produces
-   views that share [row_ptr]/[cols]/[rates] and only replace [row_end]
-   (emptied rows) and [exit], and chains instantiated from one [plan] share
-   [row_ptr]/[cols]. [rates] is an unboxed float array, so the hot
-   uniformization loop is two flat-array reads per transition instead of a
-   pointer chase through boxed [(int * float)] pairs. *)
+   [row_ptr.(i) .. row_ptr.(i + 1) - 1] of [cols]/[rates]. Chains
+   instantiated from one [plan] share [row_ptr]/[cols]. [rates] is an
+   unboxed float array, so the hot uniformization loop is two flat-array
+   reads per transition instead of a pointer chase through boxed
+   [(int * float)] pairs. [rates] and [exit] may be longer than the chain
+   (buffers reused across instances, see [instantiate_into]); only their
+   first [row_ptr.(n)] and [n] entries belong to it. *)
 type t = {
   n : int;
   row_ptr : int array; (* length n + 1 *)
-  row_end : int array; (* length n *)
   cols : int array;
   rates : float array;
   exit : float array;
@@ -52,35 +51,17 @@ type plan = {
   refs : int array;
 }
 
-(* Counting pass + bucket fill in input order, a stable per-row sort, then
-   a merge of duplicate destinations. A run of duplicates is reversed in
-   place, so its references read last-to-first — the historical
-   hashtable-accumulator order, which every instantiation then sums bit
-   for bit. Each run keeps its length, so [refs] needs no compaction. The
-   merged entries are counted before the merge, so each output array is
-   allocated once, at its final size. *)
-let plan ~n_states ~srcs ~dsts ~refs:in_refs =
-  if n_states <= 0 then invalid_arg "Ctmc.make: need at least one state";
-  let total = Array.length srcs in
-  if Array.length dsts <> total || Array.length in_refs <> total then
-    invalid_arg "Ctmc: mismatched array lengths";
-  let row_ptr = Array.make (n_states + 1) 0 in
-  for k = 0 to total - 1 do
-    validate_edge n_states srcs.(k) dsts.(k);
-    row_ptr.(srcs.(k) + 1) <- row_ptr.(srcs.(k) + 1) + 1
-  done;
-  for i = 0 to n_states - 1 do
-    row_ptr.(i + 1) <- row_ptr.(i + 1) + row_ptr.(i)
-  done;
-  let cols = Array.make total 0 and refs = Array.make total 0 in
-  let fill = Array.sub row_ptr 0 n_states in
-  for k = 0 to total - 1 do
-    let src = srcs.(k) in
-    let slot = fill.(src) in
-    cols.(slot) <- dsts.(k);
-    refs.(slot) <- in_refs.(k);
-    fill.(src) <- slot + 1
-  done;
+(* A stable per-row sort, then a merge of duplicate destinations. A run
+   of duplicates is reversed in place, so its references read
+   last-to-first — the historical hashtable-accumulator order, which every
+   instantiation then sums bit for bit. Each run keeps its length, so
+   [refs] needs no compaction and becomes the plan's. The merged entries
+   are counted before the merge, so each output array is allocated once,
+   at its final size. Without duplicates the merged layout is the input's:
+   [row_ptr] and [cols] become the plan's own, and the merge rewrites each
+   of their entries with the value it already holds. *)
+let plan_of_rows ~n_states ~row_ptr ~cols ~refs =
+  let total = row_ptr.(n_states) in
   let merged = ref 0 in
   for i = 0 to n_states - 1 do
     let lo = row_ptr.(i) and hi = row_ptr.(i + 1) in
@@ -89,8 +70,11 @@ let plan ~n_states ~srcs ~dsts ~refs:in_refs =
       if k = lo || cols.(k) <> cols.(k - 1) then incr merged
     done
   done;
-  let merged_ptr = Array.make (n_states + 1) 0 in
-  let merged_cols = Array.make !merged 0 in
+  let no_duplicates = !merged = total in
+  let merged_ptr =
+    if no_duplicates then row_ptr else Array.make (n_states + 1) 0
+  in
+  let merged_cols = if no_duplicates then cols else Array.make !merged 0 in
   let ref_ptr = Array.make (!merged + 1) 0 in
   let w = ref 0 in
   for i = 0 to n_states - 1 do
@@ -123,14 +107,59 @@ let plan ~n_states ~srcs ~dsts ~refs:in_refs =
     refs;
   }
 
+(* Counting pass + bucket fill in input order, then the row-wise merge. *)
+let plan ~n_states ~srcs ~dsts ~refs:in_refs =
+  if n_states <= 0 then invalid_arg "Ctmc.make: need at least one state";
+  let total = Array.length srcs in
+  if Array.length dsts <> total || Array.length in_refs <> total then
+    invalid_arg "Ctmc: mismatched array lengths";
+  let row_ptr = Array.make (n_states + 1) 0 in
+  for k = 0 to total - 1 do
+    validate_edge n_states srcs.(k) dsts.(k);
+    row_ptr.(srcs.(k) + 1) <- row_ptr.(srcs.(k) + 1) + 1
+  done;
+  for i = 0 to n_states - 1 do
+    row_ptr.(i + 1) <- row_ptr.(i + 1) + row_ptr.(i)
+  done;
+  let cols = Array.make total 0 and refs = Array.make total 0 in
+  let fill = Array.sub row_ptr 0 n_states in
+  for k = 0 to total - 1 do
+    let src = srcs.(k) in
+    let slot = fill.(src) in
+    cols.(slot) <- dsts.(k);
+    refs.(slot) <- in_refs.(k);
+    fill.(src) <- slot + 1
+  done;
+  plan_of_rows ~n_states ~row_ptr ~cols ~refs
+
+let plan_rows ~row_ptr ~cols ~refs =
+  let n_states = Array.length row_ptr - 1 in
+  if n_states <= 0 then invalid_arg "Ctmc.make: need at least one state";
+  let total = row_ptr.(n_states) in
+  if row_ptr.(0) <> 0 || Array.length cols <> total
+     || Array.length refs <> total
+  then invalid_arg "Ctmc: mismatched array lengths";
+  for i = 0 to n_states - 1 do
+    if row_ptr.(i + 1) < row_ptr.(i) then
+      invalid_arg "Ctmc: mismatched array lengths";
+    for k = row_ptr.(i) to row_ptr.(i + 1) - 1 do
+      validate_edge n_states i cols.(k)
+    done
+  done;
+  plan_of_rows ~n_states ~row_ptr ~cols ~refs
+
+let plan_states p = p.p_n
+
+let plan_entries p = Array.length p.p_cols
+
 (* One pass per row: each entry sums its references in plan order, and the
    row's exit rate sums its entries in column order, exactly as separate
    entry and exit passes would. Rates are positive, so starting a sum at
    [0.0] adds nothing to its first term. *)
-let instantiate p in_rates =
+let instantiate_into p in_rates ~rates ~exit =
+  if Array.length rates < plan_entries p || Array.length exit < p.p_n then
+    invalid_arg "Ctmc.instantiate_into: buffer too short";
   let refs = p.refs and ref_ptr = p.ref_ptr and row_ptr = p.p_row_ptr in
-  let rates = Array.create_float (Array.length p.p_cols) in
-  let exit = Array.create_float p.p_n in
   for i = 0 to p.p_n - 1 do
     let row_acc = ref 0.0 in
     for k = row_ptr.(i) to row_ptr.(i + 1) - 1 do
@@ -145,14 +174,12 @@ let instantiate p in_rates =
     done;
     exit.(i) <- !row_acc
   done;
-  {
-    n = p.p_n;
-    row_ptr = p.p_row_ptr;
-    row_end = Array.sub p.p_row_ptr 1 p.p_n;
-    cols = p.p_cols;
-    rates;
-    exit;
-  }
+  { n = p.p_n; row_ptr = p.p_row_ptr; cols = p.p_cols; rates; exit }
+
+let instantiate p in_rates =
+  instantiate_into p in_rates
+    ~rates:(Array.create_float (plan_entries p))
+    ~exit:(Array.create_float p.p_n)
 
 let of_arrays ~n_states ~srcs ~dsts ~rates =
   instantiate
@@ -170,8 +197,6 @@ let n_states c = c.n
 
 let row_ptr c = c.row_ptr
 
-let row_end c = c.row_end
-
 let cols c = c.cols
 
 let rates c = c.rates
@@ -182,7 +207,7 @@ let rate c i j =
   if i < 0 || i >= c.n || j < 0 || j >= c.n then
     invalid_arg "Ctmc.rate: state out of range";
   let rec loop k =
-    if k >= c.row_end.(i) then 0.0
+    if k >= c.row_ptr.(i + 1) then 0.0
     else if c.cols.(k) = j then c.rates.(k)
     else loop (k + 1)
   in
@@ -192,42 +217,34 @@ let exit_rate c i =
   if i < 0 || i >= c.n then invalid_arg "Ctmc.exit_rate: state out of range";
   c.exit.(i)
 
-let max_exit_rate c = Array.fold_left max 0.0 c.exit
+let max_exit_rate c =
+  let q = ref 0.0 in
+  for i = 0 to c.n - 1 do
+    q := max !q c.exit.(i)
+  done;
+  !q
 
 let outgoing c i =
   if i < 0 || i >= c.n then invalid_arg "Ctmc.outgoing: state out of range";
   let lo = c.row_ptr.(i) in
-  Array.init (c.row_end.(i) - lo) (fun k -> (c.cols.(lo + k), c.rates.(lo + k)))
+  Array.init (c.row_ptr.(i + 1) - lo) (fun k ->
+      (c.cols.(lo + k), c.rates.(lo + k)))
 
-let n_transitions c =
-  let acc = ref 0 in
-  for i = 0 to c.n - 1 do
-    acc := !acc + (c.row_end.(i) - c.row_ptr.(i))
-  done;
-  !acc
+let n_transitions c = c.row_ptr.(c.n)
 
 let iter_transitions c f =
   for src = 0 to c.n - 1 do
-    for k = c.row_ptr.(src) to c.row_end.(src) - 1 do
+    for k = c.row_ptr.(src) to c.row_ptr.(src + 1) - 1 do
       f src c.cols.(k) c.rates.(k)
     done
   done
-
-let restrict_absorbing c is_absorbing =
-  (* Share [row_ptr]/[cols]/[rates]; only the per-row end markers and the
-     exit rates change. The parent chain is never mutated. *)
-  let row_end =
-    Array.init c.n (fun i -> if is_absorbing i then c.row_ptr.(i) else c.row_end.(i))
-  in
-  let exit = Array.init c.n (fun i -> if is_absorbing i then 0.0 else c.exit.(i)) in
-  { c with row_end; exit }
 
 let embedded_dtmc_row c i =
   let e = c.exit.(i) in
   if e = 0.0 then [||]
   else begin
     let lo = c.row_ptr.(i) in
-    Array.init (c.row_end.(i) - lo) (fun k ->
+    Array.init (c.row_ptr.(i + 1) - lo) (fun k ->
         (c.cols.(lo + k), c.rates.(lo + k) /. e))
   end
 

@@ -5,10 +5,9 @@
     are rejected by the builder.
 
     The matrix is stored in CSR form: three flat arrays [row_ptr]/[cols]/
-    [rates] (the rate array is unboxed), plus per-row end markers so that
-    {!restrict_absorbing} can share the transition arrays of its parent.
-    Hot numeric loops should fetch the arrays once and index directly;
-    {!outgoing} remains as an allocating compatibility view. *)
+    [rates] (the rate array is unboxed). Hot numeric loops should fetch
+    the arrays once and index directly; {!outgoing} remains as an
+    allocating compatibility view. *)
 
 type t
 
@@ -44,15 +43,47 @@ val plan :
     @raise Invalid_argument on out-of-range states, self-loops or
     mismatched array lengths. *)
 
+val plan_rows :
+  row_ptr:int array -> cols:int array -> refs:int array -> plan
+(** [plan_rows ~row_ptr ~cols ~refs] is {!plan} of transitions already
+    grouped by source: those of state [i] are entries [row_ptr.(i)] to
+    [row_ptr.(i + 1) - 1] of [cols] (destinations) and [refs], in input
+    order, so [plan] of the same transitions listed row by row gives the
+    same plan. The arrays become the plan's, sorted in place: do not use
+    them afterwards.
+
+    @raise Invalid_argument on out-of-range states, self-loops or
+    inconsistent offsets. *)
+
 val instantiate : plan -> float array -> t
 (** [instantiate p rates] is the chain of [p] with rate vector [rates]:
     bit for bit [of_arrays ~srcs ~dsts ~rates:(Array.map (Array.get rates)
     refs)]. Instances share the plan's [row_ptr] and [cols] arrays; their
-    [row_end], [rates] and exit rates are fresh. [of_arrays] is
-    [instantiate] of a plan whose [refs] are [0 .. n - 1].
+    [rates] and exit rates are fresh. [of_arrays] is [instantiate] of a
+    plan whose [refs] are [0 .. n - 1].
 
     @raise Invalid_argument when a reference falls outside [rates] or a
     referenced rate is not positive and finite. *)
+
+val plan_states : plan -> int
+(** The state count of every instance of the plan. *)
+
+val plan_entries : plan -> int
+(** The number of merged entries, the length of an instance's rate
+    vector. *)
+
+val instantiate_into :
+  plan -> float array -> rates:float array -> exit:float array -> t
+(** [instantiate_into p r ~rates ~exit] is [instantiate p r], bit for bit,
+    except that the instance's rate and exit vectors are the first
+    {!plan_entries} and {!plan_states} entries of the given buffers,
+    overwritten here. The instance reads them for as long as it is used,
+    so a buffer must not be refilled while an earlier instance over it is
+    still in use. Longer buffers are fine: a chain reads only its own
+    prefix.
+
+    @raise Invalid_argument as {!instantiate}, or when a buffer is too
+    short. *)
 
 val n_states : t -> int
 
@@ -68,26 +99,25 @@ val max_exit_rate : t -> float
 (** {1 Flat CSR access}
 
     The returned arrays are the chain's internals, shared with the chain
-    (and possibly with chains derived by {!restrict_absorbing}): do not
-    mutate them. Row [i] spans [row_ptr.(i) .. row_end.(i) - 1] of
-    [cols]/[rates]; destinations are sorted in increasing order. *)
+    (and with other instances of its plan): do not mutate them. Row [i]
+    spans [row_ptr.(i) .. row_ptr.(i + 1) - 1] of [cols]/[rates];
+    destinations are sorted in increasing order. *)
 
 val row_ptr : t -> int array
-(** Row start offsets; length [n_states + 1]. *)
-
-val row_end : t -> int array
-(** Row end offsets; length [n_states]. Equal to [row_ptr.(i + 1)] for
-    freshly built chains; smaller for rows emptied by
-    {!restrict_absorbing}. *)
+(** Row offsets; length [n_states + 1]. *)
 
 val cols : t -> int array
 (** Transition destinations. *)
 
 val rates : t -> float array
-(** Transition rates (unboxed float array). *)
+(** Transition rates (unboxed float array). At least {!n_transitions}
+    entries; an instance over a reused buffer ({!instantiate_into}) may
+    have more, which are not its own. *)
 
 val exit_rates : t -> float array
-(** Per-state exit rates; length [n_states]. Shared; do not mutate. *)
+(** Per-state exit rates; at least [n_states] entries, of which only the
+    first [n_states] are the chain's (see {!rates}). Shared; do not
+    mutate. *)
 
 val outgoing : t -> int -> (int * float) array
 (** Outgoing transitions of a state as [(dst, rate)] pairs. Compatibility
@@ -96,13 +126,6 @@ val outgoing : t -> int -> (int * float) array
 val n_transitions : t -> int
 
 val iter_transitions : t -> (int -> int -> float -> unit) -> unit
-
-val restrict_absorbing : t -> (int -> bool) -> t
-(** [restrict_absorbing c is_absorbing] removes every outgoing transition of
-    the states selected by [is_absorbing], making them absorbing. Used to
-    turn transient occupancy of a target set into time-bounded
-    reachability. The result shares the parent's transition arrays; the
-    parent is not modified. *)
 
 val embedded_dtmc_row : t -> int -> (int * float) array
 (** Jump-chain probabilities of a state: outgoing rates normalised by the

@@ -24,6 +24,9 @@ type workspace = {
   mutable ws_acc : float array; (* one entry per accumulated state *)
   mutable ws_targets : int array; (* the accumulated states, ascending *)
   mutable ws_stay : float array; (* per state, 1 - exit / q *)
+  (* The rate and exit vectors of the chain last instantiated here. *)
+  mutable ws_rates : float array;
+  mutable ws_exit : float array;
   (* Provenance of the most recent solve through this workspace, for
      callers (per-cutset quantification, the explain view) that report how
      much numerical work a result cost. *)
@@ -38,6 +41,8 @@ let workspace () =
     ws_acc = [||];
     ws_targets = [||];
     ws_stay = [||];
+    ws_rates = [||];
+    ws_exit = [||];
     ws_steps = 0;
     ws_window = 0;
   }
@@ -52,6 +57,15 @@ let ws_reserve ws n =
     ws.ws_targets <- Array.make n 0;
     ws.ws_stay <- Array.create_float n
   end
+
+(* Grown apart from the solver's vectors: [ws_reserve] runs on a chain
+   whose rates may live here. *)
+let instantiate ws plan rates =
+  let entries = Ctmc.plan_entries plan and n = Ctmc.plan_states plan in
+  if Array.length ws.ws_rates < entries then
+    ws.ws_rates <- Array.create_float entries;
+  if Array.length ws.ws_exit < n then ws.ws_exit <- Array.create_float n;
+  Ctmc.instantiate_into plan rates ~rates:ws.ws_rates ~exit:ws.ws_exit
 
 let check_init n init =
   let total =
@@ -73,7 +87,6 @@ let check_init n init =
 let dtmc_step chain q pi out =
   let n = Ctmc.n_states chain in
   let row_ptr = Ctmc.row_ptr chain in
-  let row_end = Ctmc.row_end chain in
   let cols = Ctmc.cols chain in
   let rates = Ctmc.rates chain in
   let exits = Ctmc.exit_rates chain in
@@ -84,7 +97,8 @@ let dtmc_step chain q pi out =
       let exit = Array.unsafe_get exits src in
       Array.unsafe_set out src
         (Array.unsafe_get out src +. (mass *. (1.0 -. (exit /. q))));
-      for k = Array.unsafe_get row_ptr src to Array.unsafe_get row_end src - 1 do
+      for k = Array.unsafe_get row_ptr src
+          to Array.unsafe_get row_ptr (src + 1) - 1 do
         let dst = Array.unsafe_get cols k in
         Array.unsafe_set out dst
           (Array.unsafe_get out dst
@@ -167,7 +181,6 @@ let solve_into ~options ~guard ~obs ws chain ~init ~t ~n_targets ~absorb =
       else window.Poisson.weights.(k - window.Poisson.left)
     in
     let row_ptr = Ctmc.row_ptr chain in
-    let row_end = Ctmc.row_end chain in
     let cols = Ctmc.cols chain in
     let rates = Ctmc.rates chain in
     (* The probability of staying put, divided out once per solve. *)
@@ -194,7 +207,7 @@ let solve_into ~options ~guard ~obs ws chain ~init ~t ~n_targets ~absorb =
         for src = !scanned to !hi - 1 do
           if src = absorbing !scanned_j then incr scanned_j
           else
-            for e = row_ptr.(src) to row_end.(src) - 1 do
+            for e = row_ptr.(src) to row_ptr.(src + 1) - 1 do
               if cols.(e) >= !reach then reach := cols.(e) + 1
             done
         done;
@@ -217,7 +230,7 @@ let solve_into ~options ~guard ~obs ws chain ~init ~t ~n_targets ~absorb =
             Array.unsafe_set out src
               (Array.unsafe_get out src +. (mass *. Array.unsafe_get stay src));
             for e = Array.unsafe_get row_ptr src
-                to Array.unsafe_get row_end src - 1 do
+                to Array.unsafe_get row_ptr (src + 1) - 1 do
               let dst = Array.unsafe_get cols e in
               Array.unsafe_set out dst
                 (Array.unsafe_get out dst
@@ -291,7 +304,6 @@ let expected_time_to_absorption chain ~init =
   let n = Ctmc.n_states chain in
   check_init n init;
   let row_ptr = Ctmc.row_ptr chain in
-  let row_end = Ctmc.row_end chain in
   let cols = Ctmc.cols chain in
   let rates = Ctmc.rates chain in
   let exits = Ctmc.exit_rates chain in
@@ -307,7 +319,7 @@ let expected_time_to_absorption chain ~init =
         let e = exits.(i) in
         if e > 0.0 then begin
           let acc = ref 1.0 in
-          for k = row_ptr.(i) to row_end.(i) - 1 do
+          for k = row_ptr.(i) to row_ptr.(i + 1) - 1 do
             acc := !acc +. (rates.(k) *. h.(cols.(k)))
           done;
           let v = !acc /. e in

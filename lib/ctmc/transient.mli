@@ -16,12 +16,21 @@ type workspace
 (** Reusable scratch vectors (two iteration vectors that swap roles each
     step, the states to accumulate and their accumulators, and each
     state's probability of staying put) for
-    back-to-back solves. A workspace grows to the largest chain it has
+    back-to-back solves, and the rate and exit vectors of the chain last
+    built by {!instantiate}. A workspace grows to the largest chain it has
     seen and is then reused without further allocation; a solve reads
     nothing an earlier one left in it. Not safe to share across domains:
     give every worker its own. *)
 
 val workspace : unit -> workspace
+
+val instantiate : workspace -> Ctmc.plan -> float array -> Ctmc.t
+(** [instantiate ws p rates] is [Ctmc.instantiate p rates], bit for bit,
+    with its rate and exit vectors in [ws] ({!Ctmc.instantiate_into}):
+    after the first chains of a size it allocates nothing proportional to
+    the chain. The chain is valid until the next [instantiate] through
+    [ws], which overwrites it; solving it through [ws] is fine, since the
+    solver's vectors are separate. *)
 
 val last_steps : workspace -> int
 (** Number of uniformized DTMC steps performed by the most recent solve
@@ -76,7 +85,7 @@ val reach_within :
     state.
 
     The solve accumulates only the target states, absorbs them inside the
-    iteration (no {!Ctmc.restrict_absorbing} view is built) and bounds
+    iteration (no absorbing copy of the chain is built) and bounds
     every pass by the prefix of states that can hold mass so far: the
     initial states and what the steps since have reached, tracked by the
     largest state id. Chains numbered breadth-first from their initial

@@ -1,9 +1,8 @@
 type component = {
   (* Flat transition layout shared straight from the underlying [Ctmc]
      arrays: state [s] owns [cols]/[rates] entries
-     [row_ptr.(s) .. row_end.(s) - 1]. *)
+     [row_ptr.(s) .. row_ptr.(s + 1) - 1]. *)
   row_ptr : int array;
-  row_end : int array;
   cols : int array;
   rates : float array;
   init_states : int array;
@@ -27,7 +26,6 @@ let component_of_basic sd b =
     let mode_on = Array.init n (fun s -> Dbe.mode_of d s = Dbe.On) in
     {
       row_ptr = Ctmc.row_ptr chain;
-      row_end = Ctmc.row_end chain;
       cols = Ctmc.cols chain;
       rates = Ctmc.rates chain;
       init_states = Array.of_list (List.map fst init);
@@ -49,7 +47,6 @@ let component_of_basic sd b =
     let p = Fault_tree.prob tree b in
     {
       row_ptr = [| 0; 0; 0 |];
-      row_end = [| 0; 0 |];
       cols = [||];
       rates = [||];
       init_states = [| 0; 1 |];
@@ -139,7 +136,7 @@ let total_rate world state =
   Array.iteri
     (fun b c ->
       let s = state.(b) in
-      for k = c.row_ptr.(s) to c.row_end.(s) - 1 do
+      for k = c.row_ptr.(s) to c.row_ptr.(s + 1) - 1 do
         total := !total +. c.rates.(k)
       done)
     world.components;
@@ -156,7 +153,7 @@ let apply_jump world rng state ~total =
       if not !done_ then begin
         let s = state.(b) in
         let k = ref c.row_ptr.(s) in
-        let stop = c.row_end.(s) in
+        let stop = c.row_ptr.(s + 1) in
         while (not !done_) && !k < stop do
           acc := !acc +. c.rates.(!k);
           if u < !acc then begin

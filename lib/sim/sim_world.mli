@@ -14,11 +14,10 @@
 
 type component = {
   row_ptr : int array;
-  row_end : int array;
   cols : int array;
   rates : float array;
       (** state [s] owns [cols]/[rates] entries
-          [row_ptr.(s) .. row_end.(s) - 1] *)
+          [row_ptr.(s) .. row_ptr.(s + 1) - 1] *)
   init_states : int array;
   init_weights : float array;
   failed : bool array;

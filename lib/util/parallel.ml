@@ -1,5 +1,7 @@
 let map_init ~domains init f work =
   let n = Array.length work in
+  (* A domain without an item would only spawn, run [init] and join. *)
+  let domains = min domains n in
   if n = 0 then [||]
   else if domains <= 1 then begin
     let state = init () in
@@ -33,11 +35,20 @@ let map_init ~domains init f work =
           end
         done
     in
+    (* A domain that ends leaves its heap orphaned until a major cycle
+       ends, and until then the runtime counts it in full next to the
+       caller's (Gc.quick_stat's top_heap_words among them). Finishing the
+       caller's cycle before the spawn starts every domain of the pass on a
+       fresh cycle; finishing it after the join hands the ended domains'
+       heaps to the caller at once. The heap a pass leaves then does not
+       depend on how far the collector had got when the pass ended. *)
+    Gc.major ();
     let spawned =
       Array.init (domains - 1) (fun _ -> Domain.spawn worker)
     in
     worker ();
     Array.iter Domain.join spawned;
+    Gc.major ();
     match Atomic.get failure with
     | Some (exn, bt) -> Printexc.raise_with_backtrace exn bt
     | None ->

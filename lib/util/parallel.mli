@@ -9,12 +9,16 @@
 val map_init :
   domains:int -> (unit -> 'state) -> ('state -> 'a -> 'b) -> 'a array -> 'b array
 (** [map_init ~domains init f work] maps [f] over [work] using [domains]
-    domains in total (the calling domain participates, so [domains - 1] are
-    spawned; [domains <= 1] runs sequentially). Each domain calls [init ()]
+    domains in total, but never more domains than [work] has items (the
+    calling domain participates, so one fewer are spawned; one domain runs
+    sequentially). Each domain calls [init ()]
     once and passes the resulting state to every [f] call it executes; use
     this for per-domain scratch space. Work items are claimed dynamically
     from a shared counter, so the output order always matches the input
-    order but the assignment of items to domains does not.
+    order but the assignment of items to domains does not. A call that
+    spawns domains finishes a major GC cycle before the spawn and after
+    the join, so the spawned domains' heaps return to the caller before
+    [map_init] does; each costs in proportion to the caller's live heap.
 
     If any [f] or [init] call raises, the first exception (by completion
     order) is re-raised in the caller after all domains have joined;

@@ -914,10 +914,23 @@ let test_cache_industrial_sweep_matches_uncached () =
         uncached.Sdft_analysis.cutsets p.sweep_result.Sdft_analysis.cutsets)
     points option_sets
 
+(* A result's interval and every cutset's probability and product size,
+   as bits. *)
+let result_bits (r : Sdft_analysis.result) =
+  let bits = Int64.bits_of_float in
+  ( bits r.Sdft_analysis.total,
+    bits r.budget.Sdft_analysis.lower,
+    bits r.budget.Sdft_analysis.upper,
+    List.map
+      (fun (c : Sdft_analysis.cutset_info) ->
+        (Int_set.to_list c.cutset, bits c.probability, c.product_states))
+      r.cutsets )
+
 (* Phase 2 solves each missed key once, by its first cutset in input order,
    so the cache traffic and every result bit are those of one domain at any
-   domain count. Concurrent workers used to miss on isomorphic sub-models
-   side by side (86-98 misses at two domains in three runs). *)
+   domain count, the default one included. Concurrent workers used to miss
+   on isomorphic sub-models side by side (86-98 misses at two domains in
+   three runs). *)
 let test_cache_sweep_traffic_any_domains () =
   let sd = Sdft_format.of_file "../models/bwr.sdft" in
   let sweep domains =
@@ -928,13 +941,8 @@ let test_cache_sweep_traffic_any_domains () =
            (fun horizon -> { Sdft_analysis.default_options with horizon; domains })
            [ 12.0; 24.0; 48.0; 72.0 ])
     in
-    let bits x = Int64.bits_of_float x in
     ( List.map
-        (fun (p : Sdft_analysis.sweep_point) ->
-          let r = p.sweep_result in
-          ( bits r.Sdft_analysis.total,
-            bits r.budget.Sdft_analysis.lower,
-            bits r.budget.Sdft_analysis.upper ))
+        (fun (p : Sdft_analysis.sweep_point) -> result_bits p.sweep_result)
         points,
       Quant_cache.misses cache,
       Quant_cache.hits cache )
@@ -949,7 +957,7 @@ let test_cache_sweep_traffic_any_domains () =
         (intervals = intervals');
       Alcotest.(check int) (label ^ "84 misses") 84 misses';
       Alcotest.(check int) (label ^ "same hits") hits hits')
-    [ 2; 4 ]
+    (List.sort_uniq compare [ 2; 4; Sdft_analysis.default_options.domains ])
 
 let test_cache_fingerprint_name_independent () =
   let model names =
@@ -1478,6 +1486,69 @@ let test_template_needs_same_initial_states () =
   Alcotest.(check bool) "exact" true
     (same_build built (Sdft_product.build ~generic:true tiny))
 
+(* A chain built without a workspace has rate and exit vectors of its
+   own: later builds of its shape, with or without a workspace, re-rate
+   the template but never write into an earlier chain. *)
+let test_unshared_chain_survives_later_builds () =
+  let a = random_sd 11 in
+  let b = rerate (Sdft_util.Rng.create 12) a in
+  Sdft_product.release_template ();
+  let built = Sdft_product.build a in
+  let rates = Array.copy (Ctmc.rates built.Sdft_product.chain) in
+  let exits = Array.copy (Ctmc.exit_rates built.Sdft_product.chain) in
+  let obs = Sdft_util.Obs.create () in
+  let ws = Transient.workspace () in
+  ignore (Sdft_product.build ~obs b);
+  ignore (Sdft_product.build ~obs ~workspace:ws b);
+  ignore (Sdft_product.build ~obs ~workspace:ws a);
+  Alcotest.(check int) "later builds re-rate the template" 3
+    (counter obs "product.template_hits");
+  let bits = Array.map Int64.bits_of_float in
+  Alcotest.(check bool) "rates untouched" true
+    (bits rates = bits (Ctmc.rates built.Sdft_product.chain));
+  Alcotest.(check bool) "exit rates untouched" true
+    (bits exits = bits (Ctmc.exit_rates built.Sdft_product.chain));
+  Alcotest.(check bool) "still the generic chain" true
+    (same_build built (Sdft_product.build ~generic:true a))
+
+(* One workspace carries every chain of a run of [Cutset_model.solve]
+   calls: models that switch shapes, shrink and grow, and come back to a
+   shape re-rated. Each answer equals a fresh solve of a generic build,
+   which shares no template and no buffer with anything. *)
+let prop_workspace_solves_match_fresh =
+  QCheck.Test.make ~name:"solves through one workspace = fresh solves"
+    ~count:60 Gen_sdft.seed_gen (fun seed ->
+      let a = random_sd seed in
+      let b = rerate (Sdft_util.Rng.create (seed + 1)) a in
+      let c = Gen_sdft.sd ~n_basics:3 ~n_gates:2 ~n_dynamic:3 (seed + 2) in
+      let models = [ a; b; c; b; a; c; c; a ] in
+      let horizon = 8.0 in
+      let fresh sd =
+        let built = Sdft_product.build ~generic:true sd in
+        let ws = Transient.workspace () in
+        let p = Sdft_product.unreliability ~workspace:ws built ~horizon in
+        ( Int64.bits_of_float p,
+          built.Sdft_product.n_states,
+          Ctmc.n_transitions built.Sdft_product.chain,
+          Transient.last_steps ws )
+      in
+      match List.map fresh models with
+      | exception Sdft_product.Too_many_states _ -> QCheck.assume_fail ()
+      | expected ->
+        Sdft_product.release_template ();
+        let ws = Transient.workspace () in
+        let got =
+          List.map
+            (fun sd ->
+              let e = Cutset_model.solve ~workspace:ws sd ~horizon in
+              ( Int64.bits_of_float e.Cutset_model.e_prob,
+                e.Cutset_model.e_states,
+                e.Cutset_model.e_transitions,
+                e.Cutset_model.e_steps ))
+            models
+        in
+        got = expected)
+
 (* Model-1 as the end-to-end benchmark builds it: the Industrial small
    preset with 60% of its events Erlang-2 dynamic and repairable, 6%
    triggered along the run-event chains. *)
@@ -1543,6 +1614,32 @@ let test_analysis_one_exploration_per_shape () =
     true
     (explorations <= 2 * shapes);
   Alcotest.(check string) "two domains: same total" "0x1.054d510a0e06p-30" total
+
+(* The default domain count is the machine's, and a model-1 analysis at
+   it equals one domain's, bit for bit, in its interval, every cutset's
+   probability and product size, and the cache's misses. Where the
+   machine recommends one domain, two stand in for the default. (BWR
+   sweeps at the default are in the quant cache group.) *)
+let test_default_domains_match_one () =
+  let default = Sdft_analysis.default_options in
+  Alcotest.(check int) "default is the machine's count"
+    (Domain.recommended_domain_count ())
+    default.domains;
+  let wide =
+    if default.domains > 1 then default else { default with domains = 2 }
+  in
+  let m1 = model_1_erlang_2 () in
+  let analyze options =
+    let cache = Quant_cache.create () in
+    let r =
+      Sdft_analysis.analyze ~options:{ options with horizon = 12.0 } ~cache m1
+    in
+    (result_bits r, Quant_cache.misses cache)
+  in
+  let one, one_misses = analyze { default with domains = 1 } in
+  let many, many_misses = analyze wide in
+  Alcotest.(check int) "same misses" one_misses many_misses;
+  Alcotest.(check bool) "bit-identical analysis" true (one = many)
 
 let prop_analysis_single_mcs_exact =
   (* With a single minimal cutset and the exact relevant sets, the analysis
@@ -1785,7 +1882,10 @@ let () =
             test_template_needs_same_init_support;
           Alcotest.test_case "template needs same initial states" `Quick
             test_template_needs_same_initial_states;
-        ] );
+          Alcotest.test_case "unshared chain survives later builds" `Quick
+            test_unshared_chain_survives_later_builds;
+        ]
+        @ qc [ prop_workspace_solves_match_fresh ] );
       ( "cutset model",
         [
           Alcotest.test_case "static only" `Quick test_cutset_model_static_only;
@@ -1814,6 +1914,8 @@ let () =
           Alcotest.test_case "FV respects cutoff" `Quick test_analysis_fv_respects_cutoff;
           Alcotest.test_case "one exploration per shape" `Quick
             test_analysis_one_exploration_per_shape;
+          Alcotest.test_case "default domains = one domain" `Quick
+            test_default_domains_match_one;
         ]
         @ [
             Alcotest.test_case "budget certifies pumps" `Quick test_budget_certifies_pumps;

@@ -576,6 +576,57 @@ let test_parallel_init_exception () =
   Alcotest.check_raises "init failure surfaces" (Failure "bad init") (fun () ->
       ignore (Parallel.map_init ~domains:4 (fun () -> failwith "bad init") (fun () x -> x) work))
 
+let test_parallel_domains_capped_by_items () =
+  (* Every domain of a pass runs [init] once, so the calls count the
+     domains: a pass over three items never starts more than three. *)
+  let inits = Atomic.make 0 in
+  let init () = Atomic.incr inits in
+  let work = [| 1; 2; 3 |] in
+  Alcotest.(check (array int)) "results" [| 2; 4; 6 |]
+    (Parallel.map_init ~domains:8 init (fun () x -> 2 * x) work);
+  Alcotest.(check bool)
+    (Printf.sprintf "%d domains for 3 items" (Atomic.get inits))
+    true
+    (Atomic.get inits <= 3);
+  Atomic.set inits 0;
+  ignore (Parallel.map_init ~domains:8 init (fun () x -> x) [| 1 |]);
+  Alcotest.(check int) "one item, one domain" 1 (Atomic.get inits)
+
+let test_parallel_adopts_worker_heaps () =
+  (* A terminated domain's heap counts in top_heap_words next to the
+     caller's maximum until a major cycle ends and the caller adopts it.
+     After a 32 MB caller peak, each pass holds 2 MB on each of its two
+     domains: once adopted, that stays under the old peak and the reading
+     does not move; left orphaned it adds the worker's 2 MB. Without the
+     cycle finish after the join, a pass read 2.1-2.2 MB higher in 15 of
+     20 runs, so three passes in a row catch it almost always. *)
+  let peak = Array.make (4 * 1024 * 1024) 0 in
+  ignore (Sys.opaque_identity peak);
+  let top () = (Gc.quick_stat ()).Gc.top_heap_words in
+  let chunk = 256 * 1024 in
+  for pass = 1 to 3 do
+    Gc.full_major ();
+    let before = top () in
+    let held = Atomic.make 0 in
+    (* Each item waits until both are allocated, so each domain holds one. *)
+    let arrays =
+      Parallel.map ~domains:2
+        (fun i ->
+          let a = Array.make chunk i in
+          Atomic.incr held;
+          while Atomic.get held < 2 do
+            Domain.cpu_relax ()
+          done;
+          a)
+        [| 1; 2 |]
+    in
+    let grown = top () - before in
+    ignore (Sys.opaque_identity arrays);
+    Alcotest.(check bool)
+      (Printf.sprintf "pass %d: top_heap_words grew by %d words" pass grown)
+      true (grown < chunk)
+  done
+
 (* Backoff *)
 
 let test_backoff_deterministic () =
@@ -715,6 +766,10 @@ let () =
           Alcotest.test_case "map_init state" `Quick test_parallel_map_init;
           Alcotest.test_case "worker exception" `Quick test_parallel_worker_exception;
           Alcotest.test_case "init exception" `Quick test_parallel_init_exception;
+          Alcotest.test_case "domains capped by items" `Quick
+            test_parallel_domains_capped_by_items;
+          Alcotest.test_case "worker heaps adopted on return" `Quick
+            test_parallel_adopts_worker_heaps;
         ] );
       ( "backoff",
         [
