@@ -620,6 +620,13 @@ let write_json ~what ?(brackets = ("[", "]")) json_path entries =
          [ opening; String.concat ",\n" (List.rev entries); closing; "" ]);
     Printf.printf "%s written to %s\n" what path
 
+let median xs =
+  let sorted = Array.copy xs in
+  Array.sort compare sorted;
+  let n = Array.length sorted in
+  if n mod 2 = 1 then sorted.(n / 2)
+  else (sorted.((n / 2) - 1) +. sorted.(n / 2)) /. 2.0
+
 let time_ns ?(warmup = 2) ~reps f =
   for _ = 1 to warmup do
     ignore (Sys.opaque_identity (f ()))
@@ -763,8 +770,10 @@ let bench_kernels ~json_path () =
       ~columns:[ "kernel"; "baseline ns/op"; "flat ns/op"; "speedup" ]
   in
   let entries = ref [] in
-  let record name baseline_ns new_ns =
-    let speedup = baseline_ns /. new_ns in
+  let record ?speedup name baseline_ns new_ns =
+    let speedup =
+      match speedup with Some s -> s | None -> baseline_ns /. new_ns
+    in
     entries :=
       Printf.sprintf
         "  %S: {\"baseline_ns_per_op\": %.1f, \"flat_ns_per_op\": %.1f, \
@@ -831,8 +840,12 @@ let bench_kernels ~json_path () =
         Sdft_product.build sd6)
   in
   record "product build, fresh shape (erlang-2 x6)" build_old build_fresh;
-  (* 3. End-to-end per-cutset quantification, single domain. *)
-  let per_cutset name sd ~reps =
+  (* 3. End-to-end per-cutset quantification, single domain. A row times
+     [rounds] alternating passes (baseline, then flat) over the cutset list
+     and reports each side's median and the median of the per-round
+     ratios: on a shared host, a slow spell then lands in one round of both
+     sides rather than in one side's whole block. *)
+  let per_cutset name sd ~rounds =
     let models = cutset_submodels sd in
     let n = List.length models in
     Printf.printf "%s: %d dynamic cutset sub-models\n%!" name n;
@@ -850,21 +863,33 @@ let bench_kernels ~json_path () =
               (Printf.sprintf "%s: baseline %.17g <> flat %.17g" name a b)
         end)
       models;
-    let baseline_ns =
-      time_ns ~warmup:1 ~reps (fun () ->
-          List.iter (fun m -> ignore (quantify_baseline m ~horizon)) models)
+    let baseline () =
+      List.iter (fun m -> ignore (quantify_baseline m ~horizon)) models
     in
-    let new_ns =
-      time_ns ~warmup:1 ~reps (fun () ->
-          List.iter (fun m -> ignore (quantify_new ~workspace:ws m ~horizon)) models)
+    let flat () =
+      List.iter (fun m -> ignore (quantify_new ~workspace:ws m ~horizon)) models
+    in
+    baseline ();
+    flat ();
+    (* Each timed pass starts on a collected heap, so the baseline's
+       allocation is not collected on the flat pass's clock. *)
+    let per_op f =
+      Gc.full_major ();
+      time_ns ~warmup:0 ~reps:1 f /. float_of_int n
+    in
+    let timed =
+      Array.init rounds (fun _ ->
+          let b = per_op baseline in
+          (b, per_op flat))
     in
     record
+      ~speedup:(median (Array.map (fun (b, f) -> b /. f) timed))
       (Printf.sprintf "quantify/cutset (%s)" name)
-      (baseline_ns /. float_of_int n)
-      (new_ns /. float_of_int n)
+      (median (Array.map fst timed))
+      (median (Array.map snd timed))
   in
   let bwr = bwr_all_triggers () in
-  per_cutset "bwr" bwr ~reps:3;
+  per_cutset "bwr" bwr ~rounds:9;
   let m1 =
     let tree = scaled_model_1 () in
     let config =
@@ -878,7 +903,7 @@ let bench_kernels ~json_path () =
     in
     (Dynamize.run ~config tree).Dynamize.sd
   in
-  per_cutset "model-1" m1 ~reps:2;
+  per_cutset "model-1" m1 ~rounds:9;
   Table.print t;
   write_json ~what:"kernel benchmark results" ~brackets:("{", "}") json_path
     !entries
@@ -945,14 +970,8 @@ let bench_sim ~json_path ~trials () =
 let median_time f =
   let rec go times spent last =
     let n = List.length times in
-    if n >= 25 || (n >= 3 && spent >= 0.5) then begin
-      let sorted = Array.of_list (List.sort compare times) in
-      let median =
-        if n mod 2 = 1 then sorted.(n / 2)
-        else (sorted.((n / 2) - 1) +. sorted.(n / 2)) /. 2.0
-      in
-      (Option.get last, median)
-    end
+    if n >= 25 || (n >= 3 && spent >= 0.5) then
+      (Option.get last, median (Array.of_list times))
     else
       let t0 = Timer.start () in
       let r = f () in

@@ -184,16 +184,34 @@ let engine_arg =
            Sdft_analysis.default_options.engine
        & engine_info)
 
+(* The OCaml 5.1 runtime runs at most 128 domains at once (Max_domains); a
+   larger count would fail inside [Domain.spawn] with earlier workers still
+   running, so it is refused while the flags are parsed. *)
+let max_domains = 128
+
+let domain_count =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 && n <= max_domains -> Ok n
+    | Some _ ->
+      Error (`Msg (Printf.sprintf "%s is not between 1 and %d" s max_domains))
+    | None -> Error (`Msg (Printf.sprintf "invalid value '%s', expected an integer" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let domains_arg =
   Arg.(
     value
-    & opt int Sdft_analysis.default_options.domains
+    & opt domain_count Sdft_analysis.default_options.domains
     & info [ "domains"; "j" ] ~docv:"N"
         ~absent:"the machine's recommended domain count"
         ~doc:
-          "Worker domains for cutset quantification: the pass that solves \
-           product chains runs on $(docv) domains, never more than it has \
-           chains to solve. Results are the same at any $(docv).")
+          (Printf.sprintf
+             "Worker domains for cutset quantification, from 1 to %d: the \
+              pass that solves product chains runs on $(docv) domains, never \
+              more than it has chains to solve. Results are the same at any \
+              $(docv)."
+             max_domains))
 
 (* A session is what every analysis-flavoured subcommand starts from: the
    loaded model, its shared flags turned into [Sdft_analysis.options],

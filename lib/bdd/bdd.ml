@@ -13,7 +13,6 @@ type manager = {
   unique : (int * int * int, int) Hashtbl.t;
   and_cache : (int * int, int) Hashtbl.t;
   or_cache : (int * int, int) Hashtbl.t;
-  not_cache : (int, int) Hashtbl.t;
   guard : Sdft_util.Guard.t;
 }
 
@@ -57,7 +56,6 @@ let manager ?var_order ?(guard = Sdft_util.Guard.none) ~n_vars () =
     unique = Hashtbl.create (initial_size 1024);
     and_cache = Hashtbl.create (initial_size 1024);
     or_cache = Hashtbl.create (initial_size 1024);
-    not_cache = Hashtbl.create (initial_size 64);
     guard;
   }
 
@@ -81,7 +79,7 @@ let level m n = if is_terminal n then max_int else m.level_of.(node_var m n)
 
 let mk m v low high =
   (* The cons point is the one place every BDD construction funnels through,
-     so an amortized guard probe here covers apply/ite/compile uniformly. *)
+     so an amortized guard probe here covers apply/compile uniformly. *)
   Sdft_util.Guard.check m.guard;
   if low = high then low
   else begin
@@ -142,44 +140,6 @@ let rec apply_or m a b =
       Hashtbl.add m.or_cache key r;
       r
   end
-
-let rec apply_not m a =
-  if a = zero then one
-  else if a = one then zero
-  else
-    match Hashtbl.find_opt m.not_cache a with
-    | Some r -> r
-    | None ->
-      let r =
-        mk m (node_var m a) (apply_not m (node_low m a)) (apply_not m (node_high m a))
-      in
-      Hashtbl.add m.not_cache a r;
-      r
-
-let ite m c t e =
-  apply_or m (apply_and m c t) (apply_and m (apply_not m c) e)
-
-let rec restrict m n v value =
-  if is_terminal n then n
-  else begin
-    let nv = node_var m n in
-    if m.level_of.(nv) > m.level_of.(v) then n
-    else if nv = v then if value then node_high m n else node_low m n
-    else
-      mk m nv (restrict m (node_low m n) v value) (restrict m (node_high m n) v value)
-  end
-
-let size m n =
-  let seen = Hashtbl.create 64 in
-  let rec walk n =
-    if (not (is_terminal n)) && not (Hashtbl.mem seen n) then begin
-      Hashtbl.add seen n ();
-      walk (node_low m n);
-      walk (node_high m n)
-    end
-  in
-  walk n;
-  Hashtbl.length seen
 
 let probability m p root =
   let memo = Hashtbl.create 256 in

@@ -40,26 +40,12 @@ val apply_and : manager -> node -> node -> node
 
 val apply_or : manager -> node -> node -> node
 
-val apply_not : manager -> node -> node
-(** Negation — not used by coherent analysis but needed for tests and for
-    success-branch handling in event trees. *)
-
-val ite : manager -> node -> node -> node -> node
-
-val restrict : manager -> node -> int -> bool -> node
-(** Cofactor with respect to a variable. *)
-
 val node_var : manager -> node -> int
 (** @raise Invalid_argument on terminals. *)
 
 val node_low : manager -> node -> node
 
 val node_high : manager -> node -> node
-
-val is_terminal : node -> bool
-
-val size : manager -> node -> int
-(** Number of distinct internal nodes reachable from the handle. *)
 
 val probability : manager -> (int -> float) -> node -> float
 (** [probability m p f] — exact probability that [f] is true when variable

@@ -22,23 +22,13 @@ val fault_tree_cutsets :
     worst case; intended for moderate trees and cross-checking. [guard] is
     checkpointed during BDD construction (see {!Bdd.manager}). *)
 
-val cutsets_above :
-  ?max_order:int ->
-  Zdd.manager ->
-  Zdd.node ->
-  probs:(int -> float) ->
-  cutoff:float ->
-  Sdft_util.Int_set.t list
-(** Enumerate only the cutsets of the family whose probability product
-    exceeds [cutoff] and whose cardinality is within [max_order]. Along a
-    ZDD path the product of included variables only decreases and the
-    cardinality only grows, so whole subtrees are pruned soundly {e inside}
-    the walk — this makes the BDD pipeline usable as a cutset {e engine} on
-    industrial models whose total cutset count is astronomic. *)
-
 val fault_tree_cutsets_above :
   ?max_order:int -> ?guard:Sdft_util.Guard.t -> Fault_tree.t -> cutoff:float ->
   Sdft_util.Int_set.t list
-(** [of_fault_tree] + [minimal_cutsets_zdd] + [cutsets_above] with the
-    tree's own probabilities. [guard] is checkpointed during BDD
-    construction (see {!Bdd.manager}). *)
+(** The minimal cutsets of the tree whose probability product reaches
+    [cutoff] and whose cardinality is within [max_order]. Along a ZDD path
+    the product of included variables only decreases and the cardinality
+    only grows, so whole subtrees are pruned soundly {e inside} the walk —
+    this makes the BDD pipeline usable as a cutset {e engine} on industrial
+    models whose total cutset count is astronomic. [guard] is checkpointed
+    during BDD construction (see {!Bdd.manager}). *)

@@ -13,11 +13,7 @@ type manager = {
   lows : int Sdft_util.Vec.t;
   highs : int Sdft_util.Vec.t;
   unique : (int * int * int, int) Hashtbl.t;
-  union_cache : (int * int, int) Hashtbl.t;
-  inter_cache : (int * int, int) Hashtbl.t;
-  diff_cache : (int * int, int) Hashtbl.t;
   without_cache : (int * int, int) Hashtbl.t;
-  minimal_cache : (int, int) Hashtbl.t;
 }
 
 let bottom = 0
@@ -51,24 +47,15 @@ let manager ?var_order ?(guard = Sdft_util.Guard.none) ~n_vars () =
     lows = Sdft_util.Vec.create ();
     highs = Sdft_util.Vec.create ();
     unique = Hashtbl.create (initial_size 1024);
-    union_cache = Hashtbl.create (initial_size 1024);
-    inter_cache = Hashtbl.create (initial_size 256);
-    diff_cache = Hashtbl.create (initial_size 256);
     without_cache = Hashtbl.create (initial_size 1024);
-    minimal_cache = Hashtbl.create (initial_size 256);
   }
 
-(* The operation caches are pure memo tables: dropping them loses nothing but
+(* The [without] cache is a pure memo table: dropping it loses nothing but
    time on re-derivation, while the node store (vars/lows/highs/unique) must
    survive because node handles stay live in callers. A long sweep that
    builds one family per module calls this between modules so dead memo
    entries do not accumulate under the memory ceiling. *)
-let clear_caches m =
-  Hashtbl.reset m.union_cache;
-  Hashtbl.reset m.inter_cache;
-  Hashtbl.reset m.diff_cache;
-  Hashtbl.reset m.without_cache;
-  Hashtbl.reset m.minimal_cache
+let clear_caches m = Hashtbl.reset m.without_cache
 
 let node_var m n = Sdft_util.Vec.get m.vars (n - 2)
 
@@ -79,10 +66,9 @@ let node_high m n = Sdft_util.Vec.get m.highs (n - 2)
 let level m n = if is_terminal n then max_int else m.level_of.(node_var m n)
 
 (* As in [Bdd.mk], the cons point funnels every construction, so an
-   amortized guard probe here covers all the apply-style operations — but
-   the recursive operations below also probe on their own entry, because a
-   memo-heavy recursion can traverse large shared structures while consing
-   nothing new. *)
+   amortized guard probe here covers every construction — but [without]
+   also probes on its own entry, because a memo-heavy recursion can traverse
+   large shared structures while consing nothing new. *)
 let mk m v low high =
   Sdft_util.Guard.check m.guard;
   if high = bottom then low
@@ -99,10 +85,6 @@ let mk m v low high =
       id
   end
 
-let elem m v =
-  if v < 0 || v >= m.nv then invalid_arg "Zdd.elem: out of range";
-  mk m v bottom top
-
 let make_node m v low high =
   if v < 0 || v >= m.nv then invalid_arg "Zdd.make_node: variable out of range";
   let lv = m.level_of.(v) in
@@ -110,82 +92,10 @@ let make_node m v low high =
     invalid_arg "Zdd.make_node: variable must be above both children";
   mk m v low high
 
-let rec union m a b =
-  Sdft_util.Guard.check m.guard;
-  if a = bottom then b
-  else if b = bottom then a
-  else if a = b then a
-  else begin
-    let key = if a < b then (a, b) else (b, a) in
-    match Hashtbl.find_opt m.union_cache key with
-    | Some r -> r
-    | None ->
-      let la = level m a and lb = level m b in
-      let r =
-        if la < lb then mk m (node_var m a) (union m (node_low m a) b) (node_high m a)
-        else if lb < la then mk m (node_var m b) (union m a (node_low m b)) (node_high m b)
-        else
-          mk m (node_var m a)
-            (union m (node_low m a) (node_low m b))
-            (union m (node_high m a) (node_high m b))
-      in
-      Hashtbl.add m.union_cache key r;
-      r
-  end
-
-let rec inter m a b =
-  Sdft_util.Guard.check m.guard;
-  if a = bottom || b = bottom then bottom
-  else if a = b then a
-  else if a = top then if has_empty m b then top else bottom
-  else if b = top then if has_empty m a then top else bottom
-  else begin
-    let key = if a < b then (a, b) else (b, a) in
-    match Hashtbl.find_opt m.inter_cache key with
-    | Some r -> r
-    | None ->
-      let la = level m a and lb = level m b in
-      let r =
-        if la < lb then inter m (node_low m a) b
-        else if lb < la then inter m a (node_low m b)
-        else
-          mk m (node_var m a)
-            (inter m (node_low m a) (node_low m b))
-            (inter m (node_high m a) (node_high m b))
-      in
-      Hashtbl.add m.inter_cache key r;
-      r
-  end
-
-and has_empty m n =
+let rec has_empty m n =
   if n = top then true
   else if n = bottom then false
   else has_empty m (node_low m n)
-
-let rec diff m a b =
-  Sdft_util.Guard.check m.guard;
-  if a = bottom then bottom
-  else if b = bottom then a
-  else if a = b then bottom
-  else begin
-    let key = (a, b) in
-    match Hashtbl.find_opt m.diff_cache key with
-    | Some r -> r
-    | None ->
-      let la = level m a and lb = level m b in
-      let r =
-        if la < lb then
-          if is_terminal a then a
-          else mk m (node_var m a) (diff m (node_low m a) b) (node_high m a)
-        else if lb < la then diff m a (node_low m b)
-        else
-          mk m (node_var m a)
-            (diff m (node_low m a) (node_low m b))
-            (diff m (node_high m a) (node_high m b))
-      in
-      Hashtbl.add m.diff_cache key r;
-      r
-  end
 
 (* Remove from [a] all sets that are supersets of some set in [b]. *)
 let rec without m a b =
@@ -226,19 +136,6 @@ let rec without m a b =
       r
   end
 
-let rec minimal m n =
-  Sdft_util.Guard.check m.guard;
-  if is_terminal n then n
-  else
-    match Hashtbl.find_opt m.minimal_cache n with
-    | Some r -> r
-    | None ->
-      let low = minimal m (node_low m n) in
-      let high = without m (minimal m (node_high m n)) low in
-      let r = mk m (node_var m n) low high in
-      Hashtbl.add m.minimal_cache n r;
-      r
-
 (* Bottom-up memoized fold, with an explicit worklist instead of recursion:
    a chain-shaped ZDD (one node per level) is as deep as the variable count,
    and recursing down it overflows the native stack long before the node
@@ -271,12 +168,6 @@ let fold m root ~bottom:vbot ~top:vtop ~node =
   done;
   match value root with Some v -> v | None -> assert false
 
-(* Saturating: a family over [k] variables can hold up to [2^k] sets, which
-   wraps native ints silently. [max_int] therefore means "at least max_int". *)
-let sat_add a b = if a > max_int - b then max_int else a + b
-
-let count m n = fold m n ~bottom:0 ~top:1 ~node:(fun _ low high -> sat_add low high)
-
 let weighted_count m w n =
   fold m n ~bottom:0.0 ~top:1.0 ~node:(fun v low high -> low +. (w v *. high))
 
@@ -303,18 +194,6 @@ let to_cutsets m root =
   let out = ref [] in
   iter_sets m root (fun s -> out := Sdft_util.Int_set.of_list s :: !out);
   List.rev !out
-
-let of_sets m sets =
-  let of_set s =
-    (* Build from the deepest level upwards so that mk sees ordered vars. *)
-    let by_level =
-      List.sort
-        (fun a b -> compare m.level_of.(b) m.level_of.(a))
-        (Sdft_util.Int_set.to_list s)
-    in
-    List.fold_left (fun acc v -> mk m v bottom acc) top by_level
-  in
-  List.fold_left (fun acc s -> union m acc (of_set s)) bottom sets
 
 let size m n =
   let seen = Hashtbl.create 64 in

@@ -703,38 +703,6 @@ let mean_added_dynamic result =
     in
     float_of_int added /. float_of_int (List.length dynamic)
 
-(* [total] sums only the cutsets above the cutoff, so the importance sums
-   must apply the same filter — otherwise the numerator can include mass
-   the denominator lacks and the fraction exceeds 1. *)
-let relevant_cutsets result =
-  List.filter (fun info -> info.probability > result.cutoff) result.cutsets
-
-let fussell_vesely result a =
-  if result.total <= 0.0 then 0.0
-  else begin
-    let acc = Sdft_util.Kahan.create () in
-    List.iter
-      (fun info ->
-        if Sdft_util.Int_set.mem a info.cutset then
-          Sdft_util.Kahan.add acc info.probability)
-      (relevant_cutsets result);
-    Sdft_util.Kahan.total acc /. result.total
-  end
-
-let rank_by_fussell_vesely result ~n_basics =
-  let score = Array.make n_basics 0.0 in
-  List.iter
-    (fun info ->
-      Sdft_util.Int_set.iter
-        (fun a -> score.(a) <- score.(a) +. info.probability)
-        info.cutset)
-    (relevant_cutsets result);
-  List.sort
-    (fun a b ->
-      let c = compare score.(b) score.(a) in
-      if c <> 0 then c else compare a b)
-    (List.init n_basics Fun.id)
-
 (* Rebuilding the sub-models costs one FT_C construction per cutset; only
    a manifest save pays it, never the analysis itself. *)
 let cache_keys options sd r =

@@ -80,7 +80,8 @@ type options = {
 
 val default_options : options
 (** horizon 24.0, cutoff 1e-15, epsilon 1e-12, one million product states,
-    no order bound, [Auto], one domain, no deadline or memory ceiling. *)
+    no order bound, [Auto], [Domain.recommended_domain_count ()] domains, no
+    deadline or memory ceiling. *)
 
 val engines : (string * engine) list
 (** Every engine with its spelling on the CLI and the wire: ["mocus"],
@@ -360,16 +361,6 @@ val mean_added_dynamic : result -> float
     triggering gates lack static branching (the paper reports 1.78 of 3.02
     for the fully dynamic BWR model). *)
 
-val fussell_vesely : result -> int -> float
-(** Time-aware Fussell-Vesely importance: share of the total frequency
-    carried by cutsets containing the event, with each cutset weighted by
-    its dynamic quantification [p~(C)]. The paper's closing remark about
-    importance analyses re-evaluating the cutset list "once for each basic
-    event" reduces to these cached sums. *)
-
-val rank_by_fussell_vesely : result -> n_basics:int -> int list
-(** All basic events by decreasing time-aware importance. *)
-
 val pp_summary : Format.formatter -> result -> unit
 (** One-screen summary including the certified interval. *)
 
@@ -401,8 +392,8 @@ val verify_sim : result -> sim_ci:float * float -> sim_check
 (** [verify_sim result ~sim_ci:(lo, hi)] compares a simulation confidence
     interval against the result's certified budget interval. The simulation
     side is passed as plain bounds so this check does not depend on the
-    simulator library (which sits above this one); [Rare_event.verify]
-    wires the two together.
+    simulator library (which sits above this one); the [simulate] command
+    passes it {!Rare_event.confidence} of an importance-sampling run.
 
     @raise Invalid_argument when [lo > hi]. *)
 

@@ -239,15 +239,6 @@ let iter_transitions c f =
     done
   done
 
-let embedded_dtmc_row c i =
-  let e = c.exit.(i) in
-  if e = 0.0 then [||]
-  else begin
-    let lo = c.row_ptr.(i) in
-    Array.init (c.row_ptr.(i + 1) - lo) (fun k ->
-        (c.cols.(lo + k), c.rates.(lo + k) /. e))
-  end
-
 let pp ppf c =
   Format.fprintf ppf "@[<v>CTMC with %d states, %d transitions@," c.n
     (n_transitions c);

@@ -127,8 +127,4 @@ val n_transitions : t -> int
 
 val iter_transitions : t -> (int -> int -> float -> unit) -> unit
 
-val embedded_dtmc_row : t -> int -> (int * float) array
-(** Jump-chain probabilities of a state: outgoing rates normalised by the
-    exit rate. Empty for absorbing states. *)
-
 val pp : Format.formatter -> t -> unit

@@ -45,8 +45,6 @@ let of_ctmc chain =
     exit = Array.init (Ctmc.n_states chain) (Ctmc.exit_rate chain);
   }
 
-let n_states c = c.n
-
 let max_exit_rate c = Array.fold_left max 0.0 c.exit
 
 let restrict_absorbing c is_absorbing =

@@ -11,11 +11,7 @@ val make : n_states:int -> transitions:(int * int * float) list -> t
 
 val of_ctmc : Ctmc.t -> t
 
-val n_states : t -> int
-
 val max_exit_rate : t -> float
-
-val restrict_absorbing : t -> (int -> bool) -> t
 
 val dtmc_step : t -> float -> float array -> float array -> unit
 (** One step of the uniformized DTMC [P = I + Q/q]: [out := pi * P]. Exposed

@@ -59,51 +59,3 @@ let unavailability ?max_iter ?tolerance chain ~failed =
     let acc = Sdft_util.Kahan.create () in
     Array.iteri (fun s m -> if failed s then Sdft_util.Kahan.add acc m) pi;
     Some (Sdft_util.Kahan.total acc)
-
-let expected_occupancy ?(epsilon = 1e-12) chain ~init ~t =
-  let n = Ctmc.n_states chain in
-  if t < 0.0 || not (Float.is_finite t) then
-    invalid_arg "Steady_state.expected_occupancy: bad horizon";
-  let pi = Array.make n 0.0 in
-  List.iter (fun (s, m) -> pi.(s) <- pi.(s) +. m) init;
-  let q = Ctmc.max_exit_rate chain in
-  if q = 0.0 || t = 0.0 then
-    (* No motion: all mass sits in the initial states for the whole time. *)
-    Array.map (fun m -> m *. t) pi
-  else begin
-    (* integral_0^t pi(s) ds = (1/q) sum_k P(N_qt > k) pi_k, where pi_k are
-       the uniformized DTMC iterates and N_qt ~ Poisson(qt). *)
-    let window = Poisson.weights ~epsilon (q *. t) in
-    let result = Array.make n 0.0 in
-    let scratch = Array.make n 0.0 in
-    (* tail(k) = P(N > k) = 1 - sum_{j<=k} w(j). *)
-    let cumulative = ref 0.0 in
-    let tail k =
-      if k < window.Poisson.left then 1.0 -. !cumulative
-      else if k > window.Poisson.right then 0.0
-      else begin
-        cumulative := !cumulative +. window.Poisson.weights.(k - window.Poisson.left);
-        Float.max 0.0 (1.0 -. !cumulative)
-      end
-    in
-    let pi = ref pi and scratch = ref scratch in
-    let k = ref 0 in
-    let continue = ref true in
-    while !continue do
-      let w = tail !k in
-      if w <= 0.0 && !k >= window.Poisson.right then continue := false
-      else begin
-        let p = !pi in
-        for i = 0 to n - 1 do
-          result.(i) <- result.(i) +. (w *. p.(i))
-        done;
-        (* advance the DTMC over the flat CSR arrays *)
-        let src = !pi and dst = !scratch in
-        Transient.dtmc_step chain q src dst;
-        pi := dst;
-        scratch := src;
-        incr k
-      end
-    done;
-    Array.map (fun x -> x /. q) result
-  end

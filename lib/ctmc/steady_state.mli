@@ -15,11 +15,3 @@ val solve : ?max_iter:int -> ?tolerance:float -> Ctmc.t -> float array option
 
 val unavailability : ?max_iter:int -> ?tolerance:float -> Ctmc.t -> failed:(int -> bool) -> float option
 (** Long-run probability mass of the failed states. *)
-
-val expected_occupancy :
-  ?epsilon:float -> Ctmc.t -> init:(int * float) list -> t:float -> float array
-(** [expected_occupancy chain ~init ~t] is the expected total time spent in
-    each state during [[0, t]] (the integral of the transient distribution),
-    computed by uniformization: the cumulative Poisson tail weights the
-    DTMC iterates. [Sum_i occupancy(i) = t]. The mission unavailability of a
-    repairable system is [occupancy(failed) / t]. *)

@@ -299,45 +299,3 @@ let reach_within ?(options = default_options) ?guard ?workspace:ws
   done;
   (* Clamp tiny numerical overshoot. *)
   Float.min 1.0 (Sdft_util.Kahan.total acc)
-
-let expected_time_to_absorption chain ~init =
-  let n = Ctmc.n_states chain in
-  check_init n init;
-  let row_ptr = Ctmc.row_ptr chain in
-  let cols = Ctmc.cols chain in
-  let rates = Ctmc.rates chain in
-  let exits = Ctmc.exit_rates chain in
-  (* Solve (for transient states i): E(i) * h(i) = 1 + sum_j R(i,j) h(j),
-     i.e. h(i) = (1 + sum_j R(i,j) h(j)) / E(i), by Gauss-Seidel. *)
-  let h = Array.make n 0.0 in
-  let max_iter = 100_000 and tol = 1e-12 in
-  let rec iterate round =
-    if round > max_iter then None
-    else begin
-      let delta = ref 0.0 in
-      for i = 0 to n - 1 do
-        let e = exits.(i) in
-        if e > 0.0 then begin
-          let acc = ref 1.0 in
-          for k = row_ptr.(i) to row_ptr.(i + 1) - 1 do
-            acc := !acc +. (rates.(k) *. h.(cols.(k)))
-          done;
-          let v = !acc /. e in
-          let d = Float.abs (v -. h.(i)) in
-          if d > !delta then delta := d;
-          h.(i) <- v
-        end
-      done;
-      if !delta < tol then Some ()
-      else iterate (round + 1)
-    end
-  in
-  (* Reachability of absorption must be certain for the system to converge;
-     detect obviously divergent cases by bounding the iteration count. *)
-  match iterate 0 with
-  | None -> None
-  | Some () ->
-    let total =
-      List.fold_left (fun acc (s, m) -> acc +. (m *. h.(s))) 0.0 init
-    in
-    if Float.is_finite total then Some total else None

@@ -96,10 +96,3 @@ val reach_within :
     allocation.
 
     Options, guard, failpoint and metrics as in {!distribution}. *)
-
-val expected_time_to_absorption :
-  Ctmc.t -> init:(int * float) list -> float option
-(** Mean time to reach the absorbing states, by solving the linear system on
-    the transient states with Gauss–Seidel; [None] if some initial mass can
-    never be absorbed (or the iteration does not converge). Used by tests and
-    by model exploration tooling. *)

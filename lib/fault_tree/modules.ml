@@ -57,19 +57,9 @@ let reachable_gates tree =
   walk (Fault_tree.top tree);
   seen
 
-let is_module tree g =
-  let reachable = reachable_gates tree in
-  is_module_among ~relevant:(Hashtbl.mem reachable) tree g
-
 let find tree =
   let reachable = reachable_gates tree in
   let relevant = Hashtbl.mem reachable in
   List.filter
     (fun g -> relevant g && is_module_among ~relevant tree g)
     (List.init (Fault_tree.n_gates tree) Fun.id)
-
-let dynamic_modules tree ~is_dynamic =
-  List.filter
-    (fun g ->
-      Sdft_util.Int_set.exists is_dynamic (Fault_tree.descendant_basics tree g))
-    (find tree)

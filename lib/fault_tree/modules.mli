@@ -13,12 +13,3 @@ val find : Fault_tree.t -> int list
     always one. Unreachable gates are not reported, and references from
     unreachable gates (dangling scaffolding that the top event never sees) do
     not disqualify a module. *)
-
-val is_module : Fault_tree.t -> int -> bool
-(** Same reachability rule as {!find}: only parent edges from gates reachable
-    from the top event count against modularity. *)
-
-val dynamic_modules : Fault_tree.t -> is_dynamic:(int -> bool) -> int list
-(** Modules whose subtree contains at least one event selected by
-    [is_dynamic] — the candidates for the modular dynamic/static split of
-    Gulati & Dugan discussed in the paper's related work. *)

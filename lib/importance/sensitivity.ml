@@ -49,10 +49,6 @@ let tornado ?(factor = 10.0) tree cutsets =
   in
   { point; entries }
 
-let top_contributors t n =
-  List.filteri (fun i _ -> i < n) t.entries
-  |> List.map (fun e -> (e.event, e.swing))
-
 let print_ascii tree ?(top = 15) t =
   Printf.printf "point estimate: %.3e\n" t.point;
   let peak =

@@ -22,8 +22,5 @@ val tornado : ?factor:float -> Fault_tree.t -> Cutset.t list -> t
 (** [factor] defaults to 10 (one order of magnitude each way). Only events
     appearing in some cutset are analysed. *)
 
-val top_contributors : t -> int -> (int * float) list
-(** The [n] largest swings as [(event, swing)]. *)
-
 val print_ascii : Fault_tree.t -> ?top:int -> t -> unit
 (** Horizontal tornado bars on stdout. *)

@@ -50,9 +50,6 @@ let minimize sets =
 let rare_event_approximation tree sets =
   Sdft_util.Kahan.sum_list (List.map (probability tree) sets)
 
-let mcub tree sets =
-  1.0 -. List.fold_left (fun acc c -> acc *. (1.0 -. probability tree c)) 1.0 sets
-
 let sort_by_probability tree sets =
   let keyed = List.map (fun c -> (probability tree c, c)) sets in
   let sorted =

@@ -31,10 +31,6 @@ val rare_event_approximation : Fault_tree.t -> t list -> float
 (** Sum of cutset probabilities — the upper approximation used throughout
     the paper. *)
 
-val mcub : Fault_tree.t -> t list -> float
-(** Min-cut upper bound [1 - prod (1 - p(C))] — a tighter standard upper
-    bound, provided for comparison. *)
-
 val sort_by_probability : Fault_tree.t -> t list -> t list
 (** Decreasing probability (ties broken by the set order). *)
 

@@ -20,6 +20,3 @@ val sd_tree : unit -> Sdft.t
 val failure_rate : float
 (** 1e-3 per hour. *)
 
-val repair_rate : float
-(** 5e-2 per hour. *)
-

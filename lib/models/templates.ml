@@ -3,8 +3,6 @@ type pending = {
   triggers : (string * string) list;
 }
 
-let empty = { dynamic = []; triggers = [] }
-
 let merge ps =
   {
     dynamic = List.concat_map (fun p -> p.dynamic) ps;
@@ -31,6 +29,8 @@ let component builder ~name ~p_start ~lambda ?mu ?(phases = 1)
   in
   (gate, { dynamic = [ (name ^ ".run", dbe) ]; triggers = [] })
 
+(* Add a trigger edge [gate -> event] to the pending set; [tree_gate_name]
+   must be the gate's name. *)
 let trigger ~gate ~tree_gate_name pending ~event =
   (match gate with
   | Fault_tree.G _ -> ()

@@ -12,8 +12,6 @@ type pending = {
   triggers : (string * string) list;
 }
 
-val empty : pending
-
 val merge : pending list -> pending
 
 val make_sdft : Fault_tree.Builder.t -> top:Fault_tree.node -> pending -> Sdft.t
@@ -34,11 +32,6 @@ val component :
     failure-to-start ["<name>.start"] and a dynamic failure-in-operation
     ["<name>.run"]. With [triggered] the run event gets on/off structure
     (and must be connected by {!trigger} or inside {!standby_pair}). *)
-
-val trigger : gate:Fault_tree.node -> tree_gate_name:string -> pending -> event:string -> pending
-(** Add a trigger edge [gate -> event] to the pending set; [tree_gate_name]
-    must be the gate's name. (Exposed for custom wiring; the pair helpers
-    below do this internally.) *)
 
 val standby_pair :
   Fault_tree.Builder.t ->

@@ -262,9 +262,3 @@ let to_xml ?(name = "fault-tree") tree =
 
 let to_string ?name tree =
   "<?xml version=\"1.0\"?>\n" ^ Xml.to_string (to_xml ?name tree)
-
-let to_file ?name path tree =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_string ?name tree))

@@ -32,5 +32,3 @@ val of_file : string -> Fault_tree.t
 val to_string : ?name:string -> Fault_tree.t -> string
 (** Serialise as [<opsa-mef>] with one fault tree and its model data.
     Round-trips through {!of_string}. *)
-
-val to_file : ?name:string -> string -> Fault_tree.t -> unit

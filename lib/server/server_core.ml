@@ -726,6 +726,4 @@ let shutdown t =
     to_join;
   Quant_cache.flush t.cache
 
-let cache t = t.cache
-
 let metrics t = t.server_metrics

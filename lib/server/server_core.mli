@@ -103,8 +103,6 @@ val shutdown : t -> unit
     join the worker pool and {!Quant_cache.flush} the shared cache.
     Idempotent. *)
 
-val cache : t -> Quant_cache.t
-
 val clamp_retry_after : float -> float
 (** Clamp a raw [retry_after] estimate into the sane band the server
     promises on the wire: at least 0.05 s (never "retry immediately", a

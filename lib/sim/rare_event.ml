@@ -276,7 +276,3 @@ let variance_reduction e =
   if e.variance > 0.0 && e.estimate > 0.0 then
     Some (e.estimate *. (1.0 -. e.estimate) /. e.variance)
   else None
-
-let verify ?options ?(z = z99) ?obs sd ~horizon result =
-  let e = run ?options ?obs sd ~horizon in
-  (e, Sdft_analysis.verify_sim result ~sim_ci:(confidence ~z e))

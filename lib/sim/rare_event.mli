@@ -102,16 +102,3 @@ val confidence : ?z:float -> estimate -> float * float
 val variance_reduction : estimate -> float option
 (** Trial-for-trial variance ratio vs crude Monte-Carlo of the same
     probability: [p(1-p) / variance]. [None] when degenerate (no hits). *)
-
-val verify :
-  ?options:options ->
-  ?z:float ->
-  ?obs:Sdft_util.Obs.t ->
-  Sdft.t ->
-  horizon:float ->
-  Sdft_analysis.result ->
-  estimate * Sdft_analysis.sim_check
-(** [verify sd ~horizon result] runs the estimator and checks its
-    confidence interval (default [z99]) against the result's certified
-    budget interval via {!Sdft_analysis.verify_sim} — the end-to-end
-    statistical cross-check of the analytic pipeline. *)

@@ -92,8 +92,6 @@ let make sd =
     gates_buf = Array.make (Fault_tree.n_gates (Sdft.tree sd)) false;
   }
 
-let sd t = t.sd
-
 let components t = t.components
 
 let eval world state =

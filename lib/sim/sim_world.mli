@@ -34,8 +34,6 @@ type t
 
 val make : Sdft.t -> t
 
-val sd : t -> Sdft.t
-
 val components : t -> component array
 
 val sample_categorical : Sdft_util.Rng.t -> float array -> int

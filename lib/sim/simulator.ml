@@ -5,44 +5,33 @@ type stats = {
   std_error : float;
 }
 
-(* One trial; returns the failure time when the top gate fails within the
-   horizon. *)
+(* One trial: does the top gate fail within the horizon? *)
 let run_trial world rng ~horizon =
   let state = Sim_world.sample_initial world rng in
   Sim_world.close world state;
   let rec step now =
-    if Sim_world.top_failed world state then Some now
+    if Sim_world.top_failed world state then true
     else begin
       let total = Sim_world.total_rate world state in
-      if total <= 0.0 then None (* no dynamics left: state is final *)
+      if total <= 0.0 then false (* no dynamics left: state is final *)
       else begin
-        let dt = Sdft_util.Rng.exponential rng total in
-        let now = now +. dt in
-        if now > horizon then None
-        else if Sim_world.apply_jump world rng state ~total then step now
-        else None (* numerical corner: treat as no jump *)
+        let now = now +. Sdft_util.Rng.exponential rng total in
+        (* A jump that applies nothing is a numerical corner: no failure. *)
+        now <= horizon && Sim_world.apply_jump world rng state ~total && step now
       end
     end
   in
   step 0.0
 
-let simulate ?(seed = 42) sd ~horizon ~trials =
+let unreliability ?(seed = 42) sd ~horizon ~trials =
   if trials <= 0 then invalid_arg "Simulator: need at least one trial";
   let world = Sim_world.make sd in
   let rng = Sdft_util.Rng.create seed in
   let failures = ref 0 in
-  let time_sum = ref 0.0 in
   for _ = 1 to trials do
-    match run_trial world rng ~horizon with
-    | Some t ->
-      incr failures;
-      time_sum := !time_sum +. t
-    | None -> ()
+    if run_trial world rng ~horizon then incr failures
   done;
-  (!failures, !time_sum)
-
-let unreliability ?seed sd ~horizon ~trials =
-  let failures, _ = simulate ?seed sd ~horizon ~trials in
+  let failures = !failures in
   let p = float_of_int failures /. float_of_int trials in
   {
     trials;
@@ -50,10 +39,6 @@ let unreliability ?seed sd ~horizon ~trials =
     estimate = p;
     std_error = sqrt (p *. (1.0 -. p) /. float_of_int trials);
   }
-
-let failure_time ?seed sd ~horizon ~trials =
-  let failures, time_sum = simulate ?seed sd ~horizon ~trials in
-  if failures = 0 then None else Some (time_sum /. float_of_int failures)
 
 let wilson_interval ?(z = 1.959963984540054) s =
   (* Wilson score bounds: unlike the Wald interval, these stay informative

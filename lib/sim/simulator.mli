@@ -23,11 +23,6 @@ val unreliability :
     fails within the horizon, estimated over independent trials. The
     default seed is 42; results are deterministic per seed. *)
 
-val failure_time :
-  ?seed:int -> Sdft.t -> horizon:float -> trials:int -> float option
-(** Mean time to first top-gate failure among failing trials, [None] when
-    no trial failed. *)
-
 val wilson_interval : ?z:float -> stats -> float * float
 (** Wilson score interval at critical value [z] (default 1.96, i.e. 95%).
     Remains informative in the degenerate cases: with 0 observed failures

@@ -56,8 +56,6 @@ let create ?deadline ?mem_limit_mb ?on_probe () =
 
 let none = create ()
 
-let unlimited t = not t.limited
-
 let status t =
   if not t.limited then None
   else if Unix.gettimeofday () > t.deadline_at then Some Deadline
@@ -80,7 +78,3 @@ let check t =
       if t.limited then check_now t
     end
   end
-
-let remaining_s t =
-  if t.deadline_at = infinity then infinity
-  else t.deadline_at -. Unix.gettimeofday ()

@@ -50,9 +50,6 @@ val none : t
 (** A guard with no limits; {!check} on it is a single load. Use as the
     default so unguarded call sites pay (almost) nothing. *)
 
-val unlimited : t -> bool
-(** [true] when the guard can never trip (no deadline, no ceiling). *)
-
 val status : t -> reason option
 (** Immediate (non-amortized) probe: [Some reason] when a limit is already
     exceeded. Use between work items, where raising would lose work that is
@@ -69,7 +66,3 @@ val check : t -> unit
     calls.
 
     @raise Limit_hit when a limit is exceeded. *)
-
-val remaining_s : t -> float
-(** Seconds left until the deadline; [infinity] without one (may be
-    negative once expired). *)

@@ -135,5 +135,3 @@ let pp ppf a =
     (fun i x -> if i = 0 then Format.fprintf ppf "%d" x else Format.fprintf ppf ", %d" x)
     a;
   Format.fprintf ppf "}"
-
-let hash a = Hashtbl.hash a

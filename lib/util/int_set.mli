@@ -51,5 +51,3 @@ val exists : (int -> bool) -> t -> bool
 val for_all : (int -> bool) -> t -> bool
 
 val pp : Format.formatter -> t -> unit
-
-val hash : t -> int

@@ -192,35 +192,12 @@ let counter_value c = Atomic.get c
 
 let gauge_value g = Atomic.get g
 
-(* Pure histogram values — the same representation backs live snapshots
-   and the property tests for merge laws. *)
+(* Pure histogram values: the snapshot form of a live histogram. *)
 type hist = {
   buckets : int array; (* length [n_buckets], not cumulative *)
   sum : float;
   count : int;
 }
-
-let hist_empty =
-  { buckets = Array.make n_buckets 0; sum = 0.0; count = 0 }
-
-let hist_of_values vs =
-  let buckets = Array.make n_buckets 0 in
-  let sum = ref 0.0 and count = ref 0 in
-  Array.iter
-    (fun v ->
-      let i = bucket_index v in
-      buckets.(i) <- buckets.(i) + 1;
-      sum := !sum +. v;
-      count := !count + 1)
-    vs;
-  { buckets; sum = !sum; count = !count }
-
-let hist_merge a b =
-  {
-    buckets = Array.init n_buckets (fun i -> a.buckets.(i) + b.buckets.(i));
-    sum = a.sum +. b.sum;
-    count = a.count + b.count;
-  }
 
 (* Quantile as the upper boundary of the bucket holding the q-th ranked
    observation — the standard fixed-bucket estimate (what a Prometheus

@@ -33,8 +33,7 @@ type histogram
     log-spaced buckets (four per decade over [1e-9 .. ~5.6e8], plus one
     overflow bucket), and their sum is accumulated. Because the bucket
     boundaries are fixed process-wide, snapshots taken on different domains
-    or at different times merge {e exactly} — merging is integer addition
-    per bucket (see {!hist_merge}). *)
+    or at different times are comparable bucket by bucket. *)
 
 (** {1 Registries} *)
 
@@ -136,10 +135,7 @@ val gauge_value : gauge -> float
 
 (** {1 Histogram values}
 
-    The pure {!hist} record is both the snapshot form of a live
-    {!histogram} and a free-standing value for tests: {!hist_merge} is
-    associative and commutative, and exact on counts (bucket counts are
-    integers; only [sum] is subject to float rounding). *)
+    The pure {!hist} record is the snapshot form of a live {!histogram}. *)
 
 type hist = {
   buckets : int array;
@@ -156,13 +152,6 @@ val bucket_le : int -> float
     bucket. Bucket [i] covers [(bucket_le (i-1), bucket_le i]], with
     everything at or below the first boundary (including [NaN]) in bucket
     0. *)
-
-val hist_empty : hist
-
-val hist_of_values : float array -> hist
-(** Pure construction: bucket every value. *)
-
-val hist_merge : hist -> hist -> hist
 
 val hist_quantile : hist -> float -> float
 (** [hist_quantile h q] estimates the [q]-quantile as the upper boundary of

@@ -59,8 +59,6 @@ let map_init ~domains init f work =
         results
   end
 
-let map ~domains f work = map_init ~domains ignore (fun () x -> f x) work
-
 (* Crash containment: the per-item wrapper turns an exception into an
    [Error] slot, so [map_init]'s first-failure machinery only ever sees
    [init] failures (which stay fatal — without per-domain state nothing can

@@ -24,10 +24,6 @@ val map_init :
     order) is re-raised in the caller after all domains have joined;
     remaining unclaimed work is skipped. *)
 
-val map : domains:int -> ('a -> 'b) -> 'a array -> 'b array
-(** [map ~domains f work] is [map_init ~domains ignore (fun () x -> f x)
-    work]. *)
-
 val map_init_result :
   domains:int ->
   (unit -> 'state) ->

@@ -260,8 +260,6 @@ let open_ ?(batch = 32) ~stamp path =
 
 let mode t = t.mode
 
-let path t = t.path
-
 let healthy t = t.mode = Writer && t.fd <> None
 
 let appended t = t.appended

@@ -42,8 +42,6 @@ val open_ : ?batch:int -> stamp:string -> string -> t * string list
 
 val mode : t -> mode
 
-val path : t -> string
-
 val healthy : t -> bool
 (** [true] while the handle is a {!Writer} whose descriptor is still live —
     i.e. appends can reach the disk. Becomes [false] permanently once an IO

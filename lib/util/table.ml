@@ -48,6 +48,4 @@ let print t = print_string (to_string t)
 
 let cell_sci x = Printf.sprintf "%.3e" x
 
-let cell_float ?(decimals = 2) x = Printf.sprintf "%.*f" decimals x
-
 let cell_duration seconds = Format.asprintf "%a" Timer.pp_duration seconds

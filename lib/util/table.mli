@@ -20,7 +20,5 @@ val to_string : t -> string
 val cell_sci : float -> string
 (** Scientific notation with 3 significant digits, e.g. ["4.09e-09"]. *)
 
-val cell_float : ?decimals:int -> float -> string
-
 val cell_duration : float -> string
 (** Seconds rendered like the paper ("7.9s", "1m 53s"). *)

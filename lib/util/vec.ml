@@ -3,13 +3,11 @@ type 'a t = {
   mutable len : int;
 }
 
-(* Capacity cannot be pre-allocated without a dummy element; the first [push]
-   allocates. The parameter is kept for API stability. *)
-let create ?capacity:_ () = { data = [||]; len = 0 }
+(* Storage cannot be allocated without an element to fill it with; the first
+   [push] allocates. *)
+let create () = { data = [||]; len = 0 }
 
 let length v = v.len
-
-let is_empty v = v.len = 0
 
 let grow v x =
   let cap = Array.length v.data in
@@ -23,20 +21,9 @@ let push v x =
   v.data.(v.len) <- x;
   v.len <- v.len + 1
 
-let pop v =
-  if v.len = 0 then None
-  else begin
-    v.len <- v.len - 1;
-    Some v.data.(v.len)
-  end
-
 let get v i =
   if i < 0 || i >= v.len then invalid_arg "Vec.get: index out of bounds";
   v.data.(i)
-
-let set v i x =
-  if i < 0 || i >= v.len then invalid_arg "Vec.set: index out of bounds";
-  v.data.(i) <- x
 
 let clear v = v.len <- 0
 
@@ -60,17 +47,3 @@ let fold_left f acc v =
 let to_array v = Array.sub v.data 0 v.len
 
 let to_list v = Array.to_list (to_array v)
-
-let of_list l =
-  let v = create () in
-  List.iter (push v) l;
-  v
-
-let exists p v =
-  let rec loop i = i < v.len && (p v.data.(i) || loop (i + 1)) in
-  loop 0
-
-let sort cmp v =
-  let a = to_array v in
-  Array.sort cmp a;
-  Array.blit a 0 v.data 0 v.len

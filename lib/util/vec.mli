@@ -5,24 +5,17 @@
 
 type 'a t
 
-val create : ?capacity:int -> unit -> 'a t
-(** Fresh empty vector. [capacity] pre-allocates backing storage. *)
+val create : unit -> 'a t
+(** Fresh empty vector; the first {!push} allocates its storage. *)
 
 val length : 'a t -> int
-
-val is_empty : 'a t -> bool
 
 val push : 'a t -> 'a -> unit
 (** Append an element at the end. *)
 
-val pop : 'a t -> 'a option
-(** Remove and return the last element, or [None] when empty. *)
-
 val get : 'a t -> int -> 'a
 (** [get v i] is the [i]-th element; raises [Invalid_argument] when out of
     bounds. *)
-
-val set : 'a t -> int -> 'a -> unit
 
 val clear : 'a t -> unit
 (** Remove all elements (keeps capacity). *)
@@ -37,10 +30,3 @@ val to_array : 'a t -> 'a array
 (** Fresh array holding the current elements in order. *)
 
 val to_list : 'a t -> 'a list
-
-val of_list : 'a list -> 'a t
-
-val exists : ('a -> bool) -> 'a t -> bool
-
-val sort : ('a -> 'a -> int) -> 'a t -> unit
-(** In-place sort of the live prefix. *)

@@ -88,6 +88,28 @@ let test_pumps_heap_gauge () =
     if not (mb > 0.0) then
       Alcotest.failf "analysis.peak_heap_mb reads %g on pumps" mb
 
+(* A domain count outside [1, 128] is refused while the flags are parsed
+   (exit 2), before any analysis starts: nothing is printed and the metrics
+   dump is never written. *)
+let test_domains_rejected (cmd, j) () =
+  let metrics =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "sdft_cli_j%s_%d.json" j (Unix.getpid ()))
+  in
+  let out, status =
+    run_cli [ cmd; "../models/pumps.sdft"; "-j"; j; "--metrics"; metrics ]
+  in
+  let written = Sys.file_exists metrics in
+  if written then Sys.remove metrics;
+  Alcotest.(check bool) "exit 2" true (status = Unix.WEXITED 2);
+  Alcotest.(check string) "no output" "" out;
+  Alcotest.(check bool) "no run started" false written
+
+let domain_cases =
+  List.concat_map
+    (fun cmd -> [ (cmd, "0"); (cmd, "129") ])
+    [ "analyze"; "explain"; "sweep"; "simulate" ]
+
 let () =
   Alcotest.run "cli"
     [
@@ -99,4 +121,11 @@ let () =
       ( "metrics",
         [ Alcotest.test_case "pumps peak heap > 0" `Quick test_pumps_heap_gauge ]
       );
+      ( "domains",
+        List.map
+          (fun ((cmd, j) as case) ->
+            Alcotest.test_case
+              (Printf.sprintf "%s -j %s rejected" cmd j)
+              `Quick (test_domains_rejected case))
+          domain_cases );
     ]

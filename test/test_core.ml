@@ -607,26 +607,6 @@ let test_analysis_static_rare_event () =
   Alcotest.(check int) "5 relevant" 5 n;
   check_close ~eps:1e-12 "rea" 1.9e-5 rea
 
-let test_analysis_dynamic_importance () =
-  let r = Sdft_analysis.analyze pumps_sd in
-  (* FV of d: cutsets {b,d} and {a,d} carry its weight. *)
-  let p_of names =
-    let s = pset names in
-    (List.find
-       (fun (i : Sdft_analysis.cutset_info) -> Int_set.equal i.cutset s)
-       r.Sdft_analysis.cutsets)
-      .probability
-  in
-  let expected = (p_of [ "b"; "d" ] +. p_of [ "a"; "d" ]) /. r.Sdft_analysis.total in
-  check_close ~eps:1e-12 "FV(d)" expected
-    (Sdft_analysis.fussell_vesely r (pidx "d"));
-  (* Ranking: the dynamic events dominate the static ones here. *)
-  match Sdft_analysis.rank_by_fussell_vesely r ~n_basics:5 with
-  | first :: _ ->
-    Alcotest.(check bool) "most important is dynamic" true
-      (Sdft.is_dynamic pumps_sd first)
-  | [] -> Alcotest.fail "empty ranking"
-
 let test_analysis_parallel_matches_sequential () =
   let sequential = Sdft_analysis.analyze pumps_sd in
   let options = { Sdft_analysis.default_options with domains = 3 } in
@@ -658,35 +638,6 @@ let test_analysis_engine_spellings () =
   Alcotest.(check string)
     "default is auto" "auto"
     (Sdft_analysis.engine_name Sdft_analysis.default_options.engine)
-
-let test_analysis_fv_respects_cutoff () =
-  (* With cutoff 1e-4 only {b,d} survives into [total]; the FV sums must
-     apply the same filter or fractions exceed 1 ({a,d} used to leak into
-     FV(d)'s numerator but not into the denominator). *)
-  let options = { Sdft_analysis.default_options with cutoff = 1e-4 } in
-  let r = Sdft_analysis.analyze ~options pumps_sd in
-  for a = 0 to 4 do
-    let fv = Sdft_analysis.fussell_vesely r a in
-    if fv < 0.0 || fv > 1.0 then Alcotest.failf "FV out of [0,1]: %f" fv
-  done;
-  check_close ~eps:1e-12 "FV(d) = 1 (sole surviving cutset)" 1.0
-    (Sdft_analysis.fussell_vesely r (pidx "d"));
-  check_close ~eps:1e-12 "FV(a) = 0 (all its cutsets below cutoff)" 0.0
-    (Sdft_analysis.fussell_vesely r (pidx "a"));
-  (* The ranking must be driven by the same filtered sums. *)
-  (match Sdft_analysis.rank_by_fussell_vesely r ~n_basics:5 with
-  | first :: second :: _ ->
-    let top2 = List.sort compare [ first; second ] in
-    Alcotest.(check (list int)) "b and d lead" [ pidx "b"; pidx "d" ] top2
-  | _ -> Alcotest.fail "short ranking");
-  (* Sanity: without a binding cutoff the fractions are unchanged. *)
-  let r0 = Sdft_analysis.analyze pumps_sd in
-  let sum_fv =
-    List.fold_left
-      (fun acc a -> acc +. Sdft_analysis.fussell_vesely r0 a)
-      0.0 [ 0; 1; 2; 3; 4 ]
-  in
-  Alcotest.(check bool) "each event's FV still positive" true (sum_fv > 0.0)
 
 let test_analysis_parallel_4_identical_probabilities () =
   let seq = Sdft_analysis.analyze pumps_sd in
@@ -1910,8 +1861,6 @@ let () =
             test_analysis_parallel_4_identical_probabilities;
           Alcotest.test_case "parallel reordered schedule identical" `Quick
             test_analysis_parallel_reordered_schedule_identical;
-          Alcotest.test_case "dynamic importance" `Quick test_analysis_dynamic_importance;
-          Alcotest.test_case "FV respects cutoff" `Quick test_analysis_fv_respects_cutoff;
           Alcotest.test_case "one exploration per shape" `Quick
             test_analysis_one_exploration_per_shape;
           Alcotest.test_case "default domains = one domain" `Quick

@@ -35,14 +35,6 @@ let test_exit_and_max_rate () =
   check_close "exit 2 (absorbing)" 0.0 (Ctmc.exit_rate c 2);
   check_close "max" 5.0 (Ctmc.max_exit_rate c)
 
-let test_embedded_dtmc () =
-  let c = Ctmc.make ~n_states:3 ~transitions:[ (0, 1, 1.0); (0, 2, 3.0) ] in
-  let row = Ctmc.embedded_dtmc_row c 0 in
-  Alcotest.(check int) "two targets" 2 (Array.length row);
-  check_close "p(0->1)" 0.25 (snd row.(0));
-  check_close "p(0->2)" 0.75 (snd row.(1));
-  Alcotest.(check int) "absorbing empty" 0 (Array.length (Ctmc.embedded_dtmc_row c 2))
-
 (* Poisson *)
 
 let test_poisson_matches_pmf () =
@@ -176,25 +168,6 @@ let test_transient_large_qt () =
   let expected = l /. (l +. m) *. (1.0 -. exp (-.(l +. m) *. t)) in
   check_close ~eps:1e-8 "stiff chain" expected d.(1)
 
-let test_expected_time_to_absorption () =
-  (* Erlang-3 with rate l: mean 3/l. *)
-  let l = 2.0 in
-  let c =
-    Ctmc.make ~n_states:4 ~transitions:[ (0, 1, l); (1, 2, l); (2, 3, l) ]
-  in
-  match Transient.expected_time_to_absorption c ~init:[ (0, 1.0) ] with
-  | Some m -> check_close ~eps:1e-9 "mean" 1.5 m
-  | None -> Alcotest.fail "expected convergence"
-
-let test_expected_time_with_branching () =
-  (* From 0: to absorbing 1 with rate a, to absorbing 2 with rate b.
-     Mean time = 1/(a+b). *)
-  let a = 1.0 and b = 3.0 in
-  let c = Ctmc.make ~n_states:3 ~transitions:[ (0, 1, a); (0, 2, b) ] in
-  match Transient.expected_time_to_absorption c ~init:[ (0, 1.0) ] with
-  | Some m -> check_close ~eps:1e-9 "mean" 0.25 m
-  | None -> Alcotest.fail "expected convergence"
-
 (* Steady state *)
 
 let test_steady_state_birth_death () =
@@ -222,39 +195,6 @@ let test_steady_state_cycle () =
   | Some pi ->
     Array.iter (fun p -> check_close ~eps:1e-9 "uniform" (1.0 /. 3.0) p) pi
   | None -> Alcotest.fail "no convergence"
-
-let test_occupancy_sums_to_horizon () =
-  let c =
-    Ctmc.make ~n_states:3 ~transitions:[ (0, 1, 0.7); (1, 0, 0.2); (1, 2, 0.4) ]
-  in
-  List.iter
-    (fun t ->
-      let occ = Steady_state.expected_occupancy c ~init:[ (0, 1.0) ] ~t in
-      check_close ~eps:1e-8 "total time" t (Array.fold_left ( +. ) 0.0 occ))
-    [ 0.0; 1.0; 10.0 ]
-
-let test_occupancy_closed_form () =
-  (* Repairable machine: expected downtime in [0,t] is
-     q*t - q*(1 - exp(-(l+m) t))/(l+m) with q = l/(l+m). *)
-  let l = 0.4 and m = 0.9 in
-  let c = Ctmc.make ~n_states:2 ~transitions:[ (0, 1, l); (1, 0, m) ] in
-  List.iter
-    (fun t ->
-      let occ = Steady_state.expected_occupancy c ~init:[ (0, 1.0) ] ~t in
-      let q = l /. (l +. m) in
-      let s = l +. m in
-      let expected = (q *. t) -. (q /. s *. (1.0 -. exp (-.s *. t))) in
-      check_close ~eps:1e-7 "downtime" expected occ.(1))
-    [ 0.5; 3.0; 20.0 ]
-
-let test_occupancy_absorbing () =
-  (* Single jump 0 -> 1 at rate l: expected time in 0 within [0,t] is
-     (1 - exp(-l t))/l. *)
-  let l = 0.25 in
-  let c = Ctmc.make ~n_states:2 ~transitions:[ (0, 1, l) ] in
-  let t = 6.0 in
-  let occ = Steady_state.expected_occupancy c ~init:[ (0, 1.0) ] ~t in
-  check_close ~eps:1e-8 "time in 0" ((1.0 -. exp (-.l *. t)) /. l) occ.(0)
 
 (* qcheck: transient distribution stays a distribution. *)
 
@@ -691,7 +631,6 @@ let () =
           Alcotest.test_case "merge order = reference" `Quick
             test_merge_order_matches_reference;
           Alcotest.test_case "exit rates" `Quick test_exit_and_max_rate;
-          Alcotest.test_case "embedded dtmc" `Quick test_embedded_dtmc;
         ]
         @ qc [ prop_plan_instantiate ] );
       ( "poisson",
@@ -712,8 +651,6 @@ let () =
           Alcotest.test_case "t = 0" `Quick test_reach_at_time_zero;
           Alcotest.test_case "init validation" `Quick test_transient_substochastic_init_rejected;
           Alcotest.test_case "stiff chain" `Quick test_transient_large_qt;
-          Alcotest.test_case "mean absorption (erlang)" `Quick test_expected_time_to_absorption;
-          Alcotest.test_case "mean absorption (branching)" `Quick test_expected_time_with_branching;
         ]
         @ qc
             [
@@ -727,8 +664,5 @@ let () =
           Alcotest.test_case "birth-death" `Quick test_steady_state_birth_death;
           Alcotest.test_case "unavailability" `Quick test_steady_state_unavailability;
           Alcotest.test_case "cycle" `Quick test_steady_state_cycle;
-          Alcotest.test_case "occupancy total" `Quick test_occupancy_sums_to_horizon;
-          Alcotest.test_case "occupancy closed form" `Quick test_occupancy_closed_form;
-          Alcotest.test_case "occupancy absorbing" `Quick test_occupancy_absorbing;
         ] );
     ]

@@ -88,13 +88,18 @@ let test_crude_agrees_with_simulator () =
     Alcotest.failf "crude %.6e vs simulator %.6e (> 4 sigma)"
       crude.Rare_event.estimate stats.Simulator.estimate
 
-(* End-to-end: Rare_event.verify's interval check against the analytic
-   pipeline's certified budget interval holds on the running example. *)
+(* End-to-end: an importance-sampling 99% interval checked against the
+   analytic pipeline's certified budget interval, as [simulate] does, holds
+   on the running example. *)
 let test_verify_pumps_overlaps () =
   let sd = Pumps.sd_tree () in
   let result = Sdft_analysis.analyze sd in
   let options = { Rare_event.default_options with trials = 50_000; seed = 13 } in
-  let _, check = Rare_event.verify ~options sd ~horizon:24.0 result in
+  let e = Rare_event.run ~options sd ~horizon:24.0 in
+  let check =
+    Sdft_analysis.verify_sim result
+      ~sim_ci:(Rare_event.confidence ~z:Rare_event.z99 e)
+  in
   Alcotest.(check bool) "overlaps" true check.Sdft_analysis.overlaps;
   Alcotest.(check bool) "not vacuous" false check.Sdft_analysis.vacuous_budget;
   Alcotest.(check (float 1e-12)) "no gap" 0.0 check.Sdft_analysis.gap

@@ -198,8 +198,10 @@ let test_modules_shared_leaf () =
   let tree = Fault_tree.Builder.build b ~top in
   let g1_id = Option.get (Fault_tree.gate_index tree "g1") in
   let g2_id = Option.get (Fault_tree.gate_index tree "g2") in
-  Alcotest.(check bool) "g1 not a module (shares s)" false (Modules.is_module tree g1_id);
-  Alcotest.(check bool) "g2 not a module" false (Modules.is_module tree g2_id);
+  Alcotest.(check bool) "g1 not a module (shares s)" false
+    (List.mem g1_id (Modules.find tree));
+  Alcotest.(check bool) "g2 not a module" false
+    (List.mem g2_id (Modules.find tree));
   Alcotest.(check (list int)) "only top" [ Fault_tree.top tree ] (Modules.find tree)
 
 let test_modules_shared_gate () =
@@ -215,9 +217,12 @@ let test_modules_shared_gate () =
   let top = Fault_tree.Builder.gate b "top" Fault_tree.Or [ g1; g2 ] in
   let tree = Fault_tree.Builder.build b ~top in
   let name n = Option.get (Fault_tree.gate_index tree n) in
-  Alcotest.(check bool) "shared is a module" true (Modules.is_module tree (name "shared"));
-  Alcotest.(check bool) "g1 not" false (Modules.is_module tree (name "g1"));
-  Alcotest.(check bool) "top yes" true (Modules.is_module tree (Fault_tree.top tree))
+  Alcotest.(check bool) "shared is a module" true
+    (List.mem (name "shared") (Modules.find tree));
+  Alcotest.(check bool) "g1 not" false
+    (List.mem (name "g1") (Modules.find tree));
+  Alcotest.(check bool) "top yes" true
+    (List.mem (Fault_tree.top tree) (Modules.find tree))
 
 let test_modules_ignore_dangling () =
   (* An unreachable gate that references a basic inside the live tree must
@@ -234,19 +239,25 @@ let test_modules_ignore_dangling () =
   let tree = Fault_tree.Builder.build b ~top in
   let name n = Option.get (Fault_tree.gate_index tree n) in
   Alcotest.(check bool) "top is a module" true
-    (Modules.is_module tree (Fault_tree.top tree));
+    (List.mem (Fault_tree.top tree) (Modules.find tree));
   Alcotest.(check bool) "sub is a module despite dangling ref to s" true
-    (Modules.is_module tree (name "sub"));
+    (List.mem (name "sub") (Modules.find tree));
   Alcotest.(check bool) "dangling gate itself not reported" false
     (List.mem (name "dangling") (Modules.find tree));
   Alcotest.(check (list int)) "find = reachable modules"
     [ name "sub"; Fault_tree.top tree ]
     (Modules.find tree)
 
+(* The modules that hold a given (dynamic) event: the candidates for a
+   modular dynamic/static split. *)
 let test_dynamic_modules () =
   let tree = pumps in
   let d = Option.get (Fault_tree.basic_index tree "d") in
-  let mods = Modules.dynamic_modules tree ~is_dynamic:(fun b -> b = d) in
+  let mods =
+    List.filter
+      (fun g -> Int_set.mem d (Fault_tree.descendant_basics tree g))
+      (Modules.find tree)
+  in
   (* d sits under pump2, pumps and cooling. *)
   Alcotest.(check int) "three dynamic modules" 3 (List.length mods)
 

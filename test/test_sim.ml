@@ -67,20 +67,6 @@ let test_simulator_deterministic () =
   let b = Simulator.unreliability ~seed:9 sd ~horizon:24.0 ~trials:20_000 in
   Alcotest.(check int) "same failures" a.Simulator.failures b.Simulator.failures
 
-let test_simulator_failure_time () =
-  (* Single exponential event: conditional mean failure time within a long
-     horizon approaches 1/lambda. *)
-  let b = Fault_tree.Builder.create () in
-  let x = Fault_tree.Builder.basic b "x" in
-  let top = Fault_tree.Builder.gate b "top" Fault_tree.Or [ x ] in
-  let tree = Fault_tree.Builder.build b ~top in
-  let sd = Sdft.make tree ~dynamic:[ ("x", Dbe.exponential ~lambda:0.5 ()) ] ~triggers:[] in
-  match Simulator.failure_time ~seed:4 sd ~horizon:200.0 ~trials:50_000 with
-  | Some mean ->
-    if Float.abs (mean -. 2.0) > 0.05 then
-      Alcotest.failf "mean failure time %.3f far from 2.0" mean
-  | None -> Alcotest.fail "expected failures"
-
 let test_simulator_rejects_zero_trials () =
   let sd = Pumps.sd_tree () in
   Alcotest.check_raises "trials" (Invalid_argument "Simulator: need at least one trial")
@@ -260,7 +246,6 @@ let () =
           Alcotest.test_case "triggers vs product" `Slow test_simulator_vs_product_with_triggers;
           Alcotest.test_case "pumps example" `Slow test_simulator_pumps_running_example;
           Alcotest.test_case "deterministic" `Quick test_simulator_deterministic;
-          Alcotest.test_case "failure time" `Slow test_simulator_failure_time;
           Alcotest.test_case "zero trials" `Quick test_simulator_rejects_zero_trials;
           Alcotest.test_case "Wilson: zero failures" `Quick test_wilson_zero_failures;
           Alcotest.test_case "Wilson: all failures" `Quick test_wilson_all_failures;
