@@ -110,7 +110,7 @@ let with_observability obs f =
 
 let resource_term =
   let deadline =
-    Arg.(value & opt (some float) None & info [ "deadline" ] ~docv:"SECONDS" ~doc:"Wall-clock budget for the analysis. When it expires the analysis degrades gracefully (conservative bounds, DEGRADED banner) instead of running on.")
+    Arg.(value & opt (some float) None & info [ "deadline" ] ~docv:"SECONDS" ~doc:"Wall-clock budget for the analysis. When it expires the analysis degrades gracefully (conservative bounds, DEGRADED banner) instead of running on. In $(b,sweep) each point has its own budget, from the start of its cutset generation until the solve pass that all points share has answered its last cutset.")
   in
   let mem =
     Arg.(value & opt (some int) None & info [ "mem-limit-mb" ] ~docv:"MB" ~doc:"Major-heap ceiling in megabytes; exceeded means degrade, like $(b,--deadline).")
@@ -488,8 +488,9 @@ let sweep_cmd =
     Printf.printf "%10s %14s %9s %11s %11s\n" "horizon" "frequency" "cutsets"
       "cache-hits" "cache-miss"
   in
-  (* Rows are flushed as they complete so a killed sweep leaves a readable
-     prefix on the terminal to match the point records in its store. *)
+  (* Rows print after the sweep's shared solve pass, each one right after
+     its point record is flushed, so a killed sweep leaves a readable prefix
+     on the terminal to match the point records in its store. *)
   let print_item = function
     | Sdft_analysis.Sweep_run p ->
       Printf.printf "%10g %14.6e %9d %11d %11d\n%!"

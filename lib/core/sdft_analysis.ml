@@ -215,98 +215,233 @@ type result = {
 let degraded r =
   r.degradation.generation_limit <> None || r.degradation.degraded_cutsets <> []
 
-(* A cache key that cutsets of one analysis missed on, solved once by
-   [rep]: the first of them in input order. Without a cache each pending
-   cutset has a key of its own, [""]. *)
-type missed_key = { key : string; rep : int }
+type sweep_point = {
+  sweep_options : options;
+  sweep_result : result;
+  cache_hits : int;
+  cache_misses : int;
+}
 
-let analyze ?(options = default_options) ?cache ?(obs = Obs.default) sd =
-  let m = obs.Obs.metrics in
-  let sink = obs.Obs.trace in
-  Obs.span obs s_analyze (fun () ->
-  (* The product template memo serves this analysis only: emptying it on
-     the way out keeps one request's heap from counting against the next
-     one's memory limit on a long-lived domain. *)
-  Fun.protect
-    ~finally:(fun () ->
-      Sdft_product.release_template ();
-      Obs.finish obs)
-  @@ fun () ->
-  Metrics.incr (Metrics.get m m_runs);
-  let guard = resource_guard ~obs options in
-  let { translation; engine_used; generation; generation_seconds } =
-    phase1 ~guard ~obs options sd
+(* A point after Phase 1: its cutsets take [first, first + count) in the
+   call's flat arrays. [misses] counts the cache misses of those cutsets;
+   their hits are the answers marked [from_cache]. *)
+type point = {
+  opts : options;
+  guard : Sdft_util.Guard.t;
+  front : phase1;
+  first : int;
+  count : int;
+  misses : int Atomic.t;
+}
+
+(* Phase 2 of one call: the cutsets of every point under one index, point
+   after point, each in input order. Of a cutset that needs a product chain
+   the plan keeps its cache key ([""] without a cache), shape ([-1] when not
+   pending), static multiplier and dynamic counts, in flat arrays: a record
+   per cutset outliving the plan would fragment the heap. Each domain of a
+   pass takes one of the call's worker states (an FT_C context and a solver
+   workspace), one per domain of the widest pass, so passes and points
+   share trigger sets and buffers. *)
+type work = {
+  sd : Sdft.t;
+  cache : Quant_cache.t option;
+  obs : Obs.t;
+  points : point array;
+  owner : int array;
+  sets : Cutset.t array;
+  infos : cutset_info option array;
+  keys : string array;
+  shape : int array;
+  multiplier : float array;
+  n_dyn : int array;
+  n_added : int array;
+  workers : (Cutset_model.context * Transient.workspace) array;
+}
+
+(* Phase 1 of each point, in order, each under its own guard. *)
+let work_of ?cache ~obs sd option_sets =
+  let n = ref 0 in
+  let point opts =
+    Metrics.incr (Metrics.get obs.Obs.metrics m_runs);
+    let guard = resource_guard ~obs opts in
+    let front = phase1 ~guard ~obs opts sd in
+    let count = List.length front.generation.Mocus.cutsets in
+    n := !n + count;
+    { opts; guard; front; first = !n - count; count; misses = Atomic.make 0 }
   in
-  (* Phase 2: per-cutset quantification, walking a degradation ladder per
-     cutset: exact product-chain quantification when resources allow it,
-     otherwise the conservative static worst-case product (which
-     upper-bounds p~(C)) with the typed reason recorded in the cutset's
-     provenance. *)
-  let worst_case_product cutset =
-    Sdft_util.Int_set.fold
-      (fun b acc -> acc *. translation.Sdft_translate.worst_case.(b))
-      cutset 1.0
+  let points = Array.of_list (List.map point option_sets) in
+  let owner = Array.make !n 0 in
+  Array.iteri (fun k p -> Array.fill owner p.first p.count k) points;
+  let sets p = Array.of_list p.front.generation.Mocus.cutsets in
+  let domains = Array.fold_left (fun d p -> max d p.opts.domains) 1 points in
+  {
+    sd;
+    cache;
+    obs;
+    points;
+    owner;
+    sets = Array.concat (List.map sets (Array.to_list points));
+    infos = Array.make !n None;
+    keys = Array.make !n "";
+    shape = Array.make !n (-1);
+    multiplier = Array.create_float !n;
+    n_dyn = Array.make !n 0;
+    n_added = Array.make !n 0;
+    workers =
+      Array.init domains (fun _ ->
+          (Cutset_model.context sd, Transient.workspace ()));
+  }
+
+let count_dynamic sd cutset =
+  Sdft_util.Int_set.fold
+    (fun b acc -> if Sdft.is_dynamic sd b then acc + 1 else acc)
+    cutset 0
+
+(* ETA cost proxy for the progress schedule: the product chain grows
+   multiplicatively with the cutset's dynamic width. *)
+let cost_of sd cutset = float_of_int (1 lsl min (count_dynamic sd cutset) 20)
+
+(* The fallback: the static worst-case product at the point's horizon,
+   which upper-bounds p~(C), with the typed reason as provenance. *)
+let fallback_info w p ?dynamic ~reason cutset =
+  let n_dynamic, n_added_dynamic =
+    match dynamic with Some d -> d | None -> (count_dynamic w.sd cutset, 0)
   in
-  let count_dynamic cutset =
-    Sdft_util.Int_set.fold
-      (fun b acc -> if Sdft.is_dynamic sd b then acc + 1 else acc)
-      cutset 0
-  in
-  let fallback_info ?dynamic ~reason cutset =
-    let n_dynamic, n_added_dynamic =
-      match dynamic with Some d -> d | None -> (count_dynamic cutset, 0)
-    in
-    Trace.add_attr ~sink "fallback" (Trace.Bool true);
-    {
-      cutset;
-      probability = worst_case_product cutset;
-      n_dynamic;
-      n_added_dynamic;
-      product_states = 0;
-      product_transitions = 0;
-      solver_steps = 0;
-      (* Each worst-case factor was computed by a transient solve with
-         error at most [transient_epsilon]; factors are at most 1, so the
-         product's absolute error is bounded by the factor count times
-         epsilon (first order). *)
-      solver_error =
-        float_of_int (Sdft_util.Int_set.cardinal cutset)
-        *. options.transient_epsilon;
-      from_cache = false;
-      solve_seconds = 0.0;
-      used_fallback = true;
-      degraded = Some reason;
-    }
-  in
-  let exact_info cutset ~dynamic:(n_dynamic, n_added_dynamic) q =
-    Trace.add_attr ~sink "probability" (Trace.Float q.Cutset_model.probability);
-    Trace.add_attr ~sink "states" (Trace.Int q.Cutset_model.product_states);
-    if q.Cutset_model.from_cache then
-      Trace.add_attr ~sink "cached" (Trace.Bool true);
-    {
-      cutset;
-      probability = q.Cutset_model.probability;
-      n_dynamic;
-      n_added_dynamic;
-      product_states = q.Cutset_model.product_states;
-      product_transitions = q.Cutset_model.product_transitions;
-      solver_steps = q.Cutset_model.solver_steps;
-      solver_error = q.Cutset_model.solver_error;
-      from_cache = q.Cutset_model.from_cache;
-      solve_seconds = q.Cutset_model.seconds;
-      used_fallback = false;
-      degraded = None;
-    }
-  in
-  (* ETA cost proxy for the progress schedule: the product chain grows
-     multiplicatively with the dynamic width of the cutset, so weight each
-     work item exponentially (capped) rather than uniformly. *)
-  let cost_of cutset =
-    float_of_int (1 lsl min (count_dynamic cutset) 20)
-  in
-  let epsilon = options.transient_epsilon in
-  (* Product-shape ids of this analysis, numbered by the resolve pass. *)
-  let shape_ids : (int array, int) Hashtbl.t = Hashtbl.create 16 in
+  Trace.add_attr ~sink:w.obs.Obs.trace "fallback" (Trace.Bool true);
+  let worst_case = p.front.translation.Sdft_translate.worst_case in
+  {
+    cutset;
+    probability =
+      Sdft_util.Int_set.fold (fun b acc -> acc *. worst_case.(b)) cutset 1.0;
+    n_dynamic;
+    n_added_dynamic;
+    product_states = 0;
+    product_transitions = 0;
+    solver_steps = 0;
+    (* Each worst-case factor was computed by a transient solve with error
+       at most [transient_epsilon]; factors are at most 1, so the product's
+       absolute error is bounded by the factor count times epsilon (first
+       order). *)
+    solver_error =
+      float_of_int (Sdft_util.Int_set.cardinal cutset)
+      *. p.opts.transient_epsilon;
+    from_cache = false;
+    solve_seconds = 0.0;
+    used_fallback = true;
+    degraded = Some reason;
+  }
+
+let exact_info w cutset ~dynamic:(n_dynamic, n_added_dynamic) q =
+  let sink = w.obs.Obs.trace in
+  Trace.add_attr ~sink "probability" (Trace.Float q.Cutset_model.probability);
+  Trace.add_attr ~sink "states" (Trace.Int q.Cutset_model.product_states);
+  if q.Cutset_model.from_cache then
+    Trace.add_attr ~sink "cached" (Trace.Bool true);
+  {
+    cutset;
+    probability = q.Cutset_model.probability;
+    n_dynamic;
+    n_added_dynamic;
+    product_states = q.Cutset_model.product_states;
+    product_transitions = q.Cutset_model.product_transitions;
+    solver_steps = q.Cutset_model.solver_steps;
+    solver_error = q.Cutset_model.solver_error;
+    from_cache = q.Cutset_model.from_cache;
+    solve_seconds = q.Cutset_model.seconds;
+    used_fallback = false;
+    degraded = None;
+  }
+
+(* A cutset's answer, once final: time it and step the progress (atomic
+   state, safe from worker domains). *)
+let settle w i info =
+  if not info.used_fallback then
+    Metrics.observe (Metrics.get w.obs.Obs.metrics m_solve_s)
+      info.solve_seconds;
+  Obs.step w.obs ~cost:(cost_of w.sd info.cutset) ();
+  w.infos.(i) <- Some info
+
+(* Every pass runs the same crash-containing map: an exception neither the
+   guard nor the state bound accounts for (a bug, an injected crash)
+   poisons only its own cutset, which takes the fallback marked
+   [Worker_crash] instead of killing the whole call. *)
+let run w ~domains f order =
+  let next = Atomic.make 0 in
+  let take () = w.workers.(Atomic.fetch_and_add next 1) in
+  Array.iteri
+    (fun pos r ->
+      if Result.is_error r then begin
+        let i = order.(pos) in
+        Trace.instant ~sink:w.obs.Obs.trace "analysis.worker_crash";
+        settle w i
+          (fallback_info w w.points.(w.owner.(i))
+             ~reason:Sdft_util.Guard.Worker_crash w.sets.(i))
+      end)
+    (Sdft_util.Parallel.map_init_result ~domains take f order)
+
+(* Model construction answers to the same guard as the solve: its
+   trigger-set BDD compilations can blow up on their own, and a limit
+   tripping there is a resource degradation, not a worker crash. *)
+let build_model w p context cutset =
+  Cutset_model.build ~context ~rel_rule:p.opts.rel_rule ~guard:p.guard
+    ~obs:w.obs w.sd cutset
+
+let plan_item w p ~shape_id (context, _) i =
+  let cutset = w.sets.(i) and obs = w.obs in
+  let epsilon = p.opts.transient_epsilon and horizon = p.opts.horizon in
+  (* The per-item crash site, on this call's own failpoints; raised inside
+     the crash-containing map, so it is contained in its slot. *)
+  Sdft_util.Failpoint.hit_in obs.Obs.failpoints "parallel.worker";
+  Obs.span obs s_cutset (fun () ->
+      match Sdft_util.Guard.status p.guard with
+      | Some r ->
+        (* The point's limit tripped: skip the build and the solve so the
+           remaining cutsets drain fast. *)
+        settle w i (fallback_info w p ~reason:r cutset)
+      | None -> (
+        match build_model w p context cutset with
+        | exception Sdft_util.Guard.Limit_hit r ->
+          settle w i (fallback_info w p ~reason:r cutset)
+        | model -> (
+          let dynamic =
+            ( model.Cutset_model.n_dynamic_in_cutset,
+              model.Cutset_model.n_added_dynamic )
+          in
+          let static_multiplier = model.Cutset_model.static_multiplier in
+          let t0 = Sdft_util.Timer.start () in
+          let looked_up =
+            Option.bind w.cache (fun c ->
+                Quant_cache.lookup c ~epsilon
+                  ~max_states:p.opts.max_product_states
+                  ~engine_tag:(engine_name p.front.engine_used) ~obs model
+                  ~horizon)
+          in
+          match (model.Cutset_model.model, looked_up) with
+          | None, _ ->
+            settle w i
+              (exact_info w cutset ~dynamic
+                 (Cutset_model.quantify ~epsilon model ~horizon))
+          | Some _, Some (_, Some e) ->
+            settle w i
+              (exact_info w cutset ~dynamic
+                 (Cutset_model.of_solution ~epsilon ~static_multiplier
+                    ~from_cache:true
+                    ~seconds:(Sdft_util.Timer.elapsed_s t0) e))
+          | Some sd_c, _ ->
+            Option.iter (fun (key, _) -> w.keys.(i) <- key) looked_up;
+            w.multiplier.(i) <- static_multiplier;
+            w.n_dyn.(i) <- fst dynamic;
+            w.n_added.(i) <- snd dynamic;
+            w.shape.(i) <- shape_id sd_c)))
+
+(* The plan, point by point: build each FT_C and answer what needs no
+   product chain — static and impossible cutsets, cache hits, a tripped
+   guard. The rest leave their key and shape, and their FT_C is dropped. It
+   runs on the calling domain, in input order: a wide pass measured no
+   faster, and every domain it spawns adds its heap to the peak. Returns
+   each point's plan time. *)
+let plan w =
+  let shape_ids = Hashtbl.create 16 in
   let shape_id sd_c =
     let key = Sdft_product.shape sd_c in
     match Hashtbl.find_opt shape_ids key with
@@ -316,291 +451,135 @@ let analyze ?(options = default_options) ?cache ?(obs = Obs.default) sd =
       Hashtbl.add shape_ids key id;
       id
   in
-  let cutsets = Array.of_list generation.Mocus.cutsets in
-  let n = Array.length cutsets in
-  (* A cutset's answer, once final. *)
-  let infos = Array.make n None in
-  (* What the resolve pass leaves of a cutset it cannot answer without a
-     product chain, enough to solve it without its FT_C: its missed key,
-     product shape ([-1] when not pending), static multiplier and dynamic
-     event counts. Flat arrays, not a record per cutset: thousands of
-     small blocks outliving the pass would fragment the heap. *)
-  let no_key = { key = ""; rep = -1 } in
-  let missed = Array.make n no_key in
-  let shape = Array.make n (-1) in
-  let multiplier = Array.create_float n in
-  let n_dyn = Array.make n 0 and n_added = Array.make n 0 in
-  (* The resolve pass meets the cutsets in input order, so a key's first
-     miss is its representative. *)
-  let missed_keys = Hashtbl.create 64 in
-  let miss key i =
-    match Hashtbl.find_opt missed_keys key with
-    | Some k -> k
-    | None ->
-      let k = { key; rep = i } in
-      Hashtbl.add missed_keys key k;
-      k
+  Array.map
+    (fun p ->
+      let t0 = Sdft_util.Timer.start () in
+      run w ~domains:1 (plan_item w p ~shape_id)
+        (Array.init p.count (fun j -> p.first + j));
+      Sdft_util.Timer.elapsed_s t0)
+    w.points
+
+(* Solve one pending cutset: its FT_C rebuilt, one product chain. Through a
+   cache the solve answers the cutset's key, so a key some earlier cutset
+   solved is a hit, and one whose solve failed is tried again. *)
+let solve_item w (context, workspace) i =
+  let p = w.points.(w.owner.(i)) and cutset = w.sets.(i) and obs = w.obs in
+  let key = w.keys.(i) and dynamic = (w.n_dyn.(i), w.n_added.(i)) in
+  let epsilon = p.opts.transient_epsilon in
+  w.keys.(i) <- "";
+  settle w i
+  @@ Obs.span obs s_cutset (fun () ->
+         match Sdft_util.Guard.status p.guard with
+         | Some r -> fallback_info w p ~dynamic ~reason:r cutset
+         | None -> (
+           let t0 = Sdft_util.Timer.start () in
+           let solve_model () =
+             Cutset_model.solve ~epsilon
+               ~max_states:p.opts.max_product_states ~guard:p.guard
+               ~workspace ~obs
+               (Option.get (build_model w p context cutset).Cutset_model.model)
+               ~horizon:p.opts.horizon
+           in
+           match
+             match w.cache with
+             | Some c when key <> "" ->
+               Quant_cache.answer c ~obs key (fun () ->
+                   Atomic.incr p.misses;
+                   solve_model ())
+             | _ -> (solve_model (), false)
+           with
+           | e, from_cache ->
+             exact_info w cutset ~dynamic
+               (Cutset_model.of_solution ~epsilon
+                  ~static_multiplier:w.multiplier.(i) ~from_cache
+                  ~seconds:(Sdft_util.Timer.elapsed_s t0) e)
+           | exception Sdft_product.Too_many_states _ ->
+             fallback_info w p ~dynamic ~reason:Sdft_util.Guard.State_limit
+               cutset
+           | exception Sdft_util.Guard.Limit_hit r ->
+             fallback_info w p ~dynamic ~reason:r cutset
+           | exception Out_of_memory ->
+             fallback_info w p ~dynamic ~reason:Sdft_util.Guard.Mem_limit
+               cutset))
+
+(* One solve pass over the pending cutsets of every point. Each key is
+   solved once, by its first cutset in input order, with the builds grouped
+   by shape, so a domain's kept template re-rates a whole group, of any
+   point, after one exploration. At one domain the groups come in order of
+   first appearance; at several, widest first, since a big chain picked up
+   last leaves one domain solving alone. A domain leaves a group only once
+   it is taken, so it explores each shape at most once. The other cutsets
+   of each key come last, on one domain, in input order, each a cache hit.
+   A pass never starts more domains than it has cutsets. *)
+let solve w =
+  let domains = Array.length w.workers in
+  let firsts = Sdft_util.Vec.create () and rest = Sdft_util.Vec.create () in
+  let seen = Hashtbl.create 64 in
+  Array.iteri
+    (fun i s ->
+      if s >= 0 then begin
+        let key = w.keys.(i) in
+        let lead = key = "" || not (Hashtbl.mem seen key) in
+        Hashtbl.replace seen key ();
+        Sdft_util.Vec.push (if lead then firsts else rest) i
+      end)
+    w.shape;
+  let firsts = Sdft_util.Vec.to_array firsts in
+  if domains > 1 then begin
+    let width i = w.n_dyn.(i) + w.n_added.(i) in
+    Array.stable_sort (fun i j -> compare (width j) (width i)) firsts
+  end;
+  let rank = Hashtbl.create 16 in
+  Array.iter
+    (fun i ->
+      if not (Hashtbl.mem rank w.shape.(i)) then
+        Hashtbl.add rank w.shape.(i) (Hashtbl.length rank))
+    firsts;
+  let rank_of i = Hashtbl.find rank w.shape.(i) in
+  Array.stable_sort (fun i j -> compare (rank_of i) (rank_of j)) firsts;
+  if domains > 1 && Array.length firsts > 1 then begin
+    (* The shared model is read-only once its lazy descendant caches are
+       forced, so workers only need their own context and workspace. *)
+    let tree = Sdft.tree w.sd in
+    for g = 0 to Fault_tree.n_gates tree - 1 do
+      ignore (Fault_tree.descendant_basics tree g);
+      ignore (Sdft.dynamic_descendants w.sd g)
+    done
+  end;
+  run w ~domains (solve_item w) firsts;
+  run w ~domains:1 (solve_item w) (Sdft_util.Vec.to_array rest)
+
+(* Fold one point's answers, in input order, into its result. Upper bound:
+   the rare-event sum over-approximates the union, so adding back every
+   discarded mass (pruned in generation, or below the relevance filter) and
+   the summed solver error bounds the top-event probability. Lower bound:
+   any single cutset failing fails the top, so the largest certified cutset
+   probability minus its own solver error; fallbacks over-approximate and
+   must not anchor it. *)
+let budget w p ~quantification_seconds =
+  let { translation; engine_used; generation; generation_seconds } =
+    p.front
   in
-  let settle i info =
-    (* Time the answer and step the progress (atomic state, safe from
-       worker domains). *)
-    if not info.used_fallback then
-      Metrics.observe (Metrics.get m m_solve_s) info.solve_seconds;
-    Obs.step obs ~cost:(cost_of info.cutset) ();
-    infos.(i) <- Some info
-  in
-  (* Resolve pass: build each FT_C and answer what needs no product chain —
-     static and impossible cutsets, cache hits, a tripped guard. The rest
-     leave their cache key (none without a cache) and product shape; their
-     FT_C is dropped, so the pass holds no models. It runs on the calling
-     domain, in input order, at any domain count: a wide pass measured no
-     faster, and every domain it spawns adds its own heap to the peak. *)
-  let resolve (context, _) i =
-    let cutset = cutsets.(i) in
-    (* The per-item crash site, on this analysis' own failpoints; raised
-       inside the crash-containing map, so it is contained in its slot. *)
-    Sdft_util.Failpoint.hit_in obs.Obs.failpoints "parallel.worker";
-    Obs.span obs s_cutset (fun () ->
-        match Sdft_util.Guard.status guard with
-        | Some r ->
-          (* The global limit tripped between work items: skip the model
-             build and the solve outright so the remaining cutsets drain
-             fast. *)
-          settle i (fallback_info ~reason:r cutset)
-        | None -> (
-          (* Model construction answers to the same guard as the solve: its
-             trigger-set BDD compilations can blow up on their own, and a
-             limit tripping there is a resource degradation, not a worker
-             crash. *)
-          match
-            Cutset_model.build ~context ~rel_rule:options.rel_rule ~guard ~obs
-              sd cutset
-          with
-          | exception Sdft_util.Guard.Limit_hit r ->
-            settle i (fallback_info ~reason:r cutset)
-          | model -> (
-            let dynamic =
-              ( model.Cutset_model.n_dynamic_in_cutset,
-                model.Cutset_model.n_added_dynamic )
-            in
-            let static_multiplier = model.Cutset_model.static_multiplier in
-            let t0 = Sdft_util.Timer.start () in
-            let looked_up =
-              Option.bind cache (fun c ->
-                  Quant_cache.lookup c ~epsilon
-                    ~max_states:options.max_product_states
-                    ~engine_tag:(engine_name engine_used) ~obs model
-                    ~horizon:options.horizon)
-            in
-            match (model.Cutset_model.model, looked_up) with
-            | None, _ ->
-              settle i
-                (exact_info cutset ~dynamic
-                   (Cutset_model.quantify ~epsilon model
-                      ~horizon:options.horizon))
-            | Some _, Some (_, Some e) ->
-              settle i
-                (exact_info cutset ~dynamic
-                   (Cutset_model.of_solution ~epsilon ~static_multiplier
-                      ~from_cache:true
-                      ~seconds:(Sdft_util.Timer.elapsed_s t0) e))
-            | Some sd_c, _ ->
-              let id = shape_id sd_c in
-              missed.(i) <-
-                (match looked_up with
-                | Some (key, _) -> miss key i
-                | None -> { key = ""; rep = i });
-              multiplier.(i) <- static_multiplier;
-              n_dyn.(i) <- fst dynamic;
-              n_added.(i) <- snd dynamic;
-              shape.(i) <- id)))
-  in
-  (* Solve pass: one product chain per pending cutset, its FT_C rebuilt.
-     Through a cache the solve answers the cutset's key, so a key some
-     earlier cutset solved is a hit, and one whose solve failed is tried
-     again. *)
-  let solve (context, workspace) i =
-    let cutset = cutsets.(i) in
-    let key = missed.(i).key and dynamic = (n_dyn.(i), n_added.(i)) in
-    missed.(i) <- no_key;
-    settle i
-    @@ Obs.span obs s_cutset (fun () ->
-           match Sdft_util.Guard.status guard with
-           | Some r -> fallback_info ~dynamic ~reason:r cutset
-           | None -> (
-             let t0 = Sdft_util.Timer.start () in
-             let solve_model () =
-               let model =
-                 Cutset_model.build ~context ~rel_rule:options.rel_rule ~guard
-                   ~obs sd cutset
-               in
-               Cutset_model.solve ~epsilon
-                 ~max_states:options.max_product_states ~guard ~workspace ~obs
-                 (Option.get model.Cutset_model.model)
-                 ~horizon:options.horizon
-             in
-             match
-               match cache with
-               | Some c when key <> "" ->
-                 Quant_cache.answer c ~obs key solve_model
-               | _ -> (solve_model (), false)
-             with
-             | e, from_cache ->
-               exact_info cutset ~dynamic
-                 (Cutset_model.of_solution ~epsilon
-                    ~static_multiplier:multiplier.(i) ~from_cache
-                    ~seconds:(Sdft_util.Timer.elapsed_s t0) e)
-             | exception Sdft_product.Too_many_states _ ->
-               fallback_info ~dynamic
-                 ~reason:Sdft_util.Guard.State_limit cutset
-             | exception Sdft_util.Guard.Limit_hit r ->
-               fallback_info ~dynamic ~reason:r cutset
-             | exception Out_of_memory ->
-               fallback_info ~dynamic
-                 ~reason:Sdft_util.Guard.Mem_limit cutset))
-  in
-  (* Both passes run the same crash-containing map. Last rung of the
-     ladder: any exception neither the guard nor the state bound accounts
-     for (a genuine bug, an injected crash) poisons only its own cutset —
-     the map turns it into an [Error] slot, and the cutset takes the
-     worst-case fallback marked [Worker_crash] instead of killing the whole
-     analysis. Each domain of a pass takes a worker state (an FT_C context
-     and a solver workspace, which also holds the product chain being
-     solved) that an earlier pass left, so the passes share their memoized
-     trigger sets and sized buffers. *)
-  let workers = ref [] and workers_lock = Mutex.create () in
-  let run ~domains f order =
-    let free = ref !workers in
-    let take () =
-      Mutex.protect workers_lock (fun () ->
-          match !free with
-          | w :: rest ->
-            free := rest;
-            w
-          | [] ->
-            let w = (Cutset_model.context sd, Transient.workspace ()) in
-            workers := w :: !workers;
-            w)
-    in
-    Array.iteri
-      (fun pos r ->
-        if Result.is_error r then begin
-          let i = order.(pos) in
-          Trace.instant ~sink "analysis.worker_crash";
-          settle i
-            (fallback_info ~reason:Sdft_util.Guard.Worker_crash cutsets.(i))
-        end)
-      (Sdft_util.Parallel.map_init_result ~domains take f order)
-  in
-  (* The solve schedule. Each key is solved once, by its first pending
-     cutset in input order, and the product builds run grouped by shape, so
-     the domain's kept template re-rates a whole group after one
-     exploration. At one domain the groups come in order of first
-     appearance. At several, in cost order: with an atomic-counter
-     scheduler a big chain picked up last leaves one domain solving alone
-     while the others idle, and more dynamic events mean a
-     (multiplicatively) larger chain. A domain leaves a group only once the
-     group is taken, so each domain explores each shape at most once. The
-     cutsets that share a solved key come last, in input order, each a
-     cache hit. *)
-  let schedule () =
-    let firsts = Sdft_util.Vec.create () and rest = Sdft_util.Vec.create () in
-    for i = 0 to n - 1 do
-      if shape.(i) >= 0 then
-        Sdft_util.Vec.push (if missed.(i).rep = i then firsts else rest) i
-    done;
-    let firsts = Sdft_util.Vec.to_array firsts in
-    if options.domains > 1 then begin
-      let width i = n_dyn.(i) + n_added.(i) in
-      Array.stable_sort (fun i j -> compare (width j) (width i)) firsts
-    end;
-    let rank = Hashtbl.create 16 in
-    Array.iter
-      (fun i ->
-        if not (Hashtbl.mem rank shape.(i)) then
-          Hashtbl.add rank shape.(i) (Hashtbl.length rank))
-      firsts;
-    let rank_of i = Hashtbl.find rank shape.(i) in
-    Array.stable_sort (fun i j -> compare (rank_of i) (rank_of j)) firsts;
-    (firsts, Sdft_util.Vec.to_array rest)
-  in
-  (* Answers land by cutset index, so the Kahan total sums in input order
-     at any domain count and stays bit-identical. Only the solve pass runs
-     on [options.domains] domains; a pass never starts more domains than it
-     has cutsets, so a sweep point without misses starts none. *)
-  let quantify_all () =
-    run ~domains:1 resolve (Array.init n Fun.id);
-    Hashtbl.reset missed_keys;
-    let firsts, rest = schedule () in
-    if options.domains > 1 && Array.length firsts > 1 then begin
-      (* The shared model is read-only once its lazy descendant caches are
-         forced, so workers only need their own per-analysis context and
-         solver workspace. *)
-      let tree = Sdft.tree sd in
-      for g = 0 to Fault_tree.n_gates tree - 1 do
-        ignore (Fault_tree.descendant_basics tree g);
-        ignore (Sdft.dynamic_descendants sd g)
-      done
-    end;
-    run ~domains:options.domains solve firsts;
-    run ~domains:1 solve rest;
-    List.init n (fun i -> Option.get infos.(i))
-  in
-  Obs.begin_phase obs "quantification" ~total:n
-    ~cost_total:(Array.fold_left (fun acc c -> acc +. cost_of c) 0.0 cutsets)
-    ();
-  let infos, quantification_seconds =
-    Obs.span_timed obs s_quant quantify_all
-  in
-  let relevant =
-    List.filter (fun info -> info.probability > options.cutoff) infos
-  in
+  let cutoff = p.opts.cutoff and m = w.obs.Obs.metrics in
+  let infos = List.init p.count (fun j -> Option.get w.infos.(p.first + j)) in
+  let mass f = Sdft_util.Kahan.sum_list (List.filter_map f infos) in
   let total =
-    Sdft_util.Kahan.sum_list (List.map (fun info -> info.probability) relevant)
+    mass (fun i -> if i.probability > cutoff then Some i.probability else None)
   in
-  let sorted =
-    List.sort
-      (fun a b ->
-        let c = compare b.probability a.probability in
-        if c <> 0 then c else Sdft_util.Int_set.compare a.cutset b.cutset)
-      infos
+  let below_cutoff_mass =
+    mass (fun i -> if i.probability <= cutoff then Some i.probability else None)
   in
-  let n_fallbacks =
-    List.length (List.filter (fun info -> info.used_fallback) infos)
-  in
-  Metrics.add (Metrics.get m m_cutsets) (List.length infos);
+  let solver_error_total = mass (fun i -> Some i.solver_error) in
+  let n_of f = List.length (List.filter f infos) in
+  let n_fallbacks = n_of (fun i -> i.used_fallback) in
+  Metrics.add (Metrics.get m m_cutsets) p.count;
   Metrics.add (Metrics.get m m_fallbacks) n_fallbacks;
   Metrics.add (Metrics.get m m_product_states)
-    (List.fold_left (fun acc info -> acc + info.product_states) 0 infos);
-  (* Error budget. Upper bound: the rare-event sum over-approximates the
-     union, so adding back every discarded mass — branches pruned during
-     MOCUS, quantified cutsets dropped by the relevance filter — and the
-     total numerical solver error yields a sound upper bound on the true
-     top-event probability. Lower bound: the failure of any single cutset
-     implies top failure, so the largest individually certified cutset
-     probability (minus its own solver error) is a sound lower bound;
-     fallback cutsets over-approximate and must not anchor it. *)
-  let below_cutoff_mass =
-    let acc = Sdft_util.Kahan.create () in
-    List.iter
-      (fun info ->
-        if info.probability <= options.cutoff then
-          Sdft_util.Kahan.add acc info.probability)
-      infos;
-    Sdft_util.Kahan.total acc
+    (List.fold_left (fun acc i -> acc + i.product_states) 0 infos);
+  let certified i =
+    if i.used_fallback then None else Some (i.probability -. i.solver_error)
   in
-  let solver_error_total =
-    let acc = Sdft_util.Kahan.create () in
-    List.iter (fun info -> Sdft_util.Kahan.add acc info.solver_error) infos;
-    Sdft_util.Kahan.total acc
-  in
-  let lower =
-    List.fold_left
-      (fun acc info ->
-        if info.used_fallback then acc
-        else Float.max acc (info.probability -. info.solver_error))
-      0.0 infos
-  in
+  let lower = List.fold_left Float.max 0.0 (List.filter_map certified infos) in
   (* Both engines account for what their cutoff and order bounds drop
      (MOCUS as an upper bound, the ZDD engine exactly), so only truncated
      generation leaves mass unaccounted. *)
@@ -611,55 +590,107 @@ let analyze ?(options = default_options) ?cache ?(obs = Obs.default) sd =
       total +. generation.Mocus.pruned_mass +. below_cutoff_mass
       +. solver_error_total
   in
-  let budget =
-    {
-      pruned_mass = generation.Mocus.pruned_mass;
-      below_cutoff_mass;
-      solver_error_total;
-      rare_event_slack = Float.max 0.0 (total -. lower);
-      lower;
-      upper;
-      vacuous;
-    }
-  in
-  let degradation =
-    let count r =
-      List.length (List.filter (fun info -> info.degraded = Some r) infos)
-    in
-    {
-      generation_limit = generation.Mocus.limit_hit;
-      degraded_cutsets =
-        List.filter_map
-          (fun r ->
-            let n = count r in
-            if n > 0 then Some (r, n) else None)
-          [
-            Sdft_util.Guard.Deadline;
-            Sdft_util.Guard.Mem_limit;
-            Sdft_util.Guard.State_limit;
-            Sdft_util.Guard.Worker_crash;
-          ];
-    }
-  in
-  Trace.add_attr ~sink "total" (Trace.Float total);
-  Trace.add_attr ~sink "lower" (Trace.Float budget.lower);
-  Trace.add_attr ~sink "upper" (Trace.Float budget.upper);
+  let attr name v = (name, Trace.Float v) in
+  Trace.instant ~sink:w.obs.Obs.trace "analysis.point"
+    ~attrs:
+      [ attr "horizon" p.opts.horizon; attr "total" total; attr "lower" lower;
+        attr "upper" upper ];
   {
     total;
-    cutoff = options.cutoff;
+    cutoff;
     engine_used;
-    cutsets = sorted;
-    n_cutsets = List.length infos;
-    n_dynamic_cutsets =
-      List.length (List.filter (fun info -> info.n_dynamic > 0) infos);
+    cutsets =
+      List.sort
+        (fun a b ->
+          let c = compare b.probability a.probability in
+          if c <> 0 then c else Sdft_util.Int_set.compare a.cutset b.cutset)
+        infos;
+    n_cutsets = p.count;
+    n_dynamic_cutsets = n_of (fun i -> i.n_dynamic > 0);
     n_fallbacks;
-    budget;
-    degradation;
+    budget =
+      {
+        pruned_mass = generation.Mocus.pruned_mass;
+        below_cutoff_mass;
+        solver_error_total;
+        rare_event_slack = Float.max 0.0 (total -. lower);
+        lower;
+        upper;
+        vacuous;
+      };
+    degradation =
+      {
+        generation_limit = generation.Mocus.limit_hit;
+        degraded_cutsets =
+          List.filter_map
+            (fun r ->
+              let n = n_of (fun i -> i.degraded = Some r) in
+              if n > 0 then Some (r, n) else None)
+            Sdft_util.Guard.[ Deadline; Mem_limit; State_limit; Worker_crash ];
+      };
     mcs_generation_seconds = generation_seconds;
     quantification_seconds;
     generation;
     translation;
-  })
+  }
+
+(* The one core behind [analyze], [sweep] and [sweep_checkpointed]: Phase 1
+   and the plan for each point, one solve pass over the misses of every
+   point, then each point's budget. A point's quantification time is its
+   plan's plus a share of the solve pass's, in proportion to what the pass
+   spent on the point's cutsets. *)
+let analyze_points ?cache ~obs sd option_sets =
+  if option_sets = [] then []
+  else
+    Obs.span obs s_analyze @@ fun () ->
+    (* The product template memo serves this call only: emptying it on the
+       way out keeps one request's heap from counting against the next
+       one's memory limit on a long-lived domain. *)
+    Fun.protect
+      ~finally:(fun () ->
+        Sdft_product.release_template ();
+        Obs.finish obs)
+    @@ fun () ->
+    let w = work_of ?cache ~obs sd option_sets in
+    Obs.begin_phase obs "quantification" ~total:(Array.length w.sets)
+      ~cost_total:
+        (Array.fold_left (fun acc c -> acc +. cost_of sd c) 0.0 w.sets)
+      ();
+    let plan_s, solve_s =
+      Obs.span obs s_quant (fun () ->
+          let plan_s = plan w in
+          let t0 = Sdft_util.Timer.start () in
+          solve w;
+          (plan_s, Sdft_util.Timer.elapsed_s t0))
+    in
+    let spent = Array.make (Array.length w.points) 0.0 in
+    Array.iteri
+      (fun i s ->
+        let k = w.owner.(i) in
+        if s >= 0 then
+          spent.(k) <- spent.(k) +. (Option.get w.infos.(i)).solve_seconds)
+      w.shape;
+    let all = Array.fold_left ( +. ) 0.0 spent in
+    List.mapi
+      (fun k p ->
+        let share = if all > 0.0 then spent.(k) /. all else 0.0 in
+        let quantification_seconds = plan_s.(k) +. (share *. solve_s) in
+        let r = budget w p ~quantification_seconds in
+        let hits = List.filter (fun i -> i.from_cache) r.cutsets in
+        {
+          sweep_options = p.opts;
+          sweep_result = r;
+          cache_hits = List.length hits;
+          cache_misses = Atomic.get p.misses;
+        })
+      (Array.to_list w.points)
+
+let analyze ?(options = default_options) ?cache ?(obs = Obs.default) sd =
+  (List.hd (analyze_points ?cache ~obs sd [ options ])).sweep_result
+
+let sweep ?cache ?(obs = Obs.default) sd option_sets =
+  let cache = match cache with Some c -> c | None -> Quant_cache.create () in
+  (analyze_points ~cache ~obs sd option_sets, cache)
 
 let static_rare_event ?(cutoff = 1e-15) ?(engine = default_options.engine)
     tree =
@@ -717,29 +748,6 @@ let cache_keys options sd r =
           (Cutset_model.build ~context ~rel_rule:options.rel_rule sd
              info.cutset))
     r.cutsets
-
-type sweep_point = {
-  sweep_options : options;
-  sweep_result : result;
-  cache_hits : int;
-  cache_misses : int;
-}
-
-(* One sweep point: [analyze] against the shared cache, with the cache
-   traffic it caused. *)
-let sweep_point ?obs cache sd opts =
-  let h0 = Quant_cache.hits cache and m0 = Quant_cache.misses cache in
-  let r = analyze ~options:opts ~cache ?obs sd in
-  {
-    sweep_options = opts;
-    sweep_result = r;
-    cache_hits = Quant_cache.hits cache - h0;
-    cache_misses = Quant_cache.misses cache - m0;
-  }
-
-let sweep ?cache ?obs sd option_sets =
-  let cache = match cache with Some c -> c | None -> Quant_cache.create () in
-  (List.map (sweep_point ?obs cache sd) option_sets, cache)
 
 let degradation_description r =
   let d = r.degradation in
@@ -812,38 +820,37 @@ let checkpoint_point key opts r =
 let sweep_checkpointed ?cache ?(obs = Obs.default) ~resume ?on_point sd
     option_sets =
   let cache = match cache with Some c -> c | None -> Quant_cache.create () in
-  let plan = List.map (fun o -> (o, point_key sd o)) option_sets in
-  let certified key =
-    if resume then Quant_cache.find_point cache key else None
-  in
-  let skipped =
-    List.length (List.filter (fun (_, k) -> certified k <> None) plan)
-  in
-  let total_run = List.length plan - skipped in
-  let n_done = ref 0 in
-  let items =
+  let keyed =
     List.map
-      (fun (opts, key) ->
-        let item =
-          match certified key with
-          | Some p -> Sweep_skipped p
-          | None ->
-            (* Re-assert the sweep-level phase between points: the ETA
-               prices only the [total_run] points that actually run, with
-               the checkpoint-skipped count surfaced separately. *)
-            Obs.begin_phase obs "sweep" ~total:total_run ~skipped
-              ~n_done:!n_done ();
-            let p = sweep_point ~obs cache sd opts in
-            incr n_done;
-            Quant_cache.record_point cache
-              (checkpoint_point key opts p.sweep_result);
-            Sweep_run p
-        in
-        (match on_point with Some f -> f item | None -> ());
-        item)
-      plan
+      (fun o ->
+        let key = point_key sd o in
+        (o, key, if resume then Quant_cache.find_point cache key else None))
+      option_sets
   in
-  (items, cache)
+  let to_run =
+    List.filter_map (fun (o, _, c) -> if c = None then Some o else None) keyed
+  in
+  (* The ETA prices only the points that actually run, with the
+     checkpoint-skipped count surfaced separately. *)
+  Obs.begin_phase obs "sweep" ~total:(List.length to_run)
+    ~skipped:(List.length keyed - List.length to_run)
+    ();
+  let run = ref (analyze_points ~cache ~obs sd to_run) in
+  let item (opts, key, certified) =
+    let item =
+      match certified with
+      | Some pt -> Sweep_skipped pt
+      | None ->
+        let p = List.hd !run in
+        run := List.tl !run;
+        Quant_cache.record_point cache
+          (checkpoint_point key opts p.sweep_result);
+        Sweep_run p
+    in
+    Option.iter (fun f -> f item) on_point;
+    item
+  in
+  (List.map item keyed, cache)
 
 let pp_summary ppf r =
   Format.fprintf ppf "@[<v>";

@@ -41,26 +41,13 @@ type options = {
   max_cutset_order : int option;
   engine : engine;
   domains : int;
-      (** worker domains for the per-cutset quantification phase — the
+      (** worker domains for Phase 2's solve pass (see {!sweep}) — the
           paper's closing remark notes this phase is trivially parallel.
           The default is the machine's [Domain.recommended_domain_count
-          ()]; [1] keeps everything on the calling domain. Every count
-          runs the same two passes of a crash-containing map. The first
-          builds each cutset's [FT_C] and answers static cutsets and cache
-          hits; it runs on the calling domain, in input order, at any
-          count. The second solves one product chain per missed cache key
-          (its first cutset in input order) on [domains] domains, never
-          more than it has keys, grouped by product shape so that a domain
-          explores each shape once and re-rates its template for the rest
-          of the group (see {!Sdft_product.build}): one domain takes the
-          groups in order of first appearance, several in cost order,
-          widest first. Each domain solves its chains in its own
-          workspace, so a solve allocates nothing proportional to its
-          chain. The other cutsets of each key are then answered from the
-          cache in input order, on the calling domain. The result, every
-          per-cutset record and the cache's lookups, hits and misses are
-          the same at any count; a count [d] explores at most [d] times as
-          many shapes as one domain. *)
+          ()]; [1] keeps everything on the calling domain. The result,
+          every per-cutset record and the cache's lookups, hits and misses
+          are the same at any count; a count [d] explores at most [d] times
+          as many shapes as one domain. *)
   rel_rule : Cutset_model.rel_rule;
       (** [Paper] (default) uses the class-reduced relevant sets of Section
           V-C; [All_events] quantifies every cutset with the exact general
@@ -71,6 +58,8 @@ type options = {
           instead of aborting: MOCUS folds its unexplored branch mass into
           the pruned mass, and every not-yet-quantified cutset falls back to
           its conservative worst-case product (see {!cutset_info.degraded}).
+          In a {!sweep} each point's budget starts with its own Phase 1 and
+          runs until the shared solve pass has answered its last cutset.
           [None] (default): no deadline. *)
   mem_limit_mb : int option;
       (** ceiling on the major-heap size in megabytes, probed at the same
@@ -223,10 +212,12 @@ type result = {
 val analyze :
   ?options:options -> ?cache:Quant_cache.t -> ?obs:Sdft_util.Obs.t ->
   Sdft.t -> result
-(** [cache], when given, routes per-cutset quantification through a
-    {!Quant_cache.t} so that isomorphic cutset sub-models — within this call
-    or across calls sharing the cache — are solved once. Results are
-    bit-identical to the uncached path for models with equal fingerprints.
+(** One point of {!sweep}: Phase 1, then Phase 2's plan, solve pass and
+    budget, for [options]. [cache], when given, routes per-cutset
+    quantification through a {!Quant_cache.t} so that isomorphic cutset
+    sub-models — within this call or across calls sharing the cache — are
+    solved once. Results are bit-identical to the uncached path for models
+    with equal fingerprints.
 
     With [options.deadline] or [options.mem_limit_mb] set, one
     {!Sdft_util.Guard} is shared by both phases and the analysis never
@@ -236,15 +227,10 @@ val analyze :
     bound on its probability; the certified lower bound never anchors on a
     degraded cutset.
 
-    [obs] (default {!Sdft_util.Obs.default}) is the observability context
-    threaded through the whole pipeline: every counter, span, histogram
-    (notably the per-cutset [analysis.cutset_solve_s] solve times), trace
-    event and failpoint site of this analysis lands in its registries, and
-    a {!Sdft_util.Progress} reporter attached to it is driven through the
-    two phases (with a cost-weighted ETA over the quantification schedule)
-    via the shared guard's probe hook. Instrumentation never changes the
-    numbers: results are bit-identical whether [obs] is the default, a
-    fresh context, or one with a live progress reporter.
+    [obs] (default {!Sdft_util.Obs.default}) receives every counter, span,
+    histogram, trace event and failpoint hit, and drives an attached
+    {!Sdft_util.Progress} reporter through both phases (a cost-weighted ETA
+    over the quantification). Instrumentation never changes the numbers.
 
     On return, normal or by exception, the calling domain's product
     template slot is empty ({!Sdft_product.release_template}), so nothing
@@ -267,8 +253,8 @@ val cache_keys : options -> Sdft.t -> result -> string list
 type sweep_point = {
   sweep_options : options;
   sweep_result : result;
-  cache_hits : int;  (** cache hits attributable to this point *)
-  cache_misses : int;
+  cache_hits : int;  (** cache hits of this point's own cutsets *)
+  cache_misses : int;  (** cache misses of this point's own cutsets *)
 }
 
 val sweep :
@@ -277,12 +263,18 @@ val sweep :
   Sdft.t ->
   options list ->
   sweep_point list * Quant_cache.t
-(** [sweep sd option_sets] runs {!analyze} once per option set against [sd],
-    sharing one quantification cache across the whole sweep (a fresh one
-    unless [cache] is given, which lets several sweeps share). Returns the
-    per-point results with their cache-traffic deltas, plus the cache for
-    reuse or inspection. Aggregate hit/miss totals are also published on the
-    [quant_cache.hits] and [quant_cache.misses] counters. *)
+(** [sweep sd option_sets] analyzes [sd] once per option set, sharing one
+    quantification cache (a fresh one unless [cache] is given). Phase 1 and
+    the plan run for each point in order, each under its own guard; the
+    plan answers static and impossible cutsets, cache hits and a tripped
+    guard. One solve pass then solves the misses of every point, on the
+    largest [domains] they ask for: each key once, by its first cutset in
+    input order, grouped by product shape across points, so one domain
+    explores each shape once ({!Sdft_product.build}). Last, each point's
+    budget folds its answers in input order. Each point equals {!analyze}
+    of its option set, bit for bit; its [quantification_seconds] is its
+    plan's time plus a share of the solve pass's, in proportion to the
+    solve time of its cutsets. *)
 
 (** {1 Checkpointed sweeps}
 
@@ -291,7 +283,7 @@ val sweep :
     certified per-cutset solve lands in the cache's store as usual, every
     completed point is recorded there as well, and a [--resume] run skips
     completed points outright, re-solves only the cutsets of the
-    interrupted point that the store is missing, and produces final
+    unrecorded points that the store is missing, and produces final
     results bit-identical to an uninterrupted run. *)
 
 val point_key : Sdft.t -> options -> string
@@ -317,15 +309,14 @@ val sweep_checkpointed :
   Sdft.t ->
   options list ->
   sweep_item list * Quant_cache.t
-(** Like {!sweep}, recording each completed point in the cache's store
-    ({!Quant_cache.record_point}; nothing is recorded on a memory-only
-    cache). With [resume], points the store already certifies are returned
-    as [Sweep_skipped] without running. [on_point] fires after each item
-    in sweep order, once its record is flushed — the CLI prints its row
-    there, so progress is visible and a printed row is always resumable.
-    The observability context's progress phase ["sweep"] prices only the
-    points that actually run, surfacing the checkpoint-skipped count
-    separately. *)
+(** {!sweep} of the points the store does not certify: with [resume],
+    certified points are returned as [Sweep_skipped] without running. After
+    the shared solve pass, each point that ran is recorded in the cache's
+    store in sweep order ({!Quant_cache.record_point}; nothing is recorded
+    on a memory-only cache), and [on_point] fires after each item, once its
+    record is flushed — the CLI prints its row there, so a printed row is
+    always resumable. The progress phase ["sweep"] prices only the points
+    that run, surfacing the checkpoint-skipped count separately. *)
 
 val static_rare_event :
   ?cutoff:float -> ?engine:engine -> Fault_tree.t -> float * int

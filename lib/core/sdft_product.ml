@@ -491,7 +491,6 @@ let build_generic sem ~max_states ~guard ~fp =
 let g = Metrics.group ()
 let m_explorations = Metrics.counter g "product.explorations"
 let m_template_hits = Metrics.counter g "product.template_hits"
-let m_states_per_s = Metrics.histogram g "product.build_states_per_s"
 let s_build = Obs.declare_span g "product.build"
 
 let build ?(max_states = 1_000_000) ?(generic = false)
@@ -499,35 +498,24 @@ let build ?(max_states = 1_000_000) ?(generic = false)
   let m = obs.Obs.metrics in
   let sink = obs.Obs.trace in
   let fp = obs.Obs.failpoints in
-  let built, dt =
-    Obs.span_timed obs s_build (fun () ->
-        let sem = semantics sd in
-        let built, reused =
-          if generic then (build_generic sem ~max_states ~guard ~fp, false)
-          else
-            match radix_strides sem.components with
-            | Some strides ->
-              build_packed ?workspace sem ~max_states ~guard ~fp strides
-            | None -> (build_generic sem ~max_states ~guard ~fp, false)
-        in
-        Metrics.incr
-          (Metrics.get m (if reused then m_template_hits else m_explorations));
-        Sdft_util.Trace.add_attr ~sink "states"
-          (Sdft_util.Trace.Int built.n_states);
-        Sdft_util.Trace.add_attr ~sink "transitions"
-          (Sdft_util.Trace.Int (Ctmc.n_transitions built.chain));
-        Sdft_util.Trace.add_attr ~sink "template"
-          (Sdft_util.Trace.Bool reused);
-        built)
-  in
-  (* Build throughput, one observation per build (an instantiation on a
-     template hit): the latency distribution across cutset products is
-     exactly the per-module heterogeneity the explain view wants to
-     surface. *)
-  if dt > 0.0 then
-    Metrics.observe (Metrics.get m m_states_per_s)
-      (float_of_int built.n_states /. dt);
-  built
+  Obs.span obs s_build (fun () ->
+      let sem = semantics sd in
+      let built, reused =
+        if generic then (build_generic sem ~max_states ~guard ~fp, false)
+        else
+          match radix_strides sem.components with
+          | Some strides ->
+            build_packed ?workspace sem ~max_states ~guard ~fp strides
+          | None -> (build_generic sem ~max_states ~guard ~fp, false)
+      in
+      Metrics.incr
+        (Metrics.get m (if reused then m_template_hits else m_explorations));
+      Sdft_util.Trace.add_attr ~sink "states"
+        (Sdft_util.Trace.Int built.n_states);
+      Sdft_util.Trace.add_attr ~sink "transitions"
+        (Sdft_util.Trace.Int (Ctmc.n_transitions built.chain));
+      Sdft_util.Trace.add_attr ~sink "template" (Sdft_util.Trace.Bool reused);
+      built)
 
 let unreliability ?(epsilon = 1e-12) ?guard ?workspace ?obs built ~horizon =
   let options = { Transient.epsilon } in

@@ -84,10 +84,8 @@ val build :
     instantiated state, as the exploration it replaces would.
 
     Each build counts itself on the context's [product.explorations] or
-    [product.template_hits] counter, tags its [product.build] span with a
-    [template] bool (true on a hit), and observes its throughput on the
-    [product.build_states_per_s] histogram — on a hit, the throughput of
-    the instantiation. *)
+    [product.template_hits] counter and tags its [product.build] span with a
+    [template] bool (true on a hit). *)
 
 val shape : Sdft.t -> int array
 (** The positional, rate-erased shape key that decides template reuse in

@@ -100,13 +100,11 @@ val begin_phase :
   ?total:int ->
   ?cost_total:float ->
   ?skipped:int ->
-  ?n_done:int ->
   unit ->
   unit
 (** Sample the heap into the peak-heap gauge and, with progress on, start
-    the phase's display (see {!Progress.begin_phase}; [skipped]/[n_done]
-    let a resumed sweep report remaining work instead of the full
-    total). *)
+    the phase's display (see {!Progress.begin_phase}; [skipped] lets a
+    resumed sweep report the points it will not run). *)
 
 val finish : t -> unit
 (** End of an analysis: sample the heap into the peak-heap gauge and close

@@ -865,8 +865,8 @@ let test_cache_industrial_sweep_matches_uncached () =
         uncached.Sdft_analysis.cutsets p.sweep_result.Sdft_analysis.cutsets)
     points option_sets
 
-(* A result's interval and every cutset's probability and product size,
-   as bits. *)
+(* A result's interval and every cutset's probability, product size and
+   fallback flag, as bits. *)
 let result_bits (r : Sdft_analysis.result) =
   let bits = Int64.bits_of_float in
   ( bits r.Sdft_analysis.total,
@@ -874,40 +874,174 @@ let result_bits (r : Sdft_analysis.result) =
     bits r.budget.Sdft_analysis.upper,
     List.map
       (fun (c : Sdft_analysis.cutset_info) ->
-        (Int_set.to_list c.cutset, bits c.probability, c.product_states))
+        ( Int_set.to_list c.cutset,
+          bits c.probability,
+          c.product_states,
+          c.used_fallback ))
       r.cutsets )
+
+let counter obs name =
+  Sdft_util.Metrics.counter_value
+    (Sdft_util.Metrics.counter_in obs.Sdft_util.Obs.metrics name)
+
+let bwr_sd () = Sdft_format.of_file "../models/bwr.sdft"
+
+(* Model-1 as the end-to-end benchmark builds it: the small industrial
+   preset, 60% of its events Erlang-[phases] and repairable, 6% triggered
+   along the run-event chains. *)
+let model_1 ~phases =
+  let tree = Industrial.generate Industrial.small in
+  let config =
+    {
+      Dynamize.default_config with
+      dynamic_fraction = 0.6;
+      trigger_fraction = 0.06;
+      phases;
+      repair_rate = Some 0.05;
+      chain_groups = Some (Industrial.run_event_groups tree);
+      calibration = Dynamize.Mission_probability;
+    }
+  in
+  (Dynamize.run ~config tree).Dynamize.sd
+
+let horizon_options ?(domains = Sdft_analysis.default_options.domains)
+    horizons =
+  List.map
+    (fun horizon -> { Sdft_analysis.default_options with horizon; domains })
+    horizons
+
+(* A sweep runs the plans of all its points before one shared solve pass,
+   yet each point must equal a standalone analysis of its options, bit for
+   bit, at one domain and at two. *)
+let check_sweep_points_standalone label sd horizons =
+  List.iter
+    (fun domains ->
+      let option_sets = horizon_options ~domains horizons in
+      let points, _ = Sdft_analysis.sweep sd option_sets in
+      List.iter2
+        (fun (p : Sdft_analysis.sweep_point) options ->
+          let standalone = Sdft_analysis.analyze ~options sd in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s, %d domain(s), %g h: sweep point = analyze"
+               label domains options.Sdft_analysis.horizon)
+            true
+            (result_bits p.sweep_result = result_bits standalone))
+        points option_sets)
+    [ 1; 2 ]
+
+let test_sweep_points_match_analyze () =
+  check_sweep_points_standalone "BWR" (bwr_sd ()) [ 12.0; 24.0; 48.0; 72.0 ];
+  check_sweep_points_standalone "model-1 Erlang-2" (model_1 ~phases:2)
+    [ 12.0; 24.0 ]
+
+(* A crash contained in one cutset's plan degrades that cutset only: the
+   point that owns it records one Worker_crash fallback, on the cutset the
+   crashing hit reached, and equals a standalone analysis that crashes on
+   the same cutset; every other point equals its clean standalone
+   analysis. *)
+let test_sweep_worker_crash_stays_in_its_point () =
+  let sd = bwr_sd () in
+  let option_sets = horizon_options [ 12.0; 24.0 ] in
+  let crashing nth =
+    let obs = Sdft_util.Obs.create () in
+    Sdft_util.Failpoint.set_in obs.Sdft_util.Obs.failpoints "parallel.worker"
+      ~trigger:(Sdft_util.Failpoint.Nth nth) Sdft_util.Failpoint.Raise;
+    obs
+  in
+  let clean =
+    List.map (fun options -> Sdft_analysis.analyze ~options sd) option_sets
+  in
+  let first_count = (List.hd clean).Sdft_analysis.n_cutsets in
+  List.iter
+    (fun (domains, crashed, nth) ->
+      let points, _ =
+        Sdft_analysis.sweep ~obs:(crashing nth) sd
+          (List.map
+             (fun (o : Sdft_analysis.options) -> { o with domains })
+             option_sets)
+      in
+      List.iteri
+        (fun k ((p : Sdft_analysis.sweep_point), alone) ->
+          let label =
+            Printf.sprintf "%d domain(s), hit %d, point %d: " domains nth k
+          in
+          let r = p.sweep_result in
+          if k <> crashed then
+            Alcotest.(check bool) (label ^ "equals analyze") true
+              (result_bits r = result_bits alone)
+          else begin
+            let index = if k = 0 then nth - 1 else nth - 1 - first_count in
+            let crashes =
+              List.filter
+                (fun (c : Sdft_analysis.cutset_info) ->
+                  c.degraded = Some Sdft_util.Guard.Worker_crash)
+                r.Sdft_analysis.cutsets
+            in
+            Alcotest.(check (list (list int)))
+              (label ^ "one crash, on the hit cutset")
+              [ Int_set.to_list
+                  (List.nth r.Sdft_analysis.generation.Mocus.cutsets index) ]
+              (List.map
+                 (fun (c : Sdft_analysis.cutset_info) ->
+                   Int_set.to_list c.cutset)
+                 crashes);
+            let crashed_alone =
+              Sdft_analysis.analyze ~obs:(crashing (index + 1))
+                ~options:p.sweep_options sd
+            in
+            Alcotest.(check bool) (label ^ "equals a crashing analyze") true
+              (result_bits r = result_bits crashed_alone)
+          end)
+        (List.combine points clean))
+    [ (1, 0, 5); (1, 1, first_count + 3); (2, 1, first_count + 3) ]
 
 (* Phase 2 solves each missed key once, by its first cutset in input order,
    so the cache traffic and every result bit are those of one domain at any
    domain count, the default one included. Concurrent workers used to miss
    on isomorphic sub-models side by side (86-98 misses at two domains in
-   three runs). *)
+   three runs). The sweep's points share one solve pass, grouped by shape:
+   BWR has the same 21 shapes at every horizon, so one domain explores each
+   once, and [d] domains at most [d] times. *)
 let test_cache_sweep_traffic_any_domains () =
-  let sd = Sdft_format.of_file "../models/bwr.sdft" in
+  let sd = bwr_sd () in
   let sweep domains =
+    let obs = Sdft_util.Obs.create () in
     let cache = Quant_cache.create () in
     let points, _ =
-      Sdft_analysis.sweep ~cache sd
-        (List.map
-           (fun horizon -> { Sdft_analysis.default_options with horizon; domains })
-           [ 12.0; 24.0; 48.0; 72.0 ])
+      Sdft_analysis.sweep ~cache ~obs sd
+        (horizon_options ~domains [ 12.0; 24.0; 48.0; 72.0 ])
     in
     ( List.map
         (fun (p : Sdft_analysis.sweep_point) -> result_bits p.sweep_result)
         points,
+      List.map
+        (fun (p : Sdft_analysis.sweep_point) -> (p.cache_hits, p.cache_misses))
+        points,
       Quant_cache.misses cache,
-      Quant_cache.hits cache )
+      Quant_cache.hits cache,
+      counter obs "product.explorations" )
   in
-  let intervals, misses, hits = sweep 1 in
+  let per_point = [ (271, 21); (301, 21); (313, 21); (343, 21) ] in
+  let intervals, traffic, misses, hits, explorations = sweep 1 in
   Alcotest.(check int) "one domain: 84 misses" 84 misses;
+  Alcotest.(check int) "one domain: 21 explorations" 21 explorations;
+  Alcotest.(check (list (pair int int)))
+    "one domain: per-point hits and misses" per_point traffic;
   List.iter
     (fun domains ->
       let label = Printf.sprintf "%d domains: " domains in
-      let intervals', misses', hits' = sweep domains in
+      let intervals', traffic', misses', hits', explorations' =
+        sweep domains
+      in
       Alcotest.(check bool) (label ^ "bit-identical intervals") true
         (intervals = intervals');
       Alcotest.(check int) (label ^ "84 misses") 84 misses';
-      Alcotest.(check int) (label ^ "same hits") hits hits')
+      Alcotest.(check int) (label ^ "same hits") hits hits';
+      Alcotest.(check (list (pair int int)))
+        (label ^ "per-point hits and misses") per_point traffic';
+      if explorations' > domains * 21 then
+        Alcotest.failf "%s%d explorations, more than %d" label explorations'
+          (domains * 21))
     (List.sort_uniq compare [ 2; 4; Sdft_analysis.default_options.domains ])
 
 let test_cache_fingerprint_name_independent () =
@@ -1368,10 +1502,6 @@ let same_build (a : Sdft_product.built) (b : Sdft_product.built) =
   && Int64.equal
        (Int64.bits_of_float (Sdft_product.unreliability a ~horizon:8.0))
        (Int64.bits_of_float (Sdft_product.unreliability b ~horizon:8.0))
-
-let counter obs name =
-  Sdft_util.Metrics.counter_value
-    (Sdft_util.Metrics.counter_in obs.Sdft_util.Obs.metrics name)
 
 let prop_template_hit_matches_generic =
   QCheck.Test.make ~name:"template hit = generic build" ~count:80
@@ -1888,6 +2018,10 @@ let () =
             test_cache_isomorphic_cutsets_share;
           Alcotest.test_case "same traffic at any domain count" `Quick
             test_cache_sweep_traffic_any_domains;
+          Alcotest.test_case "sweep points match analyze" `Quick
+            test_sweep_points_match_analyze;
+          Alcotest.test_case "sweep worker crash stays in its point" `Quick
+            test_sweep_worker_crash_stays_in_its_point;
           Alcotest.test_case "fingerprint name-independent" `Quick
             test_cache_fingerprint_name_independent;
           Alcotest.test_case "fingerprint renaming invariant" `Quick
