@@ -7,30 +7,41 @@ type t = {
   n_dynamic_in_cutset : int;
   n_added_dynamic : int;
   n_added_static : int;
-  mutable fp_digest : string option;
-      (* memoized fixed-width digest of the canonical sub-model
-         fingerprint, filled in by the first Quant_cache lookup *)
 }
 
 type trigger_result =
   [ `Never | `Always | `Sets of Int_set.t list ]
 
+(* A [sealed] view reads the memo tables and never writes them, so any
+   number of domains may build through it while nothing else writes. *)
 type context = {
   ctx_sd : Sdft.t;
   class_memo : (int, Sdft_classify.gate_class) Hashtbl.t;
   tsets_memo : (int * Int_set.t * Int_set.t, trigger_result) Hashtbl.t;
+  sealed : bool;
 }
 
 let context sd =
-  { ctx_sd = sd; class_memo = Hashtbl.create 16; tsets_memo = Hashtbl.create 64 }
+  {
+    ctx_sd = sd;
+    class_memo = Hashtbl.create 16;
+    tsets_memo = Hashtbl.create 64;
+    sealed = false;
+  }
+
+let read_only ctx = { ctx with sealed = true }
+
+let memo ctx table key compute =
+  match Hashtbl.find_opt table key with
+  | Some v -> v
+  | None ->
+    let v = compute () in
+    if not ctx.sealed then Hashtbl.add table key v;
+    v
 
 let classify_cached ?obs ctx g =
-  match Hashtbl.find_opt ctx.class_memo g with
-  | Some c -> c
-  | None ->
-    let c = Sdft_classify.classify ?obs ctx.ctx_sd g in
-    Hashtbl.add ctx.class_memo g c;
-    c
+  memo ctx ctx.class_memo g (fun () ->
+      Sdft_classify.classify ?obs ctx.ctx_sd g)
 
 (* Minimal subsets A_1..A_k of [rel] that, together with the assumed-failed
    static events, fail the gate [g]: compile the gate's structure function
@@ -53,18 +64,11 @@ let trigger_sets ?guard ctx ~gate ~rel ~assumed_true =
   let relevant_true =
     Int_set.inter assumed_true (Sdft.static_descendants ctx.ctx_sd gate)
   in
-  let key = (gate, rel, relevant_true) in
-  match Hashtbl.find_opt ctx.tsets_memo key with
-  | Some r -> r
-  | None ->
-    (* A guard trip propagates before the memo entry is stored, so a limit
-       can never poison the table with a partial result. *)
-    let r =
+  (* A guard trip propagates before the memo entry is stored, so a limit
+     can never poison the table with a partial result. *)
+  memo ctx ctx.tsets_memo (gate, rel, relevant_true) (fun () ->
       trigger_sets_uncached ?guard ctx.ctx_sd ~gate ~rel
-        ~assumed_true:relevant_true
-    in
-    Hashtbl.add ctx.tsets_memo key r;
-    r
+        ~assumed_true:relevant_true)
 
 type rel_rule =
   | Paper
@@ -89,7 +93,6 @@ let build ?context:ctx ?(rel_rule = Paper) ?guard ?obs sd cutset =
       n_dynamic_in_cutset;
       n_added_dynamic = 0;
       n_added_static = 0;
-      fp_digest = None;
     }
   else begin
     let builder = Fault_tree.Builder.create () in
@@ -197,7 +200,6 @@ let build ?context:ctx ?(rel_rule = Paper) ?guard ?obs sd cutset =
         n_dynamic_in_cutset;
         n_added_dynamic = !n_added_dynamic;
         n_added_static = !n_added_static;
-        fp_digest = None;
       }
     else begin
       let top =
@@ -214,7 +216,6 @@ let build ?context:ctx ?(rel_rule = Paper) ?guard ?obs sd cutset =
         n_dynamic_in_cutset;
         n_added_dynamic = !n_added_dynamic;
         n_added_static = !n_added_static;
-        fp_digest = None;
       }
     end
   end

@@ -37,22 +37,25 @@ type t = {
       (** dynamic events added because triggering gates lack static
           branching (the paper reports this average) *)
   n_added_static : int;
-  mutable fp_digest : string option;
-      (** memoized MD5 digest (32 hex characters) of the binary canonical
-          fingerprint of [model] ({!Quant_cache.fingerprint}), filled in by
-          the first {!Quant_cache} lookup so repeated lookups (sweeps,
-          shared caches) skip the O(sub-model) encoding. Written at most once per value, by the domain
-          quantifying this cutset; [None] until then and for model-less
-          cutsets. *)
 }
 
 type context
-(** Caches shared across cutsets of one analysis run: trigger-gate
+(** Caches shared across the cutsets of one analysis: trigger-gate
     classifications and the BDD-computed minimal trigger sets keyed by
     (gate, relevant set, assumed statics). Industrial cutset lists hit the
-    same few trigger gates thousands of times. *)
+    same few trigger gates thousands of times. A context is not safe to
+    write from several domains at once: [Sdft_analysis] fills one on the
+    calling domain and lets its parallel pass build through a
+    {!read_only} view of it. *)
 
 val context : Sdft.t -> context
+
+val read_only : context -> context
+(** A view of the same caches that reads them and writes nothing: a miss
+    computes its answer (classifying, compiling) without storing it, so
+    any number of domains may build through the view while nothing else
+    writes the context. Builds through it equal builds through the
+    context itself. *)
 
 type rel_rule =
   | Paper

@@ -222,72 +222,22 @@ let fingerprint sd =
   emit_gate (Fault_tree.top tree);
   Buffer.contents buf
 
-(* The canonical fingerprint is O(sub-model) to build; hashing it down to a
-   fixed-width hex digest and memoizing the digest on the Cutset_model
-   makes every lookup after the first O(1). Equal digests stand in for
-   equal fingerprints: MD5 collisions between 128-bit digests of
-   non-adversarial model encodings are negligible next to the solver's
-   own epsilon, and the digest also becomes the stable on-disk key. *)
-let digest_of (cm : Cutset_model.t) sd_c =
-  match cm.Cutset_model.fp_digest with
-  | Some d -> d
-  | None ->
-    let d = Digest.to_hex (Digest.string (fingerprint sd_c)) in
-    cm.Cutset_model.fp_digest <- Some d;
-    d
+(* A key is the fingerprint's fixed-width hex digest followed by the
+   numerical parameters. Equal digests stand in for equal fingerprints:
+   MD5 collisions between 128-bit digests of non-adversarial model
+   encodings are negligible next to the solver's own epsilon, and the
+   digest also becomes the stable on-disk key. Floats print as hex
+   literals, which tell every two of them apart. *)
+let key_suffix ~engine_tag ~epsilon ~max_states ~horizon =
+  Printf.sprintf "|e=%h|s=%d|t=%h%s" epsilon max_states horizon
+    (if engine_tag = "" then "" else "|eng=" ^ engine_tag)
 
-(* The numerical half of a key, [|e=<epsilon>|s=<max_states>|t=<horizon>]
-   plus [|eng=<tag>] for a tagged engine. It changes only between analyses,
-   so the last one built is kept and every lookup of the same analysis
-   reuses it; floats are compared by their bits, as the text tells them
-   apart. *)
-type suffix = {
-  sx_epsilon : float;
-  sx_max_states : int;
-  sx_horizon : float;
-  sx_engine_tag : string;
-  sx_text : string;
-}
+let digest sd_c = Digest.to_hex (Digest.string (fingerprint sd_c))
 
-let last_suffix = Atomic.make None
-
-let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
-
-let key_suffix ~epsilon ~max_states ~horizon ~engine_tag =
-  match Atomic.get last_suffix with
-  | Some s
-    when same_bits s.sx_epsilon epsilon
-         && s.sx_max_states = max_states
-         && same_bits s.sx_horizon horizon
-         && String.equal s.sx_engine_tag engine_tag ->
-    s.sx_text
-  | _ ->
-    let sx_text =
-      Printf.sprintf "|e=%h|s=%d|t=%h%s" epsilon max_states horizon
-        (if engine_tag = "" then "" else "|eng=" ^ engine_tag)
-    in
-    Atomic.set last_suffix
-      (Some
-         {
-           sx_epsilon = epsilon;
-           sx_max_states = max_states;
-           sx_horizon = horizon;
-           sx_engine_tag = engine_tag;
-           sx_text;
-         });
-    sx_text
-
-let key_of_digest digest ~epsilon ~max_states ~horizon ~engine_tag =
-  digest ^ key_suffix ~epsilon ~max_states ~horizon ~engine_tag
-
-let key_of ?(engine_tag = "") ~epsilon ~max_states ~horizon
-    (cm : Cutset_model.t) =
-  match cm.Cutset_model.model with
-  | None -> None
-  | Some sd_c ->
-    Some
-      (key_of_digest (digest_of cm sd_c) ~epsilon ~max_states ~horizon
-         ~engine_tag)
+let key_of ?(engine_tag = "") ~epsilon ~max_states ~horizon =
+  let suffix = key_suffix ~engine_tag ~epsilon ~max_states ~horizon in
+  fun (cm : Cutset_model.t) ->
+    Option.map (fun sd_c -> digest sd_c ^ suffix) cm.Cutset_model.model
 
 (* ------------------------------------------------------------------ *)
 (* Record codec for the disk store: one record per cache entry,
@@ -757,8 +707,7 @@ let count_hit t ~obs origin =
   end;
   Trace.instant ~sink:obs.Obs.trace "quant_cache.hit"
 
-let lookup t ~epsilon ~max_states ?(engine_tag = "") ?(obs = Obs.default) cm
-    ~horizon =
+let lookup t ~suffix ?(obs = Obs.default) (cm : Cutset_model.t) =
   match cm.Cutset_model.model with
   | None -> None
   | Some sd_c ->
@@ -767,10 +716,7 @@ let lookup t ~epsilon ~max_states ?(engine_tag = "") ?(obs = Obs.default) cm
        instruments are listed from the first lookup on either way. *)
     let lookup_s = Metrics.get obs.Obs.metrics m_lookup_s in
     Sdft_util.Failpoint.hit_in obs.Obs.failpoints "cache.lookup";
-    let key =
-      key_of_digest (digest_of cm sd_c) ~epsilon ~max_states ~horizon
-        ~engine_tag
-    in
+    let key = digest sd_c ^ suffix in
     let looked_up = find t key in
     Metrics.observe lookup_s (Sdft_util.Timer.elapsed_s t0);
     Some

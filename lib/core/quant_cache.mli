@@ -21,10 +21,10 @@
     time-aware probabilities. The rel-rule does not appear in the key
     because it acts upstream, during model {e construction}: its effect is
     already captured by the fingerprinted structure. In-memory and on disk
-    the fingerprint is represented by its 128-bit MD5 digest (hex), memoized
-    on the {!Cutset_model.t} so repeated lookups skip the O(sub-model)
-    encoding; colliding digests of distinct non-adversarial model encodings
-    are vastly less likely than solver-epsilon-sized noise.
+    the fingerprint is represented by its 128-bit MD5 digest (hex),
+    computed once per lookup; colliding digests of distinct
+    non-adversarial model encodings are vastly less likely than
+    solver-epsilon-sized noise.
 
     Safe to share across domains: lookups and inserts take a per-cache lock
     (negligible next to a CTMC solve), hit/miss tallies are atomics. *)
@@ -48,8 +48,20 @@ val fingerprint : Sdft.t -> string
     DFS from the top gate with first-visit ids for basics and gates. It is
     injective on what it covers — no two non-isomorphic models share it —
     and, being self-delimiting, stays injective when followed by other
-    tokens (see {!Sdft_analysis.point_key}, its other user). Lookups use
-    its memoized digest, see {!key_of}. *)
+    tokens (see {!Sdft_analysis.point_key}, its other user). Keys use its
+    digest, see {!key_of}. *)
+
+val key_suffix :
+  engine_tag:string ->
+  epsilon:float ->
+  max_states:int ->
+  horizon:float ->
+  string
+(** The numerical half of a cache key:
+    [|e=<epsilon>|s=<max_states>|t=<horizon>], floats as hex literals,
+    then, unless [engine_tag] is empty, [|eng=<engine_tag>]. It depends
+    on nothing else, so a caller making many lookups under one set of
+    parameters builds it once and passes it to each {!lookup}. *)
 
 val key_of :
   ?engine_tag:string ->
@@ -58,36 +70,33 @@ val key_of :
   horizon:float ->
   Cutset_model.t ->
   string option
-(** The exact cache key {!lookup} uses for this cutset — the
-    memoized fingerprint digest (hex) followed by the numerical parameters
-    as [|e=<epsilon>|s=<max_states>|t=<horizon>] and, for a non-empty tag,
-    [|eng=<engine_tag>] — or [None] for model-less (purely static /
-    impossible) cutsets, which bypass the cache. First call on a cutset computes and memoizes the digest; the
-    parameter suffix is built once and reused while the parameters stay
-    the same, so a lookup after the first costs one string concatenation. *)
+(** The exact cache key {!lookup} uses for this cutset — the fingerprint
+    digest (hex) followed by the {!key_suffix} of the parameters — or
+    [None] for model-less (purely static / impossible) cutsets, which
+    bypass the cache. Applied to the parameters alone it builds the suffix
+    once, and the function it returns only fingerprints each cutset. *)
 
 val lookup :
   t ->
-  epsilon:float ->
-  max_states:int ->
-  ?engine_tag:string ->
+  suffix:string ->
   ?obs:Sdft_util.Obs.t ->
   Cutset_model.t ->
-  horizon:float ->
   (string * Cutset_model.solution option) option
 (** The cache's lookup site. [None] for a model-less (purely static or
     impossible) cutset, which bypasses the cache. Otherwise the cutset's
-    {!key_of} key and, on a hit, the stored solution (a {!Cutset_model.of_solution}
-    away from the cutset's quantification). A hit counts itself; a miss
-    counts nothing yet, because the caller may answer several cutsets of
-    one key with a single solve: {!answer} counts it. [engine_tag], when
-    non-empty, becomes part of the key: entries stay attributable to the
-    cutset engine whose analysis produced them, so two engines racing over
-    one shared cache never alias each other's entries. [obs] (default
-    {!Sdft_util.Obs.default}) supplies the observability context: its
-    [cache.lookup] {!Sdft_util.Failpoint} site fires before the key is
-    computed, the lookup's latency lands on its [cache.lookup_s] histogram,
-    and the hit counters and trace instant go to its registries. *)
+    key — its fingerprint digest followed by [suffix], a {!key_suffix},
+    so equal to {!key_of} under the same parameters — and, on a hit, the
+    stored solution (a {!Cutset_model.of_solution} away from the cutset's
+    quantification). A hit counts itself; a miss counts nothing yet,
+    because the caller may answer several cutsets of one key with a single
+    solve: {!answer} counts it. The engine tag in [suffix] keeps entries
+    attributable to the cutset engine whose analysis produced them, so two
+    engines racing over one shared cache never alias each other's entries.
+    [obs] (default {!Sdft_util.Obs.default}) supplies the observability
+    context: its [cache.lookup] {!Sdft_util.Failpoint} site fires before
+    the key is computed, the lookup's latency lands on its
+    [cache.lookup_s] histogram, and the hit counters and trace instant go
+    to its registries. *)
 
 val answer :
   t ->

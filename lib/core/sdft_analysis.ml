@@ -238,10 +238,11 @@ type point = {
    after point, each in input order. Of a cutset that needs a product chain
    the plan keeps its cache key ([""] without a cache), shape ([-1] when not
    pending), static multiplier and dynamic counts, in flat arrays: a record
-   per cutset outliving the plan would fragment the heap. Each domain of a
-   pass takes one of the call's worker states (an FT_C context and a solver
-   workspace), one per domain of the widest pass, so passes and points
-   share trigger sets and buffers. *)
+   per cutset outliving the plan would fragment the heap. One FT_C context
+   serves the call: the plan fills it, and the solve pass reads it from
+   every domain through a read-only view. Each domain of a pass takes one
+   of the call's solver workspaces, one per domain of the widest pass, so
+   passes and points share buffers. *)
 type work = {
   sd : Sdft.t;
   cache : Quant_cache.t option;
@@ -255,7 +256,8 @@ type work = {
   multiplier : float array;
   n_dyn : int array;
   n_added : int array;
-  workers : (Cutset_model.context * Transient.workspace) array;
+  context : Cutset_model.context;
+  workers : Transient.workspace array;
 }
 
 (* Phase 1 of each point, in order, each under its own guard. *)
@@ -287,9 +289,8 @@ let work_of ?cache ~obs sd option_sets =
     multiplier = Array.create_float !n;
     n_dyn = Array.make !n 0;
     n_added = Array.make !n 0;
-    workers =
-      Array.init domains (fun _ ->
-          (Cutset_model.context sd, Transient.workspace ()));
+    context = Cutset_model.context sd;
+    workers = Array.init domains (fun _ -> Transient.workspace ());
   }
 
 let count_dynamic sd cutset =
@@ -386,7 +387,7 @@ let build_model w p context cutset =
   Cutset_model.build ~context ~rel_rule:p.opts.rel_rule ~guard:p.guard
     ~obs:w.obs w.sd cutset
 
-let plan_item w p ~shape_id (context, _) i =
+let plan_item w p ~shape_id ~suffix _ i =
   let cutset = w.sets.(i) and obs = w.obs in
   let epsilon = p.opts.transient_epsilon and horizon = p.opts.horizon in
   (* The per-item crash site, on this call's own failpoints; raised inside
@@ -399,7 +400,7 @@ let plan_item w p ~shape_id (context, _) i =
            remaining cutsets drain fast. *)
         settle w i (fallback_info w p ~reason:r cutset)
       | None -> (
-        match build_model w p context cutset with
+        match build_model w p w.context cutset with
         | exception Sdft_util.Guard.Limit_hit r ->
           settle w i (fallback_info w p ~reason:r cutset)
         | model -> (
@@ -411,10 +412,7 @@ let plan_item w p ~shape_id (context, _) i =
           let t0 = Sdft_util.Timer.start () in
           let looked_up =
             Option.bind w.cache (fun c ->
-                Quant_cache.lookup c ~epsilon
-                  ~max_states:p.opts.max_product_states
-                  ~engine_tag:(engine_name p.front.engine_used) ~obs model
-                  ~horizon)
+                Quant_cache.lookup c ~suffix ~obs model)
           in
           match (model.Cutset_model.model, looked_up) with
           | None, _ ->
@@ -436,10 +434,11 @@ let plan_item w p ~shape_id (context, _) i =
 
 (* The plan, point by point: build each FT_C and answer what needs no
    product chain — static and impossible cutsets, cache hits, a tripped
-   guard. The rest leave their key and shape, and their FT_C is dropped. It
-   runs on the calling domain, in input order: a wide pass measured no
-   faster, and every domain it spawns adds its heap to the peak. Returns
-   each point's plan time. *)
+   guard. The rest leave their key and shape, and their FT_C is dropped.
+   Each point's key suffix is built once, for all its lookups. It runs on
+   the calling domain, in input order, and is the only writer of the
+   call's FT_C context: a wide pass measured no faster, and every domain
+   it spawns adds its heap to the peak. Returns each point's plan time. *)
 let plan w =
   let shape_ids = Hashtbl.create 16 in
   let shape_id sd_c =
@@ -454,15 +453,21 @@ let plan w =
   Array.map
     (fun p ->
       let t0 = Sdft_util.Timer.start () in
-      run w ~domains:1 (plan_item w p ~shape_id)
+      let suffix =
+        Quant_cache.key_suffix ~engine_tag:(engine_name p.front.engine_used)
+          ~epsilon:p.opts.transient_epsilon
+          ~max_states:p.opts.max_product_states ~horizon:p.opts.horizon
+      in
+      run w ~domains:1 (plan_item w p ~shape_id ~suffix)
         (Array.init p.count (fun j -> p.first + j));
       Sdft_util.Timer.elapsed_s t0)
     w.points
 
-(* Solve one pending cutset: its FT_C rebuilt, one product chain. Through a
-   cache the solve answers the cutset's key, so a key some earlier cutset
-   solved is a hit, and one whose solve failed is tried again. *)
-let solve_item w (context, workspace) i =
+(* Solve one pending cutset: its FT_C rebuilt through [context], a
+   read-only view of the plan's, and one product chain. Through a cache the
+   solve answers the cutset's key, so a key some earlier cutset solved is a
+   hit, and one whose solve failed is tried again. *)
+let solve_item w context workspace i =
   let p = w.points.(w.owner.(i)) and cutset = w.sets.(i) and obs = w.obs in
   let key = w.keys.(i) and dynamic = (w.n_dyn.(i), w.n_added.(i)) in
   let epsilon = p.opts.transient_epsilon in
@@ -510,7 +515,9 @@ let solve_item w (context, workspace) i =
    last leaves one domain solving alone. A domain leaves a group only once
    it is taken, so it explores each shape at most once. The other cutsets
    of each key come last, on one domain, in input order, each a cache hit.
-   A pass never starts more domains than it has cutsets. *)
+   A pass never starts more domains than it has cutsets. Every rebuild
+   finds its classifications and trigger sets in the plan's context, so
+   the pass classifies and compiles nothing, at any domain count. *)
 let solve w =
   let domains = Array.length w.workers in
   let firsts = Sdft_util.Vec.create () and rest = Sdft_util.Vec.create () in
@@ -539,15 +546,16 @@ let solve w =
   Array.stable_sort (fun i j -> compare (rank_of i) (rank_of j)) firsts;
   if domains > 1 && Array.length firsts > 1 then begin
     (* The shared model is read-only once its lazy descendant caches are
-       forced, so workers only need their own context and workspace. *)
+       forced, so workers only need their own workspace. *)
     let tree = Sdft.tree w.sd in
     for g = 0 to Fault_tree.n_gates tree - 1 do
       ignore (Fault_tree.descendant_basics tree g);
       ignore (Sdft.dynamic_descendants w.sd g)
     done
   end;
-  run w ~domains (solve_item w) firsts;
-  run w ~domains:1 (solve_item w) (Sdft_util.Vec.to_array rest)
+  let solve_item = solve_item w (Cutset_model.read_only w.context) in
+  run w ~domains solve_item firsts;
+  run w ~domains:1 solve_item (Sdft_util.Vec.to_array rest)
 
 (* Fold one point's answers, in input order, into its result. Upper bound:
    the rare-event sum over-approximates the union, so adding back every
@@ -738,13 +746,16 @@ let mean_added_dynamic result =
    a manifest save pays it, never the analysis itself. *)
 let cache_keys options sd r =
   let context = Cutset_model.context sd in
+  let key_of =
+    Quant_cache.key_of ~engine_tag:(engine_name r.engine_used)
+      ~epsilon:options.transient_epsilon
+      ~max_states:options.max_product_states ~horizon:options.horizon
+  in
   List.filter_map
     (fun info ->
       if info.used_fallback then None
       else
-        Quant_cache.key_of ~engine_tag:(engine_name r.engine_used)
-          ~epsilon:options.transient_epsilon
-          ~max_states:options.max_product_states ~horizon:options.horizon
+        key_of
           (Cutset_model.build ~context ~rel_rule:options.rel_rule sd
              info.cutset))
     r.cutsets
@@ -830,11 +841,6 @@ let sweep_checkpointed ?cache ?(obs = Obs.default) ~resume ?on_point sd
   let to_run =
     List.filter_map (fun (o, _, c) -> if c = None then Some o else None) keyed
   in
-  (* The ETA prices only the points that actually run, with the
-     checkpoint-skipped count surfaced separately. *)
-  Obs.begin_phase obs "sweep" ~total:(List.length to_run)
-    ~skipped:(List.length keyed - List.length to_run)
-    ();
   let run = ref (analyze_points ~cache ~obs sd to_run) in
   let item (opts, key, certified) =
     let item =

@@ -45,9 +45,10 @@ type options = {
           paper's closing remark notes this phase is trivially parallel.
           The default is the machine's [Domain.recommended_domain_count
           ()]; [1] keeps everything on the calling domain. The result,
-          every per-cutset record and the cache's lookups, hits and misses
-          are the same at any count; a count [d] explores at most [d] times
-          as many shapes as one domain. *)
+          every per-cutset record, the cache's lookups, hits and misses
+          and the trigger gates classified are the same at any count; a
+          count [d] explores at most [d] times as many shapes as one
+          domain. *)
   rel_rule : Cutset_model.rel_rule;
       (** [Paper] (default) uses the class-reduced relevant sets of Section
           V-C; [All_events] quantifies every cutset with the exact general
@@ -267,10 +268,12 @@ val sweep :
     quantification cache (a fresh one unless [cache] is given). Phase 1 and
     the plan run for each point in order, each under its own guard; the
     plan answers static and impossible cutsets, cache hits and a tripped
-    guard. One solve pass then solves the misses of every point, on the
-    largest [domains] they ask for: each key once, by its first cutset in
-    input order, grouped by product shape across points, so one domain
-    explores each shape once ({!Sdft_product.build}). Last, each point's
+    guard, and fills the call's one {!Cutset_model.context}. One solve
+    pass then solves the misses of every point, on the largest [domains]
+    they ask for, rebuilding their [FT_C]s through a read-only view of
+    that context: each key once, by its first cutset in input order,
+    grouped by product shape across points, so one domain explores each
+    shape once ({!Sdft_product.build}). Last, each point's
     budget folds its answers in input order. Each point equals {!analyze}
     of its option set, bit for bit; its [quantification_seconds] is its
     plan's time plus a share of the solve pass's, in proportion to the
@@ -315,8 +318,9 @@ val sweep_checkpointed :
     store in sweep order ({!Quant_cache.record_point}; nothing is recorded
     on a memory-only cache), and [on_point] fires after each item, once its
     record is flushed — the CLI prints its row there, so a printed row is
-    always resumable. The progress phase ["sweep"] prices only the points
-    that run, surfacing the checkpoint-skipped count separately. *)
+    always resumable. Progress shows the phases of the points that run
+    (their generation, then one quantification over all of them); the
+    rows mark the certified ones. *)
 
 val static_rare_event :
   ?cutoff:float -> ?engine:engine -> Fault_tree.t -> float * int

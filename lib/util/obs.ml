@@ -90,11 +90,11 @@ let step obs ?cost () =
    progress is on, so [analysis.peak_heap_mb] does not depend on
    --progress; per-cutset sampling stays tied to progress, since a
    Gc.quick_stat per cutset would cost more than the display it feeds. *)
-let begin_phase obs name ?total ?cost_total ?skipped () =
+let begin_phase obs name ?total ?cost_total () =
   sample_heap obs;
   match obs.progress with
   | None -> ()
-  | Some p -> Progress.begin_phase p name ?total ?cost_total ?skipped ()
+  | Some p -> Progress.begin_phase p name ?total ?cost_total ()
 
 let finish obs =
   sample_heap obs;

@@ -99,12 +99,10 @@ val begin_phase :
   string ->
   ?total:int ->
   ?cost_total:float ->
-  ?skipped:int ->
   unit ->
   unit
 (** Sample the heap into the peak-heap gauge and, with progress on, start
-    the phase's display (see {!Progress.begin_phase}; [skipped] lets a
-    resumed sweep report the points it will not run). *)
+    the phase's display (see {!Progress.begin_phase}). *)
 
 val finish : t -> unit
 (** End of an analysis: sample the heap into the peak-heap gauge and close

@@ -11,7 +11,6 @@ type t = {
   phase : string Atomic.t;
   n_done : int Atomic.t;
   total : int Atomic.t;
-  skipped : int Atomic.t; (* checkpoint-skipped items, excluded from [total] *)
   cost_done : float Atomic.t;
   cost_total : float Atomic.t;
   heap_mb : float Atomic.t; (* peak heap seen at ticks, for display *)
@@ -58,7 +57,6 @@ let create ?tty ?interval ?emit ?emit_end () =
     phase = Atomic.make "";
     n_done = Atomic.make 0;
     total = Atomic.make 0;
-    skipped = Atomic.make 0;
     cost_done = Atomic.make 0.0;
     cost_total = Atomic.make 0.0;
     heap_mb = Atomic.make 0.0;
@@ -103,11 +101,6 @@ let render t =
     in
     Printf.ksprintf (Buffer.add_string buf) " %d/%d (%.0f%%)" n_done total
       (100.0 *. frac);
-    (* [total] counts only remaining work; resumed sweeps surface what the
-       checkpoint already certified separately so the ETA stays honest. *)
-    let skipped = Atomic.get t.skipped in
-    if skipped > 0 then
-      Printf.ksprintf (Buffer.add_string buf) " (+%d checkpointed)" skipped;
     if frac > 0.0 && frac < 1.0 then
       Printf.ksprintf (Buffer.add_string buf) " · ETA %s"
         (pp_eta (elapsed *. (1.0 -. frac) /. frac))
@@ -132,12 +125,10 @@ let maybe_emit t =
     t.emit (render t)
   end
 
-let begin_phase t name ?(total = 0) ?(cost_total = 0.0) ?(skipped = 0)
-    ?(n_done = 0) () =
+let begin_phase t name ?(total = 0) ?(cost_total = 0.0) () =
   Atomic.set t.phase name;
-  Atomic.set t.n_done n_done;
+  Atomic.set t.n_done 0;
   Atomic.set t.total total;
-  Atomic.set t.skipped skipped;
   Atomic.set t.cost_done 0.0;
   Atomic.set t.cost_total cost_total;
   force_emit t

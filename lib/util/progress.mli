@@ -46,21 +46,14 @@ val begin_phase :
   string ->
   ?total:int ->
   ?cost_total:float ->
-  ?skipped:int ->
-  ?n_done:int ->
   unit ->
   unit
 (** Enter a named phase and reset the item counters. [total] is the number
     of work items (0 = unknown: only phase, elapsed and heap are shown);
     [cost_total] the summed cost proxies of all items — when given, ETA is
     based on completed cost rather than item count, which is honest under
-    the cost-descending schedule (expensive items run first). [skipped]
-    (default 0) is work already certified by a checkpoint and excluded
-    from [total]: a resumed sweep reports {e remaining} work, with the
-    skipped count shown separately, so the ETA never prices items that
-    will never run. [n_done] (default 0) pre-positions the done counter,
-    for phases re-entered mid-way (the sweep loop re-asserts its phase
-    between points). Emits immediately. *)
+    the cost-descending schedule (expensive items run first). Emits
+    immediately. *)
 
 val step : t -> ?cost:float -> unit -> unit
 (** One work item finished, with its cost proxy. May emit (rate-limited). *)

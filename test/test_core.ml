@@ -995,54 +995,128 @@ let test_sweep_worker_crash_stays_in_its_point () =
         (List.combine points clean))
     [ (1, 0, 5); (1, 1, first_count + 3); (2, 1, first_count + 3) ]
 
+let span_count obs name =
+  match
+    List.assoc_opt name
+      (Sdft_util.Metrics.snapshot_in obs.Sdft_util.Obs.metrics)
+        .Sdft_util.Metrics.histograms
+  with
+  | Some h -> h.Sdft_util.Metrics.count
+  | None -> 0
+
+(* A sweep's results, per-point and total cache traffic, shape explorations
+   and trigger-gate classifications at [domains] domains. *)
+let sweep_traffic sd horizons domains =
+  let obs = Sdft_util.Obs.create () in
+  let cache = Quant_cache.create () in
+  let points, _ =
+    Sdft_analysis.sweep ~cache ~obs sd (horizon_options ~domains horizons)
+  in
+  ( List.map
+      (fun (p : Sdft_analysis.sweep_point) -> result_bits p.sweep_result)
+      points,
+    List.map
+      (fun (p : Sdft_analysis.sweep_point) -> (p.cache_hits, p.cache_misses))
+      points,
+    (Quant_cache.misses cache, Quant_cache.hits cache),
+    counter obs "product.explorations",
+    span_count obs "classify.gate" )
+
 (* Phase 2 solves each missed key once, by its first cutset in input order,
    so the cache traffic and every result bit are those of one domain at any
    domain count, the default one included. Concurrent workers used to miss
    on isomorphic sub-models side by side (86-98 misses at two domains in
-   three runs). The sweep's points share one solve pass, grouped by shape:
-   BWR has the same 21 shapes at every horizon, so one domain explores each
-   once, and [d] domains at most [d] times. *)
-let test_cache_sweep_traffic_any_domains () =
-  let sd = bwr_sd () in
-  let sweep domains =
-    let obs = Sdft_util.Obs.create () in
-    let cache = Quant_cache.create () in
-    let points, _ =
-      Sdft_analysis.sweep ~cache ~obs sd
-        (horizon_options ~domains [ 12.0; 24.0; 48.0; 72.0 ])
-    in
-    ( List.map
-        (fun (p : Sdft_analysis.sweep_point) -> result_bits p.sweep_result)
-        points,
-      List.map
-        (fun (p : Sdft_analysis.sweep_point) -> (p.cache_hits, p.cache_misses))
-        points,
-      Quant_cache.misses cache,
-      Quant_cache.hits cache,
-      counter obs "product.explorations" )
+   three runs). The sweep's points share one solve pass, grouped by shape,
+   so [d] domains explore each shape at most [d] times. The plan fills the
+   call's one FT_C context and the solve pass only reads it, so the gates
+   classified are those of one domain too (a context per domain used to
+   classify again, 15-18 times on BWR at two domains). Returns the
+   one-domain traffic. *)
+let check_traffic_any_domains label sd horizons =
+  let (intervals, traffic, totals, explorations, classified) as one =
+    sweep_traffic sd horizons 1
   in
-  let per_point = [ (271, 21); (301, 21); (313, 21); (343, 21) ] in
-  let intervals, traffic, misses, hits, explorations = sweep 1 in
-  Alcotest.(check int) "one domain: 84 misses" 84 misses;
-  Alcotest.(check int) "one domain: 21 explorations" 21 explorations;
-  Alcotest.(check (list (pair int int)))
-    "one domain: per-point hits and misses" per_point traffic;
+  Alcotest.(check bool) (label ^ ": trigger gates classified") true
+    (classified > 0);
   List.iter
     (fun domains ->
-      let label = Printf.sprintf "%d domains: " domains in
-      let intervals', traffic', misses', hits', explorations' =
-        sweep domains
+      let label = Printf.sprintf "%s, %d domains: " label domains in
+      let intervals', traffic', totals', explorations', classified' =
+        sweep_traffic sd horizons domains
       in
       Alcotest.(check bool) (label ^ "bit-identical intervals") true
         (intervals = intervals');
-      Alcotest.(check int) (label ^ "84 misses") 84 misses';
-      Alcotest.(check int) (label ^ "same hits") hits hits';
+      Alcotest.(check (pair int int)) (label ^ "same misses and hits") totals
+        totals';
       Alcotest.(check (list (pair int int)))
-        (label ^ "per-point hits and misses") per_point traffic';
-      if explorations' > domains * 21 then
+        (label ^ "per-point hits and misses") traffic traffic';
+      Alcotest.(check int) (label ^ "same classify.gate count") classified
+        classified';
+      if explorations' > domains * explorations then
         Alcotest.failf "%s%d explorations, more than %d" label explorations'
-          (domains * 21))
-    (List.sort_uniq compare [ 2; 4; Sdft_analysis.default_options.domains ])
+          (domains * explorations))
+    (List.sort_uniq compare [ 2; 4; Sdft_analysis.default_options.domains ]);
+  one
+
+let test_cache_sweep_traffic_any_domains () =
+  let _, traffic, (misses, _), explorations, _ =
+    check_traffic_any_domains "BWR" (bwr_sd ()) [ 12.0; 24.0; 48.0; 72.0 ]
+  in
+  (* BWR has the same 21 shapes at every horizon. *)
+  Alcotest.(check int) "BWR, one domain: 84 misses" 84 misses;
+  Alcotest.(check int) "BWR, one domain: 21 explorations" 21 explorations;
+  Alcotest.(check (list (pair int int)))
+    "BWR, one domain: per-point hits and misses"
+    [ (271, 21); (301, 21); (313, 21); (343, 21) ]
+    traffic;
+  ignore
+    (check_traffic_any_domains "model-1 Erlang-2" (model_1 ~phases:2)
+       [ 12.0; 24.0 ])
+
+(* The solve pass builds through a read-only view of the plan's context.
+   Through a sealed fresh context every BWR cutset builds the FT_C an
+   ordinary build gives, and nothing is stored: building a triggered
+   cutset twice classifies its trigger gates twice. A sealed view of a
+   filled context classifies nothing. *)
+let test_read_only_context () =
+  let sd = bwr_sd () in
+  let cutsets =
+    (Sdft_analysis.phase1 Sdft_analysis.default_options sd)
+      .Sdft_analysis.generation.Mocus.cutsets
+  in
+  let fingerprint (m : Cutset_model.t) =
+    Option.map Quant_cache.fingerprint m.Cutset_model.model
+  in
+  let classified context cutset =
+    let obs = Sdft_util.Obs.create () in
+    let m = Cutset_model.build ~context ~obs sd cutset in
+    (fingerprint m, span_count obs "classify.gate")
+  in
+  List.iter
+    (fun cutset ->
+      let plain = fingerprint (Cutset_model.build sd cutset) in
+      let sealed = Cutset_model.read_only (Cutset_model.context sd) in
+      Alcotest.(check (option string)) "sealed build = ordinary build" plain
+        (fst (classified sealed cutset)))
+    cutsets;
+  let triggered =
+    List.find
+      (fun cutset ->
+        snd (classified (Cutset_model.context sd) cutset) > 0)
+      cutsets
+  in
+  let sealed = Cutset_model.read_only (Cutset_model.context sd) in
+  let fp, first = classified sealed triggered in
+  let fp', second = classified sealed triggered in
+  Alcotest.(check bool) "a sealed context classifies" true (first > 0);
+  Alcotest.(check (option string)) "same FT_C twice" fp fp';
+  Alcotest.(check int) "a sealed context stores nothing" first second;
+  let context = Cutset_model.context sd in
+  ignore (classified context triggered);
+  Alcotest.(check int) "a filled context classifies once" 0
+    (snd (classified context triggered));
+  Alcotest.(check int) "its sealed view reads it" 0
+    (snd (classified (Cutset_model.read_only context) triggered))
 
 let test_cache_fingerprint_name_independent () =
   let model names =
@@ -2018,6 +2092,8 @@ let () =
             test_cache_isomorphic_cutsets_share;
           Alcotest.test_case "same traffic at any domain count" `Quick
             test_cache_sweep_traffic_any_domains;
+          Alcotest.test_case "read-only context stores nothing" `Quick
+            test_read_only_context;
           Alcotest.test_case "sweep points match analyze" `Quick
             test_sweep_points_match_analyze;
           Alcotest.test_case "sweep worker crash stays in its point" `Quick

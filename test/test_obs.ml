@@ -466,46 +466,6 @@ let test_progress_rendering () =
     (contains final "quantification");
   Alcotest.(check bool) "final line shows 4/4" true (contains final "4/4")
 
-(* A resumed sweep reports checkpoint-skipped items separately from live
-   work: the count segment stays done/total over the items actually run,
-   with a "(+N checkpointed)" annotation for the store-certified rest. *)
-let test_progress_skipped_rendering () =
-  let lines = ref [] in
-  let p =
-    Progress.create ~interval:0.0
-      ~emit:(fun l -> lines := l :: !lines)
-      ~emit_end:(fun () -> ())
-      ()
-  in
-  Progress.begin_phase p "sweep" ~total:2 ~skipped:3 ~n_done:1 ();
-  Progress.step p ();
-  Progress.finish p;
-  let contains hay needle =
-    let rec search i =
-      i + String.length needle <= String.length hay
-      && (String.sub hay i (String.length needle) = needle || search (i + 1))
-    in
-    search 0
-  in
-  let final = List.hd !lines in
-  Alcotest.(check bool) "shows live progress over run items" true
-    (contains final "2/2");
-  Alcotest.(check bool) "annotates checkpointed items" true
-    (contains final "(+3 checkpointed)");
-  (* A phase with nothing skipped renders without the annotation. *)
-  let lines2 = ref [] in
-  let q =
-    Progress.create ~interval:0.0
-      ~emit:(fun l -> lines2 := l :: !lines2)
-      ~emit_end:(fun () -> ())
-      ()
-  in
-  Progress.begin_phase q "sweep" ~total:1 ();
-  Progress.step q ();
-  Progress.finish q;
-  Alcotest.(check bool) "no annotation without skips" true
-    (not (contains (List.hd !lines2) "checkpointed"))
-
 (* The default sink frames lines for its destination: CR-overwriting on a
    TTY, plain newline-terminated lines anywhere else — a captured log or
    CI pipe must never receive carriage returns. *)
@@ -837,8 +797,6 @@ let () =
         [
           Alcotest.test_case "rendering and finish" `Quick
             test_progress_rendering;
-          Alcotest.test_case "checkpoint-skipped annotation" `Quick
-            test_progress_skipped_rendering;
           Alcotest.test_case "tty vs plain framing" `Quick
             test_progress_rendered_modes;
           Alcotest.test_case "default sink adapts to non-TTY stderr" `Quick

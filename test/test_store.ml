@@ -515,6 +515,62 @@ let test_checkpoint_torn_tail_reruns_last_point () =
         items;
       check_items_match_golden items golden)
 
+(* A resumed sweep's progress shows only the phases of the points it runs,
+   each ending at its total: the certified point is in the printed rows,
+   not in a phase of its own. *)
+let test_checkpoint_resume_progress () =
+  let sd = Pumps.sd_tree () in
+  with_store (fun path ->
+      ignore (sweep_into sd path [ 6.0 ]);
+      let lines = ref [] in
+      let progress =
+        Sdft_util.Progress.create ~interval:0.0
+          ~emit:(fun l -> lines := l :: !lines)
+          ~emit_end:ignore ()
+      in
+      let obs =
+        Sdft_util.Obs.with_progress (Sdft_util.Obs.create ()) progress
+      in
+      let cache = Quant_cache.open_disk path in
+      let items, _ =
+        Sdft_analysis.sweep_checkpointed ~cache ~obs ~resume:true sd
+          (sweep_options_at [ 6.0; 12.0 ])
+      in
+      Quant_cache.close cache;
+      (match items with
+      | [ Sdft_analysis.Sweep_skipped _; Sdft_analysis.Sweep_run _ ] -> ()
+      | _ -> Alcotest.fail "expected one certified point and one run");
+      let lines = List.rev !lines in
+      let phase l = String.sub l 1 (String.index l ']' - 1) in
+      let count l =
+        try Scanf.sscanf l "[%_s@] %d/%d" (fun d t -> Some (d, t))
+        with Scanf.Scan_failure _ | End_of_file -> None
+      in
+      let names_sweep l =
+        let rec at i =
+          i + 5 <= String.length l && (String.sub l i 5 = "sweep" || at (i + 1))
+        in
+        at 0
+      in
+      List.iter
+        (fun l -> if names_sweep l then Alcotest.failf "names a sweep: %s" l)
+        lines;
+      (* The last line of each run of one phase shows its final count. *)
+      let rec ends = function
+        | a :: (b :: _ as rest) ->
+          (if phase a <> phase b then a :: ends rest else ends rest)
+        | [ last ] -> [ last ]
+        | [] -> []
+      in
+      Alcotest.(check bool) "a counted phase was shown" true
+        (List.exists (fun l -> count l <> None) lines);
+      List.iter
+        (fun l ->
+          match count l with
+          | Some (d, t) when d <> t -> Alcotest.failf "phase ends short: %s" l
+          | _ -> ())
+        (ends lines))
+
 (* One file for all certified work: a cold resumable sweep appends each
    fresh solve exactly once plus one record per point, and a re-run over
    the same store appends nothing at all. *)
@@ -854,6 +910,8 @@ let () =
             test_checkpoint_resume_bit_identical;
           Alcotest.test_case "torn tail re-runs the last point" `Quick
             test_checkpoint_torn_tail_reruns_last_point;
+          Alcotest.test_case "resume progress ends every phase" `Quick
+            test_checkpoint_resume_progress;
           Alcotest.test_case "cold sweep appends each record once" `Quick
             test_checkpoint_appends_once;
           Alcotest.test_case "append failure never fails the sweep" `Quick
