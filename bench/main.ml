@@ -717,14 +717,14 @@ let baseline_build sd_c ~max_states =
     let state = Sdft_util.Vec.get states src in
     Array.iteri
       (fun slot (c : Sdft_product.component) ->
-        Array.iter
-          (fun (dst_local, rate) ->
-            let next = Array.copy state in
-            next.(slot) <- dst_local;
-            close next;
-            let dst = intern next in
-            if dst <> src then Sdft_util.Vec.push transitions (src, dst, rate))
-          c.Sdft_product.rows.(state.(slot)))
+        for k = c.row_ptr.(state.(slot)) to c.row_ptr.(state.(slot) + 1) - 1 do
+          let next = Array.copy state in
+          next.(slot) <- c.cols.(k);
+          close next;
+          let dst = intern next in
+          if dst <> src then
+            Sdft_util.Vec.push transitions (src, dst, c.rates.(k))
+        done)
       components
   done;
   let n_states = Sdft_util.Vec.length states in

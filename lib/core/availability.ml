@@ -3,11 +3,14 @@
    reach the seed. *)
 let reachable_set chain seeds =
   let n = Ctmc.n_states chain in
+  let row_ptr = Ctmc.row_ptr chain and cols = Ctmc.cols chain in
   let seen = Array.make n false in
   let rec walk s =
     if not seen.(s) then begin
       seen.(s) <- true;
-      Array.iter (fun (dst, _) -> walk dst) (Ctmc.outgoing chain s)
+      for k = row_ptr.(s) to row_ptr.(s + 1) - 1 do
+        walk cols.(k)
+      done
     end
   in
   List.iter walk seeds;

@@ -99,18 +99,18 @@ let of_cutset ?(epsilon = 1e-12) ?(max_states = 1_000_000) ?rel_rule sd cutset
         let state, order = Sdft_util.Vec.get states src in
         let before = failed_flags state in
         Array.iteri
-          (fun slot c ->
-            Array.iter
-              (fun (dst_local, rate) ->
-                let next = Array.copy state in
-                next.(slot) <- dst_local;
-                Sdft_product.sem_close sem next;
-                let after = failed_flags next in
-                let order' = update_recency order ~before ~after n_tracked in
-                let dst = intern next order' in
-                if dst <> src then
-                  Sdft_util.Vec.push transitions (src, dst, rate))
-              c.Sdft_product.rows.(state.(slot)))
+          (fun slot (c : Sdft_product.component) ->
+            for k = c.row_ptr.(state.(slot)) to c.row_ptr.(state.(slot) + 1) - 1
+            do
+              let next = Array.copy state in
+              next.(slot) <- c.cols.(k);
+              Sdft_product.sem_close sem next;
+              let after = failed_flags next in
+              let order' = update_recency order ~before ~after n_tracked in
+              let dst = intern next order' in
+              if dst <> src then
+                Sdft_util.Vec.push transitions (src, dst, c.rates.(k))
+            done)
           components
       done;
       let n_states = Sdft_util.Vec.length states in

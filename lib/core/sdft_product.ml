@@ -13,17 +13,27 @@ type built = {
 exception Too_many_states of int
 
 (* Per-participant component data, extracted once from the Dbe / static
-   probability so the exploration loop works on plain arrays. *)
+   probability so the exploration loops work on plain arrays. A dynamic
+   event's rows are its Dbe chain's own CSR arrays, never copied. *)
 type component = {
   basic : int;
   n_local : int;
-  rows : (int * float) array array;
-  init_local : (int * float) list;
+  (* local state s owns entries row_ptr.(s) .. row_ptr.(s + 1) - 1 *)
+  row_ptr : int array;
+  cols : int array;
+  rates : float array;
+  init_states : int array; (* initial states of positive mass *)
+  init_weights : float array;
   failed_local : bool array;
   trigger_gate : int; (* -1 when untriggered *)
   mode_on : bool array; (* true = on *)
   partner : int array; (* on <-> off; identity for untriggered *)
 }
+
+(* The initial distribution without its zero-mass states, as two arrays. *)
+let positive_init dist =
+  let dist = List.filter (fun (_, m) -> m > 0.0) dist in
+  (Array.of_list (List.map fst dist), Array.of_list (List.map snd dist))
 
 let component_of_basic sd b =
   let tree = Sdft.tree sd in
@@ -31,7 +41,7 @@ let component_of_basic sd b =
     let d = Sdft.dbe sd b in
     let n_local = Dbe.n_states d in
     let chain = Dbe.chain d in
-    let rows = Array.init n_local (Ctmc.outgoing chain) in
+    let init_states, init_weights = positive_init (Dbe.init d) in
     let failed_local = Array.init n_local (Dbe.is_failed d) in
     let triggered = Dbe.is_triggered_model d in
     let mode_on = Array.init n_local (fun s -> Dbe.mode_of d s = Dbe.On) in
@@ -49,8 +59,11 @@ let component_of_basic sd b =
     {
       basic = b;
       n_local;
-      rows;
-      init_local = List.filter (fun (_, p) -> p > 0.0) (Dbe.init d);
+      row_ptr = Ctmc.row_ptr chain;
+      cols = Ctmc.cols chain;
+      rates = Ctmc.rates chain;
+      init_states;
+      init_weights;
       failed_local;
       trigger_gate;
       mode_on;
@@ -59,14 +72,15 @@ let component_of_basic sd b =
   end
   else begin
     let p = Fault_tree.prob tree b in
-    let init_local =
-      List.filter (fun (_, m) -> m > 0.0) [ (0, 1.0 -. p); (1, p) ]
-    in
+    let init_states, init_weights = positive_init [ (0, 1.0 -. p); (1, p) ] in
     {
       basic = b;
       n_local = 2;
-      rows = [| [||]; [||] |];
-      init_local;
+      row_ptr = [| 0; 0; 0 |];
+      cols = [||];
+      rates = [||];
+      init_states;
+      init_weights;
       failed_local = [| false; true |];
       trigger_gate = -1;
       mode_on = [| true; true |];
@@ -116,7 +130,7 @@ let eval sem state =
    settles at least the events whose triggers' values are final, so
    n_triggered + 1 passes always suffice (trigger structure is acyclic).
    Without triggered events every state is already consistent, and the
-   exploration loops skip the gate evaluations entirely. *)
+   closure returns without evaluating a gate. *)
 let sem_close sem state =
   if sem.n_triggered = 0 then ()
   else begin
@@ -158,12 +172,14 @@ let sem_initial_states sem ~max_states =
         let prev = try Hashtbl.find masses state with Not_found -> 0.0 in
         Hashtbl.replace masses state (prev +. mass)
       end
-      else
-        List.iter
-          (fun (s, p) ->
+      else begin
+        let c = sem.components.(slot) in
+        Array.iteri
+          (fun j s ->
             prefix.(slot) <- s;
-            enumerate (slot + 1) prefix (mass *. p))
-          sem.components.(slot).init_local
+            enumerate (slot + 1) prefix (mass *. c.init_weights.(j)))
+          c.init_states
+      end
     end
   in
   enumerate 0 (Array.make n_components 0) 1.0;
@@ -213,15 +229,16 @@ let init_distribution ids_masses =
     ids_masses;
   Hashtbl.fold (fun id m acc -> (id, m) :: acc) mass []
 
-(* The component-local transitions numbered slot by slot, state by state,
-   entry by entry: the rate vector a template's plan refers into. *)
+(* The number of transitions of a component: its rate prefix's length
+   (a chain's rate array may be longer than its own entries). *)
+let n_transitions c = c.row_ptr.(c.n_local)
+
+(* The component-local transitions numbered slot by slot, in each
+   component's CSR order: the rate vector a template's plan refers into. *)
 let local_rates components =
-  let rates = Sdft_util.Vec.create () in
-  Array.iter
-    (fun c ->
-      Array.iter (Array.iter (fun (_, r) -> Sdft_util.Vec.push rates r)) c.rows)
-    components;
-  Sdft_util.Vec.to_array rates
+  Array.concat
+    (Array.to_list
+       (Array.map (fun c -> Array.sub c.rates 0 (n_transitions c)) components))
 
 (* Everything a packed exploration derives from the model's structure
    alone. Two models with the same shape key reach the same states in the
@@ -263,13 +280,14 @@ let shape_key sem =
     (fun c ->
       emit c.basic;
       emit c.n_local;
-      Array.iter
-        (fun row ->
-          emit (Array.length row);
-          Array.iter (fun (dst, _) -> emit dst) row)
-        c.rows;
-      emit (List.length c.init_local);
-      List.iter (fun (s, _) -> emit s) c.init_local;
+      for s = 0 to c.n_local - 1 do
+        emit (c.row_ptr.(s + 1) - c.row_ptr.(s));
+        for k = c.row_ptr.(s) to c.row_ptr.(s + 1) - 1 do
+          emit c.cols.(k)
+        done
+      done;
+      emit (Array.length c.init_states);
+      Array.iter emit c.init_states;
       emit_bools c.failed_local;
       emit c.trigger_gate;
       emit_bools c.mode_on;
@@ -289,18 +307,13 @@ let shape sd = shape_key (semantics sd)
 let explore sem ~max_states ~guard ~fp strides initial =
   let components = sem.components in
   let n_components = Array.length components in
-  let row_base =
-    let next = ref 0 in
-    Array.map
-      (fun c ->
-        Array.map
-          (fun row ->
-            let base = !next in
-            next := base + Array.length row;
-            base)
-          c.rows)
-      components
-  in
+  (* Transition [k] of slot [slot]'s CSR arrays is entry
+     [slot_base.(slot) + k] of [local_rates]. *)
+  let slot_base = Array.make n_components 0 in
+  for slot = 1 to n_components - 1 do
+    slot_base.(slot) <-
+      slot_base.(slot - 1) + n_transitions components.(slot - 1)
+  done;
   let ids : (int, int) Hashtbl.t = Hashtbl.create 64 in
   let keys : int Sdft_util.Vec.t = Sdft_util.Vec.create () in
   let failed_v = Sdft_util.Vec.create () in
@@ -338,19 +351,18 @@ let explore sem ~max_states ~guard ~fp strides initial =
     Sdft_util.Vec.push row_ptr (Sdft_util.Vec.length dsts);
     unpack strides (Sdft_util.Vec.get keys src) state;
     for slot = 0 to n_components - 1 do
+      let c = components.(slot) in
       let local = state.(slot) in
-      let base = row_base.(slot).(local) in
-      Array.iteri
-        (fun j (dst_local, _) ->
-          Array.blit state 0 next 0 n_components;
-          next.(slot) <- dst_local;
-          sem_close sem next;
-          let dst = intern (pack strides next) next in
-          if dst <> src then begin
-            Sdft_util.Vec.push dsts dst;
-            Sdft_util.Vec.push refs (base + j)
-          end)
-        components.(slot).rows.(local)
+      for k = c.row_ptr.(local) to c.row_ptr.(local + 1) - 1 do
+        Array.blit state 0 next 0 n_components;
+        next.(slot) <- c.cols.(k);
+        sem_close sem next;
+        let dst = intern (pack strides next) next in
+        if dst <> src then begin
+          Sdft_util.Vec.push dsts dst;
+          Sdft_util.Vec.push refs (slot_base.(slot) + k)
+        end
+      done
     done
   done;
   Sdft_util.Vec.push row_ptr (Sdft_util.Vec.length dsts);
@@ -463,14 +475,14 @@ let build_generic sem ~max_states ~guard ~fp =
     let state = Sdft_util.Vec.get states src in
     Array.iteri
       (fun slot c ->
-        Array.iter
-          (fun (dst_local, rate) ->
-            let next = Array.copy state in
-            next.(slot) <- dst_local;
-            sem_close sem next;
-            let dst = intern next in
-            if dst <> src then Sdft_util.Vec.push transitions (src, dst, rate))
-          c.rows.(state.(slot)))
+        for k = c.row_ptr.(state.(slot)) to c.row_ptr.(state.(slot) + 1) - 1 do
+          let next = Array.copy state in
+          next.(slot) <- c.cols.(k);
+          sem_close sem next;
+          let dst = intern next in
+          if dst <> src then
+            Sdft_util.Vec.push transitions (src, dst, c.rates.(k))
+        done)
       components
   done;
   let n_states = Sdft_util.Vec.length states in

@@ -11,11 +11,12 @@
     acyclic). The failure probability within a horizon is the probability of
     reaching a product state that fails the top gate.
 
-    This module is used in two roles: quantifying the small per-cutset
-    models [FT_C] (the paper's workhorse), and as the exact full-state-space
+    This module is used in three roles: quantifying the small per-cutset
+    models [FT_C] (the paper's workhorse); as the exact full-state-space
     baseline that the paper argues is infeasible for industrial trees — it
     is exponential in the number of basic events, so keep it to small
-    models. *)
+    models; and, through its low-level semantics, as the process the
+    Monte-Carlo engines sample. *)
 
 type built = {
   chain : Ctmc.t;
@@ -119,29 +120,51 @@ val solve :
 
 (** {1 Low-level semantics}
 
-    The component extraction and the trigger update closure, exposed so
-    that augmented explorations (e.g. the failure-order tracking of
-    {!Cut_sequences}) can reuse the exact same semantics. *)
+    The component extraction and the trigger update closure: the one
+    implementation of the Section III-C product process. Augmented
+    explorations (the failure-order tracking of {!Cut_sequences}) and the
+    Monte-Carlo engines ({!Simulator}, {!Rare_event}, which sample it
+    through {!Sim_world}) all run on it. A semantics carries a scratch
+    buffer for gate evaluations, so it must not be shared between domains:
+    build one per domain ({!semantics} is cheap; it shares each event's
+    chain arrays). *)
 
 type component = {
   basic : int;  (** basic-event index in the tree *)
   n_local : int;
-  rows : (int * float) array array;  (** outgoing transitions per state *)
-  init_local : (int * float) list;
+  row_ptr : int array;
+  cols : int array;
+  rates : float array;
+      (** Outgoing transitions in CSR form: local state [s] owns entries
+          [row_ptr.(s) .. row_ptr.(s + 1) - 1] of [cols] (destinations) and
+          [rates]. A dynamic event's arrays are its {!Dbe.chain}'s own,
+          shared with it: do not mutate them. A static event has
+          [row_ptr = [|0; 0; 0|]] and no transitions. *)
+  init_states : int array;
+  init_weights : float array;
+      (** The initial distribution: [init_states.(j)] has mass
+          [init_weights.(j)]. Zero-mass states are left out; a static event
+          with probability [p] lists state 0 with [1 - p] and state 1
+          (failed) with [p]. *)
   failed_local : bool array;
   trigger_gate : int;  (** -1 when untriggered *)
   mode_on : bool array;
   partner : int array;
+      (** the same state in the other mode (on <-> off); the identity for
+          untriggered events *)
 }
 
 type semantics
 
 val semantics : Sdft.t -> semantics
+(** One component per basic event, in index order. *)
 
 val sem_components : semantics -> component array
 
 val sem_close : semantics -> int array -> unit
-(** Apply the trigger update closure in place. *)
+(** Apply the trigger update closure in place: switch triggered events
+    on/off until every trigger gate's failure status agrees with its
+    events' modes. *)
 
 val sem_fails_top : semantics -> int array -> bool
 (** Does the (consistent) state fail the top gate? *)

@@ -224,12 +224,6 @@ let max_exit_rate c =
   done;
   !q
 
-let outgoing c i =
-  if i < 0 || i >= c.n then invalid_arg "Ctmc.outgoing: state out of range";
-  let lo = c.row_ptr.(i) in
-  Array.init (c.row_ptr.(i + 1) - lo) (fun k ->
-      (c.cols.(lo + k), c.rates.(lo + k)))
-
 let n_transitions c = c.row_ptr.(c.n)
 
 let iter_transitions c f =

@@ -6,8 +6,7 @@
 
     The matrix is stored in CSR form: three flat arrays [row_ptr]/[cols]/
     [rates] (the rate array is unboxed). Hot numeric loops should fetch
-    the arrays once and index directly; {!outgoing} remains as an
-    allocating compatibility view. *)
+    the arrays once and index directly. *)
 
 type t
 
@@ -118,10 +117,6 @@ val exit_rates : t -> float array
 (** Per-state exit rates; at least [n_states] entries, of which only the
     first [n_states] are the chain's (see {!rates}). Shared; do not
     mutate. *)
-
-val outgoing : t -> int -> (int * float) array
-(** Outgoing transitions of a state as [(dst, rate)] pairs. Compatibility
-    view: unlike the CSR accessors it allocates a fresh array per call. *)
 
 val n_transitions : t -> int
 

@@ -39,9 +39,15 @@ let make ~n_states ~transitions =
   { n = n_states; rows; exit }
 
 let of_ctmc chain =
+  let row_ptr = Ctmc.row_ptr chain in
+  let cols = Ctmc.cols chain and rates = Ctmc.rates chain in
+  let row i =
+    Array.init (row_ptr.(i + 1) - row_ptr.(i)) (fun k ->
+        (cols.(row_ptr.(i) + k), rates.(row_ptr.(i) + k)))
+  in
   {
     n = Ctmc.n_states chain;
-    rows = Array.init (Ctmc.n_states chain) (Ctmc.outgoing chain);
+    rows = Array.init (Ctmc.n_states chain) row;
     exit = Array.init (Ctmc.n_states chain) (Ctmc.exit_rate chain);
   }
 

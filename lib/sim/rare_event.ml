@@ -78,16 +78,17 @@ type batch_result = {
      and those cannot fail the (not yet failed) top, so the estimator stays
      unbiased; after the cap, times are drawn from the plain exponential
      again, restoring full support for long trajectories. *)
-let run_trial world rng ~horizon ~opts ~jumps ~forced =
-  let components = Sim_world.components world in
+let run_trial sd sem rng ~horizon ~opts ~jumps ~forced =
+  let tree = Sdft.tree sd in
+  let components = Sdft_product.sem_components sem in
   let n = Array.length components in
   let log_w = ref 0.0 in
   let state = Array.make n 0 in
   let bias = opts.static_bias in
   Array.iteri
-    (fun b (c : Sim_world.component) ->
-      if c.is_static && bias > 1.0 then begin
-        let p = c.static_prob in
+    (fun b (c : Sdft_product.component) ->
+      if bias > 1.0 && not (Sdft.is_dynamic sd b) then begin
+        let p = Fault_tree.prob tree b in
         let p' = Float.min opts.static_bias_cap (bias *. p) in
         if p' > p then begin
           if Rng.float rng < p' then begin
@@ -105,11 +106,11 @@ let run_trial world rng ~horizon ~opts ~jumps ~forced =
       else
         state.(b) <- c.init_states.(Sim_world.sample_categorical rng c.init_weights))
     components;
-  Sim_world.close world state;
+  Sdft_product.sem_close sem state;
   let rec step now n_forced =
-    if Sim_world.top_failed world state then (true, exp !log_w)
+    if Sdft_product.sem_fails_top sem state then (true, exp !log_w)
     else begin
-      let total = Sim_world.total_rate world state in
+      let total = Sim_world.total_rate sem state in
       let remaining = horizon -. now in
       if total <= 0.0 || remaining <= 0.0 then (false, exp !log_w)
       else if opts.forcing && n_forced < opts.max_forced_jumps then begin
@@ -120,7 +121,7 @@ let run_trial world rng ~horizon ~opts ~jumps ~forced =
           log_w := !log_w +. log c;
           incr forced;
           incr jumps;
-          if Sim_world.apply_jump world rng state ~total then
+          if Sim_world.apply_jump sem rng state ~total then
             step (now +. dt) (n_forced + 1)
           else (false, exp !log_w)
         end
@@ -131,7 +132,7 @@ let run_trial world rng ~horizon ~opts ~jumps ~forced =
         if now > horizon then (false, exp !log_w)
         else begin
           incr jumps;
-          if Sim_world.apply_jump world rng state ~total then step now n_forced
+          if Sim_world.apply_jump sem rng state ~total then step now n_forced
           else (false, exp !log_w)
         end
       end
@@ -139,7 +140,7 @@ let run_trial world rng ~horizon ~opts ~jumps ~forced =
   in
   step 0.0 0
 
-let run_batch world rng ~horizon ~opts ~m ~size =
+let run_batch sd sem rng ~horizon ~opts ~m ~size =
   let hits = ref 0 in
   let sum = Kahan.create () in
   let sum2 = Kahan.create () in
@@ -147,7 +148,7 @@ let run_batch world rng ~horizon ~opts ~m ~size =
   let jumps = ref 0 in
   let forced = ref 0 in
   for _ = 1 to size do
-    let failed, w = run_trial world rng ~horizon ~opts ~jumps ~forced in
+    let failed, w = run_trial sd sem rng ~horizon ~opts ~jumps ~forced in
     Kahan.add weight w;
     if failed then begin
       incr hits;
@@ -228,9 +229,9 @@ let run ?(options = default_options) ?(obs = Sdft_util.Obs.default) sd
     let work = Array.init (hi - !next) (fun k -> !next + k) in
     let results =
       Parallel.map_init ~domains:options.domains
-        (fun () -> Sim_world.make sd)
-        (fun world i ->
-          run_batch world rngs.(i) ~horizon ~opts:options ~m ~size:sizes.(i))
+        (fun () -> Sdft_product.semantics sd)
+        (fun sem i ->
+          run_batch sd sem rngs.(i) ~horizon ~opts:options ~m ~size:sizes.(i))
         work
     in
     Array.iteri

@@ -25,10 +25,11 @@
       the failure branch by [p/p'] and the survival branch by
       [(1-p)/(1-p')].
 
-    Trials run in batches over {!Sdft_util.Parallel.map_init}; every batch
-    owns a pre-split {!Sdft_util.Rng} stream and batch results are merged
-    in index order with compensated sums, so the estimate is bit-identical
-    for a given seed {e regardless of the domain count}. *)
+    Trials run in batches over {!Sdft_util.Parallel.map_init}, each worker
+    domain on its own {!Sdft_product.semantics}; every batch owns a
+    pre-split {!Sdft_util.Rng} stream and batch results are merged in index
+    order with compensated sums, so the estimate is bit-identical for a
+    given seed {e regardless of the domain count}. *)
 
 type options = {
   trials : int;  (** maximum number of trials (default 100_000) *)

@@ -6,18 +6,18 @@ type stats = {
 }
 
 (* One trial: does the top gate fail within the horizon? *)
-let run_trial world rng ~horizon =
-  let state = Sim_world.sample_initial world rng in
-  Sim_world.close world state;
+let run_trial sem rng ~horizon =
+  let state = Sim_world.sample_initial sem rng in
+  Sdft_product.sem_close sem state;
   let rec step now =
-    if Sim_world.top_failed world state then true
+    if Sdft_product.sem_fails_top sem state then true
     else begin
-      let total = Sim_world.total_rate world state in
+      let total = Sim_world.total_rate sem state in
       if total <= 0.0 then false (* no dynamics left: state is final *)
       else begin
         let now = now +. Sdft_util.Rng.exponential rng total in
         (* A jump that applies nothing is a numerical corner: no failure. *)
-        now <= horizon && Sim_world.apply_jump world rng state ~total && step now
+        now <= horizon && Sim_world.apply_jump sem rng state ~total && step now
       end
     end
   in
@@ -25,11 +25,11 @@ let run_trial world rng ~horizon =
 
 let unreliability ?(seed = 42) sd ~horizon ~trials =
   if trials <= 0 then invalid_arg "Simulator: need at least one trial";
-  let world = Sim_world.make sd in
+  let sem = Sdft_product.semantics sd in
   let rng = Sdft_util.Rng.create seed in
   let failures = ref 0 in
   for _ = 1 to trials do
-    if run_trial world rng ~horizon then incr failures
+    if run_trial sem rng ~horizon then incr failures
   done;
   let failures = !failures in
   let p = float_of_int failures /. float_of_int trials in

@@ -4,11 +4,13 @@
     Simulates the product process of Section III-C directly — static events
     sampled at time zero, dynamic events racing exponential transitions,
     trigger updates applied instantaneously after every jump — without ever
-    building the product state space (the trial machinery lives in
-    {!Sim_world}). Used as a statistical baseline to validate the analytic
-    pipeline on models with failure probabilities large enough to observe;
-    for genuinely rare top events use the importance-sampling engine
-    {!Rare_event}, which shares the same semantics. *)
+    building the product state space. The process is
+    {!Sdft_product.semantics}, the one the exact baseline explores; the
+    draws are {!Sim_world}'s. Used as a statistical baseline to validate
+    the analytic pipeline on models with failure probabilities large
+    enough to observe; for genuinely rare top events use the
+    importance-sampling engine {!Rare_event}, which samples the same
+    semantics. *)
 
 type stats = {
   trials : int;

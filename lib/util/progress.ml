@@ -142,8 +142,10 @@ let tick t ~heap_mb =
   atomic_max_float t.heap_mb heap_mb;
   maybe_emit t
 
+(* Clearing [emitted] makes a second finish of the same display (the
+   analysis closes it, then the front end at exit) a no-op. *)
 let finish t =
-  if Atomic.get t.emitted then begin
+  if Atomic.exchange t.emitted false then begin
     t.emit (render t);
     t.emit_end ()
   end

@@ -63,5 +63,6 @@ val tick : t -> heap_mb:float -> unit
     display and maybe emit (rate-limited). *)
 
 val finish : t -> unit
-(** Emit one final line and terminate the display (no-op when nothing was
-    ever emitted). *)
+(** Emit one final line and terminate the display. A no-op when nothing
+    was emitted since the last [finish], so finishing a display twice
+    closes it once. *)

@@ -45,7 +45,7 @@ let cases =
     (fun cmd -> (cmd, "pumps.sdft", 0))
     [
       "analyze"; "sweep"; "mcs"; "importance"; "uncertainty"; "sensitivity";
-      "sequences"; "availability"; "exact";
+      "sequences"; "availability"; "exact"; "simulate";
     ]
   @ List.map
       (fun cmd -> (cmd, "industrial_small.sdft", 0))

@@ -466,6 +466,28 @@ let test_progress_rendering () =
     (contains final "quantification");
   Alcotest.(check bool) "final line shows 4/4" true (contains final "4/4")
 
+(* An analysis finishes its own display, and a front end that finishes
+   the same context again at exit adds nothing: the status line closes
+   once. *)
+let test_progress_finish_once () =
+  let events = ref [] in
+  let p =
+    Progress.create ~interval:0.0
+      ~emit:(fun l -> events := `Line l :: !events)
+      ~emit_end:(fun () -> events := `End :: !events)
+      ()
+  in
+  let obs = Obs.with_progress (Obs.create ()) p in
+  ignore (Sdft_analysis.analyze ~obs (Pumps.sd_tree ()));
+  Obs.finish obs;
+  let ends = List.filter (fun e -> e = `End) !events in
+  Alcotest.(check int) "one emit_end" 1 (List.length ends);
+  match !events with
+  | `End :: `Line final :: _ ->
+    Alcotest.(check bool) "final line shows the last phase" true
+      (String.starts_with ~prefix:"[quantification]" final)
+  | _ -> Alcotest.fail "the display does not end with a final line"
+
 (* The default sink frames lines for its destination: CR-overwriting on a
    TTY, plain newline-terminated lines anywhere else — a captured log or
    CI pipe must never receive carriage returns. *)
@@ -797,6 +819,8 @@ let () =
         [
           Alcotest.test_case "rendering and finish" `Quick
             test_progress_rendering;
+          Alcotest.test_case "finish closes the display once" `Quick
+            test_progress_finish_once;
           Alcotest.test_case "tty vs plain framing" `Quick
             test_progress_rendered_modes;
           Alcotest.test_case "default sink adapts to non-TTY stderr" `Quick

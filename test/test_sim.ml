@@ -236,6 +236,72 @@ let test_rare_event_rejects_bad_options () =
            ~options:{ Rare_event.default_options with static_bias_cap = 1.0 }
            sd ~horizon:1.0))
 
+(* ------------------------------------------------------------------ *)
+(* Pinned draws: every estimator's value, bit for bit, at fixed seeds. The
+   samplers consume one uniform per categorical draw and per jump, so any
+   change to the component layout, the initial-state order, the closure or
+   the transition order moves these hex strings. *)
+
+let hex = Printf.sprintf "%h"
+
+let pinned_models () =
+  [ ("pumps", Pumps.sd_tree ()); ("bwr", Bwr.build Bwr.default_config) ]
+
+(* (model, seed, IS estimate, IS std error, crude estimate, simulator
+   estimate) at 30,000 trials over 24 h. *)
+let pinned =
+  [
+    ("pumps", 1, "0x1.6f20f0ef525acp-12", "0x1.676fc793344bap-17",
+     "0x1.5d867c3ece2a5p-13", "0x1.e955e124ba3b4p-13");
+    ("pumps", 2, "0x1.708b216166e29p-12", "0x1.6b24859794711p-17",
+     "0x1.5d867c3ece2a5p-13", "0x1.179ec9cbd821ep-12");
+    ("bwr", 1, "0x1.c2780ef22601dp-23", "0x1.18d1c0170e4afp-23", "0x0p+0",
+     "0x0p+0");
+    ("bwr", 2, "0x1.b42ad6a825a5ep-26", "0x1.4f9355b2fb47cp-28", "0x0p+0",
+     "0x0p+0");
+  ]
+
+let test_pinned_estimates () =
+  let models = pinned_models () in
+  List.iter
+    (fun (name, seed, is, se, crude, sim) ->
+      let sd = List.assoc name models in
+      let options = { Rare_event.default_options with trials = 30_000; seed } in
+      let e = Rare_event.run ~options sd ~horizon:24.0 in
+      let c =
+        Rare_event.run ~options:(Rare_event.crude options) sd ~horizon:24.0
+      in
+      let s = Simulator.unreliability ~seed sd ~horizon:24.0 ~trials:30_000 in
+      let label what = Printf.sprintf "%s seed %d %s" name seed what in
+      Alcotest.(check string) (label "IS") is (hex e.Rare_event.estimate);
+      Alcotest.(check string) (label "IS se") se (hex e.Rare_event.std_error);
+      Alcotest.(check string) (label "crude") crude (hex c.Rare_event.estimate);
+      Alcotest.(check string) (label "simulator") sim
+        (hex s.Simulator.estimate))
+    pinned
+
+(* IS estimates on random models with two triggers, 5,000 trials, the
+   model's generator seed doubling as the sampling seed. *)
+let pinned_triggered =
+  [
+    (11, "0x1.acdc2f513e6a8p-1");
+    (12, "0x1.ad77c96e2d438p-1");
+    (13, "0x1.a02547d2acb0fp-3");
+    (14, "0x1.b5fa42fc26b4dp-3");
+    (15, "0x1.3e9f4af321b9dp-5");
+  ]
+
+let test_pinned_triggered () =
+  List.iter
+    (fun (seed, expected) ->
+      let sd = Gen_sdft.sd ~n_triggers:2 seed in
+      let options = { Rare_event.default_options with trials = 5_000; seed } in
+      let e = Rare_event.run ~options sd ~horizon:24.0 in
+      Alcotest.(check string)
+        (Printf.sprintf "model %d IS" seed)
+        expected (hex e.Rare_event.estimate))
+    pinned_triggered
+
 let () =
   Alcotest.run "sim"
     [
@@ -262,5 +328,12 @@ let () =
           Alcotest.test_case "early stopping deterministic" `Slow
             test_rare_event_early_stopping_deterministic;
           Alcotest.test_case "bad options" `Quick test_rare_event_rejects_bad_options;
+        ] );
+      ( "pinned",
+        [
+          Alcotest.test_case "estimates at fixed seeds" `Slow
+            test_pinned_estimates;
+          Alcotest.test_case "triggered random models" `Quick
+            test_pinned_triggered;
         ] );
     ]
