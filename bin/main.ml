@@ -434,6 +434,14 @@ let explain_cmd =
       result.Sdft_analysis.cutsets;
     Printf.printf "\nquantification cache: %d hits / %d misses\n"
       (Quant_cache.hits cache) (Quant_cache.misses cache);
+    (* What the analysis's prepared model saved: FT_C builds answered by
+       its plan memo, and the ZDD compilations it still ran. *)
+    let count name =
+      Sdft_util.Metrics.counter_value
+        (Sdft_util.Metrics.counter_in s.obs.Sdft_util.Obs.metrics name)
+    in
+    Printf.printf "prepared model: plan-memo hits %d, ZDD compilations %d\n"
+      (count "analysis.plan_memo_hits") (count "zdd.compilations");
     report_disk_cache cache;
     let spans = Sdft_util.Trace.aggregate_in s.obs.Sdft_util.Obs.trace in
     if spans <> [] then begin

@@ -8,12 +8,13 @@ type manager = {
   nv : int;
   level_of : int array;
   var_of : int array;
-  guard : Sdft_util.Guard.t;
+  mutable guard : Sdft_util.Guard.t;
   vars : int Sdft_util.Vec.t;
   lows : int Sdft_util.Vec.t;
   highs : int Sdft_util.Vec.t;
-  unique : (int * int * int, int) Hashtbl.t;
-  without_cache : (int * int, int) Hashtbl.t;
+  mutable unique : (int * int * int, int) Hashtbl.t;
+  mutable without_cache : (int * int, int) Hashtbl.t;
+  mutable sealed : bool;
 }
 
 let bottom = 0
@@ -48,14 +49,16 @@ let manager ?var_order ?(guard = Sdft_util.Guard.none) ~n_vars () =
     highs = Sdft_util.Vec.create ();
     unique = Hashtbl.create (initial_size 1024);
     without_cache = Hashtbl.create (initial_size 1024);
+    sealed = false;
   }
 
-(* The [without] cache is a pure memo table: dropping it loses nothing but
-   time on re-derivation, while the node store (vars/lows/highs/unique) must
-   survive because node handles stay live in callers. A long sweep that
-   builds one family per module calls this between modules so dead memo
-   entries do not accumulate under the memory ceiling. *)
-let clear_caches m = Hashtbl.reset m.without_cache
+(* A finished diagram is only read: its unique and memo tables, and the
+   guard its construction answered to, go; the node store stays. *)
+let seal m =
+  m.unique <- Hashtbl.create 1;
+  m.without_cache <- Hashtbl.create 1;
+  m.guard <- Sdft_util.Guard.none;
+  m.sealed <- true
 
 let node_var m n = Sdft_util.Vec.get m.vars (n - 2)
 
@@ -86,6 +89,7 @@ let mk m v low high =
   end
 
 let make_node m v low high =
+  if m.sealed then invalid_arg "Zdd.make_node: sealed manager";
   if v < 0 || v >= m.nv then invalid_arg "Zdd.make_node: variable out of range";
   let lv = m.level_of.(v) in
   if lv >= level m low || lv >= level m high then
@@ -98,7 +102,7 @@ let rec has_empty m n =
   else has_empty m (node_low m n)
 
 (* Remove from [a] all sets that are supersets of some set in [b]. *)
-let rec without m a b =
+let rec subsume m a b =
   Sdft_util.Guard.check m.guard;
   if a = bottom then bottom
   else if b = bottom then a
@@ -118,16 +122,16 @@ let rec without m a b =
         if la < lb then
           (* b's sets do not mention a's top variable; a set with or without
              it is subsumed iff the rest is. *)
-          mk m (node_var m a) (without m (node_low m a) b) (without m (node_high m a) b)
+          mk m (node_var m a) (subsume m (node_low m a) b) (subsume m (node_high m a) b)
         else if lb < la then
           (* a's sets never contain b's top variable, so only b's sets
              without it can subsume. *)
-          without m a (node_low m b)
+          subsume m a (node_low m b)
         else begin
           let v = node_var m a in
-          let low = without m (node_low m a) (node_low m b) in
+          let low = subsume m (node_low m a) (node_low m b) in
           let high =
-            without m (without m (node_high m a) (node_high m b)) (node_low m b)
+            subsume m (subsume m (node_high m a) (node_high m b)) (node_low m b)
           in
           mk m v low high
         end
@@ -136,12 +140,17 @@ let rec without m a b =
       r
   end
 
+let without m a b =
+  if m.sealed then invalid_arg "Zdd.without: sealed manager";
+  subsume m a b
+
 (* Bottom-up memoized fold, with an explicit worklist instead of recursion:
    a chain-shaped ZDD (one node per level) is as deep as the variable count,
    and recursing down it overflows the native stack long before the node
    store is any burden. A node is popped once its children have values; a
    node whose children are pending stays on the worklist below them. *)
-let fold m root ~bottom:vbot ~top:vtop ~node =
+let fold ?guard m root ~bottom:vbot ~top:vtop ~node =
+  let guard = Option.value guard ~default:m.guard in
   let memo = Hashtbl.create 64 in
   let value n =
     if n = bottom then Some vbot
@@ -153,7 +162,7 @@ let fold m root ~bottom:vbot ~top:vtop ~node =
     match !stack with
     | [] -> ()
     | n :: rest -> (
-      Sdft_util.Guard.check m.guard;
+      Sdft_util.Guard.check guard;
       match value n with
       | Some _ -> stack := rest
       | None -> (
@@ -168,8 +177,8 @@ let fold m root ~bottom:vbot ~top:vtop ~node =
   done;
   match value root with Some v -> v | None -> assert false
 
-let weighted_count m w n =
-  fold m n ~bottom:0.0 ~top:1.0 ~node:(fun v low high -> low +. (w v *. high))
+let weighted_count ?guard m w n =
+  fold ?guard m n ~bottom:0.0 ~top:1.0 ~node:(fun v low high -> low +. (w v *. high))
 
 let iter_sets m root f =
   (* Explicit stack, same DFS order as the natural recursion (low branch

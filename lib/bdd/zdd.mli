@@ -18,11 +18,13 @@ val manager :
     {!Sdft_util.Guard.Limit_hit} once a resource limit trips instead of
     running to completion past it. *)
 
-val clear_caches : manager -> unit
-(** Drop the [without] memo table. The node store is kept, so every node
-    handle stays valid; only memoized derivations are re-computed on demand. Call between independent modules
-    of a long analysis so dead memo entries do not accumulate under a
-    memory ceiling. *)
+val seal : manager -> unit
+(** Declare the manager's diagrams finished: its unique and memo tables
+    and its guard are dropped, and only the node store, which every handle
+    indexes, stays. Reading ({!node_var}, {!fold}, {!to_cutsets}, ...)
+    still works; {!make_node} and {!without} raise [Invalid_argument]. A
+    compiled structure kept across analyses holds no construction tables
+    and answers to no earlier call's guard. *)
 
 val bottom : node
 (** The empty family, {[ {} ]}. *)
@@ -51,7 +53,8 @@ val without : manager -> node -> node -> node
     superset of some set in [v] — the subsumption difference at the heart of
     minimal-solution extraction. *)
 
-val weighted_count : manager -> (int -> float) -> node -> float
+val weighted_count :
+  ?guard:Sdft_util.Guard.t -> manager -> (int -> float) -> node -> float
 (** [weighted_count m w n] is [sum over sets S of (prod over v in S of w v)]
     — with [w] a probability map this is the rare-event approximation over
     the whole family, computed in one linear pass over the shared ZDD
@@ -60,10 +63,12 @@ val weighted_count : manager -> (int -> float) -> node -> float
     [W(v, low, high) = W(low) + w v * W(high)]. *)
 
 val fold :
+  ?guard:Sdft_util.Guard.t ->
   manager -> node -> bottom:'a -> top:'a -> node:(int -> 'a -> 'a -> 'a) ->
   'a
 (** Memoized bottom-up structural fold (each shared node visited once);
-    {!weighted_count} is an instance. Stack-safe. *)
+    {!weighted_count} is an instance. Stack-safe. [guard] (default: the
+    manager's) is checkpointed at each node. *)
 
 val to_cutsets : manager -> node -> Sdft_util.Int_set.t list
 (** The sets of the family, in enumeration order. Stack-safe on

@@ -34,6 +34,7 @@ let m_runs = Metrics.counter g "zdd.runs"
 let m_modules = Metrics.counter g "zdd.modules"
 let m_emitted = Metrics.counter g "zdd.cutsets_emitted"
 let m_peak_nodes = Metrics.gauge g "zdd.peak_nodes"
+let m_compilations = Metrics.counter g "zdd.compilations"
 let s_run = Obs.declare_span g "zdd.run"
 
 type module_stats = {
@@ -101,16 +102,23 @@ type result = {
   max_zdd_nodes : int;
 }
 
-(* Per-module compiled state. The ZDD manager is kept alive (node handles
-   feed the enumeration below) but its operation caches are dropped as soon
-   as the module's folds are done. *)
-type mod_info = {
-  mi_zm : Zdd.manager;
-  mi_root : Zdd.node;
-  mi_w : float;  (* rare-event mass of the module's family *)
-  mi_mx : float;  (* max single-cutset product: enumeration bound *)
-  mi_count : int;  (* saturating minimal-cutset count *)
-  mi_min_order : int;  (* min cutset cardinality: order-pruning bound *)
+(* Per-module compiled state: what the structure alone decides. The ZDD
+   manager is kept (node handles feed the folds and the enumeration below)
+   but sealed: its construction tables go once the module is compiled. *)
+type compiled_module = {
+  cm_zm : Zdd.manager;
+  cm_root : Zdd.node;
+  cm_count : int;  (* saturating minimal-cutset count *)
+  cm_min_order : int;  (* min cutset cardinality: order-pruning bound *)
+}
+
+type compiled = {
+  c_basics : int;
+  c_gates : int;
+  c_top : int;
+  c_order : int array;  (* module gates, children before parents *)
+  c_modules : compiled_module option array;  (* per gate; [None] off-module *)
+  c_max_nodes : int;
 }
 
 let sat_add a b = if a > max_int - b then max_int else a + b
@@ -140,7 +148,7 @@ let atleast bm inputs k =
   in
   need 0 k
 
-let run_inner ?(cutoff = 0.0) ?max_order ?(guard = Guard.none) ~fp tree =
+let compile ?(guard = Guard.none) ?(obs = Obs.default) tree =
   (* One unamortized probe up front: on small trees the strided checks
      inside the BDD/ZDD recursions may never fire, and an already-expired
      deadline must surface as a generation limit, not leak into the
@@ -154,12 +162,11 @@ let run_inner ?(cutoff = 0.0) ?max_order ?(guard = Guard.none) ~fp tree =
   let mods = Modules.find tree in
   let is_mod = Array.make ng false in
   List.iter (fun g -> is_mod.(g) <- true) mods;
-  let top_gate = Fault_tree.top tree in
-  let infos : (int, mod_info) Hashtbl.t = Hashtbl.create 16 in
-  let info h = Hashtbl.find infos h in
+  let modules = Array.make ng None in
+  let info h = Option.get modules.(h) in
   let max_zdd_nodes = ref 0 in
   let compile_module g =
-    Sdft_util.Failpoint.hit_in fp "zdd.module";
+    Sdft_util.Failpoint.hit_in obs.Obs.failpoints "zdd.module";
     (* Variable order: first DFS visit from the module root, the same
        static-ordering heuristic [Bdd.of_fault_tree] uses — then the unused
        variables, to complete the permutation the manager requires. *)
@@ -222,44 +229,64 @@ let run_inner ?(cutoff = 0.0) ?max_order ?(guard = Guard.none) ~fp tree =
     in
     let root = build_gate g in
     let zm, z = Minsol.minimal_cutsets_zdd bm root in
-    let w_of v = if v < nb then Fault_tree.prob tree v else (info (v - nb)).mi_w in
-    let mx_of v =
-      if v < nb then Fault_tree.prob tree v else (info (v - nb)).mi_mx
-    in
-    let cnt_of v = if v < nb then 1 else (info (v - nb)).mi_count in
-    let ord_of v = if v < nb then 1 else (info (v - nb)).mi_min_order in
-    let w = Zdd.weighted_count zm w_of z in
-    let mx =
-      Zdd.fold zm z ~bottom:0.0 ~top:1.0 ~node:(fun v low high ->
-          Float.max low (mx_of v *. high))
-    in
+    let cnt_of v = if v < nb then 1 else (info (v - nb)).cm_count in
+    let ord_of v = if v < nb then 1 else (info (v - nb)).cm_min_order in
     let count =
-      Zdd.fold zm z ~bottom:0 ~top:1 ~node:(fun v low high ->
+      Zdd.fold ~guard zm z ~bottom:0 ~top:1 ~node:(fun v low high ->
           sat_add low (sat_mul (cnt_of v) high))
     in
     let min_order =
-      Zdd.fold zm z ~bottom:max_int ~top:0 ~node:(fun v low high ->
+      Zdd.fold ~guard zm z ~bottom:max_int ~top:0 ~node:(fun v low high ->
           min low (sat_add (ord_of v) high))
     in
     max_zdd_nodes := max !max_zdd_nodes (Zdd.size zm z);
-    (* The module is quantified; its memo tables are dead weight from here
-       on (the node store stays — the enumeration walks it below). *)
-    Zdd.clear_caches zm;
-    Hashtbl.add infos g
-      {
-        mi_zm = zm;
-        mi_root = z;
-        mi_w = w;
-        mi_mx = mx;
-        mi_count = count;
-        mi_min_order = min_order;
-      }
+    Zdd.seal zm;
+    modules.(g) <-
+      Some
+        { cm_zm = zm; cm_root = z; cm_count = count; cm_min_order = min_order }
   in
-  (* Children before parents, so a nested module's weights exist by the
-     time its parent's folds reference them. *)
+  (* Children before parents, so a nested module's count and order exist
+     by the time its parent's folds reference them. *)
+  let order =
+    Array.of_list
+      (List.filter (fun g -> is_mod.(g))
+         (Array.to_list (Fault_tree.topological_gates tree)))
+  in
+  Array.iter compile_module order;
+  Metrics.incr (Metrics.get obs.Obs.metrics m_compilations);
+  {
+    c_basics = nb;
+    c_gates = ng;
+    c_top = Fault_tree.top tree;
+    c_order = order;
+    c_modules = modules;
+    c_max_nodes = !max_zdd_nodes;
+  }
+
+(* This tree's probabilities on a compiled structure: each module's
+   rare-event mass [w] and largest single-cutset product [mx], bottom-up,
+   then the top-k walk. *)
+let enumerate ~cutoff ?max_order ~guard c tree =
+  if
+    Fault_tree.n_basics tree <> c.c_basics
+    || Fault_tree.n_gates tree <> c.c_gates
+    || Fault_tree.top tree <> c.c_top
+  then invalid_arg "Zdd_engine.run: compiled for another tree";
+  Guard.check_now guard;
+  let nb = c.c_basics in
+  let info h = Option.get c.c_modules.(h) in
+  let w = Array.make c.c_gates 0.0 and mx = Array.make c.c_gates 0.0 in
   Array.iter
-    (fun g -> if is_mod.(g) then compile_module g)
-    (Fault_tree.topological_gates tree);
+    (fun g ->
+      let mi = info g in
+      let w_of v = if v < nb then Fault_tree.prob tree v else w.(v - nb) in
+      let mx_of v = if v < nb then Fault_tree.prob tree v else mx.(v - nb) in
+      w.(g) <- Zdd.weighted_count ~guard mi.cm_zm w_of mi.cm_root;
+      mx.(g) <-
+        Zdd.fold ~guard mi.cm_zm mi.cm_root ~bottom:0.0 ~top:1.0
+          ~node:(fun v low high -> Float.max low (mx_of v *. high)))
+    c.c_order;
+  let top_gate = c.c_top in
   let top_info = info top_gate in
   let order_cap = match max_order with None -> max_int | Some k -> k in
   let out = ref [] in
@@ -274,8 +301,7 @@ let run_inner ?(cutoff = 0.0) ?max_order ?(guard = Guard.none) ~fp tree =
      carried at their optimistic bounds ([mi_mx], [mi_min_order]) and
      expanded recursively once the path completes. *)
   let rec enum h ctx_mx ctx_ord emit =
-    let mi = info h in
-    let zm = mi.mi_zm in
+    let zm = (info h).cm_zm in
     let rec walk acc prod ord pend_mx pend_ord pending node =
       Guard.check guard;
       if
@@ -291,25 +317,25 @@ let run_inner ?(cutoff = 0.0) ?max_order ?(guard = Guard.none) ~fp tree =
               (prod *. Fault_tree.prob tree v)
               (ord + 1) pend_mx pend_ord pending (Zdd.node_high zm node)
           else begin
-            let u = info (v - nb) in
-            walk acc prod ord (pend_mx *. u.mi_mx)
-              (sat_add pend_ord u.mi_min_order)
+            let u = v - nb in
+            walk acc prod ord (pend_mx *. mx.(u))
+              (sat_add pend_ord (info u).cm_min_order)
               (v - nb :: pending)
               (Zdd.node_high zm node)
           end
         end
       end
     in
-    walk Int_set.empty 1.0 0 1.0 0 [] mi.mi_root
+    walk Int_set.empty 1.0 0 1.0 0 [] (info h).cm_root
   and expand acc prod ord pending ctx_mx ctx_ord emit =
     match pending with
     | [] -> emit acc prod ord
     | u :: rest ->
       let rest_mx =
-        List.fold_left (fun a x -> a *. (info x).mi_mx) 1.0 rest
+        List.fold_left (fun a x -> a *. mx.(x)) 1.0 rest
       in
       let rest_ord =
-        List.fold_left (fun a x -> sat_add a (info x).mi_min_order) 0 rest
+        List.fold_left (fun a x -> sat_add a (info x).cm_min_order) 0 rest
       in
       enum u
         (ctx_mx *. prod *. rest_mx)
@@ -327,10 +353,10 @@ let run_inner ?(cutoff = 0.0) ?max_order ?(guard = Guard.none) ~fp tree =
       end);
   let cutsets = List.sort Int_set.compare !out in
   let emitted_mass = Sdft_util.Kahan.total emitted in
-  let saturated = top_info.mi_count = max_int in
+  let saturated = top_info.cm_count = max_int in
   {
     cutsets;
-    total_mass = top_info.mi_w;
+    total_mass = w.(top_gate);
     emitted_mass;
     (* Exact by construction — the weighted count covers every minimal
        cutset, the emitted sum covers the materialized ones. When every
@@ -338,21 +364,25 @@ let run_inner ?(cutoff = 0.0) ?max_order ?(guard = Guard.none) ~fp tree =
        of the two sums is rounding, not mass; otherwise the clamp only
        absorbs last-ulp float noise. *)
     residual_mass =
-      (if (not saturated) && top_info.mi_count = List.length cutsets then 0.0
-       else Float.max 0.0 (top_info.mi_w -. emitted_mass));
-    n_minimal = top_info.mi_count;
+      (if (not saturated) && top_info.cm_count = List.length cutsets then 0.0
+       else Float.max 0.0 (w.(top_gate) -. emitted_mass));
+    n_minimal = top_info.cm_count;
     n_minimal_saturated = saturated;
-    n_modules = List.length mods;
-    max_zdd_nodes = !max_zdd_nodes;
+    n_modules = Array.length c.c_order;
+    max_zdd_nodes = c.c_max_nodes;
   }
 
-let run ?cutoff ?max_order ?guard ?(obs = Obs.default) tree =
+let run ?(cutoff = 0.0) ?max_order ?(guard = Guard.none) ?(obs = Obs.default)
+    ?compiled tree =
   let m = obs.Obs.metrics in
   let sink = obs.Obs.trace in
   Obs.span obs s_run (fun () ->
-      let r =
-        run_inner ?cutoff ?max_order ?guard ~fp:obs.Obs.failpoints tree
+      let c =
+        match compiled with
+        | Some get -> get ()
+        | None -> compile ~guard ~obs tree
       in
+      let r = enumerate ~cutoff ?max_order ~guard c tree in
       Metrics.incr (Metrics.get m m_runs);
       Metrics.add (Metrics.get m m_modules) r.n_modules;
       Metrics.add (Metrics.get m m_emitted) (List.length r.cutsets);

@@ -16,9 +16,9 @@
     Resource governance: the caller's guard is threaded through BDD
     construction, the ZDD subsumption passes (see {!Zdd.manager}), the
     folds, and the enumeration walk; a tripped limit raises
-    {!Sdft_util.Guard.Limit_hit} out of {!run}. Each module's ZDD operation
-    caches are dropped ({!Zdd.clear_caches}) as soon as the module is
-    quantified. *)
+    {!Sdft_util.Guard.Limit_hit} out of {!compile} and {!run}. Each
+    module's ZDD manager is sealed ({!Zdd.seal}) as soon as the module is
+    compiled. *)
 
 type module_stats = {
   ms_gate : int;  (** the module's root gate *)
@@ -58,20 +58,43 @@ type result = {
   max_zdd_nodes : int;  (** largest per-module minimal-solutions ZDD *)
 }
 
+type compiled
+(** What the tree's structure alone decides: per module, the
+    minimal-solutions ZDD (its manager sealed, see {!Zdd.seal}) with its
+    saturating cutset count and minimum order. Probabilities, the cutoff
+    and the order bound play no part, so one compiled structure serves
+    every tree of the same shape, e.g. the translations of one SD fault
+    tree at every horizon. Read-only once built: any number of domains may
+    enumerate it at once. *)
+
+val compile :
+  ?guard:Sdft_util.Guard.t -> ?obs:Sdft_util.Obs.t -> Fault_tree.t -> compiled
+(** Compile every module of [tree], children before parents. [obs]'s
+    [zdd.module] failpoint site fires before each module and its
+    [zdd.compilations] counter counts a finished compilation.
+
+    @raise Sdft_util.Guard.Limit_hit when the guard trips. *)
+
 val run :
   ?cutoff:float ->
   ?max_order:int ->
   ?guard:Sdft_util.Guard.t ->
   ?obs:Sdft_util.Obs.t ->
+  ?compiled:(unit -> compiled) ->
   Fault_tree.t ->
   result
 (** [run tree] quantifies the tree's minimal-cutset family with its own
-    basic-event probabilities. [cutoff] defaults to [0.0] (emit every
+    basic-event probabilities: the structure from [compiled ()] (default:
+    {!compile} [tree]), then per module the rare-event mass and the
+    enumeration bound folded with [tree]'s probabilities, then the walk.
+    The folds and the walk answer to [guard], never to the one a compiled
+    structure was built under. [cutoff] defaults to [0.0] (emit every
     minimal cutset); [max_order] defaults to unbounded. [obs] (default
     {!Sdft_util.Obs.default}) receives the [zdd.run] trace span, the
     [zdd.runs] / [zdd.modules] / [zdd.cutsets_emitted] tallies and the
-    [zdd.peak_nodes] high-water gauge; its [zdd.module] failpoint site
-    fires before each module compilation.
+    [zdd.peak_nodes] high-water gauge.
 
+    @raise Invalid_argument when [compiled ()] was compiled from a tree
+    of another shape (basic count, gate count or top differ).
     @raise Sdft_util.Guard.Limit_hit when the guard trips — unlike MOCUS
     there is no sound partial result to salvage; the caller degrades. *)

@@ -12,12 +12,15 @@ type t = {
 type trigger_result =
   [ `Never | `Always | `Sets of Int_set.t list ]
 
-(* A [sealed] view reads the memo tables and never writes them, so any
-   number of domains may build through it while nothing else writes. *)
+(* The memo tables are read and written under [lock]; an answer is
+   computed outside it, so a slow trigger-set compilation never blocks
+   another domain's lookups. A [sealed] view reads the tables and never
+   writes them. *)
 type context = {
   ctx_sd : Sdft.t;
   class_memo : (int, Sdft_classify.gate_class) Hashtbl.t;
   tsets_memo : (int * Int_set.t * Int_set.t, trigger_result) Hashtbl.t;
+  lock : Mutex.t;
   sealed : bool;
 }
 
@@ -26,17 +29,20 @@ let context sd =
     ctx_sd = sd;
     class_memo = Hashtbl.create 16;
     tsets_memo = Hashtbl.create 64;
+    lock = Mutex.create ();
     sealed = false;
   }
 
 let read_only ctx = { ctx with sealed = true }
 
 let memo ctx table key compute =
-  match Hashtbl.find_opt table key with
+  match Mutex.protect ctx.lock (fun () -> Hashtbl.find_opt table key) with
   | Some v -> v
   | None ->
     let v = compute () in
-    if not ctx.sealed then Hashtbl.add table key v;
+    if not ctx.sealed then
+      Mutex.protect ctx.lock (fun () ->
+          if not (Hashtbl.mem table key) then Hashtbl.add table key v);
     v
 
 let classify_cached ?obs ctx g =

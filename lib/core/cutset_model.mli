@@ -43,10 +43,12 @@ type context
 (** Caches shared across the cutsets of one analysis: trigger-gate
     classifications and the BDD-computed minimal trigger sets keyed by
     (gate, relevant set, assumed statics). Industrial cutset lists hit the
-    same few trigger gates thousands of times. A context is not safe to
-    write from several domains at once: [Sdft_analysis] fills one on the
-    calling domain and lets its parallel pass build through a
-    {!read_only} view of it. *)
+    same few trigger gates thousands of times. Its tables depend on the
+    model alone, never on a horizon, so one context serves every analysis
+    of a model. Safe to share across domains: lookups and stores take the
+    context's lock, and a classification or compilation runs outside it.
+    [Sdft_analysis]'s plan fills the context on the calling domain and its
+    parallel pass builds through a {!read_only} view of it. *)
 
 val context : Sdft.t -> context
 
@@ -157,6 +159,11 @@ val of_solution :
     cache or freshly solved: the probability and the solver error scale by
     the cutset's [static_multiplier]. {!quantify} is {!solve} followed by
     this. *)
+
+val no_solve : probability:float -> Sdft_util.Timer.t -> quantification
+(** The quantification of a cutset with no product chain to solve — a
+    static cutset ([probability] its static multiplier) or an impossible
+    one (0) — timed from the given start. *)
 
 (** {1 Result serialization}
 

@@ -707,25 +707,21 @@ let count_hit t ~obs origin =
   end;
   Trace.instant ~sink:obs.Obs.trace "quant_cache.hit"
 
-let lookup t ~suffix ?(obs = Obs.default) (cm : Cutset_model.t) =
-  match cm.Cutset_model.model with
-  | None -> None
-  | Some sd_c ->
-    let t0 = Sdft_util.Timer.start () in
-    (* Resolved before the lookup site, which may raise: the module's
-       instruments are listed from the first lookup on either way. *)
-    let lookup_s = Metrics.get obs.Obs.metrics m_lookup_s in
-    Sdft_util.Failpoint.hit_in obs.Obs.failpoints "cache.lookup";
-    let key = digest sd_c ^ suffix in
-    let looked_up = find t key in
-    Metrics.observe lookup_s (Sdft_util.Timer.elapsed_s t0);
-    Some
-      ( key,
-        match looked_up with
-        | Some (e, origin) ->
-          count_hit t ~obs origin;
-          Some e
-        | None -> None )
+let lookup t ~suffix ?(obs = Obs.default) digest =
+  let t0 = Sdft_util.Timer.start () in
+  (* Resolved before the lookup site, which may raise: the module's
+     instruments are listed from the first lookup on either way. *)
+  let lookup_s = Metrics.get obs.Obs.metrics m_lookup_s in
+  Sdft_util.Failpoint.hit_in obs.Obs.failpoints "cache.lookup";
+  let key = digest ^ suffix in
+  let looked_up = find t key in
+  Metrics.observe lookup_s (Sdft_util.Timer.elapsed_s t0);
+  ( key,
+    match looked_up with
+    | Some (e, origin) ->
+      count_hit t ~obs origin;
+      Some e
+    | None -> None )
 
 let answer t ?(obs = Obs.default) key solve =
   match find t key with

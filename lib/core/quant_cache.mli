@@ -76,25 +76,31 @@ val key_of :
     bypass the cache. Applied to the parameters alone it builds the suffix
     once, and the function it returns only fingerprints each cutset. *)
 
+val digest : Sdft.t -> string
+(** The hex MD5 digest of a model's {!fingerprint}: the first half of
+    every key. It depends on the [FT_C] alone, so a caller that meets one
+    cutset at many horizons computes it once. *)
+
 val lookup :
   t ->
   suffix:string ->
   ?obs:Sdft_util.Obs.t ->
-  Cutset_model.t ->
-  (string * Cutset_model.solution option) option
-(** The cache's lookup site. [None] for a model-less (purely static or
-    impossible) cutset, which bypasses the cache. Otherwise the cutset's
-    key — its fingerprint digest followed by [suffix], a {!key_suffix},
-    so equal to {!key_of} under the same parameters — and, on a hit, the
-    stored solution (a {!Cutset_model.of_solution} away from the cutset's
-    quantification). A hit counts itself; a miss counts nothing yet,
+  string ->
+  string * Cutset_model.solution option
+(** [lookup t ~suffix digest] is the cache's lookup site, for a cutset
+    whose [FT_C] has the {!digest} [digest]: the cutset's key — [digest]
+    followed by [suffix], a {!key_suffix}, so equal to {!key_of} under the
+    same parameters — and, on a hit, the stored solution (a
+    {!Cutset_model.of_solution} away from the cutset's quantification).
+    Purely static and impossible cutsets have no [FT_C] and bypass the
+    cache. A hit counts itself; a miss counts nothing yet,
     because the caller may answer several cutsets of one key with a single
     solve: {!answer} counts it. The engine tag in [suffix] keeps entries
     attributable to the cutset engine whose analysis produced them, so two
     engines racing over one shared cache never alias each other's entries.
     [obs] (default {!Sdft_util.Obs.default}) supplies the observability
     context: its [cache.lookup] {!Sdft_util.Failpoint} site fires before
-    the key is computed, the lookup's latency lands on its
+    the key is formed, the lookup's latency lands on its
     [cache.lookup_s] histogram, and the hit counters and trace instant go
     to its registries. *)
 

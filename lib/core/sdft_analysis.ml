@@ -77,8 +77,7 @@ let resolve_engine engine tree =
     then Mocus_sound
     else Zdd_engine
 
-let generate_cutsets ?(cutoff = 1e-15) ?(max_order = None)
-    ?(guard = Sdft_util.Guard.none) ?(obs = Obs.default) engine tree =
+let generate ?compiled ~cutoff ~max_order ~guard ~obs engine tree =
   let empty_on limit =
     (* Unlike MOCUS there is no sound partial cutset list to salvage from
        an interrupted ZDD compilation, and no mass bound for what is
@@ -92,13 +91,13 @@ let generate_cutsets ?(cutoff = 1e-15) ?(max_order = None)
       limit_hit = Some limit;
     }
   in
-  match resolve_engine engine tree with
-  | Auto -> assert false (* resolve_engine never returns Auto *)
+  match engine with
+  | Auto -> assert false (* resolved by every caller *)
   | Mocus_sound ->
     let options = { Mocus.cutoff; max_order } in
     Mocus.run ~options ~guard ~obs tree
   | Zdd_engine -> (
-    match Zdd_engine.run ~cutoff ?max_order ~guard ~obs tree with
+    match Zdd_engine.run ~cutoff ?max_order ~guard ~obs ?compiled tree with
     | r ->
       let emitted = List.length r.Zdd_engine.cutsets in
       {
@@ -120,6 +119,10 @@ let generate_cutsets ?(cutoff = 1e-15) ?(max_order = None)
     | exception Sdft_util.Guard.Limit_hit r -> empty_on r
     | exception Out_of_memory -> empty_on Sdft_util.Guard.Mem_limit)
 
+let generate_cutsets ?(cutoff = 1e-15) ?(max_order = None)
+    ?(guard = Sdft_util.Guard.none) ?(obs = Obs.default) engine tree =
+  generate ~cutoff ~max_order ~guard ~obs (resolve_engine engine tree) tree
+
 (* One guard per analysis: the deadline spans generation and quantification
    together, so a generation overrun eats the budget of the quantification
    phase (which then degrades cutset by cutset). A live progress reporter
@@ -139,13 +142,96 @@ type phase1 = {
   generation_seconds : float;
 }
 
+(* What the plan learns of a cutset from its FT_C, at any horizon: the
+   FT_C's digest ([None] without a chain), the static multiplier (without
+   a chain, the cutset's probability: 0 when impossible), the dynamic
+   counts, and the shape id, [-1] until the cutset's first cache miss. *)
+type planned = {
+  digest : string option;
+  multiplier : float;
+  dyn : int;
+  added : int;
+  shape : int;
+}
+
+(* A model's horizon-independent work, filled on first use and never with
+   a partial result: the FT_C context, one plan memo per rel-rule, the
+   shape ids, the ZDD engine's compiled structure of the translated tree
+   and [Auto]'s choice for it. [lock] guards every table and field; no
+   computation runs under it. No FT_C is kept. *)
+type prepared = {
+  sd : Sdft.t;
+  lock : Mutex.t;
+  context : Cutset_model.context;
+  memos : (Cutset.t, planned) Hashtbl.t array;
+  shapes : (int array, int) Hashtbl.t;
+  mutable compiled : Zdd_engine.compiled option;
+  mutable auto : engine option;
+}
+
+let m_memo_hits = Metrics.counter g "analysis.plan_memo_hits"
+
+(* A model is read-only once its lazy descendant caches are forced, so
+   any number of domains may read it. *)
+let force_descendants sd =
+  let tree = Sdft.tree sd in
+  for g = 0 to Fault_tree.n_gates tree - 1 do
+    ignore (Fault_tree.descendant_basics tree g);
+    ignore (Sdft.dynamic_descendants sd g)
+  done
+
+let unforced sd =
+  {
+    sd;
+    lock = Mutex.create ();
+    context = Cutset_model.context sd;
+    memos = Array.init 2 (fun _ -> Hashtbl.create 64);
+    shapes = Hashtbl.create 16;
+    compiled = None;
+    auto = None;
+  }
+
+let prepare sd =
+  force_descendants sd;
+  unforced sd
+
+let memo_of prep = function
+  | Cutset_model.Paper -> prep.memos.(0)
+  | Cutset_model.All_events -> prep.memos.(1)
+
+(* A part of [prep], computed outside its lock on first use, so a long
+   compilation never blocks the model's other analyses, and stored only
+   once complete: a guard trip or a failpoint leaves it empty. Concurrent
+   first uses may both compute it; the first to finish is kept. *)
+let fill prep get set compute =
+  match Mutex.protect prep.lock get with
+  | Some v -> v
+  | None ->
+    let v = compute () in
+    Mutex.protect prep.lock (fun () ->
+        match get () with
+        | Some v -> v
+        | None ->
+          set v;
+          v)
+
+let compiled_zdd prep ~guard ~obs tree () =
+  fill prep
+    (fun () -> prep.compiled)
+    (fun c -> prep.compiled <- Some c)
+    (fun () -> Zdd_engine.compile ~guard ~obs tree)
+
+let auto_engine prep tree =
+  fill prep
+    (fun () -> prep.auto)
+    (fun e -> prep.auto <- Some e)
+    (fun () -> resolve_engine Auto tree)
+
 (* [Auto] is resolved against the translated tree, whose modules include
    the trigger conjunctions, and the concrete choice is recorded as
-   provenance. *)
-let phase1 ?guard ?(obs = Obs.default) options sd =
-  let guard =
-    match guard with Some g -> g | None -> resource_guard ~obs options
-  in
+   provenance. Through [prep], the choice and the ZDD structure come from
+   the model's first analysis: a translation changes only probabilities. *)
+let front ?prep ~guard ~obs options sd =
   let sink = obs.Obs.trace in
   Obs.begin_phase obs "generation" ();
   let (translation, engine_used, generation), generation_seconds =
@@ -154,17 +240,28 @@ let phase1 ?guard ?(obs = Obs.default) options sd =
           Sdft_translate.translate ~epsilon:options.transient_epsilon ~obs sd
             ~horizon:options.horizon
         in
+        let tree = translation.static_tree in
         let engine_used =
-          resolve_engine options.engine translation.static_tree
+          match (prep, options.engine) with
+          | Some prep, Auto -> auto_engine prep tree
+          | _, engine -> resolve_engine engine tree
         in
         Trace.add_attr ~sink "engine" (Trace.Str (engine_name engine_used));
+        let compiled =
+          Option.map (fun prep -> compiled_zdd prep ~guard ~obs tree) prep
+        in
         ( translation,
           engine_used,
-          generate_cutsets ~cutoff:options.cutoff
-            ~max_order:options.max_cutset_order ~guard ~obs engine_used
-            translation.static_tree ))
+          generate ?compiled ~cutoff:options.cutoff
+            ~max_order:options.max_cutset_order ~guard ~obs engine_used tree ))
   in
   { translation; engine_used; generation; generation_seconds }
+
+let phase1 ?guard ?(obs = Obs.default) options sd =
+  let guard =
+    match guard with Some g -> g | None -> resource_guard ~obs options
+  in
+  front ~guard ~obs options sd
 
 type cutset_info = {
   cutset : Cutset.t;
@@ -238,13 +335,13 @@ type point = {
    after point, each in input order. Of a cutset that needs a product chain
    the plan keeps its cache key ([""] without a cache), shape ([-1] when not
    pending), static multiplier and dynamic counts, in flat arrays: a record
-   per cutset outliving the plan would fragment the heap. One FT_C context
-   serves the call: the plan fills it, and the solve pass reads it from
-   every domain through a read-only view. Each domain of a pass takes one
-   of the call's solver workspaces, one per domain of the widest pass, so
-   passes and points share buffers. *)
+   per cutset outliving the plan would fragment the heap. The prepared
+   model's FT_C context serves the call: the plan fills it, and the solve
+   pass reads it from every domain through a read-only view. Each domain
+   of a pass takes one of the call's solver workspaces, one per domain of
+   the widest pass, so passes and points share buffers. *)
 type work = {
-  sd : Sdft.t;
+  prep : prepared;
   cache : Quant_cache.t option;
   obs : Obs.t;
   points : point array;
@@ -256,17 +353,16 @@ type work = {
   multiplier : float array;
   n_dyn : int array;
   n_added : int array;
-  context : Cutset_model.context;
   workers : Transient.workspace array;
 }
 
 (* Phase 1 of each point, in order, each under its own guard. *)
-let work_of ?cache ~obs sd option_sets =
+let work_of ?cache ~obs (prep : prepared) option_sets =
   let n = ref 0 in
   let point opts =
     Metrics.incr (Metrics.get obs.Obs.metrics m_runs);
     let guard = resource_guard ~obs opts in
-    let front = phase1 ~guard ~obs opts sd in
+    let front = front ~prep ~guard ~obs opts prep.sd in
     let count = List.length front.generation.Mocus.cutsets in
     n := !n + count;
     { opts; guard; front; first = !n - count; count; misses = Atomic.make 0 }
@@ -277,7 +373,7 @@ let work_of ?cache ~obs sd option_sets =
   let sets p = Array.of_list p.front.generation.Mocus.cutsets in
   let domains = Array.fold_left (fun d p -> max d p.opts.domains) 1 points in
   {
-    sd;
+    prep;
     cache;
     obs;
     points;
@@ -289,7 +385,6 @@ let work_of ?cache ~obs sd option_sets =
     multiplier = Array.create_float !n;
     n_dyn = Array.make !n 0;
     n_added = Array.make !n 0;
-    context = Cutset_model.context sd;
     workers = Array.init domains (fun _ -> Transient.workspace ());
   }
 
@@ -306,7 +401,7 @@ let cost_of sd cutset = float_of_int (1 lsl min (count_dynamic sd cutset) 20)
    which upper-bounds p~(C), with the typed reason as provenance. *)
 let fallback_info w p ?dynamic ~reason cutset =
   let n_dynamic, n_added_dynamic =
-    match dynamic with Some d -> d | None -> (count_dynamic w.sd cutset, 0)
+    match dynamic with Some d -> d | None -> (count_dynamic w.prep.sd cutset, 0)
   in
   Trace.add_attr ~sink:w.obs.Obs.trace "fallback" (Trace.Bool true);
   let worst_case = p.front.translation.Sdft_translate.worst_case in
@@ -359,7 +454,7 @@ let settle w i info =
   if not info.used_fallback then
     Metrics.observe (Metrics.get w.obs.Obs.metrics m_solve_s)
       info.solve_seconds;
-  Obs.step w.obs ~cost:(cost_of w.sd info.cutset) ();
+  Obs.step w.obs ~cost:(cost_of w.prep.sd info.cutset) ();
   w.infos.(i) <- Some info
 
 (* Every pass runs the same crash-containing map: an exception neither the
@@ -385,11 +480,61 @@ let run w ~domains f order =
    tripping there is a resource degradation, not a worker crash. *)
 let build_model w p context cutset =
   Cutset_model.build ~context ~rel_rule:p.opts.rel_rule ~guard:p.guard
-    ~obs:w.obs w.sd cutset
+    ~obs:w.obs w.prep.sd cutset
 
-let plan_item w p ~shape_id ~suffix _ i =
+(* The cutset's plan entry, with its FT_C when this call built it: a memo
+   hit builds nothing; a miss builds the FT_C and stores the entry once
+   the build completes. *)
+let planned w p cutset =
+  let memo = memo_of w.prep p.opts.rel_rule in
+  match Mutex.protect w.prep.lock (fun () -> Hashtbl.find_opt memo cutset) with
+  | Some e ->
+    Metrics.incr (Metrics.get w.obs.Obs.metrics m_memo_hits);
+    (e, None)
+  | None ->
+    let m = build_model w p w.prep.context cutset in
+    let e =
+      {
+        digest = Option.map Quant_cache.digest m.Cutset_model.model;
+        multiplier =
+          (if m.Cutset_model.impossible then 0.0
+           else m.Cutset_model.static_multiplier);
+        dyn = m.Cutset_model.n_dynamic_in_cutset;
+        added = m.Cutset_model.n_added_dynamic;
+        shape = -1;
+      }
+    in
+    Mutex.protect w.prep.lock (fun () -> Hashtbl.replace memo cutset e);
+    (e, m.Cutset_model.model)
+
+(* The shape id of a pending cutset, interned per prepared model and set
+   in its entry at the cutset's first miss. *)
+let shape_of w p cutset (e : planned) built =
+  if e.shape >= 0 then e.shape
+  else begin
+    let sd_c =
+      match built with
+      | Some sd_c -> sd_c
+      | None -> Option.get (build_model w p w.prep.context cutset).model
+    in
+    let key = Sdft_product.shape sd_c in
+    Mutex.protect w.prep.lock (fun () ->
+        let id =
+          match Hashtbl.find_opt w.prep.shapes key with
+          | Some id -> id
+          | None ->
+            let id = Hashtbl.length w.prep.shapes in
+            Hashtbl.add w.prep.shapes key id;
+            id
+        in
+        Hashtbl.replace (memo_of w.prep p.opts.rel_rule) cutset
+          { e with shape = id };
+        id)
+  end
+
+let plan_item w p ~suffix _ i =
   let cutset = w.sets.(i) and obs = w.obs in
-  let epsilon = p.opts.transient_epsilon and horizon = p.opts.horizon in
+  let epsilon = p.opts.transient_epsilon in
   (* The per-item crash site, on this call's own failpoints; raised inside
      the crash-containing map, so it is contained in its slot. *)
   Sdft_util.Failpoint.hit_in obs.Obs.failpoints "parallel.worker";
@@ -400,56 +545,50 @@ let plan_item w p ~shape_id ~suffix _ i =
            remaining cutsets drain fast. *)
         settle w i (fallback_info w p ~reason:r cutset)
       | None -> (
-        match build_model w p w.context cutset with
+        match planned w p cutset with
         | exception Sdft_util.Guard.Limit_hit r ->
           settle w i (fallback_info w p ~reason:r cutset)
-        | model -> (
-          let dynamic =
-            ( model.Cutset_model.n_dynamic_in_cutset,
-              model.Cutset_model.n_added_dynamic )
-          in
-          let static_multiplier = model.Cutset_model.static_multiplier in
+        | e, built -> (
           let t0 = Sdft_util.Timer.start () in
-          let looked_up =
-            Option.bind w.cache (fun c ->
-                Quant_cache.lookup c ~suffix ~obs model)
-          in
-          match (model.Cutset_model.model, looked_up) with
-          | None, _ ->
+          let dynamic = (e.dyn, e.added) in
+          match e.digest with
+          | None ->
+            (* No chain: the static product, or 0 when impossible. *)
             settle w i
               (exact_info w cutset ~dynamic
-                 (Cutset_model.quantify ~epsilon model ~horizon))
-          | Some _, Some (_, Some e) ->
-            settle w i
-              (exact_info w cutset ~dynamic
-                 (Cutset_model.of_solution ~epsilon ~static_multiplier
-                    ~from_cache:true
-                    ~seconds:(Sdft_util.Timer.elapsed_s t0) e))
-          | Some sd_c, _ ->
-            Option.iter (fun (key, _) -> w.keys.(i) <- key) looked_up;
-            w.multiplier.(i) <- static_multiplier;
-            w.n_dyn.(i) <- fst dynamic;
-            w.n_added.(i) <- snd dynamic;
-            w.shape.(i) <- shape_id sd_c)))
+                 (Cutset_model.no_solve ~probability:e.multiplier t0))
+          | Some digest -> (
+            let looked_up =
+              Option.map
+                (fun c -> Quant_cache.lookup c ~suffix ~obs digest)
+                w.cache
+            in
+            match looked_up with
+            | Some (_, Some sol) ->
+              settle w i
+                (exact_info w cutset ~dynamic
+                   (Cutset_model.of_solution ~epsilon
+                      ~static_multiplier:e.multiplier ~from_cache:true
+                      ~seconds:(Sdft_util.Timer.elapsed_s t0) sol))
+            | _ -> (
+              match shape_of w p cutset e built with
+              | exception Sdft_util.Guard.Limit_hit r ->
+                settle w i (fallback_info w p ~reason:r cutset)
+              | shape ->
+                Option.iter (fun (key, _) -> w.keys.(i) <- key) looked_up;
+                w.multiplier.(i) <- e.multiplier;
+                w.n_dyn.(i) <- e.dyn;
+                w.n_added.(i) <- e.added;
+                w.shape.(i) <- shape)))))
 
-(* The plan, point by point: build each FT_C and answer what needs no
+(* The plan, point by point: find each cutset's entry in the prepared
+   model's memo, building its FT_C on a miss, and answer what needs no
    product chain — static and impossible cutsets, cache hits, a tripped
-   guard. The rest leave their key and shape, and their FT_C is dropped.
-   Each point's key suffix is built once, for all its lookups. It runs on
-   the calling domain, in input order, and is the only writer of the
-   call's FT_C context: a wide pass measured no faster, and every domain
-   it spawns adds its heap to the peak. Returns each point's plan time. *)
+   guard. The rest leave their key and shape. Each point's key suffix is
+   built once, for all its lookups. It runs on the calling domain, in
+   input order: a wide pass measured no faster, and every domain it
+   spawns adds its heap to the peak. Returns each point's plan time. *)
 let plan w =
-  let shape_ids = Hashtbl.create 16 in
-  let shape_id sd_c =
-    let key = Sdft_product.shape sd_c in
-    match Hashtbl.find_opt shape_ids key with
-    | Some id -> id
-    | None ->
-      let id = Hashtbl.length shape_ids in
-      Hashtbl.add shape_ids key id;
-      id
-  in
   Array.map
     (fun p ->
       let t0 = Sdft_util.Timer.start () in
@@ -458,7 +597,7 @@ let plan w =
           ~epsilon:p.opts.transient_epsilon
           ~max_states:p.opts.max_product_states ~horizon:p.opts.horizon
       in
-      run w ~domains:1 (plan_item w p ~shape_id ~suffix)
+      run w ~domains:1 (plan_item w p ~suffix)
         (Array.init p.count (fun j -> p.first + j));
       Sdft_util.Timer.elapsed_s t0)
     w.points
@@ -544,16 +683,11 @@ let solve w =
     firsts;
   let rank_of i = Hashtbl.find rank w.shape.(i) in
   Array.stable_sort (fun i j -> compare (rank_of i) (rank_of j)) firsts;
-  if domains > 1 && Array.length firsts > 1 then begin
-    (* The shared model is read-only once its lazy descendant caches are
-       forced, so workers only need their own workspace. *)
-    let tree = Sdft.tree w.sd in
-    for g = 0 to Fault_tree.n_gates tree - 1 do
-      ignore (Fault_tree.descendant_basics tree g);
-      ignore (Sdft.dynamic_descendants w.sd g)
-    done
-  end;
-  let solve_item = solve_item w (Cutset_model.read_only w.context) in
+  (* A model {!prepare} made is forced already; one a call prepared for
+     itself is forced only here, after Phase 1, whose heap peak it would
+     otherwise raise. *)
+  if domains > 1 && Array.length firsts > 1 then force_descendants w.prep.sd;
+  let solve_item = solve_item w (Cutset_model.read_only w.prep.context) in
   run w ~domains solve_item firsts;
   run w ~domains:1 solve_item (Sdft_util.Vec.to_array rest)
 
@@ -647,7 +781,14 @@ let budget w p ~quantification_seconds =
    point, then each point's budget. A point's quantification time is its
    plan's plus a share of the solve pass's, in proportion to what the pass
    spent on the point's cutsets. *)
-let analyze_points ?cache ~obs sd option_sets =
+let analyze_points ?prepared ?cache ~obs sd option_sets =
+  let prep, owned =
+    match prepared with
+    | Some (prep : prepared) when prep.sd == sd -> (Some prep, false)
+    | Some _ ->
+      invalid_arg "Sdft_analysis: the prepared model wraps another model"
+    | None -> (None, true)
+  in
   if option_sets = [] then []
   else
     Obs.span obs s_analyze @@ fun () ->
@@ -659,7 +800,11 @@ let analyze_points ?cache ~obs sd option_sets =
         Sdft_product.release_template ();
         Obs.finish obs)
     @@ fun () ->
-    let w = work_of ?cache ~obs sd option_sets in
+    let prep = match prep with Some p -> p | None -> unforced sd in
+    let w = work_of ?cache ~obs prep option_sets in
+    (* A model prepared for this call alone lets go of its compiled ZDD
+       once Phase 1 is done, and of its plan memos once the plan is. *)
+    if owned then prep.compiled <- None;
     Obs.begin_phase obs "quantification" ~total:(Array.length w.sets)
       ~cost_total:
         (Array.fold_left (fun acc c -> acc +. cost_of sd c) 0.0 w.sets)
@@ -667,6 +812,10 @@ let analyze_points ?cache ~obs sd option_sets =
     let plan_s, solve_s =
       Obs.span obs s_quant (fun () ->
           let plan_s = plan w in
+          if owned then begin
+            Array.iter Hashtbl.reset prep.memos;
+            Hashtbl.reset prep.shapes
+          end;
           let t0 = Sdft_util.Timer.start () in
           solve w;
           (plan_s, Sdft_util.Timer.elapsed_s t0))
@@ -693,8 +842,9 @@ let analyze_points ?cache ~obs sd option_sets =
         })
       (Array.to_list w.points)
 
-let analyze ?(options = default_options) ?cache ?(obs = Obs.default) sd =
-  (List.hd (analyze_points ?cache ~obs sd [ options ])).sweep_result
+let analyze ?(options = default_options) ?cache ?(obs = Obs.default)
+    ?prepared sd =
+  (List.hd (analyze_points ?prepared ?cache ~obs sd [ options ])).sweep_result
 
 let sweep ?cache ?(obs = Obs.default) sd option_sets =
   let cache = match cache with Some c -> c | None -> Quant_cache.create () in

@@ -210,11 +210,40 @@ type result = {
   translation : Sdft_translate.result;
 }
 
+(** {1 Prepared models}
+
+    Phase 1's compiled structure and Phase 2's [FT_C]s depend on the
+    model's structure alone: a translation at another horizon changes only
+    probabilities, and no [FT_C] depends on the horizon. A prepared model
+    holds that work for one model, filled on first use, so the points of a
+    sweep, and the requests of a server on one model, share it. *)
+
+type prepared
+(** One model's horizon-independent work: the model, with its lazy
+    descendant caches forced so any domain may read it; its
+    {!Cutset_model.context}; a plan memo per rel-rule, mapping a cutset to
+    its [FT_C]'s digest, static multiplier, dynamic counts and (from its
+    first cache miss) its product shape — no [FT_C] is kept; the ZDD
+    engine's compiled structure of the translated tree
+    ({!Zdd_engine.compile}); and [Auto]'s engine choice for it. Each part
+    is computed outside the model's lock and stored under it only once its
+    computation completes, so a guard trip or an injected fault stores
+    nothing, and answers are bit-identical whichever analysis filled a
+    part. Safe to share across domains and concurrent analyses. *)
+
+val prepare : Sdft.t -> prepared
+(** An empty prepared model of [sd]. Cheap: it forces the descendant
+    caches and fills the rest on first use. *)
+
 val analyze :
   ?options:options -> ?cache:Quant_cache.t -> ?obs:Sdft_util.Obs.t ->
-  Sdft.t -> result
+  ?prepared:prepared -> Sdft.t -> result
 (** One point of {!sweep}: Phase 1, then Phase 2's plan, solve pass and
-    budget, for [options]. [cache], when given, routes per-cutset
+    budget, for [options]. [prepared], a prepared model of [sd] that
+    other analyses of it share, must wrap [sd] (physical equality;
+    @raise Invalid_argument otherwise); without it the call prepares its
+    own, as {!sweep} does. The result is the same with or without it.
+    [cache], when given, routes per-cutset
     quantification through a {!Quant_cache.t} so that isomorphic cutset
     sub-models — within this call or across calls sharing the cache — are
     solved once. Results are bit-identical to the uncached path for models
@@ -265,10 +294,16 @@ val sweep :
   options list ->
   sweep_point list * Quant_cache.t
 (** [sweep sd option_sets] analyzes [sd] once per option set, sharing one
-    quantification cache (a fresh one unless [cache] is given). Phase 1 and
+    quantification cache (a fresh one unless [cache] is given) and one
+    prepared model, which the call makes for itself and lets go of where
+    it stops needing each part (the compiled ZDD after the last point's
+    Phase 1, the plan memos and shape ids when the plan ends). Phase 1 and
     the plan run for each point in order, each under its own guard; the
-    plan answers static and impossible cutsets, cache hits and a tripped
-    guard, and fills the call's one {!Cutset_model.context}. One solve
+    plan finds each cutset in the prepared model's plan memo, building
+    its [FT_C] on a miss, answers static and impossible cutsets, cache
+    hits and a tripped guard, and fills the prepared model's
+    {!Cutset_model.context}. Every lookup goes through the cache, memo
+    hit or not, so hits and misses are the same either way. One solve
     pass then solves the misses of every point, on the largest [domains]
     they ask for, rebuilding their [FT_C]s through a read-only view of
     that context: each key once, by its first cutset in input order,

@@ -19,10 +19,6 @@ let validate_edge n_states src dst =
     invalid_arg "Ctmc.make: state out of range";
   if src = dst then invalid_arg "Ctmc.make: self-loop"
 
-let validate_rate rate =
-  if rate <= 0.0 || not (Float.is_finite rate) then
-    invalid_arg "Ctmc.make: rate must be positive and finite"
-
 (* Stable insertion sort of the row segment [lo, hi) by destination, keeping
    [cols] and [refs] in step. Rows are tiny (a handful of entries), and an
    int comparison avoids the polymorphic [compare] on boxed pairs. *)
@@ -166,7 +162,9 @@ let instantiate_into p in_rates ~rates ~exit =
       let acc = ref 0.0 in
       for q = ref_ptr.(k) to ref_ptr.(k + 1) - 1 do
         let rate = in_rates.(refs.(q)) in
-        validate_rate rate;
+        (* Checked in place: a call would box every rate it checks. *)
+        if rate <= 0.0 || not (Float.is_finite rate) then
+          invalid_arg "Ctmc.make: rate must be positive and finite";
         acc := !acc +. rate
       done;
       rates.(k) <- !acc;

@@ -2,8 +2,9 @@
    the short version: admission (quota + bounded queue) happens on the
    caller's thread and never blocks, analyses run on a fixed pool of worker
    domains, and every request gets a private Obs context and Guard so the
-   only state shared between concurrent requests is the Quant_cache —
-   which is designed for exactly that. *)
+   only state shared between concurrent requests is the Quant_cache and
+   the prepared models of recent model texts — both designed for exactly
+   that. *)
 
 module Json = Sdft_util.Json
 module Metrics = Sdft_util.Metrics
@@ -73,8 +74,18 @@ let c_bad_requests = Metrics.counter g "server.bad_requests"
 let c_crashes = Metrics.counter g "server.crashes"
 let c_worker_lost = Metrics.counter g "server.worker_lost"
 let c_idem_hits = Metrics.counter g "server.idem_hits"
+let c_models_parsed = Metrics.counter g "server.models_parsed"
 let g_queue_depth = Metrics.gauge g "server.queue_depth"
 let h_request_s = Metrics.histogram g "server.request_s"
+
+let prepared_models = 8
+
+(* One model text's parse and prepared model, filled under [fill] once the
+   parse completes: a request that finds [ready] empty parses it. *)
+type model_entry = {
+  fill : Mutex.t;
+  mutable ready : (Sdft.t * Sdft_analysis.prepared) option;
+}
 
 type t = {
   config : config;
@@ -107,6 +118,12 @@ type t = {
   idem_lock : Mutex.t;
   idem_table : (string, string) Hashtbl.t;
   idem_order : string Queue.t;
+  (* Prepared models, under [models_lock]: the MD5 digest of a model text
+     -> its entry, and the digests most recently used first, at most
+     [prepared_models] of them. *)
+  models_lock : Mutex.t;
+  models : (string, model_entry) Hashtbl.t;
+  mutable model_order : string list;
 }
 
 let bump t c = Metrics.incr (Metrics.get t.server_metrics c)
@@ -140,6 +157,64 @@ let idem_store t key response =
     end;
     Mutex.unlock t.idem_lock
   end
+
+(* ------------------------------------------------------------------ *)
+(* Prepared models of recent model texts. A hit skips the parse and reuses
+   what earlier analyses of the model compiled and built. [model_order]
+   holds the digests of the filled entries only, most recently used first:
+   a hit moves its digest to the front, and a completed parse puts its
+   digest there and drops the least recently used entry beyond
+   [prepared_models]. An entry whose parse is pending or failed is in no
+   order and evicts nothing. *)
+
+let parse t text =
+  bump t c_models_parsed;
+  Sdft_format.of_string text
+
+(* Under [models_lock]. *)
+let touch t key =
+  t.model_order <- key :: List.filter (fun k -> k <> key) t.model_order
+
+let model_entry t key =
+  Mutex.protect t.models_lock (fun () ->
+      match Hashtbl.find_opt t.models key with
+      | Some e ->
+        if List.mem key t.model_order then touch t key;
+        e
+      | None ->
+        let e = { fill = Mutex.create (); ready = None } in
+        Hashtbl.add t.models key e;
+        e)
+
+(* Raises what the parse raises, and then takes the empty entry out of the
+   table, so a text that does not parse never evicts one that did. *)
+let prepared_model t text =
+  let key = Digest.string text in
+  let e = model_entry t key in
+  Mutex.protect e.fill (fun () ->
+      match e.ready with
+      | Some m -> m
+      | None -> (
+        match parse t text with
+        | sd ->
+          let m = (sd, Sdft_analysis.prepare sd) in
+          e.ready <- Some m;
+          Mutex.protect t.models_lock (fun () ->
+              touch t key;
+              t.model_order <-
+                List.filteri
+                  (fun i k ->
+                    i < prepared_models
+                    || (Hashtbl.remove t.models k;
+                        false))
+                  t.model_order);
+          m
+        | exception exn ->
+          Mutex.protect t.models_lock (fun () ->
+              match Hashtbl.find_opt t.models key with
+              | Some e' when e' == e -> Hashtbl.remove t.models key
+              | _ -> ());
+          raise exn))
 
 (* ------------------------------------------------------------------ *)
 (* retry_after pricing. Clamped so a structured rejection can never tell a
@@ -255,13 +330,19 @@ let run_analyze t (slot : slot) (job : job) =
          (operator-wide SDFT_FAILPOINTS). *)
       Failpoint.hit_in obs.Obs.failpoints "server.handle";
       Failpoint.hit_in Failpoint.default "server.handle";
-      Sdft_format.of_string p.Protocol.model_text
+      (* A request that arms failpoints parses and prepares afresh, so
+         every injection site of the analysis fires for it. *)
+      match job.req.Protocol.failpoints with
+      | Some _ -> (parse t p.Protocol.model_text, None)
+      | None ->
+        let sd, prepared = prepared_model t p.Protocol.model_text in
+        (sd, Some prepared)
     with
     | exception Sdft_format.Error m ->
       (false, bad_request ~id ("model parse error: " ^ m))
     | exception Failure m ->
       (false, bad_request ~id ("model parse error: " ^ m))
-    | sd ->
+    | sd, prepared ->
       let dflt = Sdft_analysis.default_options in
       let options =
         {
@@ -281,7 +362,7 @@ let run_analyze t (slot : slot) (job : job) =
             | None -> t.config.default_mem_limit_mb);
         }
       in
-      let r = Sdft_analysis.analyze ~options ~cache:t.cache ~obs sd in
+      let r = Sdft_analysis.analyze ~options ~cache:t.cache ~obs ?prepared sd in
       (true, render_result t ~id ~verbose:p.Protocol.verbose r))
 
 (* Everything that must happen exactly once per completed request, after
@@ -687,6 +768,9 @@ let create ?(config = default_config) ?cache () =
       idem_lock = Mutex.create ();
       idem_table = Hashtbl.create 64;
       idem_order = Queue.create ();
+      models_lock = Mutex.create ();
+      models = Hashtbl.create prepared_models;
+      model_order = [];
     }
   in
   t.slots <- Array.init (max 1 config.workers) make_slot;

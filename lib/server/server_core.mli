@@ -18,6 +18,20 @@
     registry. The aggregate server registry ({!metrics}) carries only the
     server's own instruments ([server.*]).
 
+    {b Prepared models.} Besides the quantification cache, concurrent
+    requests share one table: the {!Sdft_analysis.prepared} models of the
+    last {!prepared_models} distinct model texts, keyed by the MD5 digest
+    of the text, least recently used first out. A request whose text is in
+    the table skips the parse and the preparation, and reuses the ZDD
+    structure, plan entries and trigger sets earlier requests on the model
+    computed. An entry is filled under its own mutex, and only once the
+    parse completes: a text that does not parse takes no place in the
+    table. The prepared model's parts are likewise stored only once their
+    computation completes, so a guard trip stores nothing.
+    Answers are bit-identical whichever worker filled an entry. A request
+    that arms [failpoints] bypasses the table: it parses and prepares
+    afresh, so every injection site of the analysis fires for it.
+
     {b Admission.} [analyze] requests pass a per-client in-flight quota
     and a bounded queue; both reject {e immediately} with a structured
     error carrying [retry_after] (an EWMA-based estimate of when capacity
@@ -73,6 +87,9 @@ val default_config : config
 
 type t
 
+val prepared_models : int
+(** 8: the distinct model texts whose prepared models a server keeps. *)
+
 val create : ?config:config -> ?cache:Quant_cache.t -> unit -> t
 (** Start the worker pool. [cache] (default: a fresh memory-only cache) is
     shared by every request; the caller keeps ownership and is responsible
@@ -114,6 +131,8 @@ val metrics : t -> Sdft_util.Metrics.t
 (** The aggregate server registry ([server.requests], [server.ok],
     [server.errors], [server.rejected_saturated], [server.rejected_quota],
     [server.crashes], [server.worker_lost], [server.idem_hits],
+    [server.models_parsed] (model texts parsed: prepared-model table
+    misses and requests that bypass the table),
     [server.queue_depth], [server.request_s], cache and breaker roll-up
     gauges). *)
 

@@ -301,22 +301,30 @@ let test_zdd_guard_trips () =
   in
   Alcotest.(check bool) "deadline trips inside zdd ops" true trips
 
-(* [clear_caches] drops only the memo table: every handle stays valid and
-   a recomputed [without] returns the identical hash-consed node. *)
-let test_zdd_clear_caches () =
+(* [seal] drops the construction tables and keeps the node store: every
+   handle stays valid and readable, and building on the sealed manager
+   raises instead of breaking hash-consing. *)
+let test_zdd_seal () =
   let zm = Zdd.manager ~n_vars:5 () in
   (* {{0, 1}, {2}} and {{0}, {3, 4}}, node by node from the deepest level. *)
   let leaf v = Zdd.make_node zm v Zdd.bottom Zdd.top in
   let a = Zdd.make_node zm 0 (leaf 2) (leaf 1) in
   let b = Zdd.make_node zm 0 (Zdd.make_node zm 3 Zdd.bottom (leaf 4)) Zdd.top in
   let w = Zdd.without zm a b in
-  Zdd.clear_caches zm;
-  Alcotest.(check bool) "without stable" true (Zdd.without zm a b = w);
+  Zdd.seal zm;
   Alcotest.(check (list (list int))) "handles still enumerable"
     [ [ 0; 1 ]; [ 2 ] ]
     (List.sort compare (List.map Int_set.to_list (Zdd.to_cutsets zm a)));
   Alcotest.(check (list (list int))) "{0, 1} subsumed by {0}" [ [ 2 ] ]
-    (List.map Int_set.to_list (Zdd.to_cutsets zm w))
+    (List.map Int_set.to_list (Zdd.to_cutsets zm w));
+  Alcotest.(check (float 0.0)) "still folds" 0.5
+    (Zdd.weighted_count zm (fun _ -> 0.5) w);
+  Alcotest.check_raises "without raises"
+    (Invalid_argument "Zdd.without: sealed manager") (fun () ->
+      ignore (Zdd.without zm a b));
+  Alcotest.check_raises "make_node raises"
+    (Invalid_argument "Zdd.make_node: sealed manager") (fun () ->
+      ignore (leaf 3))
 
 (* Minimal solutions: brute force oracle over random fault trees. *)
 
@@ -412,7 +420,7 @@ let () =
             test_zdd_deep_chain;
           Alcotest.test_case "count saturation" `Quick test_zdd_count_saturates;
           Alcotest.test_case "guard trips" `Quick test_zdd_guard_trips;
-          Alcotest.test_case "clear caches" `Quick test_zdd_clear_caches;
+          Alcotest.test_case "seal keeps handles" `Quick test_zdd_seal;
         ]
         @ qc [ prop_zdd_without; prop_zdd_without_algebra ] );
       ( "minsol",

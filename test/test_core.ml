@@ -1073,6 +1073,123 @@ let test_cache_sweep_traffic_any_domains () =
     (check_traffic_any_domains "model-1 Erlang-2" (model_1 ~phases:2)
        [ 12.0; 24.0 ])
 
+(* Every point through one prepared model equals the same point prepared
+   afresh, bit for bit, with the same cache traffic: the ZDD structure
+   compiled at one horizon enumerates the others with their own
+   probabilities, and the plan memo answers each rel-rule with its own
+   entries. Points run in shuffled order, each an [analyze] over a cache
+   shared across the points of its run, and the rel-rules one after
+   the other through the same prepared model. All-events chains are capped
+   at 2,000 states, so some of its cutsets take the fallback: BWR's largest
+   take seconds each. *)
+let check_prepared_equals_fresh label sd horizons =
+  let rng = Random.State.make [| 35 |] in
+  let shuffled l =
+    List.map snd
+      (List.sort compare (List.map (fun x -> (Random.State.bits rng, x)) l))
+  in
+  let prepared = Sdft_analysis.prepare sd in
+  let obs = Sdft_util.Obs.create () in
+  List.iter
+    (fun (rule, rel_rule, max_product_states) ->
+      let option_sets =
+        List.map
+          (fun horizon ->
+            {
+              Sdft_analysis.default_options with
+              horizon;
+              rel_rule;
+              max_product_states;
+            })
+          (shuffled horizons)
+      in
+      let run ?obs ?prepared () =
+        let cache = Quant_cache.create () in
+        List.map
+          (fun options ->
+            let hits = Quant_cache.hits cache
+            and misses = Quant_cache.misses cache in
+            let r = Sdft_analysis.analyze ?obs ?prepared ~options ~cache sd in
+            ( result_bits r,
+              ( Quant_cache.hits cache - hits,
+                Quant_cache.misses cache - misses ) ))
+          option_sets
+      in
+      let through = run ~obs ~prepared () and fresh = run () in
+      List.iter2
+        (fun (options : Sdft_analysis.options) ((r, traffic), (r', traffic')) ->
+          let label =
+            Printf.sprintf "%s, %s, %g h: " label rule options.horizon
+          in
+          Alcotest.(check bool) (label ^ "prepared = fresh") true (r = r');
+          Alcotest.(check (pair int int))
+            (label ^ "same hits and misses") traffic' traffic)
+        option_sets
+        (List.combine through fresh))
+    [
+      ("paper", Cutset_model.Paper, 1_000_000);
+      ("all events", Cutset_model.All_events, 2_000);
+    ];
+  Alcotest.(check int) (label ^ ": one ZDD compilation") 1
+    (counter obs "zdd.compilations");
+  Alcotest.(check bool) (label ^ ": the plan memo answered") true
+    (counter obs "analysis.plan_memo_hits" > 0)
+
+let test_prepared_equals_fresh () =
+  check_prepared_equals_fresh "BWR" (bwr_sd ())
+    [ 6.0; 12.0; 24.0; 48.0; 72.0; 96.0 ];
+  check_prepared_equals_fresh "model-1 Erlang-2" (model_1 ~phases:2)
+    [ 1.0; 8.0; 24.0 ]
+
+(* A guard trip leaves nothing behind in a prepared model: after an
+   analysis that trips on the model's first use, in the middle of its ZDD
+   compilation or during the plan, the next unlimited analysis through the
+   same prepared model equals a fresh one. *)
+let test_prepared_after_guard_trips () =
+  let sd = bwr_sd () in
+  let options = { Sdft_analysis.default_options with engine = Zdd_engine } in
+  let fresh = result_bits (Sdft_analysis.analyze ~options sd) in
+  let after label ?(obs = Sdft_util.Obs.create ()) ~deadline check =
+    let prepared = Sdft_analysis.prepare sd in
+    let r =
+      Sdft_analysis.analyze ~obs ~prepared
+        ~options:{ options with deadline = Some deadline }
+        sd
+    in
+    check r.Sdft_analysis.degradation;
+    Alcotest.(check bool) (label ^ ": then prepared = fresh") true
+      (result_bits (Sdft_analysis.analyze ~options ~prepared sd) = fresh)
+  in
+  let failing site trigger action =
+    let obs = Sdft_util.Obs.create () in
+    Sdft_util.Failpoint.set_in obs.Sdft_util.Obs.failpoints site ~trigger
+      action;
+    obs
+  in
+  let generation_stopped label (d : Sdft_analysis.degradation) =
+    Alcotest.(check bool) (label ^ ": generation stopped") true
+      (d.generation_limit = Some Sdft_util.Guard.Deadline)
+  in
+  after "first use" ~deadline:0.0 (generation_stopped "first use");
+  after "ZDD compilation"
+    ~obs:
+      (failing "zdd.module" (Sdft_util.Failpoint.Nth 2)
+         (Sdft_util.Failpoint.Limit Sdft_util.Guard.Deadline))
+    ~deadline:60.0
+    (generation_stopped "ZDD compilation");
+  (* The fifth cutset's plan sleeps past the deadline: the first four are
+     planned, the rest fall back. *)
+  after "plan"
+    ~obs:
+      (failing "parallel.worker" (Sdft_util.Failpoint.Nth 5)
+         (Sdft_util.Failpoint.Delay 0.6))
+    ~deadline:0.5
+    (fun d ->
+      Alcotest.(check bool) "plan: generation completed" true
+        (d.generation_limit = None);
+      Alcotest.(check bool) "plan: cutsets fell back" true
+        (List.mem_assoc Sdft_util.Guard.Deadline d.degraded_cutsets))
+
 (* The solve pass builds through a read-only view of the plan's context.
    Through a sealed fresh context every BWR cutset builds the FT_C an
    ordinary build gives, and nothing is stored: building a triggered
@@ -2096,6 +2213,10 @@ let () =
             test_read_only_context;
           Alcotest.test_case "sweep points match analyze" `Quick
             test_sweep_points_match_analyze;
+          Alcotest.test_case "prepared model = fresh" `Quick
+            test_prepared_equals_fresh;
+          Alcotest.test_case "prepared model after guard trips" `Quick
+            test_prepared_after_guard_trips;
           Alcotest.test_case "sweep worker crash stays in its point" `Quick
             test_sweep_worker_crash_stays_in_its_point;
           Alcotest.test_case "fingerprint name-independent" `Quick

@@ -16,6 +16,25 @@ let test_make_rejects_bad_rate () =
     (Invalid_argument "Ctmc.make: rate must be positive and finite") (fun () ->
       ignore (Ctmc.make ~n_states:2 ~transitions:[ (0, 1, 0.0) ]))
 
+(* Re-rating a chain into reused buffers is the solve pass's per-cutset
+   step: checking each rate must not box it. *)
+let test_instantiate_into_allocates_nothing () =
+  let n = 10_001 in
+  let srcs = Array.init (n - 1) Fun.id in
+  let p =
+    Ctmc.plan ~n_states:n ~srcs ~dsts:(Array.map succ srcs) ~refs:srcs
+  in
+  let in_rates = Array.init (n - 1) (fun k -> 1.0 +. float_of_int k) in
+  let rates = Array.create_float (Ctmc.plan_entries p)
+  and exit = Array.create_float n in
+  ignore (Ctmc.instantiate_into p in_rates ~rates ~exit);
+  let before = Gc.minor_words () in
+  ignore (Sys.opaque_identity (Ctmc.instantiate_into p in_rates ~rates ~exit));
+  let words = Gc.minor_words () -. before in
+  if words >= 1000.0 then
+    Alcotest.failf "instantiate_into of %d entries allocated %.0f minor words"
+      (Ctmc.plan_entries p) words
+
 let test_make_rejects_out_of_range () =
   Alcotest.check_raises "range" (Invalid_argument "Ctmc.make: state out of range")
     (fun () -> ignore (Ctmc.make ~n_states:2 ~transitions:[ (0, 2, 1.0) ]))
@@ -626,6 +645,8 @@ let () =
         [
           Alcotest.test_case "self loop" `Quick test_make_rejects_self_loop;
           Alcotest.test_case "bad rate" `Quick test_make_rejects_bad_rate;
+          Alcotest.test_case "instantiate_into allocates nothing" `Quick
+            test_instantiate_into_allocates_nothing;
           Alcotest.test_case "out of range" `Quick test_make_rejects_out_of_range;
           Alcotest.test_case "merge parallel" `Quick test_make_merges_parallel;
           Alcotest.test_case "merge order = reference" `Quick

@@ -844,6 +844,131 @@ let test_idem_window_bounded () =
     (counter_of snap "server.idem_hits")
 
 (* ------------------------------------------------------------------ *)
+(* Prepared models: the server keeps one per recent model text. *)
+
+let parses core =
+  counter_of (Metrics.snapshot_in (Core.metrics core)) "server.models_parsed"
+
+(* Two clients send the same models, in interleaved order, to two workers
+   that share the prepared models: every answer equals the one a request
+   that parses and prepares afresh gets (a no-op failpoint spec makes a
+   request bypass the table). *)
+let test_prepared_models_shared () =
+  let models =
+    [| Lazy.force bwr_text; Lazy.force pumps_text; (Lazy.force gen_corpus).(0) |]
+  in
+  let line ?failpoints c j =
+    Protocol.analyze_line
+      ~id:(Printf.sprintf "c%d-r%d" c j)
+      ~engine:"zdd"
+      ~horizon:(if j mod 2 = 0 then 12.0 else 48.0)
+      ?failpoints
+      ~model:models.((j + c) mod Array.length models)
+      ()
+  in
+  let core =
+    Core.create ~config:{ Core.default_config with workers = 2 } ()
+  in
+  let answers =
+    Fun.protect ~finally:(fun () -> Core.shutdown core) @@ fun () ->
+    let clients =
+      Array.init 2 (fun c ->
+          Domain.spawn (fun () ->
+              Array.init 9 (fun j ->
+                  Core.call core ~client:(Printf.sprintf "c%d" c) (line c j))))
+    in
+    let answers = Array.map Domain.join clients in
+    Alcotest.(check int) "each model text parsed once" (Array.length models)
+      (parses core);
+    answers
+  in
+  let fresh = Core.create ~config:{ Core.default_config with workers = 1 } () in
+  Fun.protect ~finally:(fun () -> Core.shutdown fresh) @@ fun () ->
+  Array.iteri
+    (fun c row ->
+      Array.iteri
+        (fun j got ->
+          Alcotest.(check bool) "answered" true (response_ok got);
+          Alcotest.(check string)
+            (Printf.sprintf "c%d-r%d equals a fresh preparation" c j)
+            (Core.call fresh ~client:"seq"
+               (line ~failpoints:"mocus.expand=delay:0.0@nth:1000000" c j))
+            got)
+        row)
+    answers
+
+(* A request that arms failpoints bypasses the table: after the model was
+   served, its ZDD structure compiled and kept, a request arming
+   [zdd.module] still reaches the compilation. A simulated limit degrades
+   the request in place; an injected raise is a contained crash. *)
+let test_failpoints_bypass_prepared_models () =
+  let core = Core.create () in
+  Fun.protect ~finally:(fun () -> Core.shutdown core) @@ fun () ->
+  let model = Lazy.force bwr_text in
+  let ask ?failpoints id =
+    Core.call core ~client:"f"
+      (Protocol.analyze_line ~id ~engine:"zdd" ?failpoints ~model ())
+  in
+  let clean = ask "clean" in
+  Alcotest.(check (option bool)) "clean request not degraded" (Some false)
+    (result_bool clean "degraded");
+  let limited = ask ~failpoints:"zdd.module=deadline" "limited" in
+  Alcotest.(check bool) "limited request answers" true (response_ok limited);
+  Alcotest.(check (option bool)) "and degrades" (Some true)
+    (result_bool limited "degraded");
+  let raised = ask ~failpoints:"zdd.module=raise" "raised" in
+  Alcotest.(check string) "an injected raise is a contained crash" "crash"
+    (error_code raised);
+  Alcotest.(check string) "the table still serves the clean answer" clean
+    (ask "clean");
+  Alcotest.(check int) "the faulted requests parsed afresh" 3 (parses core)
+
+(* The table keeps the last [prepared_models] distinct texts that parse:
+   past them the least recently used one is parsed again, and its answers
+   stay bit-identical. *)
+let test_prepared_models_bounded () =
+  let core = Core.create () in
+  Fun.protect ~finally:(fun () -> Core.shutdown core) @@ fun () ->
+  let texts =
+    Array.init (Core.prepared_models + 1) (fun i ->
+        Sdft_format.to_string (Gen_sdft.sd (300 + i)))
+  in
+  let ask i =
+    Core.call core ~client:"t"
+      (Protocol.analyze_line ~id:"bound" ~model:texts.(i) ())
+  in
+  let first = Array.init (Array.length texts) ask in
+  Array.iter
+    (fun r -> Alcotest.(check bool) "answered" true (response_ok r))
+    first;
+  let n = Array.length texts in
+  Alcotest.(check int) "each text parsed" n (parses core);
+  Alcotest.(check string) "the evicted first text, parsed again" first.(0)
+    (ask 0);
+  Alcotest.(check int) "one more parse" (n + 1) (parses core);
+  Alcotest.(check string) "a kept text, answered from the table" first.(2)
+    (ask 2);
+  Alcotest.(check int) "no parse" (n + 1) (parses core);
+  Alcotest.(check string) "the next least recently used, parsed again"
+    first.(1) (ask 1);
+  Alcotest.(check int) "one more parse" (n + 2) (parses core);
+  (* Texts that do not parse take no place in the table: the least
+     recently used kept text, 4, is still there after them. *)
+  for i = 1 to Core.prepared_models do
+    let bad =
+      Core.call core ~client:"t"
+        (Protocol.analyze_line ~id:"bad" ~model:(Printf.sprintf "(sdft %d" i) ())
+    in
+    Alcotest.(check string) "a bad text is a bad request" "bad_request"
+      (error_code bad)
+  done;
+  Alcotest.(check string) "the least recently used text survives bad texts"
+    first.(4) (ask 4);
+  Alcotest.(check int) "no parse for it"
+    (n + 2 + Core.prepared_models)
+    (parses core)
+
+(* ------------------------------------------------------------------ *)
 (* Process-level chaos: kill -9 the real daemon binary mid-conversation,
    warm-restart it on the same socket and cache, and drive a retrying
    client straight through the outage. *)
@@ -962,6 +1087,15 @@ let () =
             test_idem_replay_bit_identical;
           Alcotest.test_case "response window is bounded FIFO" `Quick
             test_idem_window_bounded;
+        ] );
+      ( "model table",
+        [
+          Alcotest.test_case "two clients share them bit-identically" `Quick
+            test_prepared_models_shared;
+          Alcotest.test_case "failpoints bypass the table" `Quick
+            test_failpoints_bypass_prepared_models;
+          Alcotest.test_case "the table is bounded" `Quick
+            test_prepared_models_bounded;
         ] );
       ( "chaos",
         [
